@@ -36,7 +36,7 @@ class DensityMatrix:
     factor_dims: tuple[int, ...]
 
     def __post_init__(self):
-        m = np.asarray(self.entries, dtype=complex)
+        m = np.asarray(self.entries)
         object.__setattr__(self, "entries", m)
         object.__setattr__(self, "factor_dims", tuple(int(d) for d in self.factor_dims))
         dim = math.prod(self.factor_dims)

@@ -1,4 +1,8 @@
-"""Dense Hermitian diagonalization and ground-state extraction."""
+"""Dense Hermitian diagonalization and ground-state extraction.
+
+Every model Hamiltonian is real symmetric, so ground states are real; the
+sign is fixed by making the largest-magnitude amplitude positive.
+"""
 
 from __future__ import annotations
 
@@ -28,28 +32,23 @@ class GroundStateResult:
 
 
 def eig_hermitian(h: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a Hermitian-flagged operator.
+    """Full eigendecomposition of a Hermitian (real symmetric or complex) operator.
 
-    Returns (eigenvalues ascending, eigenvector columns).  Refuses inputs
-    that are not flagged and numerically Hermitian.
+    Returns (eigenvalues ascending, eigenvector columns).  This is the one
+    symmetry check on the operator path: inputs that deviate from
+    Hermiticity by 1e-12 or more are refused.
     """
-    if not h.hermitian:
-        raise ValueError("eig_hermitian requires a Hermitian-flagged operator")
     m = h.entries
     dev = np.max(np.abs(m - m.conj().T))
     if dev >= 1e-12:
-        raise ValueError(f"operator deviates from Hermiticity by {dev:.3e}")
+        raise ValueError(f"eig_hermitian requires a Hermitian operator; deviation {dev:.3e}")
     w, v = np.linalg.eigh(m)
     return w, v
 
 
-def _fix_phase(vec: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude amplitude real and positive (deterministic output)."""
-    idx = int(np.argmax(np.abs(vec)))
-    pivot = vec[idx]
-    if pivot == 0:
-        return vec
-    return vec * (abs(pivot) / pivot)
+def _fix_sign(vec: np.ndarray) -> np.ndarray:
+    """Make the largest-magnitude amplitude positive (deterministic output)."""
+    return -vec if vec[np.argmax(np.abs(vec))] < 0 else vec
 
 
 def build_hamiltonian(p: SystemParams, basis: str = "transformed") -> OperatorMatrix:
@@ -72,10 +71,10 @@ def ground_state(p: SystemParams, basis: str = "transformed") -> GroundStateResu
     """Lowest eigenpair with gap, parity expectation and degeneracy flag."""
     h = build_hamiltonian(p, basis)
     w, v = eig_hermitian(h)
-    vec = _fix_phase(v[:, 0])
+    vec = _fix_sign(v[:, 0])
     gap = float(w[1] - w[0])
-    parity_diag = np.real(np.diag(parity_operator(p.N).entries))
-    parity = float(np.real(np.sum(parity_diag * np.abs(vec) ** 2)))
+    parity_diag = np.diag(parity_operator(p.N).entries)
+    parity = float(np.sum(parity_diag * vec**2))
     return GroundStateResult(
         energy=float(w[0]),
         state=StateVector(vec, (2, p.N, p.N)),
@@ -100,7 +99,7 @@ def convergence_study(
     cutoffs must be ascending, each >= 2.  Use successive_differences()
     on the result to see how fast the numbers settle.
     """
-    from .entanglement import report as entanglement_report
+    from .entanglement import report_from_state
 
     cutoffs = [int(n) for n in cutoffs]
     if any(n < 2 for n in cutoffs):
@@ -111,9 +110,8 @@ def convergence_study(
     for n in cutoffs:
         pn = replace(p, N=n)
         gs = ground_state(pn, basis)
-        rows.append(
-            ConvergenceRow(N=n, energy=gs.energy, report=entanglement_report(pn, basis))
-        )
+        rep = report_from_state(gs.state, degeneracy_caveat=gs.degenerate_flag)
+        rows.append(ConvergenceRow(N=n, energy=gs.energy, report=rep))
     return rows
 
 

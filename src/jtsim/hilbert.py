@@ -15,21 +15,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-HERMITICITY_TOL = 1e-12
-
 SLOTS = ("S", "M1", "M2")
 
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex square matrix with its tensor-factor dimensions."""
+    """Dense square matrix with its tensor-factor dimensions.
+
+    The entries keep the dtype they are given: every model operator is real
+    (float64), general complex matrices stay complex.
+    """
 
     entries: np.ndarray
     factor_dims: tuple[int, ...]
-    hermitian: bool = False
 
     def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
+        entries = np.asarray(self.entries)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "factor_dims", tuple(int(d) for d in self.factor_dims))
         dim = math.prod(self.factor_dims)
@@ -38,28 +39,21 @@ class OperatorMatrix:
                 f"entries shape {entries.shape} does not match factor_dims "
                 f"{self.factor_dims} (total {dim})"
             )
-        if self.hermitian:
-            dev = np.max(np.abs(entries - entries.conj().T))
-            if dev >= HERMITICITY_TOL:
-                raise ValueError(f"matrix flagged hermitian deviates by {dev:.3e}")
 
     @property
     def dim_total(self) -> int:
         return math.prod(self.factor_dims)
 
-    def dag(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.entries.conj().T, self.factor_dims, self.hermitian)
-
 
 @dataclass(frozen=True)
 class StateVector:
-    """Complex amplitude vector over the same tensor-factor layout."""
+    """Amplitude vector over the same tensor-factor layout (dtype kept as given)."""
 
     amplitudes: np.ndarray
     factor_dims: tuple[int, ...]
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = np.asarray(self.amplitudes)
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "factor_dims", tuple(int(d) for d in self.factor_dims))
         if amps.shape != (math.prod(self.factor_dims),):
@@ -85,35 +79,26 @@ def _check_cutoff(cutoff: int) -> int:
 def annihilation(cutoff: int) -> OperatorMatrix:
     """Bosonic annihilation operator a with a|n> = sqrt(n)|n-1>, truncated at cutoff."""
     n = _check_cutoff(cutoff)
-    a = np.zeros((n, n), dtype=complex)
+    a = np.zeros((n, n))
     for k in range(1, n):
         a[k - 1, k] = math.sqrt(k)
     return OperatorMatrix(a, (n,))
 
 
-def creation(cutoff: int) -> OperatorMatrix:
-    return annihilation(cutoff).dag()
-
-
 def number(cutoff: int) -> OperatorMatrix:
     n = _check_cutoff(cutoff)
-    return OperatorMatrix(np.diag(np.arange(n, dtype=complex)), (n,), hermitian=True)
+    return OperatorMatrix(np.diag(np.arange(n, dtype=float)), (n,))
 
 
 def pauli(which: str) -> OperatorMatrix:
     """Pauli operator on the qubit factor; sigma_z = diag(-1, +1), sigma_x off-diagonal."""
     if which == "z":
-        m = np.diag([-1.0 + 0j, 1.0])
+        m = np.diag([-1.0, 1.0])
     elif which == "x":
-        m = np.array([[0, 1], [1, 0]], dtype=complex)
+        m = np.array([[0.0, 1.0], [1.0, 0.0]])
     else:
         raise ValueError(f"unknown Pauli axis {which!r}; expected 'x' or 'z'")
-    return OperatorMatrix(m, (2,), hermitian=True)
-
-
-def identity(dims) -> OperatorMatrix:
-    dims = tuple(int(d) for d in dims)
-    return OperatorMatrix(np.eye(math.prod(dims), dtype=complex), dims, hermitian=True)
+    return OperatorMatrix(m, (2,))
 
 
 def embed(op: OperatorMatrix, slot: str, cutoff: int) -> OperatorMatrix:
@@ -132,23 +117,21 @@ def embed(op: OperatorMatrix, slot: str, cutoff: int) -> OperatorMatrix:
             f"operator of dimension {op.dim_total} does not fit slot {slot} "
             f"(expected {expected})"
         )
-    eye_q = np.eye(2, dtype=complex)
-    eye_m = np.eye(n, dtype=complex)
+    eye_q = np.eye(2)
+    eye_m = np.eye(n)
     parts = {
         "S": (op.entries, eye_m, eye_m),
         "M1": (eye_q, op.entries, eye_m),
         "M2": (eye_q, eye_m, op.entries),
     }[slot]
     full = np.kron(np.kron(parts[0], parts[1]), parts[2])
-    return OperatorMatrix(full, (2, n, n), hermitian=op.hermitian)
+    return OperatorMatrix(full, (2, n, n))
 
 
 def mode_parity(cutoff: int) -> OperatorMatrix:
     """Photon-number parity (-1)^n on a single mode."""
     n = _check_cutoff(cutoff)
-    return OperatorMatrix(
-        np.diag([(-1.0) ** k + 0j for k in range(n)]), (n,), hermitian=True
-    )
+    return OperatorMatrix(np.diag([(-1.0) ** k for k in range(n)]), (n,))
 
 
 def parity_operator(cutoff: int) -> OperatorMatrix:
@@ -156,4 +139,4 @@ def parity_operator(cutoff: int) -> OperatorMatrix:
     sz = pauli("z").entries
     pm = mode_parity(cutoff).entries
     full = np.kron(np.kron(sz, pm), pm)
-    return OperatorMatrix(full, (2, cutoff, cutoff), hermitian=True)
+    return OperatorMatrix(full, (2, cutoff, cutoff))

@@ -1,16 +1,22 @@
 """Two-mode Jahn-Teller Hamiltonians for the superconducting-circuit realisation.
 
-Three builders share the layout fixed in :mod:`jtsim.hilbert`:
+Both two-mode builders assemble one real symmetric operator on the layout
+fixed in :mod:`jtsim.hilbert`,
+
+    H = omega_q/2 sz + w1 n1 + w2 n2 + (g1 x1 + g2 x2) sx + hop (a1^T a2 + a2^T a1)
+
+with x_i = a_i + a_i^T; they differ only in the six coefficients:
 
 * ``build_lab_hamiltonian`` -- qubit + two resonator modes with linear
   displacement coupling g_i = omega_i * k_i and an optional inter-mode
-  hopping J, in the bare (lab) mode basis.
+  hopping J, in the bare (lab) mode basis: the identity coefficient map.
 * ``build_transformed_hamiltonian`` -- the same operator rewritten in the
   rotated mode basis b1 = (k1 a1 + k2 a2)/k_p, b2 = (k2 a1 - k1 a2)/k_p,
   where b1 is the privileged mode carrying the dominant qubit coupling
   g_p = omega_p * k_p and b2 the weakly coupled disadvantaged mode.
-* ``build_single_mode_jt`` -- the privileged-mode-only reduction, used as
-  a diagnostic baseline.
+
+``build_single_mode_jt`` is the privileged-mode-only reduction on the
+(qubit, mode) space, used as a diagnostic baseline.
 
 The rotated coefficients are obtained by exact operator algebra.  Note the
 hopping J contributes 2*J*k1*k2/k_p^2 to the rotated number operators
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import OperatorMatrix, annihilation, embed, identity, number, pauli
+from .hilbert import OperatorMatrix, annihilation, embed, pauli
 
 # Perturbative validity of the single-privileged-mode picture: both the
 # qubit-disadvantaged coupling and the mode hopping must stay below half
@@ -146,23 +152,35 @@ def _warn_zero_frequency(p: SystemParams):
         )
 
 
-def build_lab_hamiltonian(p: SystemParams) -> OperatorMatrix:
-    """Qubit + two modes + displacement couplings + hopping, lab mode basis."""
-    _warn_zero_frequency(p)
-    n = p.N
+def _rotated_hopping(p: SystemParams, pp: PrivilegedParams) -> float:
+    """Hopping between the rotated modes, c + J*(k2^2 - k1^2)/k_p^2."""
+    return pp.c + p.J * (p.k_2**2 - p.k_1**2) / pp.k_p**2
+
+
+def _two_mode_hamiltonian(
+    n: int, omega_q: float, w1: float, w2: float, g1: float, g2: float, hop: float
+) -> OperatorMatrix:
+    """Real symmetric two-mode Hamiltonian (module docstring form) for given coefficients."""
     sz = embed(pauli("z"), "S", n).entries
     sx = embed(pauli("x"), "S", n).entries
     a1 = embed(annihilation(n), "M1", n).entries
     a2 = embed(annihilation(n), "M2", n).entries
-    n1 = embed(number(n), "M1", n).entries
-    n2 = embed(number(n), "M2", n).entries
+    # n_i = a_i^T a_i is diagonal: only its diagonal is formed.
+    n1 = np.einsum("ij,ij->j", a1, a1)
+    n2 = np.einsum("ij,ij->j", a2, a2)
+    hopping = a1.T @ a2
 
-    h = 0.5 * p.omega_q * sz
-    h += p.omega_1 * n1 + p.omega_2 * n2
-    h += p.g_1 * (a1 + a1.conj().T) @ sx
-    h += p.g_2 * (a2 + a2.conj().T) @ sx
-    h += p.J * (a1.conj().T @ a2 + a2.conj().T @ a1)
-    return OperatorMatrix(h, (2, n, n), hermitian=True)
+    h = 0.5 * omega_q * sz
+    h[np.diag_indices_from(h)] += w1 * n1 + w2 * n2
+    h += (g1 * (a1 + a1.T) + g2 * (a2 + a2.T)) @ sx
+    h += hop * (hopping + hopping.T)
+    return OperatorMatrix(h, (2, n, n))
+
+
+def build_lab_hamiltonian(p: SystemParams) -> OperatorMatrix:
+    """Qubit + two modes + displacement couplings + hopping, lab mode basis."""
+    _warn_zero_frequency(p)
+    return _two_mode_hamiltonian(p.N, p.omega_q, p.omega_1, p.omega_2, p.g_1, p.g_2, p.J)
 
 
 def build_transformed_hamiltonian(p: SystemParams) -> OperatorMatrix:
@@ -173,44 +191,36 @@ def build_transformed_hamiltonian(p: SystemParams) -> OperatorMatrix:
     """
     _warn_zero_frequency(p)
     pp = privileged_params(p)
-    n = p.N
-    kp2 = pp.k_p**2
-    hop = pp.c + p.J * (p.k_2**2 - p.k_1**2) / kp2
-    shift = 2.0 * p.J * p.k_1 * p.k_2 / kp2
-
-    sz = embed(pauli("z"), "S", n).entries
-    sx = embed(pauli("x"), "S", n).entries
-    b1 = embed(annihilation(n), "M1", n).entries
-    b2 = embed(annihilation(n), "M2", n).entries
-    n1 = embed(number(n), "M1", n).entries
-    n2 = embed(number(n), "M2", n).entries
-
-    h = 0.5 * p.omega_q * sz
-    h += (pp.omega_p + shift) * n1 + (pp.omega_p_tilde - shift) * n2
-    h += hop * (b1.conj().T @ b2 + b2.conj().T @ b1)
-    h += pp.k_p * pp.omega_p * (b1 + b1.conj().T) @ sx
-    h += pp.k_p * pp.c * (b2 + b2.conj().T) @ sx
-    return OperatorMatrix(h, (2, n, n), hermitian=True)
+    shift = 2.0 * p.J * p.k_1 * p.k_2 / pp.k_p**2
+    return _two_mode_hamiltonian(
+        p.N,
+        p.omega_q,
+        pp.omega_p + shift,
+        pp.omega_p_tilde - shift,
+        pp.g_p,
+        pp.k_p * pp.c,
+        _rotated_hopping(p, pp),
+    )
 
 
 def build_single_mode_jt(p: SystemParams) -> OperatorMatrix:
     """Privileged-mode-only Jahn-Teller Hamiltonian on the (qubit, mode) space."""
     pp = privileged_params(p)
     n = p.N
-    eye_m = identity((n,)).entries
+    eye_m = np.eye(n)
     sz = np.kron(pauli("z").entries, eye_m)
     sx = np.kron(pauli("x").entries, eye_m)
-    b = np.kron(np.eye(2, dtype=complex), annihilation(n).entries)
+    b = np.kron(np.eye(2), annihilation(n).entries)
     h = 0.5 * p.omega_q * sz
-    h += pp.omega_p * (b.conj().T @ b)
-    h += pp.g_p * (b + b.conj().T) @ sx
-    return OperatorMatrix(h, (2, n), hermitian=True)
+    h += pp.omega_p * (b.T @ b)
+    h += pp.g_p * (b + b.T) @ sx
+    return OperatorMatrix(h, (2, n))
 
 
 def privileged_validity(p: SystemParams) -> ValidityReport:
     """Dimensionless diagnostics for the single-privileged-mode picture."""
     pp = privileged_params(p)
-    hop = pp.c + p.J * (p.k_2**2 - p.k_1**2) / pp.k_p**2
+    hop = _rotated_hopping(p, pp)
     if pp.g_p > 0:
         r1 = abs(pp.k_p * pp.c) / pp.g_p
         r2 = abs(hop) / pp.g_p
@@ -233,15 +243,15 @@ def mode_rotation_unitary(p: SystemParams) -> np.ndarray:
     """
     pp = privileged_params(p)
     n = p.N
-    a = annihilation(n).entries
-    eye = np.eye(n, dtype=complex)
-    a1d = np.kron(a.conj().T, eye)
-    a2d = np.kron(eye, a.conj().T)
+    ad = annihilation(n).entries.T
+    eye = np.eye(n)
+    a1d = np.kron(ad, eye)
+    a2d = np.kron(eye, ad)
     b1d = (p.k_1 * a1d + p.k_2 * a2d) / pp.k_p
     b2d = (p.k_2 * a1d - p.k_1 * a2d) / pp.k_p
 
     dim = n * n
-    w = np.zeros((dim, dim), dtype=complex)
+    w = np.zeros((dim, dim))
     w[0, 0] = 1.0
     for m2 in range(1, n):
         w[:, m2] = b2d @ w[:, m2 - 1] / math.sqrt(m2)

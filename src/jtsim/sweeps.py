@@ -35,6 +35,7 @@ import numpy as np
 from ._version import __version__
 from .entanglement import EntanglementReport, report_from_state
 from .groundstate import ground_state
+from .hilbert import StateVector
 from .model import (
     DegenerateTransformationError,
     SystemParams,
@@ -329,13 +330,11 @@ def compare_bases(p: SystemParams) -> BasisDivergence:
     gs_lab = ground_state(p, "lab")
     gs_tr = ground_state(p, "transformed")
 
+    # Rotate the two modes of each qubit component: (I_2 (x) W)^T psi.
     w = mode_rotation_unitary(p)
-    u = np.kron(np.eye(2, dtype=complex), w)
-    psi_b = u.conj().T @ gs_lab.state.amplitudes
+    psi_b = (gs_lab.state.amplitudes.reshape(2, -1) @ w).ravel()
     norm = np.linalg.norm(psi_b)
     loss = abs(1.0 - norm**2)
-    from .hilbert import StateVector
-
     rep_lab = report_from_state(StateVector(psi_b / norm, (2, p.N, p.N)))
     rep_tr = report_from_state(gs_tr.state)
     div = max(

@@ -24,7 +24,7 @@ def fig1_params(delta, n=10):
 
 class TestEigHermitian:
     def test_diagonal_input_sorted(self):
-        h = OperatorMatrix(np.diag([3.0, 1.0, 2.0]).astype(complex), (3,), hermitian=True)
+        h = OperatorMatrix(np.diag([3.0, 1.0, 2.0]), (3,))
         w, v = eig_hermitian(h)
         assert np.allclose(w, [1, 2, 3])
         assert np.allclose(np.abs(v), np.eye(3)[:, [1, 2, 0]])
@@ -42,17 +42,17 @@ class TestEigHermitian:
         rng = np.random.default_rng(11)
         m = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
         m = (m + m.conj().T) / 2
-        h = OperatorMatrix(m, (40,), hermitian=True)
+        h = OperatorMatrix(m, (40,))
         w, v = eig_hermitian(h)
         scale = np.max(np.abs(m))
         assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - m)) < 1e-8 * scale
         assert np.max(np.abs(v.conj().T @ v - np.eye(40))) < 1e-9
         assert np.all(np.diff(w) >= 0)
 
-    def test_rejects_unflagged_input(self):
-        h = OperatorMatrix(np.eye(3, dtype=complex), (3,))
-        with pytest.raises(ValueError, match="Hermitian"):
-            eig_hermitian(h)
+    def test_rejects_non_hermitian_input(self):
+        for m in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0, 1j], [1j, 0]])):
+            with pytest.raises(ValueError, match="Hermitian"):
+                eig_hermitian(OperatorMatrix(m, (2,)))
 
 
 class TestGroundState:
@@ -126,6 +126,23 @@ class TestConvergenceStudy:
         rows = convergence_study(p, (6, 8, 10, 12))
         diffs = [d["d_negativity_max"] for d in successive_differences(rows)]
         assert all(b <= a + 1e-12 for a, b in zip(diffs, diffs[1:]))
+
+    def test_one_solve_per_cutoff(self, monkeypatch):
+        import jtsim.entanglement
+        import jtsim.groundstate
+
+        calls = []
+
+        def counting(p, basis="transformed"):
+            calls.append(p.N)
+            return ground_state(p, basis)
+
+        # every module that looks ground_state up by name
+        monkeypatch.setattr(jtsim.groundstate, "ground_state", counting)
+        monkeypatch.setattr(jtsim.entanglement, "ground_state", counting)
+        p = SystemParams(omega_1=1.0, omega_2=0.8, k_1=0.3, k_2=0.2)
+        convergence_study(p, (4, 6, 8))
+        assert calls == [4, 6, 8]
 
     def test_cutoffs_must_ascend(self):
         p = SystemParams(omega_1=1.0, omega_2=0.5, k_1=0.1, k_2=0.1)

@@ -6,9 +6,7 @@ import pytest
 from jtsim.hilbert import (
     OperatorMatrix,
     annihilation,
-    creation,
     embed,
-    identity,
     mode_parity,
     number,
     parity_operator,
@@ -18,7 +16,8 @@ from jtsim.hilbert import (
 
 def test_annihilation_n2_matrix():
     a = annihilation(2)
-    assert np.array_equal(a.entries, np.array([[0, 1], [0, 0]], dtype=complex))
+    assert a.entries.dtype == np.float64
+    assert np.array_equal(a.entries, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_annihilation_sqrt2_entry():
@@ -28,7 +27,7 @@ def test_annihilation_sqrt2_entry():
 
 def test_number_operator_diagonal():
     a = annihilation(10)
-    n = a.entries.conj().T @ a.entries
+    n = a.entries.T @ a.entries
     assert np.allclose(np.diag(n), np.arange(10))
     assert np.allclose(n, number(10).entries)
 
@@ -39,11 +38,11 @@ def test_annihilation_rejects_small_cutoff():
 
 
 def test_pauli_z_matches_level_ordering():
-    assert np.array_equal(pauli("z").entries, np.diag([-1.0 + 0j, 1.0]))
+    assert np.array_equal(pauli("z").entries, np.diag([-1.0, 1.0]))
 
 
 def test_pauli_x_off_diagonal():
-    assert np.array_equal(pauli("x").entries, np.array([[0, 1], [1, 0]], dtype=complex))
+    assert np.array_equal(pauli("x").entries, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_pauli_x_squares_to_identity():
@@ -80,7 +79,7 @@ def test_embed_mode2_ladder_action():
 
 def test_embedded_slots_commute_exactly():
     a1 = embed(annihilation(4), "M1", 4).entries
-    a2d = embed(creation(4), "M2", 4).entries
+    a2d = embed(OperatorMatrix(annihilation(4).entries.T, (4,)), "M2", 4).entries
     comm = a1 @ a2d - a2d @ a1
     assert np.max(np.abs(comm)) == 0.0
 
@@ -101,8 +100,8 @@ def test_truncated_commutator_closed_form():
     # [a, a+] = I - N |N-1><N-1| on the truncated ladder, exactly
     n = 7
     a = annihilation(n).entries
-    comm = a @ a.conj().T - a.conj().T @ a
-    expect = np.eye(n, dtype=complex)
+    comm = a @ a.T - a.T @ a
+    expect = np.eye(n)
     expect[n - 1, n - 1] -= n
     # sqrt(n)**2 reintroduces one ulp of rounding on the diagonal
     assert np.max(np.abs(comm - expect)) < 1e-14
@@ -112,17 +111,19 @@ def test_embed_preserves_hermiticity_and_linearity():
     n = 3
     h = number(n)
     emb = embed(h, "M1", n)
-    assert emb.hermitian
-    assert np.max(np.abs(emb.entries - emb.entries.conj().T)) == 0.0
+    assert emb.entries.dtype == np.float64
+    assert np.max(np.abs(emb.entries - emb.entries.T)) == 0.0
     a = annihilation(n)
     lhs = embed(OperatorMatrix(2.5 * a.entries, (n,)), "M2", n).entries
     rhs = 2.5 * embed(a, "M2", n).entries
     assert np.allclose(lhs, rhs, atol=0, rtol=0)
 
 
-def test_hermitian_flag_is_checked():
-    with pytest.raises(ValueError, match="hermitian"):
-        OperatorMatrix(np.array([[0, 1], [0, 0]], dtype=complex), (2,), hermitian=True)
+def test_operator_keeps_given_dtype():
+    real = OperatorMatrix(np.eye(2), (2,))
+    cplx = OperatorMatrix(np.array([[0, -1j], [1j, 0]]), (2,))
+    assert real.entries.dtype == np.float64
+    assert cplx.entries.dtype == np.complex128
 
 
 def test_factor_dims_must_match_entries():
@@ -133,7 +134,8 @@ def test_factor_dims_must_match_entries():
 def test_parity_operator_diagonal_signs():
     n = 3
     pi = parity_operator(n)
-    diag = np.real(np.diag(pi.entries))
+    assert pi.entries.dtype == np.float64
+    diag = np.diag(pi.entries)
     for s in (0, 1):
         for n1 in range(n):
             for n2 in range(n):
@@ -144,4 +146,4 @@ def test_parity_operator_diagonal_signs():
 
 def test_mode_parity_and_identity():
     assert np.array_equal(np.diag(mode_parity(4).entries), [1, -1, 1, -1])
-    assert identity((2, 3)).dim_total == 6
+    assert OperatorMatrix(np.eye(6), (2, 3)).dim_total == 6

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from jtsim.groundstate import ground_state
 from jtsim.model import (
     DegenerateTransformationError,
     SystemParams,
@@ -19,11 +21,13 @@ from jtsim.hilbert import parity_operator
 K_STRONG = 0.1 / math.sqrt(2)
 
 
-def lab_oracle(p: SystemParams) -> np.ndarray:
-    """Term-by-term assembly over explicit basis states (independent of the builder)."""
-    n = p.N
+def two_mode_oracle(n, omega_q, w1, w2, g1, g2, hop) -> np.ndarray:
+    """Term-by-term assembly over explicit basis states (independent of the builders).
+
+    H = omega_q/2 sz + w1 n1 + w2 n2 + (g1 x1 + g2 x2) sx + hop (a1^T a2 + a2^T a1).
+    """
     dim = 2 * n * n
-    h = np.zeros((dim, dim), dtype=complex)
+    h = np.zeros((dim, dim))
 
     def idx(s, n1, n2):
         return s * n * n + n1 * n + n2
@@ -32,22 +36,54 @@ def lab_oracle(p: SystemParams) -> np.ndarray:
         for n1 in range(n):
             for n2 in range(n):
                 i = idx(s, n1, n2)
-                h[i, i] += 0.5 * p.omega_q * (1 if s else -1)
-                h[i, i] += p.omega_1 * n1 + p.omega_2 * n2
+                h[i, i] += 0.5 * omega_q * (1 if s else -1)
+                h[i, i] += w1 * n1 + w2 * n2
                 f = 1 - s  # sigma_x flips the qubit
                 if n1 + 1 < n:
-                    h[idx(f, n1 + 1, n2), i] += p.g_1 * math.sqrt(n1 + 1)
+                    h[idx(f, n1 + 1, n2), i] += g1 * math.sqrt(n1 + 1)
                 if n1 >= 1:
-                    h[idx(f, n1 - 1, n2), i] += p.g_1 * math.sqrt(n1)
+                    h[idx(f, n1 - 1, n2), i] += g1 * math.sqrt(n1)
                 if n2 + 1 < n:
-                    h[idx(f, n1, n2 + 1), i] += p.g_2 * math.sqrt(n2 + 1)
+                    h[idx(f, n1, n2 + 1), i] += g2 * math.sqrt(n2 + 1)
                 if n2 >= 1:
-                    h[idx(f, n1, n2 - 1), i] += p.g_2 * math.sqrt(n2)
+                    h[idx(f, n1, n2 - 1), i] += g2 * math.sqrt(n2)
                 if n1 + 1 < n and n2 >= 1:
-                    h[idx(s, n1 + 1, n2 - 1), i] += p.J * math.sqrt((n1 + 1) * n2)
+                    h[idx(s, n1 + 1, n2 - 1), i] += hop * math.sqrt((n1 + 1) * n2)
                 if n1 >= 1 and n2 + 1 < n:
-                    h[idx(s, n1 - 1, n2 + 1), i] += p.J * math.sqrt(n1 * (n2 + 1))
+                    h[idx(s, n1 - 1, n2 + 1), i] += hop * math.sqrt(n1 * (n2 + 1))
     return h
+
+
+def rotated_coefficients(p: SystemParams) -> tuple:
+    """(omega_q, w1, w2, g1, g2, hop) of the rotated-mode operator, from the module docs."""
+    k1, k2, kp2 = p.k_1, p.k_2, p.k_1**2 + p.k_2**2
+    omega_p = (p.omega_1 * k1**2 + p.omega_2 * k2**2) / kp2
+    omega_p_tilde = (p.omega_1 * k2**2 + p.omega_2 * k1**2) / kp2
+    c = (p.omega_1 - p.omega_2) * k1 * k2 / kp2
+    shift = 2 * p.J * k1 * k2 / kp2
+    return (
+        p.omega_q,
+        omega_p + shift,
+        omega_p_tilde - shift,
+        omega_p * math.sqrt(kp2),
+        c * math.sqrt(kp2),
+        c + p.J * (k2**2 - k1**2) / kp2,
+    )
+
+
+# Random model points for the property tests; frequencies stay above zero
+# (a zero-frequency mode only adds a warning) and k_1 > 0 keeps the
+# mode rotation defined.
+model_points = st.builds(
+    SystemParams,
+    omega_1=st.floats(0.01, 2.0),
+    omega_2=st.floats(0.01, 2.0),
+    k_1=st.floats(0.01, 1.5),
+    k_2=st.floats(0.0, 1.5),
+    J=st.floats(-0.5, 0.5),
+    N=st.integers(2, 5),
+)
+property_settings = settings(deadline=None, database=None, derandomize=True)
 
 
 class TestSystemParams:
@@ -137,15 +173,20 @@ class TestLabHamiltonian:
         # <s=1, 0, 0| H |s=0, 1, 0> = g_1
         assert h[1 * 4, 0 * 4 + 2] == pytest.approx(k, abs=1e-15)
 
-    def test_matches_explicit_assembly_oracle(self):
-        p = SystemParams(omega_1=1.3, omega_2=0.45, k_1=0.6, k_2=0.35, J=0.12, N=3)
+    @property_settings
+    @given(model_points)
+    def test_matches_explicit_assembly_oracle(self, p):
+        # the lab builder is the identity coefficient map
         built = build_lab_hamiltonian(p).entries
-        assert np.max(np.abs(built - lab_oracle(p))) < 1e-14
+        assert built.dtype == np.float64
+        oracle = two_mode_oracle(p.N, p.omega_q, p.omega_1, p.omega_2, p.g_1, p.g_2, p.J)
+        assert np.max(np.abs(built - oracle)) < 1e-14
+        assert ground_state(p, "lab").state.amplitudes.dtype == np.float64
 
     def test_hermitian_and_trace_identity(self):
         p = SystemParams(omega_1=1.3, omega_2=0.45, k_1=0.6, k_2=0.35, J=0.12, N=5)
         h = build_lab_hamiltonian(p)
-        assert h.hermitian
+        assert np.array_equal(h.entries, h.entries.T)
         n = p.N
         # qubit and coupling terms are traceless; tr(n_i) = N(N-1)/2 over
         # each mode times 2N for the spectator factors
@@ -173,6 +214,16 @@ class TestLabHamiltonian:
 
 
 class TestTransformedHamiltonian:
+    @property_settings
+    @given(model_points)
+    def test_matches_explicit_assembly_oracle(self, p):
+        # the transformed builder is the same operator fed the rotated coefficients
+        built = build_transformed_hamiltonian(p).entries
+        assert built.dtype == np.float64
+        oracle = two_mode_oracle(p.N, *rotated_coefficients(p))
+        assert np.max(np.abs(built - oracle)) < 1e-14
+        assert ground_state(p, "transformed").state.amplitudes.dtype == np.float64
+
     def test_identity_rotation_reproduces_lab(self):
         p = SystemParams(omega_1=0.9, omega_2=0.4, k_1=0.3, k_2=0.0, J=0.0, N=4)
         hl = build_lab_hamiltonian(p).entries
@@ -269,5 +320,6 @@ def test_mode_rotation_unitary_on_low_quanta():
     w = mode_rotation_unitary(p)
     # columns with few quanta are exactly orthonormal
     low = [m1 * p.N + m2 for m1 in range(3) for m2 in range(3)]
-    g = w[:, low].conj().T @ w[:, low]
+    assert w.dtype == np.float64
+    g = w[:, low].T @ w[:, low]
     assert np.max(np.abs(g - np.eye(len(low)))) < 1e-12
