@@ -10,7 +10,9 @@ Usage examples:
   jtsim xcheck --delta 0.05 --k1 0.0707107 --k2 0.0707107 --N 16
 
 Exit codes: 0 success, 2 usage or parameter error, 3 sweep completed with
-flagged rows, 4 threshold failure (converge/xcheck).
+flagged rows, 4 threshold failure (converge/xcheck).  A sweep whose
+higher-cutoff verification drifts past its tolerance warns on stderr but
+keeps its exit code.
 """
 
 from __future__ import annotations
@@ -24,17 +26,18 @@ from dataclasses import replace
 from functools import partial
 
 from ._version import __version__
-from .groundstate import convergence_study, successive_differences
 from .model import SystemParams
 from .sweeps import (
     CSV_COLUMNS,
     PRESETS,
     SweepSpec,
     compare_bases,
+    convergence_study,
     csv_row,
     figure_sweep,
     run_point,
     run_sweep,
+    successive_differences,
     write_csv,
     write_manifest,
     _atomic_write,
@@ -173,6 +176,14 @@ def cmd_sweep(args) -> int:
         f"{spec.name}: {len(result.rows)} rows -> {out} "
         f"({flagged} flagged, {result.manifest['runtime_s']:.2f} s)"
     )
+    ver = result.manifest.get("verification")
+    if ver and ver["within_tol"] is False:
+        print(
+            f"warning: {spec.name} verification drift max |d E_N| "
+            f"{ver['max_abs_negativity_diff']:.3e} at N={ver['cutoff_check']} "
+            f">= tolerance {ver['tolerance']:g}",
+            file=sys.stderr,
+        )
     return 3 if flagged else 0
 
 
@@ -185,7 +196,7 @@ def cmd_converge(args) -> int:
     for r in rows:
         d = r.report
         print(
-            f"{r.N:<6d} {r.energy:< 15.9f} {d.en_s_b1b2:<12.9f} "
+            f"{r.params.N:<6d} {r.energy:< 15.9f} {d.en_s_b1b2:<12.9f} "
             f"{d.en_s_b1:<12.9f} {d.en_s_b2:<12.9f} {d.en_b1_b2:<12.9f}"
         )
     for d in diffs:

@@ -1,12 +1,15 @@
 """Dense Hermitian diagonalization and ground-state extraction.
 
-Every model Hamiltonian is real symmetric, so ground states are real; the
-sign is fixed by making the largest-magnitude amplitude positive.
+This module is the solver only: basis dispatch, ``eig_hermitian`` and
+``ground_state``.  Entanglement, sweeps and the cutoff convergence ladder
+live in the modules above it.  Every model Hamiltonian is real symmetric,
+so ground states are real; the sign is fixed by making the
+largest-magnitude amplitude positive.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,57 +85,3 @@ def ground_state(p: SystemParams, basis: str = "transformed") -> GroundStateResu
         parity_expectation=parity,
         degenerate_flag=gap < DEGENERACY_TOL,
     )
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    N: int
-    energy: float
-    report: "EntanglementReport"  # noqa: F821 - resolved at runtime
-
-
-def convergence_study(
-    p: SystemParams, cutoffs, basis: str = "transformed"
-) -> list[ConvergenceRow]:
-    """Ground energy and entanglement report at each Fock cutoff.
-
-    cutoffs must be ascending, each >= 2.  Use successive_differences()
-    on the result to see how fast the numbers settle.
-    """
-    from .entanglement import report_from_state
-
-    cutoffs = [int(n) for n in cutoffs]
-    if any(n < 2 for n in cutoffs):
-        raise ValueError("cutoff must be >= 2")
-    if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
-        raise ValueError("cutoffs must be strictly ascending")
-    rows = []
-    for n in cutoffs:
-        pn = replace(p, N=n)
-        gs = ground_state(pn, basis)
-        rep = report_from_state(gs.state, degeneracy_caveat=gs.degenerate_flag)
-        rows.append(ConvergenceRow(N=n, energy=gs.energy, report=rep))
-    return rows
-
-
-def successive_differences(rows: list[ConvergenceRow]) -> list[dict]:
-    """Absolute changes between consecutive convergence rows.
-
-    Each entry compares row i to row i+1 and holds the energy change plus
-    the largest change over the four negativities.
-    """
-    diffs = []
-    for a, b in zip(rows, rows[1:]):
-        fields = ("en_s_b1b2", "en_s_b1", "en_s_b2", "en_b1_b2")
-        max_en = max(
-            abs(getattr(b.report, f) - getattr(a.report, f)) for f in fields
-        )
-        diffs.append(
-            {
-                "N_from": a.N,
-                "N_to": b.N,
-                "d_energy": abs(b.energy - a.energy),
-                "d_negativity_max": max_en,
-            }
-        )
-    return diffs

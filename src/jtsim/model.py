@@ -161,18 +161,20 @@ def _two_mode_hamiltonian(
     n: int, omega_q: float, w1: float, w2: float, g1: float, g2: float, hop: float
 ) -> OperatorMatrix:
     """Real symmetric two-mode Hamiltonian (module docstring form) for given coefficients."""
+    a = annihilation(n)
     sz = embed(pauli("z"), "S", n).entries
-    sx = embed(pauli("x"), "S", n).entries
-    a1 = embed(annihilation(n), "M1", n).entries
-    a2 = embed(annihilation(n), "M2", n).entries
+    a1 = embed(a, "M1", n).entries
+    a2 = embed(a, "M2", n).entries
     # n_i = a_i^T a_i is diagonal: only its diagonal is formed.
     n1 = np.einsum("ij,ij->j", a1, a1)
     n2 = np.einsum("ij,ij->j", a2, a2)
-    hopping = a1.T @ a2
+    # a1^T a2 = I_2 (x) a^T (x) a, formed without a d x d product.
+    hopping = np.kron(np.eye(2), np.kron(a.entries.T, a.entries))
 
     h = 0.5 * omega_q * sz
     h[np.diag_indices_from(h)] += w1 * n1 + w2 * n2
-    h += (g1 * (a1 + a1.T) + g2 * (a2 + a2.T)) @ sx
+    # Right-multiplying by sx = sigma_x (x) I swaps the two qubit column halves.
+    h += np.roll(g1 * (a1 + a1.T) + g2 * (a2 + a2.T), n * n, axis=1)
     h += hop * (hopping + hopping.T)
     return OperatorMatrix(h, (2, n, n))
 

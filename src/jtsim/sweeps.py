@@ -1,4 +1,8 @@
-"""Parameter sweeps over the model, with CSV output and a run manifest.
+"""Parameter sweeps, the Fock-cutoff convergence ladder and their verification.
+
+``run_point`` is the one way a parameter point is evaluated: sweep rows,
+the higher-cutoff verification subsample and ``convergence_study`` all
+call it and all return ``SweepRow``.  Sweeps go to CSV plus a run manifest.
 
 Six built-in sweeps reproduce the standard parameter scans (all in units
 of the qubit frequency):
@@ -81,7 +85,6 @@ class SweepSpec:
     step: float
     basis: str = "transformed"
     N: int = 10
-    emit_validity: bool = True
 
     def __post_init__(self):
         if not self.t_min < self.t_max:
@@ -124,23 +127,17 @@ def grid_points(spec: SweepSpec) -> list[float]:
     return [round(spec.t_min + i * spec.step, 12) for i in range(n_steps + 1)]
 
 
-def run_point(
-    p: SystemParams,
-    basis: str = "transformed",
-    emit_validity: bool = True,
-    t: float = math.nan,
-) -> SweepRow:
-    """One fully evaluated parameter point (ground state + negativities)."""
+def run_point(p: SystemParams, basis: str = "transformed", t: float = math.nan) -> SweepRow:
+    """One fully evaluated parameter point (ground state, negativities, validity)."""
     gs = ground_state(p, basis)
     rep = report_from_state(gs.state, degeneracy_caveat=gs.degenerate_flag)
     r1 = r2 = r3 = math.nan
     valid = None
-    if emit_validity:
-        try:
-            v = privileged_validity(p)
-            r1, r2, r3, valid = v.r1, v.r2, v.r3, v.valid
-        except DegenerateTransformationError:
-            pass  # k_p = 0: ratios undefined, leave them nan
+    try:
+        v = privileged_validity(p)
+        r1, r2, r3, valid = v.r1, v.r2, v.r3, v.valid
+    except DegenerateTransformationError:
+        pass  # k_p = 0: ratios undefined, leave them nan
     return SweepRow(
         t=t,
         params=p,
@@ -158,7 +155,7 @@ def run_point(
 def _evaluate_grid_point(spec: SweepSpec, t: float) -> SweepRow:
     try:
         p = replace(spec.parameter_rule(t), N=spec.N)
-        return run_point(p, spec.basis, spec.emit_validity, t=t)
+        return run_point(p, spec.basis, t=t)
     except Exception as exc:  # noqa: BLE001 - flagged row, sweep must finish
         return SweepRow(
             t=t,
@@ -174,6 +171,11 @@ def _evaluate_grid_point(spec: SweepSpec, t: float) -> SweepRow:
         )
 
 
+def _max_negativity_change(a: EntanglementReport, b: EntanglementReport) -> float:
+    """Largest |Delta E_N| over the four cuts of two reports."""
+    return max(abs(x - y) for x, y in zip(a.as_dict().values(), b.as_dict().values()))
+
+
 def _verify_subsample(spec: SweepSpec, rows: list[SweepRow]) -> dict:
     """Recompute a few clean rows at a larger cutoff and record the drift."""
     clean = [r for r in rows if not r.flagged]
@@ -182,22 +184,13 @@ def _verify_subsample(spec: SweepSpec, rows: list[SweepRow]) -> dict:
     picks = sorted(
         {int(i) for i in np.linspace(0, len(clean) - 1, min(VERIFY_POINTS, len(clean)))}
     )
+    checked = [clean[i] for i in picks]
     worst = 0.0
-    ts = []
-    for i in picks:
-        row = clean[i]
-        p_hi = replace(row.params, N=spec.N + VERIFY_CUTOFF_BUMP)
-        hi = run_point(p_hi, spec.basis, emit_validity=False, t=row.t)
-        diff = max(
-            abs(a - b)
-            for a, b in zip(
-                row.report.as_dict().values(), hi.report.as_dict().values()
-            )
-        )
-        worst = max(worst, diff)
-        ts.append(row.t)
+    for row in checked:
+        hi = run_point(replace(row.params, N=spec.N + VERIFY_CUTOFF_BUMP), spec.basis, t=row.t)
+        worst = max(worst, _max_negativity_change(row.report, hi.report))
     return {
-        "points": ts,
+        "points": [row.t for row in checked],
         "cutoff_check": spec.N + VERIFY_CUTOFF_BUMP,
         "tolerance": VERIFY_TOL,
         "max_abs_negativity_diff": worst,
@@ -235,6 +228,44 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, verify_subsample: bool = True) -> 
         manifest["verification"] = _verify_subsample(spec, rows)
     manifest["runtime_s"] = time.perf_counter() - start
     return SweepResult(spec=spec, rows=rows, manifest=manifest)
+
+
+# ---------------------------------------------------------------------------
+# Fock-cutoff convergence ladder
+# ---------------------------------------------------------------------------
+
+
+def convergence_study(
+    p: SystemParams, cutoffs, basis: str = "transformed"
+) -> list[SweepRow]:
+    """``p`` evaluated by ``run_point`` at each Fock cutoff.
+
+    cutoffs must be ascending, each >= 2.  Use successive_differences()
+    on the result to see how fast the numbers settle.
+    """
+    cutoffs = [int(n) for n in cutoffs]
+    if any(n < 2 for n in cutoffs):
+        raise ValueError("cutoff must be >= 2")
+    if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
+        raise ValueError("cutoffs must be strictly ascending")
+    return [run_point(replace(p, N=n), basis) for n in cutoffs]
+
+
+def successive_differences(rows: list[SweepRow]) -> list[dict]:
+    """Absolute changes between consecutive convergence rows.
+
+    Each entry compares row i to row i+1 and holds the energy change plus
+    the largest change over the four negativities.
+    """
+    return [
+        {
+            "N_from": a.params.N,
+            "N_to": b.params.N,
+            "d_energy": abs(b.energy - a.energy),
+            "d_negativity_max": _max_negativity_change(a.report, b.report),
+        }
+        for a, b in zip(rows, rows[1:])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -337,15 +368,11 @@ def compare_bases(p: SystemParams) -> BasisDivergence:
     loss = abs(1.0 - norm**2)
     rep_lab = report_from_state(StateVector(psi_b / norm, (2, p.N, p.N)))
     rep_tr = report_from_state(gs_tr.state)
-    div = max(
-        abs(a - b)
-        for a, b in zip(rep_lab.as_dict().values(), rep_tr.as_dict().values())
-    )
     return BasisDivergence(
         energy_lab=gs_lab.energy,
         energy_transformed=gs_tr.energy,
         energy_divergence=abs(gs_lab.energy - gs_tr.energy),
-        report_divergence=div,
+        report_divergence=_max_negativity_change(rep_lab, rep_tr),
         rotation_norm_loss=loss,
     )
 

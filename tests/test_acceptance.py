@@ -17,9 +17,9 @@ from jtsim.entanglement import (
     partial_trace,
     report,
 )
-from jtsim.groundstate import convergence_study, ground_state
+from jtsim.groundstate import ground_state
 from jtsim.model import SystemParams
-from jtsim.sweeps import figure_sweep, run_sweep, write_csv
+from jtsim.sweeps import convergence_study, figure_sweep, run_sweep, write_csv
 
 K_STRONG = 0.1 / math.sqrt(2)
 K_ULTRA = 1.0 / math.sqrt(2)

@@ -77,6 +77,34 @@ def test_sweep_flagged_rows_exit_code(tmp_path):
     assert out.exists()
 
 
+def test_sweep_verification_drift_warns(tmp_path, capsys):
+    # fig5 near Delta = 2 is far from converged at N = 6: drift above VERIFY_TOL
+    code = main(
+        ["sweep", "fig5", "--tmin", "1.9", "--tmax", "1.95", "--step", "0.05",
+         "--N", "6", "-o", str(tmp_path / "fig5.csv")]
+    )
+    assert code == 0
+    err = capsys.readouterr().err
+    manifest = json.loads((tmp_path / "fig5.csv.manifest.json").read_text())
+    assert manifest["verification"]["within_tol"] is False
+    warnings = [line for line in err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1
+    drift = manifest["verification"]["max_abs_negativity_diff"]
+    assert f"{drift:.3e}" in warnings[0]
+    assert "N=10" in warnings[0] and "tolerance 0.005" in warnings[0]
+
+
+def test_sweep_verification_within_tol_is_silent(tmp_path, capsys):
+    code = main(
+        ["sweep", "fig1", "--tmin", "0", "--tmax", "0.1", "--step", "0.05",
+         "--N", "6", "-o", str(tmp_path / "fig1.csv")]
+    )
+    assert code == 0
+    manifest = json.loads((tmp_path / "fig1.csv.manifest.json").read_text())
+    assert manifest["verification"]["within_tol"] is True
+    assert "warning" not in capsys.readouterr().err
+
+
 def test_sweep_custom_rule(tmp_path):
     out = tmp_path / "custom.csv"
     code = main(

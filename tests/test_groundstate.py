@@ -1,17 +1,14 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from jtsim.groundstate import (
-    convergence_study,
-    eig_hermitian,
-    ground_state,
-    successive_differences,
-)
+from jtsim.groundstate import eig_hermitian, ground_state
 from jtsim.hilbert import OperatorMatrix, pauli
 from jtsim.model import SystemParams, build_lab_hamiltonian
+from jtsim.sweeps import convergence_study, run_point, successive_differences
 
 K_STRONG = 0.1 / math.sqrt(2)
 
@@ -127,9 +124,22 @@ class TestConvergenceStudy:
         diffs = [d["d_negativity_max"] for d in successive_differences(rows)]
         assert all(b <= a + 1e-12 for a, b in zip(diffs, diffs[1:]))
 
+    def test_rows_equal_run_point(self):
+        p = SystemParams(omega_1=1.1, omega_2=0.7, k_1=0.4, k_2=0.3, J=0.02)
+        for basis in ("lab", "transformed"):
+            rows = convergence_study(p, (4, 6, 8), basis=basis)
+            for n, row in zip((4, 6, 8), rows):
+                ref = run_point(replace(p, N=n), basis)
+                assert row.params.N == n
+                assert (row.energy, row.gap, row.r1, row.r2) == (
+                    ref.energy, ref.gap, ref.r1, ref.r2
+                )
+                assert row.report.as_dict() == ref.report.as_dict()
+
     def test_one_solve_per_cutoff(self, monkeypatch):
         import jtsim.entanglement
         import jtsim.groundstate
+        import jtsim.sweeps
 
         calls = []
 
@@ -140,6 +150,7 @@ class TestConvergenceStudy:
         # every module that looks ground_state up by name
         monkeypatch.setattr(jtsim.groundstate, "ground_state", counting)
         monkeypatch.setattr(jtsim.entanglement, "ground_state", counting)
+        monkeypatch.setattr(jtsim.sweeps, "ground_state", counting)
         p = SystemParams(omega_1=1.0, omega_2=0.8, k_1=0.3, k_2=0.2)
         convergence_study(p, (4, 6, 8))
         assert calls == [4, 6, 8]

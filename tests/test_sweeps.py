@@ -124,15 +124,6 @@ class TestRunSweep:
         assert ver["cutoff_check"] == spec.N + 4
         assert ver["within_tol"] is True
 
-    def test_validity_can_be_suppressed(self):
-        import dataclasses
-
-        spec = dataclasses.replace(
-            small_fig1(t_min=0.0, t_max=0.1, step=0.1), emit_validity=False
-        )
-        result = run_sweep(spec, verify_subsample=False)
-        assert all(math.isnan(r.r1) and r.valid is None for r in result.rows)
-
 
 class TestDeterminism:
     def test_csv_identical_across_runs_and_jobs(self, tmp_path):
