@@ -8,6 +8,12 @@ with the trace norm taken as the sum of absolute eigenvalues of the
 partially transposed matrix.  Values within NEG_CLAMP below zero are
 floating-point noise and clamp to 0; anything more negative indicates a
 pipeline bug and raises.
+
+``report_from_state`` works on the (qubit, mode, mode) tensor of the pure
+state psi and never forms its full density matrix: E_N(S|B1B2) is
+log2 (sum of Schmidt values)^2 (Vidal & Werner, PRA 65, 032314, 2002), from
+the singular values of the 2 x N^2 reshaping, and the three two-party
+reduced states are contractions of psi with itself.
 """
 
 from __future__ import annotations
@@ -68,12 +74,16 @@ class EntanglementReport:
         return {f: getattr(self, f) for f in _REPORT_FIELDS}
 
 
-def density_from_state(psi: StateVector) -> DensityMatrix:
-    """Pure-state projector |psi><psi|."""
-    amps = psi.amplitudes
-    norm = np.linalg.norm(amps)
+def _check_normalized(psi: StateVector) -> None:
+    norm = psi.norm()
     if abs(norm - 1.0) > 1e-10:
         raise ValueError(f"state vector norm is {norm:.12g}, not 1")
+
+
+def density_from_state(psi: StateVector) -> DensityMatrix:
+    """Pure-state projector |psi><psi|."""
+    _check_normalized(psi)
+    amps = psi.amplitudes
     return DensityMatrix(np.outer(amps, amps.conj()), psi.factor_dims)
 
 
@@ -142,7 +152,12 @@ def log_negativity(rho: DensityMatrix, transpose) -> float:
     idx = _normalize_factors(transpose, len(rho.factor_dims))
     if not idx or len(idx) == len(rho.factor_dims):
         raise ValueError("bipartition needs two nonempty factor groups")
-    value = math.log2(trace_norm(partial_transpose(rho, idx)))
+    return _clamped_log2(trace_norm(partial_transpose(rho, idx)))
+
+
+def _clamped_log2(norm: float) -> float:
+    """log2 of a trace norm, with float noise below zero clamped to 0."""
+    value = math.log2(norm)
     if value < 0.0:
         if value < -NEG_CLAMP:
             raise NumericalIntegrityError(
@@ -157,12 +172,18 @@ def report_from_state(psi: StateVector, degeneracy_caveat: bool = False) -> Enta
     """All four bipartition negativities of a tripartite pure state."""
     if len(psi.factor_dims) != 3:
         raise ValueError("expected a (qubit, mode, mode) state")
-    rho = density_from_state(psi)
+    _check_normalized(psi)
+    t = psi.amplitudes.reshape(psi.factor_dims)
+    s, n1, n2 = psi.factor_dims
+    schmidt = np.linalg.svd(t.reshape(s, n1 * n2), compute_uv=False)
+    rho_s_b1 = np.einsum("abc,dec->abde", t, t.conj()).reshape(s * n1, s * n1)
+    rho_s_b2 = np.einsum("abc,dbe->acde", t, t.conj()).reshape(s * n2, s * n2)
+    rho_b1_b2 = np.einsum("abc,ade->bcde", t, t.conj()).reshape(n1 * n2, n1 * n2)
     return EntanglementReport(
-        en_s_b1b2=log_negativity(rho, 0),
-        en_s_b1=log_negativity(partial_trace(rho, (0, 1)), 0),
-        en_s_b2=log_negativity(partial_trace(rho, (0, 2)), 0),
-        en_b1_b2=log_negativity(partial_trace(rho, (1, 2)), 0),
+        en_s_b1b2=_clamped_log2(float(np.sum(schmidt)) ** 2),
+        en_s_b1=log_negativity(DensityMatrix(rho_s_b1, (s, n1)), 0),
+        en_s_b2=log_negativity(DensityMatrix(rho_s_b2, (s, n2)), 0),
+        en_b1_b2=log_negativity(DensityMatrix(rho_b1_b2, (n1, n2)), 0),
         degeneracy_caveat=degeneracy_caveat,
     )
 

@@ -140,3 +140,16 @@ def parity_operator(cutoff: int) -> OperatorMatrix:
     pm = mode_parity(cutoff).entries
     full = np.kron(np.kron(sz, pm), pm)
     return OperatorMatrix(full, (2, cutoff, cutoff))
+
+
+def _parity_sector(cutoff: int, sign: int) -> np.ndarray:
+    """Flat indices of the Pi = sign sector, one per mode pair (n1, n2) in grid order.
+
+    For each (n1, n2) exactly one qubit level s gives sigma_z (-1)^(n1+n2)
+    = sign, so the sector has N^2 states and index k = n1*N + n2 of a
+    sector block maps to flat index s*N^2 + k of the full space.
+    """
+    grid = np.arange(cutoff * cutoff)
+    mode_sign = 1 - 2 * ((grid // cutoff + grid % cutoff) % 2)
+    # sigma_z = +1 on the upper level s = 1, so s = 1 exactly where (-1)^(n1+n2) = sign.
+    return grid + (mode_sign == sign) * cutoff * cutoff

@@ -15,6 +15,13 @@ with x_i = a_i + a_i^T; they differ only in the six coefficients:
   where b1 is the privileged mode carrying the dominant qubit coupling
   g_p = omega_p * k_p and b2 the weakly coupled disadvantaged mode.
 
+H conserves the parity Pi = sz (-1)^(n1+n2), so it is assembled as its two
+N^2 x N^2 parity blocks, indexed by the mode grid (n1, n2) and scattered
+into the full 2N^2 x 2N^2 matrix (sector layout in :mod:`jtsim.hilbert`).
+Inside a block sx only relabels the qubit level, so the block of sign
++-1 is diag(w1 n1 + w2 n2 +- omega_q/2 (-1)^(n1+n2)) + g1 x (x) I
++ g2 I (x) x + hop (a^T (x) a + a (x) a^T).
+
 ``build_single_mode_jt`` is the privileged-mode-only reduction on the
 (qubit, mode) space, used as a diagnostic baseline.
 
@@ -34,7 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import OperatorMatrix, annihilation, embed, pauli
+# embed is unused here but stays importable as jtsim.model.embed, where the
+# perfbench layer tracer looks it up.
+from .hilbert import OperatorMatrix, _parity_sector, annihilation, embed, pauli  # noqa: F401
 
 # Perturbative validity of the single-privileged-mode picture: both the
 # qubit-disadvantaged coupling and the mode hopping must stay below half
@@ -143,9 +152,12 @@ def privileged_params(p: SystemParams) -> PrivilegedParams:
 
 
 def _warn_zero_frequency(p: SystemParams):
+    # stacklevel=3 points at a direct caller of a builder; other call chains
+    # are deeper, so the message also names the point.
     if p.omega_1 == 0.0 or p.omega_2 == 0.0:
         warnings.warn(
-            "zero-frequency mode: decoupled oscillator makes the ground "
+            f"zero-frequency mode at omega_1={p.omega_1:g} omega_2={p.omega_2:g} "
+            f"k_1={p.k_1:g} k_2={p.k_2:g}: decoupled oscillator makes the ground "
             "state degenerate",
             RuntimeWarning,
             stacklevel=3,
@@ -160,22 +172,21 @@ def _rotated_hopping(p: SystemParams, pp: PrivilegedParams) -> float:
 def _two_mode_hamiltonian(
     n: int, omega_q: float, w1: float, w2: float, g1: float, g2: float, hop: float
 ) -> OperatorMatrix:
-    """Real symmetric two-mode Hamiltonian (module docstring form) for given coefficients."""
-    a = annihilation(n)
-    sz = embed(pauli("z"), "S", n).entries
-    a1 = embed(a, "M1", n).entries
-    a2 = embed(a, "M2", n).entries
-    # n_i = a_i^T a_i is diagonal: only its diagonal is formed.
-    n1 = np.einsum("ij,ij->j", a1, a1)
-    n2 = np.einsum("ij,ij->j", a2, a2)
-    # a1^T a2 = I_2 (x) a^T (x) a, formed without a d x d product.
-    hopping = np.kron(np.eye(2), np.kron(a.entries.T, a.entries))
+    """Real symmetric two-mode Hamiltonian (module docstring form), block by parity sector."""
+    a = annihilation(n).entries
+    eye = np.eye(n)
+    x = a + a.T
+    hopping = np.kron(a.T, a)
+    coupling = g1 * np.kron(x, eye) + g2 * np.kron(eye, x) + hop * (hopping + hopping.T)
+    n1, n2 = np.divmod(np.arange(n * n), n)
+    bare = w1 * n1 + w2 * n2
 
-    h = 0.5 * omega_q * sz
-    h[np.diag_indices_from(h)] += w1 * n1 + w2 * n2
-    # Right-multiplying by sx = sigma_x (x) I swaps the two qubit column halves.
-    h += np.roll(g1 * (a1 + a1.T) + g2 * (a2 + a2.T), n * n, axis=1)
-    h += hop * (hopping + hopping.T)
+    h = np.zeros((2 * n * n, 2 * n * n))
+    for sign in (1, -1):
+        idx = _parity_sector(n, sign)
+        h[np.ix_(idx, idx)] = coupling
+        # sz = -1 on the lower qubit level, the first half of the flat indices
+        h[idx, idx] = bare + 0.5 * omega_q * np.where(idx < n * n, -1.0, 1.0)
     return OperatorMatrix(h, (2, n, n))
 
 

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import jtsim
 from jtsim.cli import main
 from jtsim.sweeps import CSV_COLUMNS
 
@@ -45,6 +49,21 @@ def test_point_delta_convenience_matches_explicit(capsys):
     )
     explicit = json.loads(capsys.readouterr().out)
     assert via_delta["en_s_b1b2"] == explicit["en_s_b1b2"]
+
+
+def test_point_imports_no_scipy():
+    # numpy is the only numerical dependency; importing scipy alone costs about
+    # as much as the whole start-up of a one-point run
+    code = (
+        "import sys; from jtsim.cli import main; rc = main(['point', '--N', '10']); "
+        "sys.exit(rc or ('scipy was imported' if 'scipy' in sys.modules else 0))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jtsim.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sweep_unknown_preset(capsys):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jtsim.entanglement import (
     DensityMatrix,
@@ -222,6 +223,29 @@ class TestPureStateCrossCheck:
         assert via_transpose == pytest.approx(
             schmidt_negativity(psi, (2, 4, 3)), abs=1e-10
         )
+
+
+class TestReportFromStateTensorPath:
+    @settings(deadline=None, database=None, derandomize=True)
+    @given(st.integers(2, 6), st.integers(2, 6), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_matches_dense_density_matrix_path(self, n1, n2, complex_amps, seed):
+        rng = np.random.default_rng(seed)
+        shape = (2, n1, n2)
+        psi = rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_amps else 0)
+        psi = StateVector((psi / np.linalg.norm(psi)).ravel(), shape)
+        rho = density_from_state(psi)
+        dense = (
+            log_negativity(rho, 0),
+            log_negativity(partial_trace(rho, (0, 1)), 0),
+            log_negativity(partial_trace(rho, (0, 2)), 0),
+            log_negativity(partial_trace(rho, (1, 2)), 0),
+        )
+        tensor = report_from_state(psi).as_dict().values()
+        assert max(abs(a - b) for a, b in zip(dense, tensor)) < 1e-12
+
+    def test_rejects_unnormalized(self):
+        with pytest.raises(ValueError, match="norm"):
+            report_from_state(StateVector(np.full(8, 0.5), (2, 2, 2)))
 
 
 class TestReport:

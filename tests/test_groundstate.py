@@ -4,11 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from jtsim.groundstate import eig_hermitian, ground_state
-from jtsim.hilbert import OperatorMatrix, pauli
+from jtsim.groundstate import BASES, eig_hermitian, ground_state
+from jtsim.hilbert import OperatorMatrix, _parity_sector, pauli
 from jtsim.model import SystemParams, build_lab_hamiltonian
 from jtsim.sweeps import convergence_study, run_point, successive_differences
+from test_model import model_points, property_settings, rotated_coefficients, two_mode_oracle
 
 K_STRONG = 0.1 / math.sqrt(2)
 
@@ -73,6 +75,44 @@ class TestGroundState:
             gs = ground_state(fig1_params(2.0), "transformed")
         assert gs.gap < 1e-10
         assert gs.degenerate_flag
+
+    def test_degenerate_endpoint_has_definite_parity(self):
+        p = fig1_params(2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            gs = ground_state(p, "transformed")
+        assert gs.degenerate_flag
+        assert gs.parity_expectation in (1.0, -1.0)
+        outside = _parity_sector(p.N, -int(gs.parity_expectation))
+        assert np.all(gs.state.amplitudes[outside] == 0.0)
+
+    def test_solves_each_parity_block(self, monkeypatch):
+        import jtsim.groundstate
+
+        shapes = []
+
+        def recording(h):
+            shapes.append(h.entries.shape)
+            return eig_hermitian(h)
+
+        monkeypatch.setattr(jtsim.groundstate, "eig_hermitian", recording)
+        ground_state(SystemParams(omega_1=1.0, omega_2=0.8, k_1=0.3, k_2=0.2, N=5))
+        assert shapes == [(25, 25), (25, 25)]
+
+    @property_settings
+    @given(st.builds(replace, model_points, N=st.integers(2, 6)), st.sampled_from(BASES))
+    def test_matches_full_eigh_of_oracle(self, p, basis):
+        coeffs = (
+            rotated_coefficients(p)
+            if basis == "transformed"
+            else (p.omega_q, p.omega_1, p.omega_2, p.g_1, p.g_2, p.J)
+        )
+        w, v = np.linalg.eigh(two_mode_oracle(p.N, *coeffs))
+        gs = ground_state(p, basis)
+        assert abs(gs.energy - w[0]) < 1e-10
+        assert abs(gs.gap - (w[1] - w[0])) < 1e-10
+        if w[1] - w[0] > 1e-6:
+            assert abs(abs(gs.state.amplitudes @ v[:, 0]) - 1.0) < 1e-10
 
     def test_energy_non_increasing_with_cutoff(self):
         energies = []

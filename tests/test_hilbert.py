@@ -5,6 +5,7 @@ import pytest
 
 from jtsim.hilbert import (
     OperatorMatrix,
+    _parity_sector,
     annihilation,
     embed,
     mode_parity,
@@ -142,6 +143,18 @@ def test_parity_operator_diagonal_signs():
                 idx = s * n * n + n1 * n + n2
                 expect = (1 if s else -1) * (-1) ** (n1 + n2)
                 assert diag[idx] == expect
+
+
+@pytest.mark.parametrize("n", [2, 3, 10])
+def test_parity_sector_matches_parity_operator(n):
+    diag = np.diag(parity_operator(n).entries)
+    plus = _parity_sector(n, 1)
+    minus = _parity_sector(n, -1)
+    assert len(plus) == len(minus) == n * n
+    assert np.array_equal(np.sort(np.concatenate((plus, minus))), np.arange(2 * n * n))
+    expect = -np.ones(2 * n * n)
+    expect[plus] = 1.0
+    assert np.array_equal(diag, expect)
 
 
 def test_mode_parity_and_identity():
