@@ -176,6 +176,13 @@ def cmd_sweep(args) -> int:
         f"{spec.name}: {len(result.rows)} rows -> {out} "
         f"({flagged} flagged, {result.manifest['runtime_s']:.2f} s)"
     )
+    failed = [row for row in result.rows if row.error is not None]
+    if failed:
+        print(
+            f"warning: {spec.name}: {len(failed)} of {len(result.rows)} rows failed, "
+            f"first at t={failed[0].t:g}: {failed[0].error}",
+            file=sys.stderr,
+        )
     ver = result.manifest.get("verification")
     if ver and ver["within_tol"] is False:
         print(

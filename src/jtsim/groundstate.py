@@ -6,10 +6,10 @@ live in the modules above it.  Every model Hamiltonian is real symmetric,
 so ground states are real; the sign is fixed by making the
 largest-magnitude amplitude positive.
 
-Every model Hamiltonian conserves the parity Pi = sz (-1)^(n1+n2), so
-``ground_state`` diagonalizes its two N^2 x N^2 parity blocks separately.
-The ground state is the lowest vector of the lower block: it has definite
-parity, and on an exact tie between the blocks the Pi = +1 sector wins.
+The builders return the two N^2 x N^2 parity blocks of H and
+``ground_state`` diagonalizes each one.  The ground state is the lowest
+vector of the lower block: it has definite parity, and on an exact tie
+between the blocks the Pi = +1 sector wins.
 """
 
 from __future__ import annotations
@@ -18,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .hilbert import PARITY_SIGNS, OperatorMatrix, ParityBlocks, StateVector, _parity_sector
 # parity_operator is unused here but stays importable as
 # jtsim.groundstate.parity_operator, where the perfbench layer tracer looks it up.
-from .hilbert import OperatorMatrix, StateVector, _parity_sector, parity_operator  # noqa: F401
+from .hilbert import parity_operator  # noqa: F401
 from .model import (
     SystemParams,
     build_lab_hamiltonian,
@@ -45,13 +46,15 @@ def eig_hermitian(h: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Full eigendecomposition of a Hermitian (real symmetric or complex) operator.
 
     Returns (eigenvalues ascending, eigenvector columns).  This is the one
-    symmetry check on the operator path: inputs that deviate from
-    Hermiticity by 1e-12 or more are refused.
+    check on the operator path: inputs that deviate from Hermiticity by
+    1e-12 or more, or hold a non-finite entry, are refused.
     """
     m = h.entries
-    dev = np.max(np.abs(m - m.conj().T))
-    if dev >= 1e-12:
-        raise ValueError(f"eig_hermitian requires a Hermitian operator; deviation {dev:.3e}")
+    with np.errstate(invalid="ignore"):
+        dev = np.max(np.abs(m - m.conj().T))
+    # A non-finite entry makes dev nan or inf, which fails the comparison.
+    if not dev < 1e-12:
+        raise ValueError(f"eig_hermitian needs a finite Hermitian operator; deviation {dev:.3e}")
     w, v = np.linalg.eigh(m)
     return w, v
 
@@ -61,7 +64,7 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
     return -vec if vec[np.argmax(np.abs(vec))] < 0 else vec
 
 
-def build_hamiltonian(p: SystemParams, basis: str = "transformed") -> OperatorMatrix:
+def build_hamiltonian(p: SystemParams, basis: str = "transformed") -> ParityBlocks:
     """Dispatch to the lab or transformed builder.
 
     With k_1 = k_2 = 0 every mode rotation leaves the Hamiltonian (and the
@@ -83,21 +86,19 @@ def ground_state(p: SystemParams, basis: str = "transformed") -> GroundStateResu
     ``gap`` is the distance to the next level of either sector, so a
     degeneracy across the sectors is flagged like one inside a sector.
     """
-    h = build_hamiltonian(p, basis).entries
-    sectors = {}
-    for sign in (1, -1):
-        idx = _parity_sector(p.N, sign)
-        sectors[sign] = (idx, *eig_hermitian(OperatorMatrix(h[np.ix_(idx, idx)], (p.N, p.N))))
-    # Strict <: on an exact tie the Pi = +1 sector wins.
-    sign = -1 if sectors[-1][1][0] < sectors[1][1][0] else 1
-    idx, w, v = sectors[sign]
-    lowest = np.sort(np.concatenate([w_s[:2] for _, w_s, _ in sectors.values()]))
+    h = build_hamiltonian(p, basis)
+    spectra = [eig_hermitian(OperatorMatrix(block, (p.N, p.N))) for block in h.entries]
+    # Strict <: on an exact tie the first sector, Pi = +1, wins.
+    k = 1 if spectra[1][0][0] < spectra[0][0][0] else 0
+    sign = PARITY_SIGNS[k]
+    w, v = spectra[k]
+    lowest = np.sort(np.concatenate([w_s[:2] for w_s, _ in spectra]))
     gap = float(lowest[1] - lowest[0])
-    vec = np.zeros(h.shape[0])
-    vec[idx] = _fix_sign(v[:, 0])
+    vec = np.zeros(2 * p.N * p.N)
+    vec[_parity_sector(p.N, sign)] = _fix_sign(v[:, 0])
     return GroundStateResult(
         energy=float(w[0]),
-        state=StateVector(vec, (2, p.N, p.N)),
+        state=StateVector(vec, h.factor_dims),
         gap=gap,
         parity_expectation=float(sign),
         degenerate_flag=gap < DEGENERACY_TOL,

@@ -6,6 +6,9 @@ sits at flat index  s*N^2 + n1*N + n2  with s in {0, 1} and n_i in
 {0 .. N-1}.  Qubit index 0 is the lower level (sigma_z eigenvalue -1),
 index 1 the upper level (+1).  After the mode rotation the same layout
 holds with (qubit, privileged mode, disadvantaged mode).
+
+The model Hamiltonians are kept as their two parity-sector blocks
+(``ParityBlocks``), not as the full matrix.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 SLOTS = ("S", "M1", "M2")
+
+# Order of the parity sectors in ParityBlocks.entries.
+PARITY_SIGNS = (1, -1)
 
 
 @dataclass(frozen=True)
@@ -43,6 +49,18 @@ class OperatorMatrix:
     @property
     def dim_total(self) -> int:
         return math.prod(self.factor_dims)
+
+
+@dataclass(frozen=True)
+class ParityBlocks:
+    """Operator that conserves Pi = sz (-1)^(n1+n2), as its two sector blocks.
+
+    ``entries`` has shape (2, N^2, N^2); entries[i] is the Pi = PARITY_SIGNS[i]
+    block, indexed like ``_parity_sector``.  ``factor_dims`` is (2, N, N).
+    """
+
+    entries: np.ndarray
+    factor_dims: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -83,11 +101,6 @@ def annihilation(cutoff: int) -> OperatorMatrix:
     for k in range(1, n):
         a[k - 1, k] = math.sqrt(k)
     return OperatorMatrix(a, (n,))
-
-
-def number(cutoff: int) -> OperatorMatrix:
-    n = _check_cutoff(cutoff)
-    return OperatorMatrix(np.diag(np.arange(n, dtype=float)), (n,))
 
 
 def pauli(which: str) -> OperatorMatrix:

@@ -15,15 +15,12 @@ with x_i = a_i + a_i^T; they differ only in the six coefficients:
   where b1 is the privileged mode carrying the dominant qubit coupling
   g_p = omega_p * k_p and b2 the weakly coupled disadvantaged mode.
 
-H conserves the parity Pi = sz (-1)^(n1+n2), so it is assembled as its two
-N^2 x N^2 parity blocks, indexed by the mode grid (n1, n2) and scattered
-into the full 2N^2 x 2N^2 matrix (sector layout in :mod:`jtsim.hilbert`).
+H conserves the parity Pi = sz (-1)^(n1+n2), so the builders return it as
+its two N^2 x N^2 parity blocks (``ParityBlocks``, sector layout in
+:mod:`jtsim.hilbert`); the full 2N^2 x 2N^2 matrix is never formed.
 Inside a block sx only relabels the qubit level, so the block of sign
 +-1 is diag(w1 n1 + w2 n2 +- omega_q/2 (-1)^(n1+n2)) + g1 x (x) I
 + g2 I (x) x + hop (a^T (x) a + a (x) a^T).
-
-``build_single_mode_jt`` is the privileged-mode-only reduction on the
-(qubit, mode) space, used as a diagnostic baseline.
 
 The rotated coefficients are obtained by exact operator algebra.  Note the
 hopping J contributes 2*J*k1*k2/k_p^2 to the rotated number operators
@@ -43,7 +40,7 @@ import numpy as np
 
 # embed is unused here but stays importable as jtsim.model.embed, where the
 # perfbench layer tracer looks it up.
-from .hilbert import OperatorMatrix, _parity_sector, annihilation, embed, pauli  # noqa: F401
+from .hilbert import PARITY_SIGNS, ParityBlocks, annihilation, embed  # noqa: F401
 
 # Perturbative validity of the single-privileged-mode picture: both the
 # qubit-disadvantaged coupling and the mode hopping must stay below half
@@ -77,8 +74,8 @@ class SystemParams:
         if int(self.N) != self.N or self.N < 2:
             raise ValueError("cutoff must be >= 2")
         object.__setattr__(self, "N", int(self.N))
-        if not self.omega_q > 0:
-            raise ValueError(f"omega_q must be positive, got {self.omega_q}")
+        if not (np.isfinite(self.omega_q) and self.omega_q > 0):
+            raise ValueError(f"omega_q must be finite and positive, got {self.omega_q}")
         for name in ("omega_1", "omega_2", "k_1", "k_2"):
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0:
@@ -171,8 +168,8 @@ def _rotated_hopping(p: SystemParams, pp: PrivilegedParams) -> float:
 
 def _two_mode_hamiltonian(
     n: int, omega_q: float, w1: float, w2: float, g1: float, g2: float, hop: float
-) -> OperatorMatrix:
-    """Real symmetric two-mode Hamiltonian (module docstring form), block by parity sector."""
+) -> ParityBlocks:
+    """Real symmetric two-mode Hamiltonian (module docstring form) as its parity blocks."""
     a = annihilation(n).entries
     eye = np.eye(n)
     x = a + a.T
@@ -180,23 +177,22 @@ def _two_mode_hamiltonian(
     coupling = g1 * np.kron(x, eye) + g2 * np.kron(eye, x) + hop * (hopping + hopping.T)
     n1, n2 = np.divmod(np.arange(n * n), n)
     bare = w1 * n1 + w2 * n2
+    photon_parity = 1 - 2 * ((n1 + n2) % 2)
 
-    h = np.zeros((2 * n * n, 2 * n * n))
-    for sign in (1, -1):
-        idx = _parity_sector(n, sign)
-        h[np.ix_(idx, idx)] = coupling
-        # sz = -1 on the lower qubit level, the first half of the flat indices
-        h[idx, idx] = bare + 0.5 * omega_q * np.where(idx < n * n, -1.0, 1.0)
-    return OperatorMatrix(h, (2, n, n))
+    blocks = np.stack([coupling, coupling])
+    for block, sign in zip(blocks, PARITY_SIGNS):
+        # in the sector of sign Pi, sz = Pi (-1)^(n1+n2)
+        np.fill_diagonal(block, bare + 0.5 * omega_q * sign * photon_parity)
+    return ParityBlocks(blocks, (2, n, n))
 
 
-def build_lab_hamiltonian(p: SystemParams) -> OperatorMatrix:
+def build_lab_hamiltonian(p: SystemParams) -> ParityBlocks:
     """Qubit + two modes + displacement couplings + hopping, lab mode basis."""
     _warn_zero_frequency(p)
     return _two_mode_hamiltonian(p.N, p.omega_q, p.omega_1, p.omega_2, p.g_1, p.g_2, p.J)
 
 
-def build_transformed_hamiltonian(p: SystemParams) -> OperatorMatrix:
+def build_transformed_hamiltonian(p: SystemParams) -> ParityBlocks:
     """Same operator in the (qubit, privileged, disadvantaged) basis.
 
     Coefficients follow the exact rotation of the lab Hamiltonian; at J = 0
@@ -214,20 +210,6 @@ def build_transformed_hamiltonian(p: SystemParams) -> OperatorMatrix:
         pp.k_p * pp.c,
         _rotated_hopping(p, pp),
     )
-
-
-def build_single_mode_jt(p: SystemParams) -> OperatorMatrix:
-    """Privileged-mode-only Jahn-Teller Hamiltonian on the (qubit, mode) space."""
-    pp = privileged_params(p)
-    n = p.N
-    eye_m = np.eye(n)
-    sz = np.kron(pauli("z").entries, eye_m)
-    sx = np.kron(pauli("x").entries, eye_m)
-    b = np.kron(np.eye(2), annihilation(n).entries)
-    h = 0.5 * p.omega_q * sz
-    h += pp.omega_p * (b.T @ b)
-    h += pp.g_p * (b + b.T) @ sx
-    return OperatorMatrix(h, (2, n))
 
 
 def privileged_validity(p: SystemParams) -> ValidityReport:

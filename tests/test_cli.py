@@ -96,6 +96,22 @@ def test_sweep_flagged_rows_exit_code(tmp_path):
     assert out.exists()
 
 
+def test_sweep_failed_rows_warn(tmp_path, capsys):
+    # t = 2.1 gives omega_2 < 0: the row fails, and the warning carries its message
+    out = tmp_path / "custom.csv"
+    code = main(
+        ["sweep", "custom", "--var", "delta", "--tmin", "1.9", "--tmax", "2.1",
+         "--step", "0.1", "--k1", "0.1", "--k2", "0.1", "--N", "4", "-o", str(out)]
+    )
+    assert code == 3
+    assert out.read_text().splitlines()[3].startswith("2.1,nan,")
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "failed" in line]
+    assert warnings == [
+        "warning: custom: 1 of 3 rows failed, first at t=2.1: "
+        "ValueError: omega_2 must be finite and >= 0, got -0.050000000000000044"
+    ]
+
+
 def test_sweep_verification_drift_warns(tmp_path, capsys):
     # fig5 near Delta = 2 is far from converged at N = 6: drift above VERIFY_TOL
     code = main(

@@ -10,7 +10,13 @@ from jtsim.groundstate import BASES, eig_hermitian, ground_state
 from jtsim.hilbert import OperatorMatrix, _parity_sector, pauli
 from jtsim.model import SystemParams, build_lab_hamiltonian
 from jtsim.sweeps import convergence_study, run_point, successive_differences
-from test_model import model_points, property_settings, rotated_coefficients, two_mode_oracle
+from test_model import (
+    full_matrix,
+    model_points,
+    property_settings,
+    rotated_coefficients,
+    two_mode_oracle,
+)
 
 K_STRONG = 0.1 / math.sqrt(2)
 
@@ -49,9 +55,19 @@ class TestEigHermitian:
         assert np.all(np.diff(w) >= 0)
 
     def test_rejects_non_hermitian_input(self):
-        for m in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0, 1j], [1j, 0]])):
-            with pytest.raises(ValueError, match="Hermitian"):
-                eig_hermitian(OperatorMatrix(m, (2,)))
+        nan, inf = math.nan, math.inf
+        for m in (
+            np.array([[0.0, 1.0], [0.0, 0.0]]),
+            np.array([[0, 1j], [1j, 0]]),
+            np.array([[nan, 0.0], [0.0, 1.0]]),
+            np.array([[inf, 0.0], [0.0, 1.0]]),
+            np.array([[0.0, inf], [inf, 0.0]]),
+            np.array([[0.0, -inf], [1.0, 0.0]]),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="Hermitian"):
+                    eig_hermitian(OperatorMatrix(m, (2,)))
 
 
 class TestGroundState:
@@ -124,10 +140,10 @@ class TestGroundState:
 
     def test_residual_bound(self):
         p = SystemParams(omega_1=1.1, omega_2=0.6, k_1=0.4, k_2=0.3, J=0.02, N=8)
-        h = build_lab_hamiltonian(p)
+        h = full_matrix(build_lab_hamiltonian(p))
         gs = ground_state(p, "lab")
-        res = np.linalg.norm(h.entries @ gs.state.amplitudes - gs.energy * gs.state.amplitudes)
-        assert res < 1e-9 * np.max(np.abs(h.entries)) * h.dim_total
+        res = np.linalg.norm(h @ gs.state.amplitudes - gs.energy * gs.state.amplitudes)
+        assert res < 1e-9 * np.max(np.abs(h)) * h.shape[0]
 
     def test_phase_convention_is_deterministic(self):
         p = SystemParams(omega_1=1.05, omega_2=0.95, k_1=0.3, k_2=0.3, N=8)
@@ -141,8 +157,8 @@ class TestGroundState:
         p = SystemParams(omega_1=1.05, omega_2=0.85, k_1=0.08, k_2=0.06, J=0.0, N=16)
         from jtsim.model import build_transformed_hamiltonian
 
-        wl = np.linalg.eigvalsh(build_lab_hamiltonian(p).entries)
-        wt = np.linalg.eigvalsh(build_transformed_hamiltonian(p).entries)
+        wl = np.linalg.eigvalsh(full_matrix(build_lab_hamiltonian(p)))
+        wt = np.linalg.eigvalsh(full_matrix(build_transformed_hamiltonian(p)))
         assert np.max(np.abs(wl[:5] - wt[:5])) < 1e-6
 
     def test_unknown_basis_rejected(self):

@@ -9,7 +9,6 @@ from jtsim.hilbert import (
     annihilation,
     embed,
     mode_parity,
-    number,
     parity_operator,
     pauli,
 )
@@ -30,7 +29,7 @@ def test_number_operator_diagonal():
     a = annihilation(10)
     n = a.entries.T @ a.entries
     assert np.allclose(np.diag(n), np.arange(10))
-    assert np.allclose(n, number(10).entries)
+    assert np.allclose(n, np.diag(np.arange(10.0)))
 
 
 def test_annihilation_rejects_small_cutoff():
@@ -110,7 +109,7 @@ def test_truncated_commutator_closed_form():
 
 def test_embed_preserves_hermiticity_and_linearity():
     n = 3
-    h = number(n)
+    h = OperatorMatrix(np.diag(np.arange(float(n))), (n,))
     emb = embed(h, "M1", n)
     assert emb.entries.dtype == np.float64
     assert np.max(np.abs(emb.entries - emb.entries.T)) == 0.0

@@ -10,13 +10,19 @@ from jtsim.model import (
     SystemParams,
     VALIDITY_THRESHOLD,
     build_lab_hamiltonian,
-    build_single_mode_jt,
     build_transformed_hamiltonian,
     mode_rotation_unitary,
     privileged_params,
     privileged_validity,
 )
-from jtsim.hilbert import parity_operator
+from jtsim.hilbert import (
+    PARITY_SIGNS,
+    ParityBlocks,
+    _parity_sector,
+    annihilation,
+    parity_operator,
+    pauli,
+)
 
 K_STRONG = 0.1 / math.sqrt(2)
 
@@ -52,6 +58,45 @@ def two_mode_oracle(n, omega_q, w1, w2, g1, g2, hop) -> np.ndarray:
                 if n1 >= 1 and n2 + 1 < n:
                     h[idx(s, n1 - 1, n2 + 1), i] += hop * math.sqrt(n1 * (n2 + 1))
     return h
+
+
+def full_matrix(blocks: ParityBlocks) -> np.ndarray:
+    """Scatter the two parity blocks into the full 2N^2 x 2N^2 matrix."""
+    n = blocks.factor_dims[1]
+    h = np.zeros((2 * n * n, 2 * n * n))
+    for sign, block in zip(PARITY_SIGNS, blocks.entries):
+        idx = _parity_sector(n, sign)
+        h[np.ix_(idx, idx)] = block
+    return h
+
+
+def single_mode_jt(p: SystemParams) -> np.ndarray:
+    """Privileged-mode-only Jahn-Teller Hamiltonian on the (qubit, mode) space.
+
+    H = omega_q/2 sz + omega_p b^T b + g_p (b + b^T) sx, a diagnostic baseline
+    for the two-mode builders.
+    """
+    pp = privileged_params(p)
+    n = p.N
+    eye_m = np.eye(n)
+    sz = np.kron(pauli("z").entries, eye_m)
+    sx = np.kron(pauli("x").entries, eye_m)
+    b = np.kron(np.eye(2), annihilation(n).entries)
+    h = 0.5 * p.omega_q * sz
+    h += pp.omega_p * (b.T @ b)
+    h += pp.g_p * (b + b.T) @ sx
+    return h
+
+
+def assert_blocks_match_oracle(blocks: ParityBlocks, oracle: np.ndarray):
+    """Each parity block equals the oracle's sector block; the oracle has no off-sector entry."""
+    n = blocks.factor_dims[1]
+    assert blocks.entries.dtype == np.float64
+    plus, minus = (_parity_sector(n, sign) for sign in PARITY_SIGNS)
+    assert np.all(oracle[np.ix_(plus, minus)] == 0.0)
+    assert np.all(oracle[np.ix_(minus, plus)] == 0.0)
+    for block, idx in zip(blocks.entries, (plus, minus)):
+        assert np.max(np.abs(block - oracle[np.ix_(idx, idx)])) < 1e-14
 
 
 def rotated_coefficients(p: SystemParams) -> tuple:
@@ -102,8 +147,9 @@ class TestSystemParams:
             SystemParams(omega_1=1, omega_2=1, k_1=-0.1, k_2=0)
 
     def test_nonpositive_qubit_frequency_rejected(self):
-        with pytest.raises(ValueError, match="omega_q"):
-            SystemParams(omega_1=1, omega_2=1, k_1=0, k_2=0, omega_q=0.0)
+        for omega_q in (0.0, math.inf):
+            with pytest.raises(ValueError, match="omega_q"):
+                SystemParams(omega_1=1, omega_2=1, k_1=0, k_2=0, omega_q=omega_q)
 
 
 class TestPrivilegedParams:
@@ -161,7 +207,7 @@ class TestPrivilegedParams:
 class TestLabHamiltonian:
     def test_decoupled_limit_is_diagonal(self):
         p = SystemParams(omega_1=0.8, omega_2=0.3, k_1=0, k_2=0, N=4)
-        h = build_lab_hamiltonian(p).entries
+        h = full_matrix(build_lab_hamiltonian(p))
         assert np.allclose(h, np.diag(np.diag(h)))
         assert h[0, 0] == pytest.approx(-0.5)
         assert np.min(np.real(np.diag(h))) == pytest.approx(-0.5)
@@ -169,7 +215,7 @@ class TestLabHamiltonian:
     def test_single_coupling_matrix_element(self):
         k = 0.1 / math.sqrt(2)
         p = SystemParams(omega_1=1, omega_2=1, k_1=k, k_2=k, J=0, N=2)
-        h = build_lab_hamiltonian(p).entries
+        h = full_matrix(build_lab_hamiltonian(p))
         # <s=1, 0, 0| H |s=0, 1, 0> = g_1
         assert h[1 * 4, 0 * 4 + 2] == pytest.approx(k, abs=1e-15)
 
@@ -177,35 +223,47 @@ class TestLabHamiltonian:
     @given(model_points)
     def test_matches_explicit_assembly_oracle(self, p):
         # the lab builder is the identity coefficient map
-        built = build_lab_hamiltonian(p).entries
-        assert built.dtype == np.float64
         oracle = two_mode_oracle(p.N, p.omega_q, p.omega_1, p.omega_2, p.g_1, p.g_2, p.J)
-        assert np.max(np.abs(built - oracle)) < 1e-14
+        assert_blocks_match_oracle(build_lab_hamiltonian(p), oracle)
         assert ground_state(p, "lab").state.amplitudes.dtype == np.float64
 
     def test_hermitian_and_trace_identity(self):
         p = SystemParams(omega_1=1.3, omega_2=0.45, k_1=0.6, k_2=0.35, J=0.12, N=5)
-        h = build_lab_hamiltonian(p)
-        assert np.array_equal(h.entries, h.entries.T)
+        blocks = build_lab_hamiltonian(p).entries
+        assert np.array_equal(blocks, blocks.transpose(0, 2, 1))
         n = p.N
         # qubit and coupling terms are traceless; tr(n_i) = N(N-1)/2 over
         # each mode times 2N for the spectator factors
         expected_trace = (p.omega_1 + p.omega_2) * n * n * (n - 1)
-        assert np.trace(h.entries) == pytest.approx(expected_trace, rel=1e-12)
+        trace = np.trace(blocks[0]) + np.trace(blocks[1])
+        assert trace == pytest.approx(expected_trace, rel=1e-12)
 
     def test_mode_swap_leaves_spectrum_invariant(self):
         p = SystemParams(omega_1=1.1, omega_2=0.4, k_1=0.5, k_2=0.2, J=0.07, N=5)
         q = SystemParams(omega_1=0.4, omega_2=1.1, k_1=0.2, k_2=0.5, J=0.07, N=5)
-        wp = np.linalg.eigvalsh(build_lab_hamiltonian(p).entries)
-        wq = np.linalg.eigvalsh(build_lab_hamiltonian(q).entries)
+        wp = np.linalg.eigvalsh(full_matrix(build_lab_hamiltonian(p)))
+        wq = np.linalg.eigvalsh(full_matrix(build_lab_hamiltonian(q)))
         assert np.max(np.abs(wp - wq)) < 1e-10
 
     def test_parity_commutes(self):
+        # the builders' block form rests on the oracle commuting with Pi
         p = SystemParams(omega_1=1.1, omega_2=0.4, k_1=0.5, k_2=0.2, J=0.07, N=4)
         pi = parity_operator(p.N).entries
-        for build in (build_lab_hamiltonian, build_transformed_hamiltonian):
-            h = build(p).entries
+        lab = (p.omega_q, p.omega_1, p.omega_2, p.g_1, p.g_2, p.J)
+        for coeffs in (lab, rotated_coefficients(p)):
+            h = two_mode_oracle(p.N, *coeffs)
             assert np.max(np.abs(h @ pi - pi @ h)) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 5, 10])
+    def test_builders_return_stacked_float64_blocks(self, n):
+        p = SystemParams(omega_1=1.1, omega_2=0.4, k_1=0.5, k_2=0.2, J=0.07, N=n)
+        for build in (build_lab_hamiltonian, build_transformed_hamiltonian):
+            h = build(p)
+            assert isinstance(h, ParityBlocks)
+            assert h.factor_dims == (2, n, n)
+            assert h.entries.dtype == np.float64
+            assert h.entries.shape == (2, n * n, n * n)
+            assert h.entries.nbytes == 2 * n**4 * 8
 
     def test_zero_frequency_mode_warns(self):
         p = SystemParams(omega_1=2.0, omega_2=0.0, k_1=0.1, k_2=0.1, N=3)
@@ -222,10 +280,8 @@ class TestTransformedHamiltonian:
     @given(model_points)
     def test_matches_explicit_assembly_oracle(self, p):
         # the transformed builder is the same operator fed the rotated coefficients
-        built = build_transformed_hamiltonian(p).entries
-        assert built.dtype == np.float64
         oracle = two_mode_oracle(p.N, *rotated_coefficients(p))
-        assert np.max(np.abs(built - oracle)) < 1e-14
+        assert_blocks_match_oracle(build_transformed_hamiltonian(p), oracle)
         assert ground_state(p, "transformed").state.amplitudes.dtype == np.float64
 
     def test_identity_rotation_reproduces_lab(self):
@@ -239,7 +295,7 @@ class TestTransformedHamiltonian:
         # with J = 0 the only couplings are omega_p, omega_p_tilde, c and k_p*(omega_p, c)
         p = SystemParams(omega_1=1.2, omega_2=0.7, k_1=0.4, k_2=0.3, J=0.0, N=3)
         pp = privileged_params(p)
-        h = build_transformed_hamiltonian(p).entries
+        h = full_matrix(build_transformed_hamiltonian(p))
         n = p.N
         # <s,1,0|H|s,0,1> = hopping coefficient = c at J=0
         i10 = 0 * n * n + 1 * n + 0
@@ -252,14 +308,14 @@ class TestTransformedHamiltonian:
     def test_spectral_equivalence_with_lab_builder(self):
         # the rotation is unitary before truncation, so low-lying spectra converge
         p = SystemParams(omega_1=1.1, omega_2=0.8, k_1=0.07, k_2=0.05, J=0.04, N=16)
-        wl = np.linalg.eigvalsh(build_lab_hamiltonian(p).entries)
-        wt = np.linalg.eigvalsh(build_transformed_hamiltonian(p).entries)
+        wl = np.linalg.eigvalsh(full_matrix(build_lab_hamiltonian(p)))
+        wt = np.linalg.eigvalsh(full_matrix(build_transformed_hamiltonian(p)))
         assert np.max(np.abs(wl[:5] - wt[:5])) < 1e-6
 
     def test_hopping_coefficient_includes_j_term(self):
         p = SystemParams(omega_1=1.2, omega_2=0.7, k_1=0.4, k_2=0.3, J=0.05, N=3)
         pp = privileged_params(p)
-        h = build_transformed_hamiltonian(p).entries
+        h = full_matrix(build_transformed_hamiltonian(p))
         n = p.N
         hop = pp.c + p.J * (p.k_2**2 - p.k_1**2) / pp.k_p**2
         assert h[n, 1] == pytest.approx(hop, abs=1e-15)
@@ -268,13 +324,13 @@ class TestTransformedHamiltonian:
 class TestSingleModeJT:
     def test_decoupled_ground_energy(self):
         p = SystemParams(omega_1=1.0, omega_2=1.0, k_1=1e-12, k_2=1e-12, N=8)
-        w = np.linalg.eigvalsh(build_single_mode_jt(p).entries)
+        w = np.linalg.eigvalsh(single_mode_jt(p))
         assert w[0] == pytest.approx(-0.5, abs=1e-9)
 
     def test_weak_coupling_second_order_shift(self):
         p = SystemParams(omega_1=1.0, omega_2=1.0, k_1=0.02, k_2=0.02, N=12)
         pp = privileged_params(p)
-        w = np.linalg.eigvalsh(build_single_mode_jt(p).entries)
+        w = np.linalg.eigvalsh(single_mode_jt(p))
         perturbative = -0.5 - pp.g_p**2 / (pp.omega_p + 1.0)
         assert w[0] == pytest.approx(perturbative, abs=1e-6)
 
@@ -282,8 +338,8 @@ class TestSingleModeJT:
         # c = 0 and J = 0: the two-mode transformed Hamiltonian restricted to
         # the B2 vacuum equals the single-mode model
         p = SystemParams(omega_1=1.0, omega_2=1.0, k_1=0.3, k_2=0.3, J=0.0, N=4)
-        full = build_transformed_hamiltonian(p).entries
-        single = build_single_mode_jt(p).entries
+        full = full_matrix(build_transformed_hamiltonian(p))
+        single = single_mode_jt(p)
         n = p.N
         sel = [s * n * n + n1 * n + 0 for s in (0, 1) for n1 in range(n)]
         assert np.max(np.abs(full[np.ix_(sel, sel)] - single)) < 1e-14
