@@ -19,18 +19,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from dataclasses import replace
 from functools import partial
 
 from ._version import __version__
 from .model import SystemParams
 from .sweeps import (
     CSV_COLUMNS,
-    PRESETS,
     SweepSpec,
+    _atomic_write,
+    _control_values,
+    _controlled_params,
     compare_bases,
     convergence_study,
     csv_row,
@@ -40,7 +40,6 @@ from .sweeps import (
     successive_differences,
     write_csv,
     write_manifest,
-    _atomic_write,
 )
 
 OUTPUT_DIR_ENV = "JTSIM_OUTDIR"
@@ -69,16 +68,14 @@ def _add_param_flags(ap: argparse.ArgumentParser) -> None:
 
 
 def _params_from_args(args) -> SystemParams:
-    omega1, omega2 = args.omega1, args.omega2
-    k1, k2 = args.k1, args.k2
+    # --delta/--kappa override the argument values before validation, so an
+    # overridden --omega1 or --k1 is never checked.
+    values = {"omega_1": args.omega1, "omega_2": args.omega2, "k_1": args.k1, "k_2": args.k2}
     if args.delta is not None:
-        omega1, omega2 = 1 + args.delta / 2, 1 - args.delta / 2
+        values.update(_control_values("delta", args.delta))
     if args.kappa is not None:
-        k1, k2 = (1 - args.kappa) / 2, (1 + args.kappa) / 2
-    return SystemParams(
-        omega_1=omega1, omega_2=omega2, k_1=k1, k_2=k2, J=args.J, N=args.N,
-        omega_q=args.omegaq,
-    )
+        values.update(_control_values("kappa", args.kappa))
+    return SystemParams(**values, J=args.J, N=args.N, omega_q=args.omegaq)
 
 
 def _default_out(filename: str) -> str:
@@ -110,7 +107,7 @@ def cmd_point(args) -> int:
             "r2": row.r2,
             "r3": row.r3,
             "valid": row.valid,
-            "degenerate": row.report.degeneracy_caveat,
+            "degenerate": row.degenerate,
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.output)
     else:
@@ -126,18 +123,10 @@ def cmd_point(args) -> int:
             f"validity: r1 = {row.r1:.4g}  r2 = {row.r2:.4g}  r3 = {row.r3:.4g}"
             f"  valid = {valid_label}",
         ]
-        if row.report.degeneracy_caveat:
+        if row.degenerate:
             lines.append("caveat: degenerate ground state, values depend on solver pick")
         _emit("\n".join(lines) + "\n", args.output)
     return 0
-
-
-def _custom_rule(t: float, var: str, base: SystemParams) -> SystemParams:
-    if var == "delta":
-        return replace(base, omega_1=1 + t / 2, omega_2=1 - t / 2)
-    if var == "kappa":
-        return replace(base, k_1=(1 - t) / 2, k_2=(1 + t) / 2)
-    return replace(base, J=t)
 
 
 def cmd_sweep(args) -> int:
@@ -160,7 +149,7 @@ def cmd_sweep(args) -> int:
         base = _params_from_args(args)
         spec = SweepSpec(
             name="custom",
-            parameter_rule=partial(_custom_rule, var=args.var, base=base),
+            parameter_rule=partial(_controlled_params, args.var, base),
             t_min=args.tmin,
             t_max=args.tmax,
             step=args.step,

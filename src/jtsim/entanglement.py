@@ -1,5 +1,9 @@
 """Reduced density matrices, partial transpose and logarithmic negativity.
 
+This module measures states; it does not evaluate parameter points.
+``jtsim.sweeps.run_point`` solves a point and records its verdict, e.g.
+the degeneracy flag, on the row.
+
 The negativity of a bipartition A|B of a state rho is
 
     E_N = log2 || rho^(T_A) ||_1
@@ -23,9 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groundstate import ground_state
+# ground_state is unused here but stays importable as
+# jtsim.entanglement.ground_state, where the perfbench layer tracer looks it up.
+from .groundstate import ground_state  # noqa: F401
 from .hilbert import StateVector
-from .model import SystemParams
 
 NEG_CLAMP = 1e-9
 
@@ -68,7 +73,6 @@ class EntanglementReport:
     en_s_b1: float
     en_s_b2: float
     en_b1_b2: float
-    degeneracy_caveat: bool = False
 
     def as_dict(self) -> dict:
         return {f: getattr(self, f) for f in _REPORT_FIELDS}
@@ -168,7 +172,7 @@ def _clamped_log2(norm: float) -> float:
     return value
 
 
-def report_from_state(psi: StateVector, degeneracy_caveat: bool = False) -> EntanglementReport:
+def report_from_state(psi: StateVector) -> EntanglementReport:
     """All four bipartition negativities of a tripartite pure state."""
     if len(psi.factor_dims) != 3:
         raise ValueError("expected a (qubit, mode, mode) state")
@@ -184,16 +188,4 @@ def report_from_state(psi: StateVector, degeneracy_caveat: bool = False) -> Enta
         en_s_b1=log_negativity(DensityMatrix(rho_s_b1, (s, n1)), 0),
         en_s_b2=log_negativity(DensityMatrix(rho_s_b2, (s, n2)), 0),
         en_b1_b2=log_negativity(DensityMatrix(rho_b1_b2, (n1, n2)), 0),
-        degeneracy_caveat=degeneracy_caveat,
     )
-
-
-def report(p: SystemParams, basis: str = "transformed") -> EntanglementReport:
-    """Ground-state negativities of the selected Hamiltonian.
-
-    The two-party cuts trace out the third subsystem first.  In the lab
-    basis the same four cuts are computed with the bare modes in place of
-    the rotated ones (cross-basis diagnostic only).
-    """
-    gs = ground_state(p, basis)
-    return report_from_state(gs.state, degeneracy_caveat=gs.degenerate_flag)

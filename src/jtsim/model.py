@@ -82,6 +82,14 @@ class SystemParams:
                 raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not np.isfinite(self.J):
             raise ValueError(f"J must be finite, got {self.J}")
+        # Products, not **: a float product overflows to inf, ** raises OverflowError.
+        for name, value in (
+            ("g_1 = omega_1*k_1", self.g_1),
+            ("g_2 = omega_2*k_2", self.g_2),
+            ("k_1^2 + k_2^2", self.k_1 * self.k_1 + self.k_2 * self.k_2),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     @property
     def g_1(self) -> float:

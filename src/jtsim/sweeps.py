@@ -2,18 +2,19 @@
 
 ``run_point`` is the one way a parameter point is evaluated: sweep rows,
 the higher-cutoff verification subsample and ``convergence_study`` all
-call it and all return ``SweepRow``.  Sweeps go to CSV plus a run manifest.
+call it and all return ``SweepRow``, which owns the point's verdict
+(degenerate, or failed with its error).  Sweeps go to CSV plus a run manifest.
 
-Six built-in sweeps reproduce the standard parameter scans (all in units
-of the qubit frequency):
+Each scan varies one control variable t; ``_control_values`` maps it to
+parameters: Delta sets omega_{1,2} = 1 +- Delta/2, kappa sets
+k_{2,1} = (1 +- kappa)/2 and the hopping sets J.  Six built-in sweeps
+reproduce the standard parameter scans (all in units of the qubit frequency):
 
-    fig1  detuning Delta in [-2, 2], omega_{1,2} = 1 -+ Delta/2,
-          k_1 = k_2 = 0.1/sqrt(2), J = 0          (strong coupling)
-    fig2  same with k_1 = k_2 = 1/sqrt(2)         (ultrastrong coupling)
-    fig3  coupling asymmetry kappa in [-1, 1], k_{2,1} = (1 +- kappa)/2,
-          omega_1 = 2*omega_2 = 0.1, J = 0
+    fig1  detuning Delta in [-2, 2], k_1 = k_2 = 0.1/sqrt(2), J = 0
+    fig2  same with k_1 = k_2 = 1/sqrt(2)
+    fig3  coupling asymmetry kappa in [-1, 1], omega_1 = 2*omega_2 = 0.1, J = 0
     fig4  same with omega_1 = 2*omega_2 = 1
-    fig5  Delta in [0, 2] with k_1 = k_2 = Delta, omega_{1,2} = 1 -+ Delta/2
+    fig5  Delta in [0, 2] with k_1 = k_2 = Delta, J = 0
     fig6  hopping J in [0, 0.1], k_1 = k_2 = 1/sqrt(2),
           omega_1 = 2*omega_2 = 0.2
 
@@ -31,7 +32,7 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -97,22 +98,23 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class SweepRow:
+    """One evaluated point; a failed point keeps only t and its error."""
+
     t: float
-    params: SystemParams | None
-    report: EntanglementReport | None
-    energy: float
-    gap: float
-    r1: float
-    r2: float
-    r3: float
-    valid: bool | None
+    params: SystemParams | None = None
+    report: EntanglementReport | None = None
+    energy: float = math.nan
+    gap: float = math.nan
+    r1: float = math.nan
+    r2: float = math.nan
+    r3: float = math.nan
+    valid: bool | None = None
+    degenerate: bool = False
     error: str | None = None
 
     @property
     def flagged(self) -> bool:
-        return self.error is not None or (
-            self.report is not None and self.report.degeneracy_caveat
-        )
+        return self.error is not None or self.degenerate
 
 
 @dataclass
@@ -130,26 +132,12 @@ def grid_points(spec: SweepSpec) -> list[float]:
 def run_point(p: SystemParams, basis: str = "transformed", t: float = math.nan) -> SweepRow:
     """One fully evaluated parameter point (ground state, negativities, validity)."""
     gs = ground_state(p, basis)
-    rep = report_from_state(gs.state, degeneracy_caveat=gs.degenerate_flag)
-    r1 = r2 = r3 = math.nan
-    valid = None
+    rep = report_from_state(gs.state)
     try:
-        v = privileged_validity(p)
-        r1, r2, r3, valid = v.r1, v.r2, v.r3, v.valid
+        validity = asdict(privileged_validity(p))
     except DegenerateTransformationError:
-        pass  # k_p = 0: ratios undefined, leave them nan
-    return SweepRow(
-        t=t,
-        params=p,
-        report=rep,
-        energy=gs.energy,
-        gap=gs.gap,
-        r1=r1,
-        r2=r2,
-        r3=r3,
-        valid=valid,
-        error=None,
-    )
+        validity = {}  # k_p = 0: ratios undefined, leave them unset
+    return SweepRow(t, p, rep, gs.energy, gs.gap, degenerate=gs.degenerate_flag, **validity)
 
 
 def _evaluate_grid_point(spec: SweepSpec, t: float) -> SweepRow:
@@ -157,18 +145,7 @@ def _evaluate_grid_point(spec: SweepSpec, t: float) -> SweepRow:
         p = replace(spec.parameter_rule(t), N=spec.N)
         return run_point(p, spec.basis, t=t)
     except Exception as exc:  # noqa: BLE001 - flagged row, sweep must finish
-        return SweepRow(
-            t=t,
-            params=None,
-            report=None,
-            energy=math.nan,
-            gap=math.nan,
-            r1=math.nan,
-            r2=math.nan,
-            r3=math.nan,
-            valid=None,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return SweepRow(t, error=f"{type(exc).__name__}: {exc}")
 
 
 def _max_negativity_change(a: EntanglementReport, b: EntanglementReport) -> float:
@@ -222,6 +199,11 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, verify_subsample: bool = True) -> 
         "grid": {"t_min": spec.t_min, "t_max": spec.t_max, "step": spec.step},
         "rows": len(rows),
         "flagged_rows": sum(1 for r in rows if r.flagged),
+        "flagged": [
+            {"t": r.t, "reason": "degenerate" if r.degenerate else f"failed: {r.error}"}
+            for r in rows
+            if r.flagged
+        ],
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     if verify_subsample:
@@ -276,35 +258,36 @@ K_STRONG = 0.1 / math.sqrt(2.0)
 K_ULTRA = 1.0 / math.sqrt(2.0)
 
 
-def _detuning_params(t: float, k: float) -> SystemParams:
-    return SystemParams(omega_1=1 + t / 2, omega_2=1 - t / 2, k_1=k, k_2=k, J=0.0)
+def _control_values(var: str, t: float) -> dict:
+    """The parameters that control variable ``var`` (delta, kappa or J) sets at value t."""
+    return {
+        "delta": {"omega_1": 1 + t / 2, "omega_2": 1 - t / 2},
+        "kappa": {"k_1": (1 - t) / 2, "k_2": (1 + t) / 2},
+        "J": {"J": t},
+    }[var]
 
 
-def _asymmetry_params(t: float, omega_1: float) -> SystemParams:
-    return SystemParams(
-        omega_1=omega_1,
-        omega_2=omega_1 / 2,
-        k_1=(1 - t) / 2,
-        k_2=(1 + t) / 2,
-        J=0.0,
-    )
+def _controlled_params(var: str, base: SystemParams, t: float) -> SystemParams:
+    """``base`` with control variable ``var`` set to t (a picklable sweep rule)."""
+    return replace(base, **_control_values(var, t))
 
 
-def _detuning_coupled_params(t: float) -> SystemParams:
-    return SystemParams(omega_1=1 + t / 2, omega_2=1 - t / 2, k_1=t, k_2=t, J=0.0)
-
-
-def _hopping_params(t: float) -> SystemParams:
-    return SystemParams(omega_1=0.2, omega_2=0.1, k_1=K_ULTRA, k_2=K_ULTRA, J=t)
+def _fig5_params(t: float) -> SystemParams:
+    return SystemParams(**_control_values("delta", t), k_1=t, k_2=t)
 
 
 PRESETS = {
-    "fig1": (partial(_detuning_params, k=K_STRONG), -2.0, 2.0, 0.05),
-    "fig2": (partial(_detuning_params, k=K_ULTRA), -2.0, 2.0, 0.05),
-    "fig3": (partial(_asymmetry_params, omega_1=0.1), -1.0, 1.0, 0.05),
-    "fig4": (partial(_asymmetry_params, omega_1=1.0), -1.0, 1.0, 0.05),
-    "fig5": (_detuning_coupled_params, 0.0, 2.0, 0.05),
-    "fig6": (_hopping_params, 0.0, 0.1, 0.0025),
+    "fig1": (partial(_controlled_params, "delta", SystemParams(1.0, 1.0, K_STRONG, K_STRONG)),
+             -2.0, 2.0, 0.05),
+    "fig2": (partial(_controlled_params, "delta", SystemParams(1.0, 1.0, K_ULTRA, K_ULTRA)),
+             -2.0, 2.0, 0.05),
+    "fig3": (partial(_controlled_params, "kappa", SystemParams(0.1, 0.05, 0.5, 0.5)),
+             -1.0, 1.0, 0.05),
+    "fig4": (partial(_controlled_params, "kappa", SystemParams(1.0, 0.5, 0.5, 0.5)),
+             -1.0, 1.0, 0.05),
+    "fig5": (_fig5_params, 0.0, 2.0, 0.05),
+    "fig6": (partial(_controlled_params, "J", SystemParams(0.2, 0.1, K_ULTRA, K_ULTRA)),
+             0.0, 0.1, 0.0025),
 }
 
 

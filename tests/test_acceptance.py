@@ -15,11 +15,10 @@ from jtsim.entanglement import (
     DensityMatrix,
     log_negativity,
     partial_trace,
-    report,
 )
 from jtsim.groundstate import ground_state
 from jtsim.model import SystemParams
-from jtsim.sweeps import convergence_study, figure_sweep, run_sweep, write_csv
+from jtsim.sweeps import convergence_study, figure_sweep, run_point, run_sweep, write_csv
 
 K_STRONG = 0.1 / math.sqrt(2)
 K_ULTRA = 1.0 / math.sqrt(2)
@@ -45,11 +44,11 @@ def sweeps():
 def test_criterion_01_decoupled_limit():
     worst = 0.0
     for n in (4, 10, 16):
-        r = report(SystemParams(omega_1=1.0, omega_2=0.5, k_1=0, k_2=0, J=0, N=n))
+        r = run_point(SystemParams(omega_1=1.0, omega_2=0.5, k_1=0, k_2=0, J=0, N=n)).report
         worst = max(worst, *(abs(v) for v in r.as_dict().values()))
     assert worst < 1e-9
     start = time.perf_counter()
-    report(SystemParams(omega_1=1.0, omega_2=0.5, k_1=0, k_2=0, J=0, N=10))
+    run_point(SystemParams(omega_1=1.0, omega_2=0.5, k_1=0, k_2=0, J=0, N=10))
     elapsed = time.perf_counter() - start
     assert elapsed < 0.1
     _pass(1, "decoupled-limit", f"max E_N = {worst:.1e}, {elapsed * 1e3:.0f} ms")
@@ -58,7 +57,7 @@ def test_criterion_01_decoupled_limit():
 @pytest.mark.parametrize("k", [K_STRONG, K_ULTRA])
 def test_criterion_02_symmetric_b2_decoupling(k):
     p = SystemParams(omega_1=1.0, omega_2=1.0, k_1=k, k_2=k, J=0.0, N=10)
-    r = report(p, "transformed")
+    r = run_point(p, "transformed").report
     assert r.en_s_b2 < 1e-8
     assert r.en_b1_b2 < 1e-8
     assert abs(r.en_s_b1 - r.en_s_b1b2) < 1e-8
@@ -244,8 +243,8 @@ def test_criterion_11_performance_and_determinism(sweeps, tmp_path):
 
 def test_criterion_12_soft_hopping_enhancement():
     # Non-blocking report: doubling k on the hopping sweep configuration.
-    base = report(SystemParams(0.2, 0.1, K_ULTRA, K_ULTRA, J=0.1, N=10))
-    doubled = report(SystemParams(0.2, 0.1, 2 * K_ULTRA, 2 * K_ULTRA, J=0.1, N=10))
+    base = run_point(SystemParams(0.2, 0.1, K_ULTRA, K_ULTRA, J=0.1, N=10)).report
+    doubled = run_point(SystemParams(0.2, 0.1, 2 * K_ULTRA, 2 * K_ULTRA, J=0.1, N=10)).report
     f_total = doubled.en_s_b1b2 / base.en_s_b1b2
     f_modes = doubled.en_b1_b2 / base.en_b1_b2
     assert math.isfinite(f_total) and math.isfinite(f_modes)

@@ -40,6 +40,26 @@ def test_point_rejects_small_cutoff(capsys):
     assert "cutoff must be >= 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["point", "--k1", "1e300"],
+        ["point", "--basis", "lab", "--k1", "1e200", "--omega1", "1e200"],
+    ],
+)
+def test_point_overflowing_couplings_are_usage_errors(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(jtsim.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "jtsim.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("error: ")
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
 def test_point_delta_convenience_matches_explicit(capsys):
     main(["point", "--delta", "0.1", "--k1", "0.1", "--k2", "0.1", "--format", "json"])
     via_delta = json.loads(capsys.readouterr().out)
@@ -109,6 +129,23 @@ def test_sweep_failed_rows_warn(tmp_path, capsys):
     assert warnings == [
         "warning: custom: 1 of 3 rows failed, first at t=2.1: "
         "ValueError: omega_2 must be finite and >= 0, got -0.050000000000000044"
+    ]
+
+
+def test_sweep_manifest_gives_flag_reasons(tmp_path):
+    # t = 2.0 puts mode 2 at zero frequency (degenerate); t = 2.1 fails on omega_2 < 0
+    out = tmp_path / "custom.csv"
+    main(
+        ["sweep", "custom", "--var", "delta", "--tmin", "1.9", "--tmax", "2.1",
+         "--step", "0.1", "--k1", "0.1", "--k2", "0.1", "--N", "4", "-o", str(out)]
+    )
+    manifest = json.loads((tmp_path / "custom.csv.manifest.json").read_text())
+    flagged = manifest["flagged"]
+    assert len(flagged) == manifest["flagged_rows"] == 2
+    assert flagged == [
+        {"t": 2.0, "reason": "degenerate"},
+        {"t": 2.1, "reason": "failed: ValueError: omega_2 must be finite and >= 0, "
+                             "got -0.050000000000000044"},
     ]
 
 

@@ -11,12 +11,12 @@ from jtsim.entanglement import (
     log_negativity,
     partial_trace,
     partial_transpose,
-    report,
     report_from_state,
     trace_norm,
 )
 from jtsim.hilbert import StateVector
 from jtsim.model import SystemParams
+from jtsim.sweeps import run_point
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
 
@@ -251,30 +251,31 @@ class TestReportFromStateTensorPath:
 class TestReport:
     def test_decoupled_point_all_zero(self):
         p = SystemParams(omega_1=1.0, omega_2=0.5, k_1=0, k_2=0, N=6)
-        r = report(p)
+        row = run_point(p)
+        r = row.report
         assert r.en_s_b1b2 == 0.0
         assert r.en_s_b1 == 0.0
         assert r.en_s_b2 == 0.0
         assert r.en_b1_b2 == 0.0
-        assert not r.degeneracy_caveat
+        assert not row.degenerate
 
     @pytest.mark.parametrize("k", [0.1 / math.sqrt(2), 1 / math.sqrt(2)])
     def test_symmetric_couplings_decouple_b2(self, k):
         p = SystemParams(omega_1=1.0, omega_2=1.0, k_1=k, k_2=k, J=0.0, N=10)
-        r = report(p, "transformed")
+        r = run_point(p, "transformed").report
         assert r.en_s_b2 < 1e-8
         assert r.en_b1_b2 < 1e-8
         assert abs(r.en_s_b1 - r.en_s_b1b2) < 1e-8
 
     def test_monotone_under_discarding(self):
         p = SystemParams(omega_1=1.2, omega_2=0.4, k_1=0.8, k_2=0.5, J=0.03, N=8)
-        r = report(p, "transformed")
+        r = run_point(p, "transformed").report
         assert r.en_s_b1 <= r.en_s_b1b2 + 1e-9
         assert r.en_s_b2 <= r.en_s_b1b2 + 1e-9
 
     def test_lab_basis_uses_same_pipeline(self):
         p = SystemParams(omega_1=1.2, omega_2=0.4, k_1=0.8, k_2=0.5, J=0.03, N=8)
-        r = report(p, "lab")
+        r = run_point(p, "lab").report
         for v in r.as_dict().values():
             assert v >= 0.0
 

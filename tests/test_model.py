@@ -151,6 +151,17 @@ class TestSystemParams:
             with pytest.raises(ValueError, match="omega_q"):
                 SystemParams(omega_1=1, omega_2=1, k_1=0, k_2=0, omega_q=omega_q)
 
+    def test_overflowing_coupling_rejected(self):
+        with pytest.raises(ValueError, match=r"g_1 = omega_1\*k_1 must be finite"):
+            SystemParams(omega_1=1e200, omega_2=1, k_1=1e200, k_2=0)
+        with pytest.raises(ValueError, match=r"g_2 = omega_2\*k_2 must be finite"):
+            SystemParams(omega_1=1, omega_2=1e200, k_1=0, k_2=1e200)
+
+    def test_overflowing_coupling_norm_rejected(self):
+        for k_1, k_2 in ((1e300, 0.0), (0.0, 1e300), (1e154, 1e154)):
+            with pytest.raises(ValueError, match=r"k_1\^2 \+ k_2\^2 must be finite"):
+                SystemParams(omega_1=0, omega_2=0, k_1=k_1, k_2=k_2)
+
 
 class TestPrivilegedParams:
     def test_symmetric_couplings(self):

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from jtsim.cli import _params_from_args, build_parser
 from jtsim.model import SystemParams
 from jtsim.sweeps import (
     CSV_COLUMNS,
@@ -21,6 +22,43 @@ from jtsim.sweeps import (
 
 def small_fig1(**kw):
     return figure_sweep("fig1", N=kw.pop("N", 6), **kw)
+
+
+K_STRONG = 0.1 / math.sqrt(2.0)
+K_ULTRA = 1.0 / math.sqrt(2.0)
+
+# The README table of built-in sweeps, written out: t -> parameters.
+DOCUMENTED_PRESETS = {
+    "fig1": lambda t: SystemParams(1 + t / 2, 1 - t / 2, K_STRONG, K_STRONG, J=0.0),
+    "fig2": lambda t: SystemParams(1 + t / 2, 1 - t / 2, K_ULTRA, K_ULTRA, J=0.0),
+    "fig3": lambda t: SystemParams(0.1, 0.05, (1 - t) / 2, (1 + t) / 2, J=0.0),
+    "fig4": lambda t: SystemParams(1.0, 0.5, (1 - t) / 2, (1 + t) / 2, J=0.0),
+    "fig5": lambda t: SystemParams(1 + t / 2, 1 - t / 2, t, t, J=0.0),
+    "fig6": lambda t: SystemParams(0.2, 0.1, K_ULTRA, K_ULTRA, J=t),
+}
+
+
+class TestPresets:
+    @pytest.mark.parametrize("name", sorted(DOCUMENTED_PRESETS))
+    def test_rule_matches_documented_formula(self, name):
+        spec = figure_sweep(name)
+        ts = grid_points(spec)
+        for t in (ts[0], ts[len(ts) // 2], ts[-1]):
+            assert spec.parameter_rule(t) == DOCUMENTED_PRESETS[name](t), t
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
+    def test_cli_flags_match_preset(self, name):
+        var, fixed = {
+            "fig1": ("--delta", ["--k1", str(K_STRONG), "--k2", str(K_STRONG)]),
+            "fig2": ("--delta", ["--k1", str(K_ULTRA), "--k2", str(K_ULTRA)]),
+            "fig3": ("--kappa", ["--omega1", "0.1", "--omega2", "0.05"]),
+            "fig4": ("--kappa", ["--omega1", "1.0", "--omega2", "0.5"]),
+        }[name]
+        spec = figure_sweep(name)
+        ts = grid_points(spec)
+        for t in (ts[0], ts[len(ts) // 2], ts[-1]):
+            args = build_parser().parse_args(["point", var, repr(t), *fixed])
+            assert _params_from_args(args) == spec.parameter_rule(t), t
 
 
 class TestGrid:
@@ -107,6 +145,10 @@ class TestRunSweep:
         assert len(errors) == 2
         assert all(r.flagged for r in errors)
         assert result.manifest["flagged_rows"] == 2
+        for r in errors:
+            assert r.params is None and r.report is None and r.valid is None
+            assert all(math.isnan(v) for v in (r.energy, r.gap, r.r1, r.r2, r.r3))
+            assert not r.degenerate
 
     def test_degenerate_endpoint_flagged(self):
         with warnings.catch_warnings():
@@ -115,7 +157,7 @@ class TestRunSweep:
             result = run_sweep(spec, verify_subsample=False)
         end = result.rows[-1]
         assert end.t == 2.0
-        assert end.report.degeneracy_caveat and end.flagged
+        assert end.degenerate and end.flagged
 
     def test_verification_subsample_recorded(self):
         spec = small_fig1(t_min=0.0, t_max=0.2, step=0.1)
