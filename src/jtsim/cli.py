@@ -21,12 +21,15 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 from functools import partial
 
 from ._version import __version__
+from .groundstate import BASES
 from .model import SystemParams
 from .sweeps import (
     CSV_COLUMNS,
+    VERIFY_TOL,
     SweepSpec,
     _atomic_write,
     _control_values,
@@ -100,7 +103,7 @@ def cmd_point(args) -> int:
                 "omega_1": p.omega_1, "omega_2": p.omega_2, "k_1": p.k_1,
                 "k_2": p.k_2, "J": p.J, "N": p.N, "omega_q": p.omega_q,
             },
-            **row.report.as_dict(),
+            **asdict(row.report),
             "energy": row.energy,
             "gap": row.gap,
             "r1": row.r1,
@@ -237,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_point = sub.add_parser("point", help="evaluate one parameter point")
     _add_param_flags(p_point)
-    p_point.add_argument("--basis", choices=("lab", "transformed"), default="transformed")
+    p_point.add_argument("--basis", choices=BASES, default="transformed")
     p_point.add_argument("--format", choices=("human", "csv", "json"), default="human")
     p_point.add_argument("-o", "--output", default=None, help="write instead of stdout")
     p_point.set_defaults(func=cmd_point)
@@ -245,13 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="run a named or custom sweep to CSV")
     p_sweep.add_argument("name", help="fig1..fig6 or 'custom'")
     _add_param_flags(p_sweep)
-    p_sweep.add_argument("--basis", choices=("lab", "transformed"), default="transformed")
+    p_sweep.add_argument("--basis", choices=BASES, default="transformed")
     p_sweep.add_argument("--var", choices=("delta", "kappa", "J"), default=None,
                          help="control variable for custom sweeps")
     p_sweep.add_argument("--tmin", type=float, default=None)
     p_sweep.add_argument("--tmax", type=float, default=None)
     p_sweep.add_argument("--step", type=float, default=None)
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    p_sweep.add_argument("--jobs", type=int, default=1,
+                         help="parallel workers (capped at the CPU count)")
     p_sweep.add_argument("--no-verify", action="store_true",
                          help="skip the higher-cutoff verification subsample")
     p_sweep.add_argument("-o", "--output", default=None,
@@ -260,10 +264,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_conv = sub.add_parser("converge", help="Fock-cutoff convergence study")
     _add_param_flags(p_conv)
-    p_conv.add_argument("--basis", choices=("lab", "transformed"), default="transformed")
+    p_conv.add_argument("--basis", choices=BASES, default="transformed")
     p_conv.add_argument("--cutoffs", default="6,8,10,12,14,16",
                         help="comma-separated ascending cutoffs")
-    p_conv.add_argument("--tol", type=float, default=5e-3,
+    p_conv.add_argument("--tol", type=float, default=VERIFY_TOL,
                         help="pass threshold on the final successive difference")
     p_conv.set_defaults(func=cmd_converge)
 

@@ -34,8 +34,6 @@ from .hilbert import StateVector
 
 NEG_CLAMP = 1e-9
 
-_REPORT_FIELDS = ("en_s_b1b2", "en_s_b1", "en_s_b2", "en_b1_b2")
-
 
 class NumericalIntegrityError(RuntimeError):
     """A computed negativity fell below zero by more than float noise."""
@@ -60,10 +58,6 @@ class DensityMatrix:
         if abs(np.trace(m) - 1.0) > 1e-10:
             raise ValueError(f"density matrix trace is {np.trace(m):.12g}, not 1")
 
-    @property
-    def dim_total(self) -> int:
-        return math.prod(self.factor_dims)
-
 
 @dataclass(frozen=True)
 class EntanglementReport:
@@ -73,9 +67,6 @@ class EntanglementReport:
     en_s_b1: float
     en_s_b2: float
     en_b1_b2: float
-
-    def as_dict(self) -> dict:
-        return {f: getattr(self, f) for f in _REPORT_FIELDS}
 
 
 def _check_normalized(psi: StateVector) -> None:

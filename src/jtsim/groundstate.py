@@ -7,9 +7,9 @@ so ground states are real; the sign is fixed by making the
 largest-magnitude amplitude positive.
 
 The builders return the two N^2 x N^2 parity blocks of H and
-``ground_state`` diagonalizes each one.  The ground state is the lowest
-vector of the lower block: it has definite parity, and on an exact tie
-between the blocks the Pi = +1 sector wins.
+``ground_state`` passes each block, a plain array, to ``eig_hermitian``.
+The ground state is the lowest vector of the lower block: it has definite
+parity, and on an exact tie between the blocks the Pi = +1 sector wins.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import PARITY_SIGNS, OperatorMatrix, ParityBlocks, StateVector, _parity_sector
+from .hilbert import PARITY_SIGNS, ParityBlocks, StateVector, _parity_sector
 # parity_operator is unused here but stays importable as
 # jtsim.groundstate.parity_operator, where the perfbench layer tracer looks it up.
 from .hilbert import parity_operator  # noqa: F401
@@ -42,14 +42,17 @@ class GroundStateResult:
     degenerate_flag: bool
 
 
-def eig_hermitian(h: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """Full eigendecomposition of a Hermitian (real symmetric or complex) operator.
+def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Full eigendecomposition of a Hermitian (real symmetric or complex) matrix.
 
     Returns (eigenvalues ascending, eigenvector columns).  This is the one
-    check on the operator path: inputs that deviate from Hermiticity by
-    1e-12 or more, or hold a non-finite entry, are refused.
+    check on the operator path: inputs that are not square matrices, that
+    deviate from Hermiticity by 1e-12 or more, or that hold a non-finite
+    entry are refused.
     """
-    m = h.entries
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"eig_hermitian needs a square matrix; got shape {m.shape}")
     with np.errstate(invalid="ignore"):
         dev = np.max(np.abs(m - m.conj().T))
     # A non-finite entry makes dev nan or inf, which fails the comparison.
@@ -87,7 +90,7 @@ def ground_state(p: SystemParams, basis: str = "transformed") -> GroundStateResu
     degeneracy across the sectors is flagged like one inside a sector.
     """
     h = build_hamiltonian(p, basis)
-    spectra = [eig_hermitian(OperatorMatrix(block, (p.N, p.N))) for block in h.entries]
+    spectra = [eig_hermitian(block) for block in h.entries]
     # Strict <: on an exact tie the first sector, Pi = +1, wins.
     k = 1 if spectra[1][0][0] < spectra[0][0][0] else 0
     sign = PARITY_SIGNS[k]

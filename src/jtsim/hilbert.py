@@ -7,8 +7,10 @@ sits at flat index  s*N^2 + n1*N + n2  with s in {0, 1} and n_i in
 index 1 the upper level (+1).  After the mode rotation the same layout
 holds with (qubit, privileged mode, disadvantaged mode).
 
-The model Hamiltonians are kept as their two parity-sector blocks
-(``ParityBlocks``), not as the full matrix.
+Operators are plain float64 arrays: ``annihilation``, ``pauli`` and
+``mode_parity`` act on one factor, ``embed`` and ``parity_operator``
+return full-space matrices.  The model Hamiltonians are kept as their
+two parity-sector blocks (``ParityBlocks``), not as the full matrix.
 """
 
 from __future__ import annotations
@@ -22,33 +24,6 @@ SLOTS = ("S", "M1", "M2")
 
 # Order of the parity sectors in ParityBlocks.entries.
 PARITY_SIGNS = (1, -1)
-
-
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """Dense square matrix with its tensor-factor dimensions.
-
-    The entries keep the dtype they are given: every model operator is real
-    (float64), general complex matrices stay complex.
-    """
-
-    entries: np.ndarray
-    factor_dims: tuple[int, ...]
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "factor_dims", tuple(int(d) for d in self.factor_dims))
-        dim = math.prod(self.factor_dims)
-        if entries.shape != (dim, dim):
-            raise ValueError(
-                f"entries shape {entries.shape} does not match factor_dims "
-                f"{self.factor_dims} (total {dim})"
-            )
-
-    @property
-    def dim_total(self) -> int:
-        return math.prod(self.factor_dims)
 
 
 @dataclass(frozen=True)
@@ -80,10 +55,6 @@ class StateVector:
                 f"factor_dims {self.factor_dims}"
             )
 
-    @property
-    def dim_total(self) -> int:
-        return math.prod(self.factor_dims)
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
 
@@ -94,16 +65,16 @@ def _check_cutoff(cutoff: int) -> int:
     return int(cutoff)
 
 
-def annihilation(cutoff: int) -> OperatorMatrix:
+def annihilation(cutoff: int) -> np.ndarray:
     """Bosonic annihilation operator a with a|n> = sqrt(n)|n-1>, truncated at cutoff."""
     n = _check_cutoff(cutoff)
     a = np.zeros((n, n))
     for k in range(1, n):
         a[k - 1, k] = math.sqrt(k)
-    return OperatorMatrix(a, (n,))
+    return a
 
 
-def pauli(which: str) -> OperatorMatrix:
+def pauli(which: str) -> np.ndarray:
     """Pauli operator on the qubit factor; sigma_z = diag(-1, +1), sigma_x off-diagonal."""
     if which == "z":
         m = np.diag([-1.0, 1.0])
@@ -111,48 +82,46 @@ def pauli(which: str) -> OperatorMatrix:
         m = np.array([[0.0, 1.0], [1.0, 0.0]])
     else:
         raise ValueError(f"unknown Pauli axis {which!r}; expected 'x' or 'z'")
-    return OperatorMatrix(m, (2,))
+    return m
 
 
-def embed(op: OperatorMatrix, slot: str, cutoff: int) -> OperatorMatrix:
+def embed(op: np.ndarray, slot: str, cutoff: int) -> np.ndarray:
     """Lift a single-factor operator to the full (qubit, mode1, mode2) space.
 
-    slot selects the tensor factor: "S" for the qubit, "M1"/"M2" for the
-    modes.  The result acts as identity on the other two factors and has
-    factor_dims (2, cutoff, cutoff).
+    slot selects the tensor factor: "S" for the qubit (op is 2 x 2),
+    "M1"/"M2" for the modes (op is cutoff x cutoff).  The result is the
+    2 cutoff^2 x 2 cutoff^2 matrix that acts as identity on the other two
+    factors.
     """
     n = _check_cutoff(cutoff)
     if slot not in SLOTS:
         raise ValueError(f"unknown slot {slot!r}; expected one of {SLOTS}")
     expected = 2 if slot == "S" else n
-    if op.dim_total != expected:
+    if op.shape != (expected, expected):
         raise ValueError(
-            f"operator of dimension {op.dim_total} does not fit slot {slot} "
-            f"(expected {expected})"
+            f"operator of shape {op.shape} does not fit slot {slot} "
+            f"(expected {expected} x {expected})"
         )
     eye_q = np.eye(2)
     eye_m = np.eye(n)
     parts = {
-        "S": (op.entries, eye_m, eye_m),
-        "M1": (eye_q, op.entries, eye_m),
-        "M2": (eye_q, eye_m, op.entries),
+        "S": (op, eye_m, eye_m),
+        "M1": (eye_q, op, eye_m),
+        "M2": (eye_q, eye_m, op),
     }[slot]
-    full = np.kron(np.kron(parts[0], parts[1]), parts[2])
-    return OperatorMatrix(full, (2, n, n))
+    return np.kron(np.kron(parts[0], parts[1]), parts[2])
 
 
-def mode_parity(cutoff: int) -> OperatorMatrix:
+def mode_parity(cutoff: int) -> np.ndarray:
     """Photon-number parity (-1)^n on a single mode."""
     n = _check_cutoff(cutoff)
-    return OperatorMatrix(np.diag([(-1.0) ** k for k in range(n)]), (n,))
+    return np.diag([(-1.0) ** k for k in range(n)])
 
 
-def parity_operator(cutoff: int) -> OperatorMatrix:
+def parity_operator(cutoff: int) -> np.ndarray:
     """Total parity sigma_z (x) (-1)^(n1+n2); commutes with every model Hamiltonian."""
-    sz = pauli("z").entries
-    pm = mode_parity(cutoff).entries
-    full = np.kron(np.kron(sz, pm), pm)
-    return OperatorMatrix(full, (2, cutoff, cutoff))
+    pm = mode_parity(cutoff)
+    return np.kron(np.kron(pauli("z"), pm), pm)
 
 
 def _parity_sector(cutoff: int, sign: int) -> np.ndarray:

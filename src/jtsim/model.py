@@ -40,7 +40,7 @@ import numpy as np
 
 # embed is unused here but stays importable as jtsim.model.embed, where the
 # perfbench layer tracer looks it up.
-from .hilbert import PARITY_SIGNS, ParityBlocks, annihilation, embed  # noqa: F401
+from .hilbert import PARITY_SIGNS, ParityBlocks, _check_cutoff, annihilation, embed  # noqa: F401
 
 # Perturbative validity of the single-privileged-mode picture: both the
 # qubit-disadvantaged coupling and the mode hopping must stay below half
@@ -71,9 +71,7 @@ class SystemParams:
     omega_q: float = 1.0
 
     def __post_init__(self):
-        if int(self.N) != self.N or self.N < 2:
-            raise ValueError("cutoff must be >= 2")
-        object.__setattr__(self, "N", int(self.N))
+        object.__setattr__(self, "N", _check_cutoff(self.N))
         if not (np.isfinite(self.omega_q) and self.omega_q > 0):
             raise ValueError(f"omega_q must be finite and positive, got {self.omega_q}")
         for name in ("omega_1", "omega_2", "k_1", "k_2"):
@@ -178,7 +176,7 @@ def _two_mode_hamiltonian(
     n: int, omega_q: float, w1: float, w2: float, g1: float, g2: float, hop: float
 ) -> ParityBlocks:
     """Real symmetric two-mode Hamiltonian (module docstring form) as its parity blocks."""
-    a = annihilation(n).entries
+    a = annihilation(n)
     eye = np.eye(n)
     x = a + a.T
     hopping = np.kron(a.T, a)
@@ -209,15 +207,17 @@ def build_transformed_hamiltonian(p: SystemParams) -> ParityBlocks:
     _warn_zero_frequency(p)
     pp = privileged_params(p)
     shift = 2.0 * p.J * p.k_1 * p.k_2 / pp.k_p**2
-    return _two_mode_hamiltonian(
-        p.N,
-        p.omega_q,
-        pp.omega_p + shift,
-        pp.omega_p_tilde - shift,
-        pp.g_p,
-        pp.k_p * pp.c,
-        _rotated_hopping(p, pp),
-    )
+    coefficients = {
+        "w1": pp.omega_p + shift,
+        "w2": pp.omega_p_tilde - shift,
+        "g1": pp.g_p,
+        "g2": pp.k_p * pp.c,
+        "hop": _rotated_hopping(p, pp),
+    }
+    # Finite inputs can still overflow here, e.g. omega_1 * k_1^2 in omega_p.
+    if not all(map(math.isfinite, coefficients.values())):
+        raise ValueError(f"rotated coefficients must be finite, got {coefficients}")
+    return _two_mode_hamiltonian(p.N, p.omega_q, **coefficients)
 
 
 def privileged_validity(p: SystemParams) -> ValidityReport:
@@ -246,7 +246,7 @@ def mode_rotation_unitary(p: SystemParams) -> np.ndarray:
     """
     pp = privileged_params(p)
     n = p.N
-    ad = annihilation(n).entries.T
+    ad = annihilation(n).T
     eye = np.eye(n)
     a1d = np.kron(ad, eye)
     a2d = np.kron(eye, ad)

@@ -32,7 +32,7 @@ import math
 import os
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -40,7 +40,7 @@ import numpy as np
 from ._version import __version__
 from .entanglement import EntanglementReport, report_from_state
 from .groundstate import ground_state
-from .hilbert import StateVector
+from .hilbert import StateVector, _check_cutoff
 from .model import (
     DegenerateTransformationError,
     SystemParams,
@@ -150,7 +150,7 @@ def _evaluate_grid_point(spec: SweepSpec, t: float) -> SweepRow:
 
 def _max_negativity_change(a: EntanglementReport, b: EntanglementReport) -> float:
     """Largest |Delta E_N| over the four cuts of two reports."""
-    return max(abs(x - y) for x, y in zip(a.as_dict().values(), b.as_dict().values()))
+    return max(abs(x - y) for x, y in zip(astuple(a), astuple(b)))
 
 
 def _verify_subsample(spec: SweepSpec, rows: list[SweepRow]) -> dict:
@@ -178,15 +178,17 @@ def _verify_subsample(spec: SweepSpec, rows: list[SweepRow]) -> dict:
 def run_sweep(spec: SweepSpec, jobs: int = 1, verify_subsample: bool = True) -> SweepResult:
     """Evaluate every grid point; rows come back sorted by t.
 
-    jobs > 1 distributes points over worker processes.  Results are merged
-    in grid order, so output is independent of the job count.
+    jobs > 1 distributes points over worker processes, at most one per grid
+    point and per CPU.  Results are merged in grid order, so output is
+    independent of the job count.
     """
     start = time.perf_counter()
     ts = grid_points(spec)
-    if jobs > 1:
+    workers = min(jobs, len(ts), os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(partial(_evaluate_grid_point, spec), ts))
     else:
         rows = [_evaluate_grid_point(spec, t) for t in ts]
@@ -225,9 +227,7 @@ def convergence_study(
     cutoffs must be ascending, each >= 2.  Use successive_differences()
     on the result to see how fast the numbers settle.
     """
-    cutoffs = [int(n) for n in cutoffs]
-    if any(n < 2 for n in cutoffs):
-        raise ValueError("cutoff must be >= 2")
+    cutoffs = [_check_cutoff(n) for n in cutoffs]
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError("cutoffs must be strictly ascending")
     return [run_point(replace(p, N=n), basis) for n in cutoffs]
@@ -375,12 +375,7 @@ def csv_row(row: SweepRow, N: int) -> str:
         pfields = [_fmt(math.nan)] * 5
     else:
         pfields = [_fmt(v) for v in (p.omega_1, p.omega_2, p.k_1, p.k_2, p.J)]
-    rep = row.report
-    en = (
-        [_fmt(v) for v in rep.as_dict().values()]
-        if rep is not None
-        else [_fmt(math.nan)] * 4
-    )
+    en = [_fmt(math.nan)] * 4 if row.report is None else [_fmt(v) for v in astuple(row.report)]
     degenerate = row.flagged
     cells = (
         [_fmt(row.t)]

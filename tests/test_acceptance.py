@@ -7,6 +7,7 @@ summary lines alongside the pytest verdicts.
 import math
 import time
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -45,7 +46,7 @@ def test_criterion_01_decoupled_limit():
     worst = 0.0
     for n in (4, 10, 16):
         r = run_point(SystemParams(omega_1=1.0, omega_2=0.5, k_1=0, k_2=0, J=0, N=n)).report
-        worst = max(worst, *(abs(v) for v in r.as_dict().values()))
+        worst = max(worst, *(abs(v) for v in astuple(r)))
     assert worst < 1e-9
     start = time.perf_counter()
     run_point(SystemParams(omega_1=1.0, omega_2=0.5, k_1=0, k_2=0, J=0, N=10))
@@ -133,7 +134,7 @@ def test_criterion_06_monotone_invariants(sweeps):
             rep = row.report
             assert rep.en_s_b1 <= rep.en_s_b1b2 + 1e-9
             assert rep.en_s_b2 <= rep.en_s_b1b2 + 1e-9
-            assert all(v >= 0.0 for v in rep.as_dict().values())
+            assert all(v >= 0.0 for v in astuple(rep))
             checked += 1
     _pass(6, "monotone-invariants", f"{checked} rows across six sweeps")
 

@@ -45,6 +45,8 @@ def test_point_rejects_small_cutoff(capsys):
     [
         ["point", "--k1", "1e300"],
         ["point", "--basis", "lab", "--k1", "1e200", "--omega1", "1e200"],
+        # finite g_1 = 1e300, but omega_p = omega_1 k_1^2 / k_p^2 overflows
+        ["point", "--omega1", "1e200", "--k1", "1e100"],
     ],
 )
 def test_point_overflowing_couplings_are_usage_errors(argv):
@@ -58,6 +60,12 @@ def test_point_overflowing_couplings_are_usage_errors(argv):
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("error: ")
     assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+
+
+def test_point_lab_basis_needs_no_rotation(capsys):
+    # the overflow above is in the rotated coefficients only
+    assert main(["point", "--basis", "lab", "--omega1", "1e200", "--k1", "1e100"]) == 0
+    capsys.readouterr()
 
 
 def test_point_delta_convenience_matches_explicit(capsys):

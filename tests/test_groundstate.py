@@ -1,13 +1,13 @@
 import math
 import warnings
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from jtsim.groundstate import BASES, eig_hermitian, ground_state
-from jtsim.hilbert import OperatorMatrix, _parity_sector, pauli
+from jtsim.hilbert import _parity_sector, pauli
 from jtsim.model import SystemParams, build_lab_hamiltonian
 from jtsim.sweeps import convergence_study, run_point, successive_differences
 from test_model import (
@@ -29,8 +29,7 @@ def fig1_params(delta, n=10):
 
 class TestEigHermitian:
     def test_diagonal_input_sorted(self):
-        h = OperatorMatrix(np.diag([3.0, 1.0, 2.0]), (3,))
-        w, v = eig_hermitian(h)
+        w, v = eig_hermitian(np.diag([3.0, 1.0, 2.0]))
         assert np.allclose(w, [1, 2, 3])
         assert np.allclose(np.abs(v), np.eye(3)[:, [1, 2, 0]])
 
@@ -47,8 +46,7 @@ class TestEigHermitian:
         rng = np.random.default_rng(11)
         m = rng.normal(size=(40, 40)) + 1j * rng.normal(size=(40, 40))
         m = (m + m.conj().T) / 2
-        h = OperatorMatrix(m, (40,))
-        w, v = eig_hermitian(h)
+        w, v = eig_hermitian(m)
         scale = np.max(np.abs(m))
         assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - m)) < 1e-8 * scale
         assert np.max(np.abs(v.conj().T @ v - np.eye(40))) < 1e-9
@@ -67,7 +65,12 @@ class TestEigHermitian:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="Hermitian"):
-                    eig_hermitian(OperatorMatrix(m, (2,)))
+                    eig_hermitian(m)
+
+    def test_rejects_non_square_input(self):
+        for m in (np.ones(2), np.ones((2, 3)), np.ones((2, 2, 2))):
+            with pytest.raises(ValueError, match="square"):
+                eig_hermitian(m)
 
 
 class TestGroundState:
@@ -108,7 +111,7 @@ class TestGroundState:
         shapes = []
 
         def recording(h):
-            shapes.append(h.entries.shape)
+            shapes.append(h.shape)
             return eig_hermitian(h)
 
         monkeypatch.setattr(jtsim.groundstate, "eig_hermitian", recording)
@@ -190,7 +193,7 @@ class TestConvergenceStudy:
                 assert (row.energy, row.gap, row.r1, row.r2) == (
                     ref.energy, ref.gap, ref.r1, ref.r2
                 )
-                assert row.report.as_dict() == ref.report.as_dict()
+                assert astuple(row.report) == astuple(ref.report)
 
     def test_one_solve_per_cutoff(self, monkeypatch):
         import jtsim.entanglement

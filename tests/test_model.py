@@ -79,9 +79,9 @@ def single_mode_jt(p: SystemParams) -> np.ndarray:
     pp = privileged_params(p)
     n = p.N
     eye_m = np.eye(n)
-    sz = np.kron(pauli("z").entries, eye_m)
-    sx = np.kron(pauli("x").entries, eye_m)
-    b = np.kron(np.eye(2), annihilation(n).entries)
+    sz = np.kron(pauli("z"), eye_m)
+    sx = np.kron(pauli("x"), eye_m)
+    b = np.kron(np.eye(2), annihilation(n))
     h = 0.5 * p.omega_q * sz
     h += pp.omega_p * (b.T @ b)
     h += pp.g_p * (b + b.T) @ sx
@@ -259,7 +259,7 @@ class TestLabHamiltonian:
     def test_parity_commutes(self):
         # the builders' block form rests on the oracle commuting with Pi
         p = SystemParams(omega_1=1.1, omega_2=0.4, k_1=0.5, k_2=0.2, J=0.07, N=4)
-        pi = parity_operator(p.N).entries
+        pi = parity_operator(p.N)
         lab = (p.omega_q, p.omega_1, p.omega_2, p.g_1, p.g_2, p.J)
         for coeffs in (lab, rotated_coefficients(p)):
             h = two_mode_oracle(p.N, *coeffs)

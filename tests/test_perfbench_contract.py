@@ -7,6 +7,7 @@ changing what ``entries`` holds breaks ``perfbench/run.py --trace 1``.
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 from jtsim.cli import main
@@ -27,16 +28,36 @@ def test_every_layer_patch_resolves():
         assert hasattr(importlib.import_module(module_name), attr), f"{module_name}.{attr}"
 
 
-def test_traced_point_reports_block_sizes(capsys):
-    layers = load_layers()
-    tracer = layers.Tracer()
+def traced_metrics(argv, exit_code=0):
+    """Layer metrics of one ``jtsim`` run under the benchmark's tracer."""
+    tracer = load_layers().Tracer()
     tracer.install()
     try:
-        assert main(["point", "--N", "4"]) == 0
+        assert main(argv) == exit_code
     finally:
         tracer.uninstall()
+    return tracer.layer_metrics(0.0)
+
+
+def test_traced_point_reports_block_sizes(capsys):
+    metrics = traced_metrics(["point", "--N", "4"])
     capsys.readouterr()
-    metrics = tracer.layer_metrics(0.0)
     # two 16 x 16 parity blocks, never the 32 x 32 full matrix
     assert metrics["model.h_bytes"] == 2 * 4**4 * 8
     assert metrics["groundstate.eig_dim_max"] == 16
+
+
+def test_traced_sweep_counts_csv_bytes_and_flagged_rows(tmp_path, capsys):
+    out = tmp_path / "fig6.csv"
+    metrics = traced_metrics(["sweep", "fig6", "--N", "4", "-o", str(out)])
+    capsys.readouterr()
+    manifest = json.loads((tmp_path / "fig6.csv.manifest.json").read_text())
+    assert metrics["sweeps.csv_bytes"] == out.stat().st_size
+    assert metrics["sweeps.rows_flagged"] == manifest["flagged_rows"]
+
+
+def test_traced_xcheck_times_the_mode_rotation(capsys):
+    # at N = 4 truncation puts the energy divergence past the threshold: exit 4
+    metrics = traced_metrics(["xcheck", "--N", "4", "--k1", "0.5", "--k2", "0.5"], exit_code=4)
+    capsys.readouterr()
+    assert metrics["model.rotation_s"] > 0

@@ -1,5 +1,7 @@
 import math
+import os
 import warnings
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
@@ -89,7 +91,7 @@ class TestGrid:
 class TestRunPoint:
     def test_decoupled_point_is_all_zero(self):
         row = run_point(SystemParams(omega_1=1, omega_2=0.5, k_1=0, k_2=0, N=6))
-        assert all(v == 0.0 for v in row.report.as_dict().values())
+        assert all(v == 0.0 for v in astuple(row.report))
         assert not row.flagged
 
     def test_asymmetric_point_validity(self):
@@ -103,7 +105,7 @@ class TestRunPoint:
         p = SystemParams(omega_1=0.1, omega_2=0.05, k_1=1 / 6, k_2=5 / 6, N=10)
         lo = run_point(p)
         hi = run_point(SystemParams(omega_1=0.1, omega_2=0.05, k_1=1 / 6, k_2=5 / 6, N=14))
-        for f, v in lo.report.as_dict().items():
+        for f, v in asdict(lo.report).items():
             assert abs(v - getattr(hi.report, f)) < 5e-3
 
 
@@ -115,7 +117,7 @@ class TestRunSweep:
         rule = PRESETS["fig1"][0]
         plus = run_point(replace(rule(1.9), N=10))
         minus = run_point(replace(rule(-1.9), N=10))
-        for f, v in plus.report.as_dict().items():
+        for f, v in asdict(plus.report).items():
             assert abs(v - getattr(minus.report, f)) < 1e-8
 
     def test_zero_detuning_row_decouples_b2(self):
@@ -177,6 +179,33 @@ class TestDeterminism:
             write_csv(result, str(out))
             payloads.append(out.read_bytes())
         assert payloads[0] == payloads[1] == payloads[2]
+
+    @pytest.mark.parametrize("cpus, expected", [(None, []), (1, []), (2, [2]), (64, [3])])
+    def test_jobs_capped_by_grid_and_cpus(self, monkeypatch, cpus, expected):
+        # A fake pool records the worker count and maps serially: no process starts.
+        import concurrent.futures
+
+        requested = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        spec = small_fig1(t_min=0.0, t_max=0.1, step=0.05)
+        result = run_sweep(spec, jobs=10**6, verify_subsample=False)
+        assert [r.t for r in result.rows] == [0.0, 0.05, 0.1]
+        assert requested == expected
 
     def test_csv_format_contract(self, tmp_path):
         spec = small_fig1(t_min=0.0, t_max=0.1, step=0.05)
