@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import asdict
@@ -70,6 +71,14 @@ def _add_param_flags(ap: argparse.ArgumentParser) -> None:
     )
 
 
+def _positive_float(text: str) -> float:
+    """argparse type for a pass threshold: a comparison with nan would always pass."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
+    return value
+
+
 def _params_from_args(args) -> SystemParams:
     # --delta/--kappa override the argument values before validation, so an
     # overridden --omega1 or --k1 is never checked.
@@ -99,10 +108,7 @@ def cmd_point(args) -> int:
         _emit(",".join(CSV_COLUMNS) + "\n" + csv_row(row, p.N) + "\n", args.output)
     elif args.format == "json":
         payload = {
-            "params": {
-                "omega_1": p.omega_1, "omega_2": p.omega_2, "k_1": p.k_1,
-                "k_2": p.k_2, "J": p.J, "N": p.N, "omega_q": p.omega_q,
-            },
+            "params": asdict(p),
             **asdict(row.report),
             "energy": row.energy,
             "gap": row.gap,
@@ -267,13 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--basis", choices=BASES, default="transformed")
     p_conv.add_argument("--cutoffs", default="6,8,10,12,14,16",
                         help="comma-separated ascending cutoffs")
-    p_conv.add_argument("--tol", type=float, default=VERIFY_TOL,
+    p_conv.add_argument("--tol", type=_positive_float, default=VERIFY_TOL,
                         help="pass threshold on the final successive difference")
     p_conv.set_defaults(func=cmd_converge)
 
     p_x = sub.add_parser("xcheck", help="lab vs transformed basis cross-check")
     _add_param_flags(p_x)
-    p_x.add_argument("--threshold", type=float, default=1e-4,
+    p_x.add_argument("--threshold", type=_positive_float, default=1e-4,
                      help="pass threshold on the energy divergence")
     p_x.set_defaults(func=cmd_xcheck)
     return ap

@@ -1,7 +1,9 @@
 """Dense Hermitian diagonalization and ground-state extraction.
 
-This module is the solver only: basis dispatch, ``eig_hermitian`` and
-``ground_state``.  Entanglement, sweeps and the cutoff convergence ladder
+This module is the solver only: ``eig_hermitian`` and ``ground_state``,
+which picks the builder for its basis.  What the transformed basis means
+where the mode rotation is undefined (k_1 = k_2 = 0) is decided in
+:mod:`jtsim.model`.  Entanglement, sweeps and the cutoff convergence ladder
 live in the modules above it.  Every model Hamiltonian is real symmetric,
 so ground states are real; the sign is fixed by making the
 largest-magnitude amplitude positive.
@@ -67,29 +69,15 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
     return -vec if vec[np.argmax(np.abs(vec))] < 0 else vec
 
 
-def build_hamiltonian(p: SystemParams, basis: str = "transformed") -> ParityBlocks:
-    """Dispatch to the lab or transformed builder.
-
-    With k_1 = k_2 = 0 every mode rotation leaves the Hamiltonian (and the
-    vacuum) invariant, so the transformed basis falls back to the lab
-    builder instead of failing on the undefined rotation.
-    """
-    if basis not in BASES:
-        raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
-    if basis == "transformed" and p.k_1 == 0.0 and p.k_2 == 0.0:
-        return build_lab_hamiltonian(p)
-    if basis == "transformed":
-        return build_transformed_hamiltonian(p)
-    return build_lab_hamiltonian(p)
-
-
 def ground_state(p: SystemParams, basis: str = "transformed") -> GroundStateResult:
     """Lowest eigenpair with gap, parity and degeneracy flag, solved per parity sector.
 
     ``gap`` is the distance to the next level of either sector, so a
     degeneracy across the sectors is flagged like one inside a sector.
     """
-    h = build_hamiltonian(p, basis)
+    if basis not in BASES:
+        raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
+    h = build_lab_hamiltonian(p) if basis == "lab" else build_transformed_hamiltonian(p)
     spectra = [eig_hermitian(block) for block in h.entries]
     # Strict <: on an exact tie the first sector, Pi = +1, wins.
     k = 1 if spectra[1][0][0] < spectra[0][0][0] else 0

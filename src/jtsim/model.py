@@ -22,12 +22,15 @@ Inside a block sx only relabels the qubit level, so the block of sign
 +-1 is diag(w1 n1 + w2 n2 +- omega_q/2 (-1)^(n1+n2)) + g1 x (x) I
 + g2 I (x) x + hop (a^T (x) a + a (x) a^T).
 
-The rotated coefficients are obtained by exact operator algebra.  Note the
-hopping J contributes 2*J*k1*k2/k_p^2 to the rotated number operators
-(the b1/b2 cross terms of a1(dag)a2 + a2(dag)a1 add up twice); the
-rotated hopping coefficient is c + J*(k2^2 - k1^2)/k_p^2 with
-c = Delta*k1*k2/k_p^2.  A spectral cross-check against the lab builder is
-part of the test suite.
+The rotated coefficients are obtained by exact operator algebra, in
+``_rotated_coefficients`` alone.  Note the hopping J contributes
+2*J*k1*k2/k_p^2 to the rotated number operators (the b1/b2 cross terms of
+a1(dag)a2 + a2(dag)a1 add up twice); the rotated hopping coefficient is
+c + J*(k2^2 - k1^2)/k_p^2 with c = Delta*k1*k2/k_p^2.  A spectral
+cross-check against the lab builder is part of the test suite.  This
+module alone owns the k_1 = k_2 = 0 rule, where the rotation is undefined:
+the transformed builder returns the lab blocks and ``privileged_validity``
+reports nan ratios with valid=None.
 """
 
 from __future__ import annotations
@@ -111,7 +114,6 @@ class PrivilegedParams:
     omega_p_tilde: float
     c: float
     g_p: float
-    delta: float
 
 
 @dataclass(frozen=True)
@@ -124,12 +126,14 @@ class ValidityReport:
 
     valid requires r1 and r2 both at or below VALIDITY_THRESHOLD; r3 is
     reported but not gated (the approximation tolerates J comparable to g_2).
+    Where the rotation is undefined (k_1 = k_2 = 0) or its coefficients
+    overflow, every ratio is nan and valid is None.
     """
 
     r1: float
     r2: float
     r3: float
-    valid: bool
+    valid: bool | None
 
 
 def privileged_params(p: SystemParams) -> PrivilegedParams:
@@ -142,15 +146,13 @@ def privileged_params(p: SystemParams) -> PrivilegedParams:
     k_p = math.sqrt(kp2)
     omega_p = (p.omega_1 * p.k_1**2 + p.omega_2 * p.k_2**2) / kp2
     omega_p_tilde = (p.omega_1 * p.k_2**2 + p.omega_2 * p.k_1**2) / kp2
-    delta = p.delta
-    c = delta * p.k_1 * p.k_2 / kp2
+    c = p.delta * p.k_1 * p.k_2 / kp2
     return PrivilegedParams(
         k_p=k_p,
         omega_p=omega_p,
         omega_p_tilde=omega_p_tilde,
         c=c,
         g_p=omega_p * k_p,
-        delta=delta,
     )
 
 
@@ -167,9 +169,25 @@ def _warn_zero_frequency(p: SystemParams):
         )
 
 
-def _rotated_hopping(p: SystemParams, pp: PrivilegedParams) -> float:
-    """Hopping between the rotated modes, c + J*(k2^2 - k1^2)/k_p^2."""
-    return pp.c + p.J * (p.k_2**2 - p.k_1**2) / pp.k_p**2
+def _rotated_coefficients(p: SystemParams) -> dict[str, float]:
+    """w1, w2, g1, g2 and hop of H in the rotated mode basis.
+
+    At J = 0 these are omega_p, omega_p_tilde, g_p, k_p*c and c.  Raises
+    ``DegenerateTransformationError`` at k_1 = k_2 = 0 and ``ValueError``
+    when finite inputs overflow (e.g. omega_1 * k_1^2 in omega_p).
+    """
+    pp = privileged_params(p)
+    shift = 2.0 * p.J * p.k_1 * p.k_2 / pp.k_p**2
+    coefficients = {
+        "w1": pp.omega_p + shift,
+        "w2": pp.omega_p_tilde - shift,
+        "g1": pp.g_p,
+        "g2": pp.k_p * pp.c,
+        "hop": pp.c + p.J * (p.k_2**2 - p.k_1**2) / pp.k_p**2,
+    }
+    if not all(map(math.isfinite, coefficients.values())):
+        raise ValueError(f"rotated coefficients must be finite, got {coefficients}")
+    return coefficients
 
 
 def _two_mode_hamiltonian(
@@ -201,39 +219,31 @@ def build_lab_hamiltonian(p: SystemParams) -> ParityBlocks:
 def build_transformed_hamiltonian(p: SystemParams) -> ParityBlocks:
     """Same operator in the (qubit, privileged, disadvantaged) basis.
 
-    Coefficients follow the exact rotation of the lab Hamiltonian; at J = 0
-    they reduce to omega_p, omega_p_tilde, c, g_p and k_p*c.
+    At k_1 = k_2 = 0 every mode rotation leaves H invariant: the lab blocks.
     """
+    if p.k_1 == 0.0 and p.k_2 == 0.0:
+        return build_lab_hamiltonian(p)
     _warn_zero_frequency(p)
-    pp = privileged_params(p)
-    shift = 2.0 * p.J * p.k_1 * p.k_2 / pp.k_p**2
-    coefficients = {
-        "w1": pp.omega_p + shift,
-        "w2": pp.omega_p_tilde - shift,
-        "g1": pp.g_p,
-        "g2": pp.k_p * pp.c,
-        "hop": _rotated_hopping(p, pp),
-    }
-    # Finite inputs can still overflow here, e.g. omega_1 * k_1^2 in omega_p.
-    if not all(map(math.isfinite, coefficients.values())):
-        raise ValueError(f"rotated coefficients must be finite, got {coefficients}")
-    return _two_mode_hamiltonian(p.N, p.omega_q, **coefficients)
+    return _two_mode_hamiltonian(p.N, p.omega_q, **_rotated_coefficients(p))
+
+
+def _ratio(x: float, g: float) -> float:
+    """|x|/g; with no scale to compare against (g = 0), 0 for x = 0 and inf otherwise."""
+    if g > 0:
+        return abs(x) / g
+    return 0.0 if x == 0.0 else math.inf
 
 
 def privileged_validity(p: SystemParams) -> ValidityReport:
     """Dimensionless diagnostics for the single-privileged-mode picture."""
-    pp = privileged_params(p)
-    hop = _rotated_hopping(p, pp)
-    if pp.g_p > 0:
-        r1 = abs(pp.k_p * pp.c) / pp.g_p
-        r2 = abs(hop) / pp.g_p
-    else:
-        # No privileged coupling to compare against: only c = hop = 0 passes.
-        r1 = 0.0 if pp.c == 0.0 else math.inf
-        r2 = 0.0 if hop == 0.0 else math.inf
-    r3 = 0.0 if p.J == 0.0 else (abs(p.J) / p.g_2 if p.g_2 > 0 else math.inf)
+    try:
+        rot = _rotated_coefficients(p)
+    except ValueError:  # k_1 = k_2 = 0 or overflow: no rotated picture to judge
+        return ValidityReport(r1=math.nan, r2=math.nan, r3=math.nan, valid=None)
+    r1 = _ratio(rot["g2"], rot["g1"])
+    r2 = _ratio(rot["hop"], rot["g1"])
     valid = r1 <= VALIDITY_THRESHOLD and r2 <= VALIDITY_THRESHOLD
-    return ValidityReport(r1=r1, r2=r2, r3=r3, valid=valid)
+    return ValidityReport(r1=r1, r2=r2, r3=_ratio(p.J, p.g_2), valid=valid)
 
 
 def mode_rotation_unitary(p: SystemParams) -> np.ndarray:

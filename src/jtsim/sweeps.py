@@ -39,14 +39,9 @@ import numpy as np
 
 from ._version import __version__
 from .entanglement import EntanglementReport, report_from_state
-from .groundstate import ground_state
+from .groundstate import BASES, ground_state
 from .hilbert import StateVector, _check_cutoff
-from .model import (
-    DegenerateTransformationError,
-    SystemParams,
-    mode_rotation_unitary,
-    privileged_validity,
-)
+from .model import SystemParams, mode_rotation_unitary, privileged_validity
 
 MAX_GRID_POINTS = 10_000
 
@@ -88,6 +83,9 @@ class SweepSpec:
     N: int = 10
 
     def __post_init__(self):
+        object.__setattr__(self, "N", _check_cutoff(self.N))
+        if self.basis not in BASES:
+            raise ValueError(f"unknown basis {self.basis!r}; expected one of {BASES}")
         if not self.t_min < self.t_max:
             raise ValueError("t_min must be below t_max")
         if not self.step > 0:
@@ -133,10 +131,7 @@ def run_point(p: SystemParams, basis: str = "transformed", t: float = math.nan) 
     """One fully evaluated parameter point (ground state, negativities, validity)."""
     gs = ground_state(p, basis)
     rep = report_from_state(gs.state)
-    try:
-        validity = asdict(privileged_validity(p))
-    except DegenerateTransformationError:
-        validity = {}  # k_p = 0: ratios undefined, leave them unset
+    validity = asdict(privileged_validity(p))
     return SweepRow(t, p, rep, gs.energy, gs.gap, degenerate=gs.degenerate_flag, **validity)
 
 

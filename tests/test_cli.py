@@ -63,9 +63,12 @@ def test_point_overflowing_couplings_are_usage_errors(argv):
 
 
 def test_point_lab_basis_needs_no_rotation(capsys):
-    # the overflow above is in the rotated coefficients only
+    # the overflow above is in the rotated coefficients only, so the lab point
+    # solves but its validity ratios, read from those coefficients, are undefined
     assert main(["point", "--basis", "lab", "--omega1", "1e200", "--k1", "1e100"]) == 0
-    capsys.readouterr()
+    out = capsys.readouterr().out
+    assert "r1 = nan" in out
+    assert "valid = n/a" in out
 
 
 def test_point_delta_convenience_matches_explicit(capsys):
@@ -198,6 +201,13 @@ def test_sweep_custom_rule(tmp_path):
     assert [r.split(",")[5] for r in rows] == ["0", "0.01", "0.02"]  # J column
 
 
+def test_sweep_small_cutoff_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "fig1.csv"
+    assert main(["sweep", "fig1", "--N", "1", "-o", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: cutoff must be >= 2"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_custom_requires_grid(capsys):
     assert main(["sweep", "custom", "--var", "J"]) == 2
     assert "custom sweep needs" in capsys.readouterr().err
@@ -228,6 +238,16 @@ def test_converge_threshold_failure(capsys):
     )
     assert code == 4
     assert "not converged" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-3"])
+@pytest.mark.parametrize("command, flag", [("converge", "--tol"), ("xcheck", "--threshold")])
+def test_pass_thresholds_must_be_finite_and_positive(command, flag, value, capsys):
+    # x >= nan is false, so a nan threshold would pass every run
+    with pytest.raises(SystemExit) as exc:
+        main([command, f"{flag}={value}"])
+    assert exc.value.code == 2
+    assert "must be finite and > 0" in capsys.readouterr().err
 
 
 def test_xcheck_identity_rotation(capsys):

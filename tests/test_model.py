@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -295,6 +296,13 @@ class TestTransformedHamiltonian:
         assert_blocks_match_oracle(build_transformed_hamiltonian(p), oracle)
         assert ground_state(p, "transformed").state.amplitudes.dtype == np.float64
 
+    def test_undefined_rotation_gives_lab_blocks(self):
+        # k_1 = k_2 = 0: every mode rotation leaves H invariant
+        p = SystemParams(omega_1=0.9, omega_2=0.4, k_1=0.0, k_2=0.0, J=0.05, N=4)
+        lab, transformed = build_lab_hamiltonian(p), build_transformed_hamiltonian(p)
+        assert transformed.factor_dims == lab.factor_dims
+        assert np.array_equal(transformed.entries, lab.entries)
+
     def test_identity_rotation_reproduces_lab(self):
         p = SystemParams(omega_1=0.9, omega_2=0.4, k_1=0.3, k_2=0.0, J=0.0, N=4)
         hl = build_lab_hamiltonian(p).entries
@@ -356,7 +364,49 @@ class TestSingleModeJT:
         assert np.max(np.abs(full[np.ix_(sel, sel)] - single)) < 1e-14
 
 
+def readme_ratio(x: float, scale: float) -> float:
+    """|x|/scale; a vanishing scale leaves 0 for x = 0 and inf otherwise."""
+    if scale > 0:
+        return abs(x) / scale
+    return 0.0 if x == 0.0 else math.inf
+
+
+# model_points with one or both mode frequencies set to zero, where g_2 or
+# g_p vanishes and the ratios take their zero-scale values
+zero_frequency_points = st.one_of(
+    model_points.map(lambda p: replace(p, omega_2=0.0)),
+    model_points.map(lambda p: replace(p, omega_1=0.0, omega_2=0.0)),
+)
+
+
 class TestValidity:
+    @property_settings
+    @given(st.one_of(model_points, zero_frequency_points))
+    def test_matches_documented_formulas(self, p):
+        # README: r1 = |k_p c|/g_p, r2 = |c + J(k2^2-k1^2)/k_p^2|/g_p, r3 = |J|/g_2
+        kp2 = p.k_1**2 + p.k_2**2
+        k_p = math.sqrt(kp2)
+        c = (p.omega_1 - p.omega_2) * p.k_1 * p.k_2 / kp2
+        g_p = (p.omega_1 * p.k_1**2 + p.omega_2 * p.k_2**2) / kp2 * k_p
+        r1 = readme_ratio(k_p * c, g_p)
+        r2 = readme_ratio(c + p.J * (p.k_2**2 - p.k_1**2) / k_p**2, g_p)
+        v = privileged_validity(p)
+        assert (v.r1, v.r2, v.r3) == (r1, r2, readme_ratio(p.J, p.g_2))
+        assert v.valid is (r1 <= VALIDITY_THRESHOLD and r2 <= VALIDITY_THRESHOLD)
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            SystemParams(omega_1=1, omega_2=1, k_1=0, k_2=0, J=0.1),
+            # finite g_1 = 1e300, but omega_p = omega_1 k_1^2 / k_p^2 overflows
+            SystemParams(omega_1=1e200, omega_2=1, k_1=1e100, k_2=0),
+        ],
+    )
+    def test_undefined_rotation_gives_nan_ratios(self, p):
+        v = privileged_validity(p)
+        assert math.isnan(v.r1) and math.isnan(v.r2) and math.isnan(v.r3)
+        assert v.valid is None
+
     def test_zero_detuning_is_trivially_valid(self):
         p = SystemParams(omega_1=1, omega_2=1, k_1=0.3, k_2=0.3, J=0.0)
         v = privileged_validity(p)

@@ -82,6 +82,10 @@ class TestGrid:
             SweepSpec("bad", PRESETS["fig1"][0], 0.0, 1.0, -0.1)
         with pytest.raises(ValueError, match="grid"):
             SweepSpec("bad", PRESETS["fig1"][0], 0.0, 1e6, 0.1)
+        with pytest.raises(ValueError, match="cutoff must be >= 2"):
+            SweepSpec("bad", PRESETS["fig1"][0], 0.0, 1.0, 0.1, N=1)
+        with pytest.raises(ValueError, match="unknown basis 'rotated'"):
+            SweepSpec("bad", PRESETS["fig1"][0], 0.0, 1.0, 0.1, basis="rotated")
 
     def test_unknown_preset(self):
         with pytest.raises(KeyError):
