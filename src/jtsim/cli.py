@@ -79,6 +79,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for a worker count: below 1 the sweep would run serially unasked."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
 def _params_from_args(args) -> SystemParams:
     # --delta/--kappa override the argument values before validation, so an
     # overridden --omega1 or --k1 is never checked.
@@ -260,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--tmin", type=float, default=None)
     p_sweep.add_argument("--tmax", type=float, default=None)
     p_sweep.add_argument("--step", type=float, default=None)
-    p_sweep.add_argument("--jobs", type=int, default=1,
+    p_sweep.add_argument("--jobs", type=_positive_int, default=1,
                          help="parallel workers (capped at the CPU count)")
     p_sweep.add_argument("--no-verify", action="store_true",
                          help="skip the higher-cutoff verification subsample")

@@ -36,6 +36,7 @@ reports nan ratios with valid=None.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -84,13 +85,20 @@ class SystemParams:
         if not np.isfinite(self.J):
             raise ValueError(f"J must be finite, got {self.J}")
         # Products, not **: a float product overflows to inf, ** raises OverflowError.
+        kp2 = self.k_1 * self.k_1 + self.k_2 * self.k_2
         for name, value in (
             ("g_1 = omega_1*k_1", self.g_1),
             ("g_2 = omega_2*k_2", self.g_2),
-            ("k_1^2 + k_2^2", self.k_1 * self.k_1 + self.k_2 * self.k_2),
+            ("k_1^2 + k_2^2", kp2),
         ):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
+        # Refusing an underflowing k_p^2 keeps k_p^2 == 0 equivalent to k_1 = k_2 = 0.
+        if (self.k_1 or self.k_2) and not kp2 >= sys.float_info.min:
+            raise ValueError(
+                f"k_1^2 + k_2^2 must be 0 or at least {sys.float_info.min:g}, "
+                f"got {kp2} at k_1={self.k_1} k_2={self.k_2}"
+            )
 
     @property
     def g_1(self) -> float:
@@ -253,22 +261,21 @@ def mode_rotation_unitary(p: SystemParams) -> np.ndarray:
     modes expanded over lab Fock states |n1, n2>.  Exact for total quanta
     m1 + m2 <= N - 1; higher columns lose the weight that truncation pushes
     outside the lab grid, so the matrix is only approximately unitary.
+
+    grids[m1, m2] is |m1, m2> as an (N, N) grid c over (n1, n2); a1^T c is
+    ad @ c and a2^T c is c @ ad.T, so one step raises every m2 of one m1.
     """
     pp = privileged_params(p)
     n = p.N
     ad = annihilation(n).T
-    eye = np.eye(n)
-    a1d = np.kron(ad, eye)
-    a2d = np.kron(eye, ad)
-    b1d = (p.k_1 * a1d + p.k_2 * a2d) / pp.k_p
-    b2d = (p.k_2 * a1d - p.k_1 * a2d) / pp.k_p
+    u1, u2 = p.k_1 / pp.k_p, p.k_2 / pp.k_p
 
-    dim = n * n
-    w = np.zeros((dim, dim))
-    w[0, 0] = 1.0
+    grids = np.zeros((n, n, n, n))
+    grids[0, 0, 0, 0] = 1.0
     for m2 in range(1, n):
-        w[:, m2] = b2d @ w[:, m2 - 1] / math.sqrt(m2)
+        c = grids[0, m2 - 1]
+        grids[0, m2] = (u2 * (ad @ c) - u1 * (c @ ad.T)) / math.sqrt(m2)
     for m1 in range(1, n):
-        for m2 in range(n):
-            w[:, m1 * n + m2] = b1d @ w[:, (m1 - 1) * n + m2] / math.sqrt(m1)
-    return w
+        c = grids[m1 - 1]
+        grids[m1] = (u1 * (ad @ c) + u2 * (c @ ad.T)) / math.sqrt(m1)
+    return grids.reshape(n * n, n * n).T

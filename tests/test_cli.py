@@ -47,6 +47,9 @@ def test_point_rejects_small_cutoff(capsys):
         ["point", "--basis", "lab", "--k1", "1e200", "--omega1", "1e200"],
         # finite g_1 = 1e300, but omega_p = omega_1 k_1^2 / k_p^2 overflows
         ["point", "--omega1", "1e200", "--k1", "1e100"],
+        # k_1^2 underflows to 0, which the rotation would read as k_1 = k_2 = 0
+        ["point", "--k1", "1e-200"],
+        ["point", "--basis", "lab", "--k1", "1e-200"],
     ],
 )
 def test_point_overflowing_couplings_are_usage_errors(argv):
@@ -248,6 +251,15 @@ def test_pass_thresholds_must_be_finite_and_positive(command, flag, value, capsy
         main([command, f"{flag}={value}"])
     assert exc.value.code == 2
     assert "must be finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_sweep_jobs_below_one_is_usage_error(value, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "fig1", f"--jobs={value}", "-o", str(tmp_path / "f.csv")])
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "f.csv").exists()
 
 
 def test_xcheck_identity_rotation(capsys):

@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import jtsim.entanglement as entanglement
 from jtsim.entanglement import (
     DensityMatrix,
     NumericalIntegrityError,
+    _negativity,
     density_from_state,
     log_negativity,
     partial_trace,
     partial_transpose,
     report_from_state,
-    trace_norm,
 )
 from jtsim.hilbert import StateVector
 from jtsim.model import SystemParams
@@ -67,6 +68,27 @@ def ptrace_oracle(rho, dims, keep):
     return out
 
 
+class TestDensityMatrix:
+    def test_rejects_non_hermitian(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            DensityMatrix(np.array([[0.5, 1], [0, 0.5]], dtype=complex), (2,))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entries", [[(1, 1)], [(0, 1), (1, 0)], "all"])
+    def test_rejects_non_finite(self, value, entries):
+        # a symmetric off-diagonal pair keeps the trace finite, so only the
+        # Hermiticity check can refuse it
+        m = np.eye(4) / 4
+        for ij in [np.s_[:]] if entries == "all" else entries:
+            m[ij] = value
+        with pytest.raises(ValueError, match="density matrix"):
+            DensityMatrix(m, (2, 2))
+
+    def test_rejects_wrong_trace(self):
+        with pytest.raises(ValueError, match="trace"):
+            DensityMatrix(np.eye(4) / 2, (2, 2))
+
+
 class TestDensityFromState:
     def test_basis_state_projector(self):
         psi = StateVector(np.array([1, 0, 0, 0], dtype=complex), (2, 2))
@@ -88,9 +110,10 @@ class TestDensityFromState:
         assert np.trace(rho.entries @ rho.entries).real == pytest.approx(1.0, abs=1e-10)
 
     def test_rejects_unnormalized(self):
-        psi = StateVector(np.array([1, 1], dtype=complex), (2,))
-        with pytest.raises(ValueError, match="norm"):
-            density_from_state(psi)
+        for amps in ([1, 1], [np.nan, 0], [np.inf, 0], [1e200, 1e200]):
+            psi = StateVector(np.array(amps, dtype=complex), (2,))
+            with pytest.raises(ValueError, match="norm"):
+                density_from_state(psi)
 
 
 class TestPartialTrace:
@@ -129,7 +152,7 @@ class TestPartialTranspose:
         rho = DensityMatrix(np.kron(rho_a, rho_b), (2, 2))
         pt = partial_transpose(rho, 0)
         assert np.max(np.abs(pt - np.kron(rho_a.T, rho_b))) < 1e-15
-        assert trace_norm(pt) == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(np.linalg.eigvalsh(pt)).sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_bell_partial_transpose_eigenvalues(self):
         pt = partial_transpose(bell_density(), 0)
@@ -149,20 +172,20 @@ class TestPartialTranspose:
 
 
 class TestTraceNorm:
+    """The log2 trace norm that both negativity paths share."""
+
     def test_density_matrix_has_unit_trace_norm(self):
         rho, _ = random_pure_density((2, 2), seed=2)
         mixed = 0.5 * rho.entries + 0.5 * np.eye(4) / 4
-        assert trace_norm(mixed) == pytest.approx(1.0, abs=1e-10)
+        assert _negativity(mixed) == pytest.approx(0.0, abs=1e-10)
 
     def test_bell_transpose_norm(self):
-        assert trace_norm(partial_transpose(bell_density(), 0)) == pytest.approx(2.0, abs=1e-12)
+        assert _negativity(partial_transpose(bell_density(), 0)) == pytest.approx(1.0, abs=1e-12)
 
     def test_signed_diagonal(self):
-        assert trace_norm(np.diag([0.7, -0.3])) == pytest.approx(1.0, abs=1e-15)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            trace_norm(np.array([[0, 1], [0, 0]], dtype=complex))
+        assert _negativity(np.diag([0.9, -0.3, 0.4])) == pytest.approx(
+            math.log2(1.6), abs=1e-15
+        )
 
 
 class TestLogNegativity:
@@ -191,8 +214,8 @@ class TestLogNegativity:
         )
         for a_side in ((0,), (0, 1), (1,)):
             comp = tuple(i for i in range(3) if i not in a_side)
-            na = trace_norm(partial_transpose(mixed, a_side))
-            nb = trace_norm(partial_transpose(mixed, comp))
+            na = np.abs(np.linalg.eigvalsh(partial_transpose(mixed, a_side))).sum()
+            nb = np.abs(np.linalg.eigvalsh(partial_transpose(mixed, comp))).sum()
             assert abs(na - nb) < 1e-12
 
     def test_full_partition_rejected(self):
@@ -245,8 +268,19 @@ class TestReportFromStateTensorPath:
         assert max(abs(a - b) for a, b in zip(dense, tensor)) < 1e-12
 
     def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError, match="norm"):
-            report_from_state(StateVector(np.full(8, 0.5), (2, 2, 2)))
+        for amps in (np.full(8, 0.5), np.full(8, np.nan)):
+            with pytest.raises(ValueError, match="norm"):
+                report_from_state(StateVector(amps, (2, 2, 2)))
+
+    def test_builds_no_density_matrix(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("report_from_state used the dense toolkit")
+
+        for name in ("DensityMatrix", "log_negativity", "partial_transpose"):
+            monkeypatch.setattr(entanglement, name, refuse)
+        rng = np.random.default_rng(7)
+        psi = rng.normal(size=18)
+        report_from_state(StateVector(psi / np.linalg.norm(psi), (2, 3, 3)))
 
 
 class TestReport:

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -59,6 +60,32 @@ def two_mode_oracle(n, omega_q, w1, w2, g1, g2, hop) -> np.ndarray:
                 if n1 >= 1 and n2 + 1 < n:
                     h[idx(s, n1 - 1, n2 + 1), i] += hop * math.sqrt(n1 * (n2 + 1))
     return h
+
+
+def rotation_oracle(p: SystemParams) -> np.ndarray:
+    """Rotated-mode Fock states built column by column with kron'd ladder operators.
+
+    Column (m1*N + m2) is (b1^T)^m1 (b2^T)^m2 |0, 0> / sqrt(m1! m2!) over the
+    lab Fock states, with b1 = (k1 a1 + k2 a2)/k_p and b2 = (k2 a1 - k1 a2)/k_p
+    as N^2 x N^2 matrices.
+    """
+    k_p = math.hypot(p.k_1, p.k_2)
+    n = p.N
+    ad = annihilation(n).T
+    eye = np.eye(n)
+    a1d = np.kron(ad, eye)
+    a2d = np.kron(eye, ad)
+    b1d = (p.k_1 * a1d + p.k_2 * a2d) / k_p
+    b2d = (p.k_2 * a1d - p.k_1 * a2d) / k_p
+
+    w = np.zeros((n * n, n * n))
+    w[0, 0] = 1.0
+    for m2 in range(1, n):
+        w[:, m2] = b2d @ w[:, m2 - 1] / math.sqrt(m2)
+    for m1 in range(1, n):
+        for m2 in range(n):
+            w[:, m1 * n + m2] = b1d @ w[:, (m1 - 1) * n + m2] / math.sqrt(m1)
+    return w
 
 
 def full_matrix(blocks: ParityBlocks) -> np.ndarray:
@@ -157,6 +184,16 @@ class TestSystemParams:
             SystemParams(omega_1=1e200, omega_2=1, k_1=1e200, k_2=0)
         with pytest.raises(ValueError, match=r"g_2 = omega_2\*k_2 must be finite"):
             SystemParams(omega_1=1, omega_2=1e200, k_1=0, k_2=1e200)
+
+    @pytest.mark.parametrize("k_1, k_2", [(1e-200, 0.0), (0.0, 1e-160), (1e-155, 1e-155)])
+    def test_underflowing_coupling_norm_rejected(self, k_1, k_2):
+        with pytest.raises(ValueError, match=r"k_1\^2 \+ k_2\^2 must be 0 or at least"):
+            SystemParams(omega_1=1, omega_2=1, k_1=k_1, k_2=k_2)
+
+    def test_smallest_normal_coupling_norm_accepted(self):
+        k = math.sqrt(sys.float_info.min)
+        p = SystemParams(omega_1=1, omega_2=1, k_1=k, k_2=0)
+        assert privileged_params(p).k_p > 0
 
     def test_overflowing_coupling_norm_rejected(self):
         for k_1, k_2 in ((1e300, 0.0), (0.0, 1e300), (1e154, 1e154)):
@@ -444,3 +481,25 @@ def test_mode_rotation_unitary_on_low_quanta():
     assert w.dtype == np.float64
     g = w[:, low].T @ w[:, low]
     assert np.max(np.abs(g - np.eye(len(low)))) < 1e-12
+
+
+@settings(deadline=None, database=None, derandomize=True)
+@given(
+    st.integers(2, 8),
+    st.floats(1e-3, 2.0),
+    st.floats(0.0, 2.0),
+)
+def test_mode_rotation_unitary_matches_kron_oracle(n, k_1, k_2):
+    p = SystemParams(omega_1=1.0, omega_2=0.5, k_1=k_1, k_2=k_2, N=n)
+    w = mode_rotation_unitary(p)
+    assert w.shape == (n * n, n * n) and w.dtype == np.float64
+    assert np.max(np.abs(w - rotation_oracle(p))) < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 5, 9])
+def test_mode_rotation_unitary_without_k2_flips_mode_2(n):
+    # k_2 = 0: b1 = a1 and b2 = -a2, so |m1, m2> picks up (-1)^m2
+    p = SystemParams(omega_1=1.0, omega_2=0.5, k_1=0.3, k_2=0.0, N=n)
+    m2 = np.arange(n * n) % n
+    expected = np.diag((-1.0) ** m2)
+    assert np.max(np.abs(mode_rotation_unitary(p) - expected)) < 1e-14
