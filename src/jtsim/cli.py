@@ -49,31 +49,33 @@ from .sweeps import (
 OUTPUT_DIR_ENV = "JTSIM_OUTDIR"
 
 
-def _add_param_flags(ap: argparse.ArgumentParser) -> None:
-    ap.add_argument("--omega1", type=float, default=1.0, help="mode-1 frequency (units of omega_q)")
-    ap.add_argument("--omega2", type=float, default=1.0, help="mode-2 frequency")
-    ap.add_argument("--k1", type=float, default=0.0, help="mode-1 coupling scale (g_1 = omega_1*k_1)")
-    ap.add_argument("--k2", type=float, default=0.0, help="mode-2 coupling scale")
-    ap.add_argument("--J", type=float, default=0.0, help="inter-mode hopping rate")
-    ap.add_argument("--N", type=int, default=10, help="Fock cutoff per mode")
-    ap.add_argument("--omegaq", type=float, default=1.0, help="qubit frequency (rescaling unit)")
-    ap.add_argument(
-        "--delta",
-        type=float,
-        default=None,
-        help="set omega_{1,2} = 1 +- delta/2 (overrides --omega1/--omega2)",
-    )
-    ap.add_argument(
-        "--kappa",
-        type=float,
-        default=None,
-        help="set k_{2,1} = (1 +- kappa)/2 (overrides --k1/--k2)",
-    )
+# Model flags: dest -> (default, help).  Each parses to None when not given,
+# so a preset sweep, which fixes the model itself, can refuse any given one.
+MODEL_FLAGS = {
+    "omega1": (1.0, "mode-1 frequency (units of omega_q)"),
+    "omega2": (1.0, "mode-2 frequency"),
+    "k1": (0.0, "mode-1 coupling scale (g_1 = omega_1*k_1)"),
+    "k2": (0.0, "mode-2 coupling scale"),
+    "J": (0.0, "inter-mode hopping rate"),
+    "omegaq": (1.0, "qubit frequency (rescaling unit)"),
+    "delta": (None, "set omega_{1,2} = 1 +- delta/2 (overrides --omega1/--omega2)"),
+    "kappa": (None, "set k_{2,1} = (1 +- kappa)/2 (overrides --k1/--k2)"),
+}
+
+
+def _add_param_flags(ap: argparse.ArgumentParser, cutoff: bool = True) -> None:
+    for dest, (_, text) in MODEL_FLAGS.items():
+        ap.add_argument(f"--{dest}", type=float, help=text)
+    if cutoff:
+        ap.add_argument("--N", type=int, default=10, help="Fock cutoff per mode")
 
 
 def _positive_float(text: str) -> float:
     """argparse type for a pass threshold: a comparison with nan would always pass."""
-    value = float(text)
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a number > 0, got {text!r}") from None
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
     return value
@@ -81,21 +83,26 @@ def _positive_float(text: str) -> float:
 
 def _positive_int(text: str) -> int:
     """argparse type for a worker count: below 1 the sweep would run serially unasked."""
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return value
 
 
 def _params_from_args(args) -> SystemParams:
+    flag = {dest: default if getattr(args, dest) is None else getattr(args, dest)
+            for dest, (default, _) in MODEL_FLAGS.items()}
     # --delta/--kappa override the argument values before validation, so an
     # overridden --omega1 or --k1 is never checked.
-    values = {"omega_1": args.omega1, "omega_2": args.omega2, "k_1": args.k1, "k_2": args.k2}
-    if args.delta is not None:
-        values.update(_control_values("delta", args.delta))
-    if args.kappa is not None:
-        values.update(_control_values("kappa", args.kappa))
-    return SystemParams(**values, J=args.J, N=args.N, omega_q=args.omegaq)
+    values = {"omega_1": flag["omega1"], "omega_2": flag["omega2"],
+              "k_1": flag["k1"], "k_2": flag["k2"]}
+    for var in ("delta", "kappa"):
+        if flag[var] is not None:
+            values.update(_control_values(var, flag[var]))
+    return SystemParams(**values, J=flag["J"], N=args.N, omega_q=flag["omegaq"])
 
 
 def _default_out(filename: str) -> str:
@@ -156,6 +163,14 @@ def cmd_sweep(args) -> int:
         except KeyError as exc:
             print(f"error: {exc.args[0]}", file=sys.stderr)
             return 2
+        given = [f"--{dest}" for dest in (*MODEL_FLAGS, "var") if getattr(args, dest) is not None]
+        if given:
+            print(
+                f"error: {args.name} fixes the model parameters; "
+                f"custom sweeps only: {', '.join(given)}",
+                file=sys.stderr,
+            )
+            return 2
     else:
         if args.var is None or args.tmin is None or args.tmax is None or args.step is None:
             print(
@@ -201,8 +216,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    p = _params_from_args(args)
     cutoffs = [int(c) for c in args.cutoffs.split(",")]
+    args.N = cutoffs[0]  # converge has no --N; convergence_study sets each cutoff
+    p = _params_from_args(args)
     rows = convergence_study(p, cutoffs, basis=args.basis)
     diffs = successive_differences(rows)
     print("N      energy          E_N(S|B1B2)  E_N(S|B1)    E_N(S|B2)    E_N(B1|B2)")
@@ -277,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_conv = sub.add_parser("converge", help="Fock-cutoff convergence study")
-    _add_param_flags(p_conv)
+    _add_param_flags(p_conv, cutoff=False)  # --cutoffs sets N
     p_conv.add_argument("--basis", choices=BASES, default="transformed")
     p_conv.add_argument("--cutoffs", default="6,8,10,12,14,16",
                         help="comma-separated ascending cutoffs")

@@ -124,6 +124,12 @@ def parity_operator(cutoff: int) -> np.ndarray:
     return np.kron(np.kron(pauli("z"), pm), pm)
 
 
+def _sector_sigma_z(cutoff: int, sign: int) -> np.ndarray:
+    """sigma_z (+-1) of the one qubit level the Pi = sign sector holds at each grid index."""
+    grid = np.arange(cutoff * cutoff)
+    return sign * (1 - 2 * ((grid // cutoff + grid % cutoff) % 2))
+
+
 def _parity_sector(cutoff: int, sign: int) -> np.ndarray:
     """Flat indices of the Pi = sign sector, one per mode pair (n1, n2) in grid order.
 
@@ -131,7 +137,5 @@ def _parity_sector(cutoff: int, sign: int) -> np.ndarray:
     = sign, so the sector has N^2 states and index k = n1*N + n2 of a
     sector block maps to flat index s*N^2 + k of the full space.
     """
-    grid = np.arange(cutoff * cutoff)
-    mode_sign = 1 - 2 * ((grid // cutoff + grid % cutoff) % 2)
-    # sigma_z = +1 on the upper level s = 1, so s = 1 exactly where (-1)^(n1+n2) = sign.
-    return grid + (mode_sign == sign) * cutoff * cutoff
+    # sigma_z = +1 on the upper level s = 1.
+    return np.arange(cutoff * cutoff) + (_sector_sigma_z(cutoff, sign) == 1) * cutoff * cutoff

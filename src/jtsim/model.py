@@ -22,13 +22,14 @@ Inside a block sx only relabels the qubit level, so the block of sign
 +-1 is diag(w1 n1 + w2 n2 +- omega_q/2 (-1)^(n1+n2)) + g1 x (x) I
 + g2 I (x) x + hop (a^T (x) a + a (x) a^T).
 
-The rotated coefficients are obtained by exact operator algebra, in
-``_rotated_coefficients`` alone.  Note the hopping J contributes
-2*J*k1*k2/k_p^2 to the rotated number operators (the b1/b2 cross terms of
-a1(dag)a2 + a2(dag)a1 add up twice); the rotated hopping coefficient is
-c + J*(k2^2 - k1^2)/k_p^2 with c = Delta*k1*k2/k_p^2.  A spectral
-cross-check against the lab builder is part of the test suite.  This
-module alone owns the k_1 = k_2 = 0 rule, where the rotation is undefined:
+``_rotated_coefficients`` is the rotation's one home: it derives k_p,
+omega_p, omega_p_tilde, c = Delta*k1*k2/k_p^2 and g_p by exact operator
+algebra, and ``mode_rotation_unitary`` shares only its k_p.  Note the
+hopping J contributes 2*J*k1*k2/k_p^2 to the rotated number operators (the
+b1/b2 cross terms of a1(dag)a2 + a2(dag)a1 add up twice); the rotated
+hopping coefficient is c + J*(k2^2 - k1^2)/k_p^2.  A spectral cross-check
+against the lab builder is part of the test suite.  This module alone owns
+the k_1 = k_2 = 0 rule, where the rotation is undefined (``ValueError``):
 the transformed builder returns the lab blocks and ``privileged_validity``
 reports nan ratios with valid=None.
 """
@@ -42,18 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# embed is unused here but stays importable as jtsim.model.embed, where the
-# perfbench layer tracer looks it up.
-from .hilbert import PARITY_SIGNS, ParityBlocks, _check_cutoff, annihilation, embed  # noqa: F401
+from .hilbert import PARITY_SIGNS, ParityBlocks, _check_cutoff, _sector_sigma_z, annihilation
+from .hilbert import embed  # noqa: F401  (looked up as jtsim.model.embed by perfbench's tracer)
 
 # Perturbative validity of the single-privileged-mode picture: both the
 # qubit-disadvantaged coupling and the mode hopping must stay below half
 # the privileged coupling g_p.
 VALIDITY_THRESHOLD = 0.5
-
-
-class DegenerateTransformationError(ValueError):
-    """Raised when k1 = k2 = 0 leaves the mode rotation undefined."""
 
 
 @dataclass(frozen=True)
@@ -114,17 +110,6 @@ class SystemParams:
 
 
 @dataclass(frozen=True)
-class PrivilegedParams:
-    """Coefficients of the rotated-mode description."""
-
-    k_p: float
-    omega_p: float
-    omega_p_tilde: float
-    c: float
-    g_p: float
-
-
-@dataclass(frozen=True)
 class ValidityReport:
     """Dimensionless ratios probing the single-privileged-mode approximation.
 
@@ -144,24 +129,12 @@ class ValidityReport:
     valid: bool | None
 
 
-def privileged_params(p: SystemParams) -> PrivilegedParams:
-    """Rotation coefficients k_p, omega_p, omega_p_tilde, c, g_p for ``p``."""
+def _privileged_norm(p: SystemParams) -> tuple[float, float]:
+    """(k_p^2, k_p) with k_p^2 = k_1^2 + k_2^2; ValueError at k_1 = k_2 = 0."""
     kp2 = p.k_1**2 + p.k_2**2
     if kp2 == 0.0:
-        raise DegenerateTransformationError(
-            "mode rotation undefined for k_1 = k_2 = 0"
-        )
-    k_p = math.sqrt(kp2)
-    omega_p = (p.omega_1 * p.k_1**2 + p.omega_2 * p.k_2**2) / kp2
-    omega_p_tilde = (p.omega_1 * p.k_2**2 + p.omega_2 * p.k_1**2) / kp2
-    c = p.delta * p.k_1 * p.k_2 / kp2
-    return PrivilegedParams(
-        k_p=k_p,
-        omega_p=omega_p,
-        omega_p_tilde=omega_p_tilde,
-        c=c,
-        g_p=omega_p * k_p,
-    )
+        raise ValueError("mode rotation undefined for k_1 = k_2 = 0")
+    return kp2, math.sqrt(kp2)
 
 
 def _warn_zero_frequency(p: SystemParams):
@@ -180,18 +153,21 @@ def _warn_zero_frequency(p: SystemParams):
 def _rotated_coefficients(p: SystemParams) -> dict[str, float]:
     """w1, w2, g1, g2 and hop of H in the rotated mode basis.
 
-    At J = 0 these are omega_p, omega_p_tilde, g_p, k_p*c and c.  Raises
-    ``DegenerateTransformationError`` at k_1 = k_2 = 0 and ``ValueError``
-    when finite inputs overflow (e.g. omega_1 * k_1^2 in omega_p).
+    At J = 0 these are omega_p, omega_p_tilde, g_p = omega_p*k_p, k_p*c and
+    c.  Raises ``ValueError`` at k_1 = k_2 = 0 and when finite inputs
+    overflow (e.g. omega_1 * k_1^2 in omega_p).
     """
-    pp = privileged_params(p)
-    shift = 2.0 * p.J * p.k_1 * p.k_2 / pp.k_p**2
+    kp2, k_p = _privileged_norm(p)
+    omega_p = (p.omega_1 * p.k_1**2 + p.omega_2 * p.k_2**2) / kp2
+    omega_p_tilde = (p.omega_1 * p.k_2**2 + p.omega_2 * p.k_1**2) / kp2
+    c = p.delta * p.k_1 * p.k_2 / kp2
+    shift = 2.0 * p.J * p.k_1 * p.k_2 / k_p**2
     coefficients = {
-        "w1": pp.omega_p + shift,
-        "w2": pp.omega_p_tilde - shift,
-        "g1": pp.g_p,
-        "g2": pp.k_p * pp.c,
-        "hop": pp.c + p.J * (p.k_2**2 - p.k_1**2) / pp.k_p**2,
+        "w1": omega_p + shift,
+        "w2": omega_p_tilde - shift,
+        "g1": omega_p * k_p,
+        "g2": k_p * c,
+        "hop": c + p.J * (p.k_2**2 - p.k_1**2) / k_p**2,
     }
     if not all(map(math.isfinite, coefficients.values())):
         raise ValueError(f"rotated coefficients must be finite, got {coefficients}")
@@ -209,12 +185,10 @@ def _two_mode_hamiltonian(
     coupling = g1 * np.kron(x, eye) + g2 * np.kron(eye, x) + hop * (hopping + hopping.T)
     n1, n2 = np.divmod(np.arange(n * n), n)
     bare = w1 * n1 + w2 * n2
-    photon_parity = 1 - 2 * ((n1 + n2) % 2)
 
     blocks = np.stack([coupling, coupling])
     for block, sign in zip(blocks, PARITY_SIGNS):
-        # in the sector of sign Pi, sz = Pi (-1)^(n1+n2)
-        np.fill_diagonal(block, bare + 0.5 * omega_q * sign * photon_parity)
+        np.fill_diagonal(block, bare + 0.5 * omega_q * _sector_sigma_z(n, sign))
     return ParityBlocks(blocks, (2, n, n))
 
 
@@ -265,10 +239,10 @@ def mode_rotation_unitary(p: SystemParams) -> np.ndarray:
     grids[m1, m2] is |m1, m2> as an (N, N) grid c over (n1, n2); a1^T c is
     ad @ c and a2^T c is c @ ad.T, so one step raises every m2 of one m1.
     """
-    pp = privileged_params(p)
+    _, k_p = _privileged_norm(p)
     n = p.N
     ad = annihilation(n).T
-    u1, u2 = p.k_1 / pp.k_p, p.k_2 / pp.k_p
+    u1, u2 = p.k_1 / k_p, p.k_2 / k_p
 
     grids = np.zeros((n, n, n, n))
     grids[0, 0, 0, 0] = 1.0

@@ -262,6 +262,57 @@ def test_sweep_jobs_below_one_is_usage_error(value, tmp_path, capsys):
     assert not (tmp_path / "f.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["sweep", "fig1", "--jobs", "x"], "argument --jobs: must be an integer >= 1, got 'x'"),
+        (["sweep", "fig1", "--jobs", "1.5"], "argument --jobs: must be an integer >= 1, got '1.5'"),
+        (["converge", "--tol", "x"], "argument --tol: must be a number > 0, got 'x'"),
+        (["xcheck", "--threshold", "x"], "argument --threshold: must be a number > 0, got 'x'"),
+    ],
+)
+def test_unparsable_flag_values_read_as_usage_errors(argv, text, tmp_path, monkeypatch, capsys):
+    # the error names the rule the value broke, not the private type function
+    monkeypatch.setenv("JTSIM_OUTDIR", str(tmp_path))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].endswith(text)
+    assert "_positive" not in err and "invalid" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--omega1", "0.5"), ("--omega2", "0.5"), ("--k1", "0"), ("--k2", "0.5"), ("--J", "0"),
+     ("--omegaq", "1"), ("--delta", "0.1"), ("--kappa", "0.1"), ("--var", "J")],
+)
+def test_preset_sweep_refuses_model_flags(flag, value, tmp_path, capsys):
+    # a preset fixes the model; a given flag, even at its default value, would be ignored
+    code = main(["sweep", "fig1", "--N", "4", "--no-verify", flag, value,
+                 "-o", str(tmp_path / "f.csv")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: fig1 fixes the model parameters; custom sweeps only: {flag}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_preset_sweep_names_every_refused_flag(tmp_path, capsys):
+    code = main(["sweep", "fig6", "--k1", "0.5", "--J", "0.3", "-o", str(tmp_path / "f.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.endswith("custom sweeps only: --k1, --J\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_converge_has_no_cutoff_flag(capsys):
+    # --cutoffs sets every cutoff, so a --N would be read and ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "--N", "40", "--cutoffs", "4,6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --N 40" in capsys.readouterr().err
+
+
 def test_xcheck_identity_rotation(capsys):
     code = main(["xcheck", "--omega1", "0.9", "--omega2", "0.4", "--k1", "0.3",
                  "--k2", "0", "--N", "8"])

@@ -5,6 +5,7 @@ import pytest
 
 from jtsim.hilbert import (
     _parity_sector,
+    _sector_sigma_z,
     annihilation,
     embed,
     mode_parity,
@@ -148,6 +149,10 @@ def test_parity_sector_matches_parity_operator(n):
     expect = -np.ones(2 * n * n)
     expect[plus] = 1.0
     assert np.array_equal(diag, expect)
+    # each sector's sigma_z is that of the qubit level its flat indices hold
+    sz = np.diag(embed(pauli("z"), "S", n))
+    for sign, idx in ((1, plus), (-1, minus)):
+        assert np.array_equal(_sector_sigma_z(n, sign), sz[idx])
 
 
 def test_mode_parity_and_identity():

@@ -8,13 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from jtsim.groundstate import ground_state
 from jtsim.model import (
-    DegenerateTransformationError,
     SystemParams,
     VALIDITY_THRESHOLD,
+    _rotated_coefficients,
     build_lab_hamiltonian,
     build_transformed_hamiltonian,
     mode_rotation_unitary,
-    privileged_params,
     privileged_validity,
 )
 from jtsim.hilbert import (
@@ -102,17 +101,17 @@ def single_mode_jt(p: SystemParams) -> np.ndarray:
     """Privileged-mode-only Jahn-Teller Hamiltonian on the (qubit, mode) space.
 
     H = omega_q/2 sz + omega_p b^T b + g_p (b + b^T) sx, a diagnostic baseline
-    for the two-mode builders.
+    for the two-mode builders; omega_p and g_p are w1 and g1 at J = 0.
     """
-    pp = privileged_params(p)
+    _, omega_p, _, g_p, _, _ = rotated_coefficients(replace(p, J=0.0))
     n = p.N
     eye_m = np.eye(n)
     sz = np.kron(pauli("z"), eye_m)
     sx = np.kron(pauli("x"), eye_m)
     b = np.kron(np.eye(2), annihilation(n))
     h = 0.5 * p.omega_q * sz
-    h += pp.omega_p * (b.T @ b)
-    h += pp.g_p * (b + b.T) @ sx
+    h += omega_p * (b.T @ b)
+    h += g_p * (b + b.T) @ sx
     return h
 
 
@@ -193,7 +192,7 @@ class TestSystemParams:
     def test_smallest_normal_coupling_norm_accepted(self):
         k = math.sqrt(sys.float_info.min)
         p = SystemParams(omega_1=1, omega_2=1, k_1=k, k_2=0)
-        assert privileged_params(p).k_p > 0
+        assert _rotated_coefficients(p)["g1"] == k  # g_p = omega_p * k_p = 1 * k
 
     def test_overflowing_coupling_norm_rejected(self):
         for k_1, k_2 in ((1e300, 0.0), (0.0, 1e300), (1e154, 1e154)):
@@ -202,37 +201,43 @@ class TestSystemParams:
 
 
 class TestPrivilegedParams:
+    # The privileged-mode parameters, read from the rotated coefficients at
+    # J = 0: w1 = omega_p, w2 = omega_p_tilde, g1 = g_p = omega_p*k_p,
+    # g2 = k_p*c and hop = c.
     def test_symmetric_couplings(self):
         # k_1 = k_2 = k, omega_{1,2} = 1 -+ Delta/2
         delta = 0.3
         p = SystemParams(omega_1=1 + delta / 2, omega_2=1 - delta / 2, k_1=0.2, k_2=0.2)
-        pp = privileged_params(p)
-        assert pp.omega_p == pytest.approx(1.0, abs=1e-12)
-        assert pp.c == pytest.approx(delta / 2, abs=1e-12)
-        assert pp.k_p == pytest.approx(math.sqrt(2) * 0.2, abs=1e-12)
+        rot = _rotated_coefficients(p)
+        k_p = math.sqrt(2) * 0.2
+        assert rot["w1"] == pytest.approx(1.0, abs=1e-12)
+        assert rot["hop"] == pytest.approx(delta / 2, abs=1e-12)
+        assert rot["g1"] == pytest.approx(k_p, abs=1e-12)
+        assert rot["g2"] == pytest.approx(k_p * delta / 2, abs=1e-12)
 
     def test_single_mode_limit(self):
         p = SystemParams(omega_1=0.9, omega_2=0.4, k_1=0.3, k_2=0.0)
-        pp = privileged_params(p)
-        assert pp.omega_p == pytest.approx(0.9, abs=1e-12)
-        assert pp.omega_p_tilde == pytest.approx(0.4, abs=1e-12)
-        assert pp.c == 0.0
-        assert pp.k_p == pytest.approx(0.3, abs=1e-12)
+        rot = _rotated_coefficients(p)
+        assert rot["w1"] == pytest.approx(0.9, abs=1e-12)
+        assert rot["w2"] == pytest.approx(0.4, abs=1e-12)
+        assert rot["hop"] == 0.0 and rot["g2"] == 0.0
+        assert rot["g1"] == pytest.approx(0.9 * 0.3, abs=1e-12)
 
     def test_asymmetric_point_against_direct_formulas(self):
         # kappa = 2/3 configuration: k_1 = 1/6, k_2 = 5/6, omega_1 = 2*omega_2 = 0.1
         p = SystemParams(omega_1=0.1, omega_2=0.05, k_1=1 / 6, k_2=5 / 6)
-        pp = privileged_params(p)
+        rot = _rotated_coefficients(p)
         kp2 = (1 / 6) ** 2 + (5 / 6) ** 2
-        assert pp.k_p == pytest.approx(math.sqrt(kp2), abs=1e-15)
-        assert pp.omega_p == pytest.approx(
-            (0.1 * (1 / 6) ** 2 + 0.05 * (5 / 6) ** 2) / kp2, abs=1e-15
-        )
-        assert pp.omega_p_tilde == pytest.approx(
+        k_p = math.sqrt(kp2)
+        omega_p = (0.1 * (1 / 6) ** 2 + 0.05 * (5 / 6) ** 2) / kp2
+        c = 0.05 * (1 / 6) * (5 / 6) / kp2
+        assert rot["w1"] == pytest.approx(omega_p, abs=1e-15)
+        assert rot["w2"] == pytest.approx(
             (0.1 * (5 / 6) ** 2 + 0.05 * (1 / 6) ** 2) / kp2, abs=1e-15
         )
-        assert pp.c == pytest.approx(0.05 * (1 / 6) * (5 / 6) / kp2, abs=1e-15)
-        assert pp.g_p == pytest.approx(pp.omega_p * pp.k_p, abs=1e-15)
+        assert rot["hop"] == pytest.approx(c, abs=1e-15)
+        assert rot["g1"] == pytest.approx(omega_p * k_p, abs=1e-15)
+        assert rot["g2"] == pytest.approx(k_p * c, abs=1e-15)
 
     def test_invariants_hold_generically(self):
         rng = np.random.default_rng(7)
@@ -242,15 +247,28 @@ class TestPrivilegedParams:
             if k1 == k2 == 0:
                 continue
             p = SystemParams(omega_1=w1, omega_2=w2, k_1=k1, k_2=k2)
-            pp = privileged_params(p)
-            assert pp.k_p**2 == pytest.approx(k1**2 + k2**2, abs=1e-12)
+            rot = _rotated_coefficients(p)
+            # g1/w1 = g_p/omega_p = k_p
+            assert (rot["g1"] / rot["w1"]) ** 2 == pytest.approx(k1**2 + k2**2, abs=1e-12)
             # the rotation preserves the trace of the mode-frequency matrix
-            assert pp.omega_p + pp.omega_p_tilde == pytest.approx(w1 + w2, abs=1e-12)
+            assert rot["w1"] + rot["w2"] == pytest.approx(w1 + w2, abs=1e-12)
 
     def test_degenerate_rotation_raises(self):
         p = SystemParams(omega_1=1, omega_2=1, k_1=0, k_2=0)
-        with pytest.raises(DegenerateTransformationError):
-            privileged_params(p)
+        with pytest.raises(ValueError, match="k_1 = k_2 = 0"):
+            _rotated_coefficients(p)
+        with pytest.raises(ValueError, match="k_1 = k_2 = 0"):
+            mode_rotation_unitary(p)
+
+    @property_settings
+    @given(model_points)
+    def test_matches_documented_formulas(self, p):
+        expected = rotated_coefficients(p)[1:]
+        actual = tuple(_rotated_coefficients(p).values())
+        # w1, w2 and hop are sums of terms at most max(omega_i) or |J| in size;
+        # where they cancel, a 1e-15 relative error is measured on those terms
+        terms = max(p.omega_1, p.omega_2) + abs(p.J)
+        assert np.allclose(actual, expected, rtol=1e-15, atol=1e-15 * terms)
 
 
 class TestLabHamiltonian:
@@ -350,16 +368,16 @@ class TestTransformedHamiltonian:
     def test_j_zero_coefficients(self):
         # with J = 0 the only couplings are omega_p, omega_p_tilde, c and k_p*(omega_p, c)
         p = SystemParams(omega_1=1.2, omega_2=0.7, k_1=0.4, k_2=0.3, J=0.0, N=3)
-        pp = privileged_params(p)
+        _, omega_p, _, _, _, c = rotated_coefficients(p)
         h = full_matrix(build_transformed_hamiltonian(p))
         n = p.N
         # <s,1,0|H|s,0,1> = hopping coefficient = c at J=0
         i10 = 0 * n * n + 1 * n + 0
         i01 = 0 * n * n + 0 * n + 1
-        assert h[i10, i01] == pytest.approx(pp.c, abs=1e-15)
+        assert h[i10, i01] == pytest.approx(c, abs=1e-15)
         # <s,1,0|H|s,1,0> - <s,0,0|H|s,0,0> = omega_p at J=0
         i00 = 0
-        assert h[i10, i10] - h[i00, i00] == pytest.approx(pp.omega_p, abs=1e-14)
+        assert h[i10, i10] - h[i00, i00] == pytest.approx(omega_p, abs=1e-14)
 
     def test_spectral_equivalence_with_lab_builder(self):
         # the rotation is unitary before truncation, so low-lying spectra converge
@@ -370,11 +388,10 @@ class TestTransformedHamiltonian:
 
     def test_hopping_coefficient_includes_j_term(self):
         p = SystemParams(omega_1=1.2, omega_2=0.7, k_1=0.4, k_2=0.3, J=0.05, N=3)
-        pp = privileged_params(p)
+        hop = rotated_coefficients(p)[5]
+        assert hop != rotated_coefficients(replace(p, J=0.0))[5]
         h = full_matrix(build_transformed_hamiltonian(p))
-        n = p.N
-        hop = pp.c + p.J * (p.k_2**2 - p.k_1**2) / pp.k_p**2
-        assert h[n, 1] == pytest.approx(hop, abs=1e-15)
+        assert h[p.N, 1] == pytest.approx(hop, abs=1e-15)
 
 
 class TestSingleModeJT:
@@ -385,9 +402,9 @@ class TestSingleModeJT:
 
     def test_weak_coupling_second_order_shift(self):
         p = SystemParams(omega_1=1.0, omega_2=1.0, k_1=0.02, k_2=0.02, N=12)
-        pp = privileged_params(p)
+        _, omega_p, _, g_p, _, _ = rotated_coefficients(p)
         w = np.linalg.eigvalsh(single_mode_jt(p))
-        perturbative = -0.5 - pp.g_p**2 / (pp.omega_p + 1.0)
+        perturbative = -0.5 - g_p**2 / (omega_p + 1.0)
         assert w[0] == pytest.approx(perturbative, abs=1e-6)
 
     def test_matches_b1_sector_when_b2_decouples(self):
