@@ -1,25 +1,9 @@
 """Ground-state entanglement of the two-mode Jahn-Teller circuit model."""
 
 from ._version import __version__
-from .entanglement import (
-    DensityMatrix,
-    EntanglementReport,
-    NumericalIntegrityError,
-    density_from_state,
-    log_negativity,
-    partial_trace,
-    partial_transpose,
-    report_from_state,
-)
+from .entanglement import EntanglementReport, NumericalIntegrityError, report_from_state
 from .groundstate import GroundStateResult, eig_hermitian, ground_state
-from .hilbert import (
-    StateVector,
-    annihilation,
-    embed,
-    mode_parity,
-    parity_operator,
-    pauli,
-)
+from .hilbert import StateVector, annihilation
 from .model import (
     SystemParams,
     ValidityReport,
@@ -48,10 +32,6 @@ __all__ = [
     "__version__",
     "StateVector",
     "annihilation",
-    "pauli",
-    "embed",
-    "mode_parity",
-    "parity_operator",
     "SystemParams",
     "ValidityReport",
     "privileged_validity",
@@ -63,13 +43,8 @@ __all__ = [
     "ground_state",
     "convergence_study",
     "successive_differences",
-    "DensityMatrix",
     "EntanglementReport",
     "NumericalIntegrityError",
-    "density_from_state",
-    "partial_trace",
-    "partial_transpose",
-    "log_negativity",
     "report_from_state",
     "SweepSpec",
     "SweepRow",

@@ -52,12 +52,11 @@ OUTPUT_DIR_ENV = "JTSIM_OUTDIR"
 # Model flags: dest -> (default, help).  Each parses to None when not given,
 # so a preset sweep, which fixes the model itself, can refuse any given one.
 MODEL_FLAGS = {
-    "omega1": (1.0, "mode-1 frequency (units of omega_q)"),
+    "omega1": (1.0, "mode-1 frequency (units of the qubit frequency)"),
     "omega2": (1.0, "mode-2 frequency"),
     "k1": (0.0, "mode-1 coupling scale (g_1 = omega_1*k_1)"),
     "k2": (0.0, "mode-2 coupling scale"),
     "J": (0.0, "inter-mode hopping rate"),
-    "omegaq": (1.0, "qubit frequency (rescaling unit)"),
     "delta": (None, "set omega_{1,2} = 1 +- delta/2 (overrides --omega1/--omega2)"),
     "kappa": (None, "set k_{2,1} = (1 +- kappa)/2 (overrides --k1/--k2)"),
 }
@@ -92,6 +91,16 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _cutoff_list(text: str) -> list[int]:
+    """argparse type for --cutoffs; convergence_study checks their size and order."""
+    try:
+        return [int(c) for c in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be comma-separated integers, got {text!r}"
+        ) from None
+
+
 def _params_from_args(args) -> SystemParams:
     flag = {dest: default if getattr(args, dest) is None else getattr(args, dest)
             for dest, (default, _) in MODEL_FLAGS.items()}
@@ -102,7 +111,7 @@ def _params_from_args(args) -> SystemParams:
     for var in ("delta", "kappa"):
         if flag[var] is not None:
             values.update(_control_values(var, flag[var]))
-    return SystemParams(**values, J=flag["J"], N=args.N, omega_q=flag["omegaq"])
+    return SystemParams(**values, J=flag["J"], N=args.N)
 
 
 def _default_out(filename: str) -> str:
@@ -133,12 +142,15 @@ def cmd_point(args) -> int:
             "valid": row.valid,
             "degenerate": row.degenerate,
         }
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
+        # RFC 8259 has no nan or inf: an undefined ratio is written as null.
+        payload = {key: None if isinstance(value, float) and not math.isfinite(value) else value
+                   for key, value in payload.items()}
+        _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.output)
     else:
         valid_label = {True: "yes", False: "no", None: "n/a"}[row.valid]
         lines = [
             f"omega_1={p.omega_1:g} omega_2={p.omega_2:g} k_1={p.k_1:g} "
-            f"k_2={p.k_2:g} J={p.J:g} N={p.N} omega_q={p.omega_q:g}",
+            f"k_2={p.k_2:g} J={p.J:g} N={p.N}",
             f"E_N(S|B1B2) = {row.report.en_s_b1b2:.9f}",
             f"E_N(S|B1)   = {row.report.en_s_b1:.9f}",
             f"E_N(S|B2)   = {row.report.en_s_b2:.9f}",
@@ -155,14 +167,10 @@ def cmd_point(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.name != "custom":
-        try:
-            spec = figure_sweep(
-                args.name, N=args.N, basis=args.basis,
-                t_min=args.tmin, t_max=args.tmax, step=args.step,
-            )
-        except KeyError as exc:
-            print(f"error: {exc.args[0]}", file=sys.stderr)
-            return 2
+        spec = figure_sweep(
+            args.name, N=args.N, basis=args.basis,
+            t_min=args.tmin, t_max=args.tmax, step=args.step,
+        )
         given = [f"--{dest}" for dest in (*MODEL_FLAGS, "var") if getattr(args, dest) is not None]
         if given:
             print(
@@ -216,10 +224,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    cutoffs = [int(c) for c in args.cutoffs.split(",")]
-    args.N = cutoffs[0]  # converge has no --N; convergence_study sets each cutoff
+    args.N = args.cutoffs[0]  # converge has no --N; convergence_study sets each cutoff
     p = _params_from_args(args)
-    rows = convergence_study(p, cutoffs, basis=args.basis)
+    rows = convergence_study(p, args.cutoffs, basis=args.basis)
     diffs = successive_differences(rows)
     print("N      energy          E_N(S|B1B2)  E_N(S|B1)    E_N(S|B2)    E_N(B1|B2)")
     for r in rows:
@@ -295,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv = sub.add_parser("converge", help="Fock-cutoff convergence study")
     _add_param_flags(p_conv, cutoff=False)  # --cutoffs sets N
     p_conv.add_argument("--basis", choices=BASES, default="transformed")
-    p_conv.add_argument("--cutoffs", default="6,8,10,12,14,16",
+    p_conv.add_argument("--cutoffs", type=_cutoff_list, default="6,8,10,12,14,16",
                         help="comma-separated ascending cutoffs")
     p_conv.add_argument("--tol", type=_positive_float, default=VERIFY_TOL,
                         help="pass threshold on the final successive difference")

@@ -75,7 +75,7 @@ class EntanglementReport:
 
 def _check_normalized(psi: StateVector) -> None:
     with np.errstate(over="ignore"):
-        norm = psi.norm()
+        norm = np.linalg.norm(psi.amplitudes)
     if not abs(norm - 1.0) < 1e-10:
         raise ValueError(f"state vector norm is {norm:.12g}, not 1")
 

@@ -40,7 +40,6 @@ class GroundStateResult:
     energy: float
     state: StateVector
     gap: float
-    parity_expectation: float
     degenerate_flag: bool
 
 
@@ -91,6 +90,5 @@ def ground_state(p: SystemParams, basis: str = "transformed") -> GroundStateResu
         energy=float(w[0]),
         state=StateVector(vec, h.factor_dims),
         gap=gap,
-        parity_expectation=float(sign),
         degenerate_flag=gap < DEGENERACY_TOL,
     )

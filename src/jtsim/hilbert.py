@@ -7,10 +7,10 @@ sits at flat index  s*N^2 + n1*N + n2  with s in {0, 1} and n_i in
 index 1 the upper level (+1).  After the mode rotation the same layout
 holds with (qubit, privileged mode, disadvantaged mode).
 
-Operators are plain float64 arrays: ``annihilation``, ``pauli`` and
-``mode_parity`` act on one factor, ``embed`` and ``parity_operator``
-return full-space matrices.  The model Hamiltonians are kept as their
-two parity-sector blocks (``ParityBlocks``), not as the full matrix.
+Operators are plain float64 arrays: ``annihilation`` acts on one mode,
+``embed`` and ``parity_operator`` return full-space matrices.  The model
+Hamiltonians are kept as their two parity-sector blocks (``ParityBlocks``),
+not as the full matrix.
 """
 
 from __future__ import annotations
@@ -55,9 +55,6 @@ class StateVector:
                 f"factor_dims {self.factor_dims}"
             )
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
 
 def _check_cutoff(cutoff: int) -> int:
     if int(cutoff) != cutoff or cutoff < 2:
@@ -72,17 +69,6 @@ def annihilation(cutoff: int) -> np.ndarray:
     for k in range(1, n):
         a[k - 1, k] = math.sqrt(k)
     return a
-
-
-def pauli(which: str) -> np.ndarray:
-    """Pauli operator on the qubit factor; sigma_z = diag(-1, +1), sigma_x off-diagonal."""
-    if which == "z":
-        m = np.diag([-1.0, 1.0])
-    elif which == "x":
-        m = np.array([[0.0, 1.0], [1.0, 0.0]])
-    else:
-        raise ValueError(f"unknown Pauli axis {which!r}; expected 'x' or 'z'")
-    return m
 
 
 def embed(op: np.ndarray, slot: str, cutoff: int) -> np.ndarray:
@@ -112,16 +98,15 @@ def embed(op: np.ndarray, slot: str, cutoff: int) -> np.ndarray:
     return np.kron(np.kron(parts[0], parts[1]), parts[2])
 
 
-def mode_parity(cutoff: int) -> np.ndarray:
-    """Photon-number parity (-1)^n on a single mode."""
-    n = _check_cutoff(cutoff)
-    return np.diag([(-1.0) ** k for k in range(n)])
-
-
 def parity_operator(cutoff: int) -> np.ndarray:
-    """Total parity sigma_z (x) (-1)^(n1+n2); commutes with every model Hamiltonian."""
-    pm = mode_parity(cutoff)
-    return np.kron(np.kron(pauli("z"), pm), pm)
+    """Total parity sigma_z (x) (-1)^(n1+n2); commutes with every model Hamiltonian.
+
+    Its diagonal at qubit level s, sigma_z (-1)^(n1+n2), is _sector_sigma_z(N, sigma_z)
+    with sigma_z = -1 for s = 0 and +1 for s = 1.
+    """
+    n = _check_cutoff(cutoff)
+    diagonal = np.concatenate([_sector_sigma_z(n, -1), _sector_sigma_z(n, 1)])
+    return np.diag(diagonal.astype(np.float64))
 
 
 def _sector_sigma_z(cutoff: int, sign: int) -> np.ndarray:

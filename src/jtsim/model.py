@@ -1,11 +1,11 @@
 """Two-mode Jahn-Teller Hamiltonians for the superconducting-circuit realisation.
 
 Both two-mode builders assemble one real symmetric operator on the layout
-fixed in :mod:`jtsim.hilbert`,
+fixed in :mod:`jtsim.hilbert`, in units of the qubit transition frequency,
 
-    H = omega_q/2 sz + w1 n1 + w2 n2 + (g1 x1 + g2 x2) sx + hop (a1^T a2 + a2^T a1)
+    H = 1/2 sz + w1 n1 + w2 n2 + (g1 x1 + g2 x2) sx + hop (a1^T a2 + a2^T a1)
 
-with x_i = a_i + a_i^T; they differ only in the six coefficients:
+with x_i = a_i + a_i^T; they differ only in the five coefficients:
 
 * ``build_lab_hamiltonian`` -- qubit + two resonator modes with linear
   displacement coupling g_i = omega_i * k_i and an optional inter-mode
@@ -19,7 +19,7 @@ H conserves the parity Pi = sz (-1)^(n1+n2), so the builders return it as
 its two N^2 x N^2 parity blocks (``ParityBlocks``, sector layout in
 :mod:`jtsim.hilbert`); the full 2N^2 x 2N^2 matrix is never formed.
 Inside a block sx only relabels the qubit level, so the block of sign
-+-1 is diag(w1 n1 + w2 n2 +- omega_q/2 (-1)^(n1+n2)) + g1 x (x) I
++-1 is diag(w1 n1 + w2 n2 +- 1/2 (-1)^(n1+n2)) + g1 x (x) I
 + g2 I (x) x + hop (a^T (x) a + a (x) a^T).
 
 ``_rotated_coefficients`` is the rotation's one home: it derives k_p,
@@ -56,10 +56,10 @@ VALIDITY_THRESHOLD = 0.5
 class SystemParams:
     """Scalar parameters of one model instance.
 
-    Frequencies are in units of the qubit transition frequency (omega_q is
-    kept explicit for generality but defaults to 1).  The couplings enter
-    as dimensionless scale factors k_i with g_i = omega_i * k_i; derived
-    quantities are recomputed on demand, never stored.
+    Frequencies are in units of the qubit transition frequency, so the qubit
+    term of H is 1/2 sz.  The couplings enter as dimensionless scale factors
+    k_i with g_i = omega_i * k_i; derived quantities are recomputed on
+    demand, never stored.
     """
 
     omega_1: float
@@ -68,12 +68,9 @@ class SystemParams:
     k_2: float
     J: float = 0.0
     N: int = 10
-    omega_q: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "N", _check_cutoff(self.N))
-        if not (np.isfinite(self.omega_q) and self.omega_q > 0):
-            raise ValueError(f"omega_q must be finite and positive, got {self.omega_q}")
         for name in ("omega_1", "omega_2", "k_1", "k_2"):
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0:
@@ -175,7 +172,7 @@ def _rotated_coefficients(p: SystemParams) -> dict[str, float]:
 
 
 def _two_mode_hamiltonian(
-    n: int, omega_q: float, w1: float, w2: float, g1: float, g2: float, hop: float
+    n: int, w1: float, w2: float, g1: float, g2: float, hop: float
 ) -> ParityBlocks:
     """Real symmetric two-mode Hamiltonian (module docstring form) as its parity blocks."""
     a = annihilation(n)
@@ -188,14 +185,14 @@ def _two_mode_hamiltonian(
 
     blocks = np.stack([coupling, coupling])
     for block, sign in zip(blocks, PARITY_SIGNS):
-        np.fill_diagonal(block, bare + 0.5 * omega_q * _sector_sigma_z(n, sign))
+        np.fill_diagonal(block, bare + 0.5 * _sector_sigma_z(n, sign))
     return ParityBlocks(blocks, (2, n, n))
 
 
 def build_lab_hamiltonian(p: SystemParams) -> ParityBlocks:
     """Qubit + two modes + displacement couplings + hopping, lab mode basis."""
     _warn_zero_frequency(p)
-    return _two_mode_hamiltonian(p.N, p.omega_q, p.omega_1, p.omega_2, p.g_1, p.g_2, p.J)
+    return _two_mode_hamiltonian(p.N, p.omega_1, p.omega_2, p.g_1, p.g_2, p.J)
 
 
 def build_transformed_hamiltonian(p: SystemParams) -> ParityBlocks:
@@ -206,7 +203,7 @@ def build_transformed_hamiltonian(p: SystemParams) -> ParityBlocks:
     if p.k_1 == 0.0 and p.k_2 == 0.0:
         return build_lab_hamiltonian(p)
     _warn_zero_frequency(p)
-    return _two_mode_hamiltonian(p.N, p.omega_q, **_rotated_coefficients(p))
+    return _two_mode_hamiltonian(p.N, **_rotated_coefficients(p))
 
 
 def _ratio(x: float, g: float) -> float:

@@ -296,7 +296,7 @@ def figure_sweep(
 ) -> SweepSpec:
     """Built-in sweep by name (fig1 .. fig6), with optional grid overrides."""
     if name not in PRESETS:
-        raise KeyError(f"unknown sweep {name!r}; presets are {sorted(PRESETS)}")
+        raise ValueError(f"unknown sweep {name!r}; presets are {sorted(PRESETS)}")
     rule, lo, hi, st = PRESETS[name]
     return SweepSpec(
         name=name,

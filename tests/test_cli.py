@@ -35,6 +35,17 @@ def test_point_matches_strong_coupling_detuning_row(capsys):
     assert payload["valid"] is True
 
 
+def test_point_json_is_strict(capsys):
+    # at k_1 = k_2 = 0 the validity ratios are undefined; RFC 8259 has no NaN literal
+    assert main(["point", "--format", "json"]) == 0
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert payload["r1"] is payload["r2"] is payload["r3"] is payload["valid"] is None
+
+
 def test_point_rejects_small_cutoff(capsys):
     assert main(["point", "--N", "1"]) == 2
     assert "cutoff must be >= 2" in capsys.readouterr().err
@@ -269,6 +280,12 @@ def test_sweep_jobs_below_one_is_usage_error(value, tmp_path, capsys):
         (["sweep", "fig1", "--jobs", "1.5"], "argument --jobs: must be an integer >= 1, got '1.5'"),
         (["converge", "--tol", "x"], "argument --tol: must be a number > 0, got 'x'"),
         (["xcheck", "--threshold", "x"], "argument --threshold: must be a number > 0, got 'x'"),
+        (["converge", "--cutoffs", "10,x"],
+         "argument --cutoffs: must be comma-separated integers, got '10,x'"),
+        (["converge", "--cutoffs", ""],
+         "argument --cutoffs: must be comma-separated integers, got ''"),
+        (["converge", "--cutoffs", "10.5"],
+         "argument --cutoffs: must be comma-separated integers, got '10.5'"),
     ],
 )
 def test_unparsable_flag_values_read_as_usage_errors(argv, text, tmp_path, monkeypatch, capsys):
@@ -286,7 +303,7 @@ def test_unparsable_flag_values_read_as_usage_errors(argv, text, tmp_path, monke
 @pytest.mark.parametrize(
     "flag, value",
     [("--omega1", "0.5"), ("--omega2", "0.5"), ("--k1", "0"), ("--k2", "0.5"), ("--J", "0"),
-     ("--omegaq", "1"), ("--delta", "0.1"), ("--kappa", "0.1"), ("--var", "J")],
+     ("--delta", "0.1"), ("--kappa", "0.1"), ("--var", "J")],
 )
 def test_preset_sweep_refuses_model_flags(flag, value, tmp_path, capsys):
     # a preset fixes the model; a given flag, even at its default value, would be ignored

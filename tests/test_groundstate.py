@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from jtsim.groundstate import BASES, eig_hermitian, ground_state
-from jtsim.hilbert import _parity_sector, pauli
+from jtsim.hilbert import _parity_sector
 from jtsim.model import SystemParams, build_lab_hamiltonian
 from jtsim.sweeps import convergence_study, run_point, successive_differences
-from test_model import (
+from oracles import (
+    SX,
     full_matrix,
     model_points,
+    parity_oracle,
     property_settings,
     rotated_coefficients,
     two_mode_oracle,
@@ -34,7 +36,7 @@ class TestEigHermitian:
         assert np.allclose(np.abs(v), np.eye(3)[:, [1, 2, 0]])
 
     def test_pauli_x_eigenpairs(self):
-        w, v = eig_hermitian(pauli("x"))
+        w, v = eig_hermitian(SX)
         assert np.allclose(w, [-1, 1])
         for col, sign in ((0, -1), (1, 1)):
             vec = v[:, col]
@@ -83,9 +85,11 @@ class TestGroundState:
         assert not gs.degenerate_flag
 
     def test_parity_eigenstate_when_gapped(self):
-        gs = ground_state(fig1_params(0.0), "transformed")
+        p = fig1_params(0.0)
+        gs = ground_state(p, "transformed")
         assert not gs.degenerate_flag
-        assert abs(gs.parity_expectation) == pytest.approx(1.0, abs=1e-8)
+        psi = gs.state.amplitudes
+        assert abs(psi @ parity_oracle(p.N) @ psi) == pytest.approx(1.0, abs=1e-8)
 
     def test_degenerate_endpoint_flagged(self):
         # Delta = 2 puts mode 2 at zero frequency: N-fold degenerate manifold
@@ -101,9 +105,11 @@ class TestGroundState:
             warnings.simplefilter("ignore", RuntimeWarning)
             gs = ground_state(p, "transformed")
         assert gs.degenerate_flag
-        assert gs.parity_expectation in (1.0, -1.0)
-        outside = _parity_sector(p.N, -int(gs.parity_expectation))
-        assert np.all(gs.state.amplitudes[outside] == 0.0)
+        psi = gs.state.amplitudes
+        parity = psi @ parity_oracle(p.N) @ psi
+        assert abs(parity) == pytest.approx(1.0, abs=1e-12)
+        outside = _parity_sector(p.N, -round(parity))
+        assert np.all(psi[outside] == 0.0)
 
     def test_solves_each_parity_block(self, monkeypatch):
         import jtsim.groundstate
@@ -124,7 +130,7 @@ class TestGroundState:
         coeffs = (
             rotated_coefficients(p)
             if basis == "transformed"
-            else (p.omega_q, p.omega_1, p.omega_2, p.g_1, p.g_2, p.J)
+            else (p.omega_1, p.omega_2, p.g_1, p.g_2, p.J)
         )
         w, v = np.linalg.eigh(two_mode_oracle(p.N, *coeffs))
         gs = ground_state(p, basis)

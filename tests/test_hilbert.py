@@ -3,15 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from jtsim.hilbert import (
-    _parity_sector,
-    _sector_sigma_z,
-    annihilation,
-    embed,
-    mode_parity,
-    parity_operator,
-    pauli,
-)
+from jtsim.hilbert import _parity_sector, _sector_sigma_z, annihilation, embed, parity_operator
+from oracles import SX, SZ, parity_oracle
 
 
 def test_annihilation_n2_matrix():
@@ -37,27 +30,9 @@ def test_annihilation_rejects_small_cutoff():
         annihilation(1)
 
 
-def test_pauli_z_matches_level_ordering():
-    assert np.array_equal(pauli("z"), np.diag([-1.0, 1.0]))
-
-
-def test_pauli_x_off_diagonal():
-    assert np.array_equal(pauli("x"), np.array([[0.0, 1.0], [1.0, 0.0]]))
-
-
-def test_pauli_x_squares_to_identity():
-    sx = pauli("x")
-    assert np.array_equal(sx @ sx, np.eye(2))
-
-
-def test_pauli_rejects_unknown_axis():
-    with pytest.raises(ValueError):
-        pauli("y")
-
-
 def test_embed_qubit_diagonal_sign():
     # flat index 5 with N=2 is (s=1, n1=0, n2=1): sigma_z acts as +1 there
-    sz = embed(pauli("z"), "S", 2)
+    sz = embed(SZ, "S", 2)
     vec = np.zeros(8)
     vec[5] = 1.0
     assert np.allclose(sz @ vec, vec)
@@ -88,7 +63,7 @@ def test_embed_rejects_wrong_dimension():
     with pytest.raises(ValueError, match="slot"):
         embed(annihilation(3), "S", 3)
     with pytest.raises(ValueError, match="slot"):
-        embed(pauli("x"), "M1", 3)
+        embed(SX, "M1", 3)
 
 
 def test_embed_rejects_wrong_shape():
@@ -101,7 +76,7 @@ def test_embed_rejects_wrong_shape():
 
 def test_embed_rejects_unknown_slot():
     with pytest.raises(ValueError):
-        embed(pauli("x"), "Q", 3)
+        embed(SX, "Q", 3)
 
 
 def test_truncated_commutator_closed_form():
@@ -141,7 +116,10 @@ def test_parity_operator_diagonal_signs():
 
 @pytest.mark.parametrize("n", [2, 3, 10])
 def test_parity_sector_matches_parity_operator(n):
-    diag = np.diag(parity_operator(n))
+    # the kron-built oracle, not parity_operator, which reads _sector_sigma_z itself
+    oracle = parity_oracle(n)
+    assert np.array_equal(parity_operator(n), oracle)
+    diag = np.diag(oracle)
     plus = _parity_sector(n, 1)
     minus = _parity_sector(n, -1)
     assert len(plus) == len(minus) == n * n
@@ -150,10 +128,7 @@ def test_parity_sector_matches_parity_operator(n):
     expect[plus] = 1.0
     assert np.array_equal(diag, expect)
     # each sector's sigma_z is that of the qubit level its flat indices hold
-    sz = np.diag(embed(pauli("z"), "S", n))
+    sz = np.diag(embed(SZ, "S", n))
     for sign, idx in ((1, plus), (-1, minus)):
         assert np.array_equal(_sector_sigma_z(n, sign), sz[idx])
 
-
-def test_mode_parity_and_identity():
-    assert np.array_equal(np.diag(mode_parity(4)), [1, -1, 1, -1])

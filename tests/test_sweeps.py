@@ -88,7 +88,7 @@ class TestGrid:
             SweepSpec("bad", PRESETS["fig1"][0], 0.0, 1.0, 0.1, basis="rotated")
 
     def test_unknown_preset(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown sweep 'nosuch'"):
             figure_sweep("nosuch")
 
 
