@@ -201,11 +201,14 @@ def cmd_sweep(args) -> int:
     write_csv(result, out)
     write_manifest(result, out + ".manifest.json")
     flagged = result.manifest["flagged_rows"]
+    failed = [row for row in result.rows if row.error is not None]
+    counts = {"degenerate": sum(row.degenerate for row in result.rows), "failed": len(failed)}
+    reasons = ", ".join(f"{count} {reason}" for reason, count in counts.items() if count)
     print(
         f"{spec.name}: {len(result.rows)} rows -> {out} "
-        f"({flagged} flagged, {result.manifest['runtime_s']:.2f} s)"
+        f"({flagged} flagged{': ' + reasons if reasons else ''}, "
+        f"{result.manifest['runtime_s']:.2f} s)"
     )
-    failed = [row for row in result.rows if row.error is not None]
     if failed:
         print(
             f"warning: {spec.name}: {len(failed)} of {len(result.rows)} rows failed, "

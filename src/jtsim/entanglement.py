@@ -14,12 +14,12 @@ floating-point noise and clamp to 0; anything more negative indicates a
 pipeline bug and raises.
 
 ``report_from_state`` works on the (qubit, mode, mode) tensor of the pure
-state psi and never forms a density matrix: E_N(S|B1B2) is
-log2 (sum of Schmidt values)^2 (Vidal & Werner, PRA 65, 032314, 2002), from
-the singular values of the 2 x N^2 reshaping, and each two-party cut is one
-contraction of psi with itself that gives the partially transposed reduced
-state, rho^(T_A)[a b, d e] = rho[d b, a e], directly.  ``DensityMatrix`` and
-the functions on it are the dense oracle this path is tested against.
+state psi, first cut down to each mode's support, and never forms a density
+matrix: E_N(S|B1B2) is log2 (sum of Schmidt values)^2 (Vidal & Werner, PRA
+65, 032314, 2002), and each two-party cut is one contraction of psi with
+itself that gives the partially transposed reduced state, rho^(T_A)[a b, d
+e] = rho[d b, a e], directly.  ``DensityMatrix`` and the functions on it
+are the dense oracle this path is tested against.
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ from .groundstate import ground_state  # noqa: F401
 from .hilbert import StateVector
 
 NEG_CLAMP = 1e-9
+# A mode's support: singular values of its unfolding above this share of the largest.
+SUPPORT_TOL = 1e-15
 
 
 class NumericalIntegrityError(RuntimeError):
@@ -171,7 +173,14 @@ def report_from_state(psi: StateVector) -> EntanglementReport:
         raise ValueError("expected a (qubit, mode, mode) state")
     _check_normalized(psi)
     t = psi.amplitudes.reshape(psi.factor_dims)
-    s, n1, n2 = psi.factor_dims
+    # Contract each mode with u^dagger, u the left singular vectors of its unfolding on
+    # its support: an isometry on the range of its reduced state, so E_N is unchanged.
+    for axis in (1, 2):
+        unfolding = np.moveaxis(t, axis, 0).reshape(t.shape[axis], -1)
+        u, sigma, _ = np.linalg.svd(unfolding, full_matrices=False)
+        support = u[:, sigma > SUPPORT_TOL * sigma[0]]
+        t = np.moveaxis(np.tensordot(support.conj(), t, axes=(0, axis)), 0, axis)
+    s, n1, n2 = t.shape
     schmidt = np.linalg.svd(t.reshape(s, n1 * n2), compute_uv=False)
     pt_s_b1 = np.einsum("dbc,aec->abde", t, t.conj()).reshape(s * n1, s * n1)
     pt_s_b2 = np.einsum("dbc,abe->acde", t, t.conj()).reshape(s * n2, s * n2)

@@ -20,7 +20,8 @@ its two N^2 x N^2 parity blocks (``ParityBlocks``, sector layout in
 :mod:`jtsim.hilbert`); the full 2N^2 x 2N^2 matrix is never formed.
 Inside a block sx only relabels the qubit level, so the block of sign
 +-1 is diag(w1 n1 + w2 n2 +- 1/2 (-1)^(n1+n2)) + g1 x (x) I
-+ g2 I (x) x + hop (a^T (x) a + a (x) a^T).
++ g2 I (x) x + hop (a^T (x) a + a (x) a^T); these entries are written
+straight into a zeroed (2, N^2, N^2) stack, with no kron products.
 
 ``_rotated_coefficients`` is the rotation's one home: it derives k_p,
 omega_p, omega_p_tilde, c = Delta*k1*k2/k_p^2 and g_p by exact operator
@@ -174,18 +175,22 @@ def _rotated_coefficients(p: SystemParams) -> dict[str, float]:
 def _two_mode_hamiltonian(
     n: int, w1: float, w2: float, g1: float, g2: float, hop: float
 ) -> ParityBlocks:
-    """Real symmetric two-mode Hamiltonian (module docstring form) as its parity blocks."""
-    a = annihilation(n)
-    eye = np.eye(n)
-    x = a + a.T
-    hopping = np.kron(a.T, a)
-    coupling = g1 * np.kron(x, eye) + g2 * np.kron(eye, x) + hop * (hopping + hopping.T)
-    n1, n2 = np.divmod(np.arange(n * n), n)
-    bare = w1 * n1 + w2 * n2
+    """Real symmetric two-mode Hamiltonian (module docstring form) as its parity blocks.
 
-    blocks = np.stack([coupling, coupling])
+    Grid index (n1, n2) couples to (n1 + 1, n2), (n1, n2 + 1) and (n1 + 1, n2 - 1).
+    """
+    n1, n2 = np.divmod(np.arange(n * n), n)
+    blocks = np.zeros((2, n * n, n * n))
     for block, sign in zip(blocks, PARITY_SIGNS):
-        np.fill_diagonal(block, bare + 0.5 * _sector_sigma_z(n, sign))
+        np.fill_diagonal(block, w1 * n1 + w2 * n2 + 0.5 * _sector_sigma_z(n, sign))
+    up1, up2 = np.flatnonzero(n1 < n - 1), np.flatnonzero(n2 < n - 1)
+    hops = np.flatnonzero((n1 < n - 1) & (n2 > 0))
+    for rows, offset, values in (
+        (up1, n, g1 * np.sqrt(n1[up1] + 1)),
+        (up2, 1, g2 * np.sqrt(n2[up2] + 1)),
+        (hops, n - 1, hop * (np.sqrt(n1[hops] + 1) * np.sqrt(n2[hops]))),
+    ):
+        blocks[:, rows, rows + offset] = blocks[:, rows + offset, rows] = values
     return ParityBlocks(blocks, (2, n, n))
 
 

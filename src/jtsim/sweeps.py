@@ -109,6 +109,7 @@ class SweepRow:
     valid: bool | None = None
     degenerate: bool = False
     error: str | None = None
+    residual: float = math.nan
 
     @property
     def flagged(self) -> bool:
@@ -132,7 +133,8 @@ def run_point(p: SystemParams, basis: str = "transformed", t: float = math.nan) 
     gs = ground_state(p, basis)
     rep = report_from_state(gs.state)
     validity = asdict(privileged_validity(p))
-    return SweepRow(t, p, rep, gs.energy, gs.gap, degenerate=gs.degenerate_flag, **validity)
+    return SweepRow(t, p, rep, gs.energy, gs.gap, degenerate=gs.degenerate_flag,
+                    residual=gs.residual, **validity)
 
 
 def _evaluate_grid_point(spec: SweepSpec, t: float) -> SweepRow:
@@ -201,6 +203,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, verify_subsample: bool = True) -> 
             for r in rows
             if r.flagged
         ],
+        "max_residual": max((r.residual for r in rows if not r.flagged), default=None),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     if verify_subsample:

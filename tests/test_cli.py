@@ -97,10 +97,15 @@ def test_point_delta_convenience_matches_explicit(capsys):
 
 
 def test_point_imports_no_scipy():
-    # numpy is the only numerical dependency; importing scipy alone costs about
-    # as much as the whole start-up of a one-point run
+    # numpy is the only numerical dependency; importing scipy.linalg alone costs
+    # about as much as the whole start-up of a one-point run, and 28 MB of RSS
+    runs = [
+        ["point", "--N", "10"],
+        ["converge", "--k1", "0.5", "--k2", "0.5", "--cutoffs", "10,20"],
+        ["xcheck", "--delta", "0.05", "--k1", "0.5", "--k2", "0.5", "--N", "12"],
+    ]
     code = (
-        "import sys; from jtsim.cli import main; rc = main(['point', '--N', '10']); "
+        f"import sys; from jtsim.cli import main; rc = max(main(a) for a in {runs!r}); "
         "sys.exit(rc or ('scipy was imported' if 'scipy' in sys.modules else 0))"
     )
     src = os.path.dirname(os.path.dirname(os.path.abspath(jtsim.__file__)))
@@ -172,6 +177,23 @@ def test_sweep_manifest_gives_flag_reasons(tmp_path):
         {"t": 2.1, "reason": "failed: ValueError: omega_2 must be finite and >= 0, "
                              "got -0.050000000000000044"},
     ]
+
+
+def test_sweep_summary_breaks_down_flagged_rows(tmp_path, capsys):
+    # t = 2.0 is degenerate and t = 2.1 fails, as above
+    out = tmp_path / "custom.csv"
+    main(
+        ["sweep", "custom", "--var", "delta", "--tmin", "1.9", "--tmax", "2.1",
+         "--step", "0.1", "--k1", "0.1", "--k2", "0.1", "--N", "4", "-o", str(out)]
+    )
+    assert f"custom: 3 rows -> {out} (2 flagged: 1 degenerate, 1 failed, " in capsys.readouterr().out
+    manifest = json.loads((tmp_path / "custom.csv.manifest.json").read_text())
+    # over the one clean row, t = 1.9
+    assert 0.0 <= manifest["max_residual"] < 1e-12
+
+    main(["sweep", "fig1", "--tmin", "0", "--tmax", "0.05", "--step", "0.05", "--N", "4",
+          "--no-verify", "-o", str(tmp_path / "fig1.csv")])
+    assert f"fig1: 2 rows -> {tmp_path / 'fig1.csv'} (0 flagged, " in capsys.readouterr().out
 
 
 def test_sweep_verification_drift_warns(tmp_path, capsys):

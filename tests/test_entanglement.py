@@ -267,6 +267,32 @@ class TestReportFromStateTensorPath:
         tensor = astuple(report_from_state(psi))
         assert max(abs(a - b) for a, b in zip(dense, tensor)) < 1e-12
 
+    @pytest.mark.parametrize("complex_amps", [False, True])
+    @pytest.mark.parametrize("kind", ["product", "mode 2 in vacuum"])
+    def test_rank_deficient_states_match_dense_path(self, kind, complex_amps):
+        # the mode supports are smaller than the Fock grid, so the compressed
+        # partial transposes are smaller than the dense ones
+        rng = np.random.default_rng(5)
+
+        def amplitudes(*shape):
+            return rng.normal(size=shape) + (1j * rng.normal(size=shape) if complex_amps else 0)
+
+        if kind == "product":
+            t = np.einsum("a,b,c->abc", amplitudes(2), amplitudes(5), amplitudes(4))
+        else:
+            t = np.zeros((2, 5, 4), dtype=complex if complex_amps else float)
+            t[:, :, 0] = amplitudes(2, 5)
+        psi = StateVector((t / np.linalg.norm(t)).ravel(), t.shape)
+        rho = density_from_state(psi)
+        dense = (
+            log_negativity(rho, 0),
+            log_negativity(partial_trace(rho, (0, 1)), 0),
+            log_negativity(partial_trace(rho, (0, 2)), 0),
+            log_negativity(partial_trace(rho, (1, 2)), 0),
+        )
+        tensor = astuple(report_from_state(psi))
+        assert max(abs(a - b) for a, b in zip(dense, tensor)) < 1e-12
+
     def test_rejects_unnormalized(self):
         for amps in (np.full(8, 0.5), np.full(8, np.nan)):
             with pytest.raises(ValueError, match="norm"):

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from jtsim.groundstate import BASES, eig_hermitian, ground_state
-from jtsim.hilbert import _parity_sector
-from jtsim.model import SystemParams, build_lab_hamiltonian
+from jtsim.hilbert import PARITY_SIGNS, _parity_sector
+from jtsim.model import SystemParams, build_lab_hamiltonian, build_transformed_hamiltonian
 from jtsim.sweeps import convergence_study, run_point, successive_differences
 from oracles import (
     SX,
@@ -21,6 +21,7 @@ from oracles import (
 )
 
 K_STRONG = 0.1 / math.sqrt(2)
+K_ULTRA = 1 / math.sqrt(2)
 
 
 def fig1_params(delta, n=10):
@@ -114,15 +115,62 @@ class TestGroundState:
     def test_solves_each_parity_block(self, monkeypatch):
         import jtsim.groundstate
 
-        shapes = []
+        calls = []
 
-        def recording(h):
-            shapes.append(h.shape)
-            return eig_hermitian(h)
+        def recording(h, vectors=True):
+            calls.append((h.shape, vectors))
+            return eig_hermitian(h, vectors)
 
         monkeypatch.setattr(jtsim.groundstate, "eig_hermitian", recording)
         ground_state(SystemParams(omega_1=1.0, omega_2=0.8, k_1=0.3, k_2=0.2, N=5))
-        assert shapes == [(25, 25), (25, 25)]
+        # eigenvalues of both blocks; a split sector's vector needs no full call
+        assert calls == [((25, 25), False), ((25, 25), False)]
+
+    def test_degenerate_block_keeps_full_eigh_vector(self):
+        p = fig1_params(2.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            gs = ground_state(p, "transformed")
+            entries = build_transformed_hamiltonian(p).entries
+        k = 1 if np.linalg.eigvalsh(entries[1])[0] < np.linalg.eigvalsh(entries[0])[0] else 0
+        v = np.linalg.eigh(entries[k])[1][:, 0]
+        expected = np.zeros(2 * p.N * p.N)
+        expected[_parity_sector(p.N, PARITY_SIGNS[k])] = -v if v[np.argmax(np.abs(v))] < 0 else v
+        assert np.array_equal(gs.state.amplitudes, expected)
+
+    def test_unmet_stop_rule_falls_back_to_full_eigh(self, monkeypatch):
+        import jtsim.groundstate
+
+        p = SystemParams(omega_1=1.0, omega_2=0.8, k_1=0.3, k_2=0.2, N=5)
+        iterated = ground_state(p)
+        monkeypatch.setattr(jtsim.groundstate, "RESIDUAL_TOL", 0.0)
+        full = ground_state(p)
+        assert np.max(np.abs(full.state.amplitudes - iterated.state.amplitudes)) < 1e-12
+        assert full.residual < 1e-12
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            # at lab scale 1e300 the block has no resolved gap: full eigh
+            SystemParams(omega_1=1e200, omega_2=1.0, k_1=1e100, k_2=0.0),
+            # a resolved gap at the same scale: inverse iteration
+            SystemParams(omega_1=1e300, omega_2=1e300, k_1=0.5, k_2=0.5),
+        ],
+    )
+    def test_extreme_scale_raises_no_warning(self, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gs = ground_state(p, "lab")
+        assert abs(np.linalg.norm(gs.state.amplitudes) - 1.0) < 1e-12
+        assert gs.residual < 1e-12 * abs(gs.energy)
+
+    def test_converged_cutoff_residual(self):
+        p = SystemParams(omega_1=1.0, omega_2=1.0, k_1=K_ULTRA, k_2=K_ULTRA, N=30)
+        gs = ground_state(p, "transformed")
+        assert gs.residual < 1e-12
+        h = full_matrix(build_transformed_hamiltonian(p))
+        psi = gs.state.amplitudes
+        assert abs(np.linalg.norm(h @ psi - gs.energy * psi) - gs.residual) < 1e-14
 
     @property_settings
     @given(st.builds(replace, model_points, N=st.integers(2, 6)), st.sampled_from(BASES))
@@ -164,8 +212,6 @@ class TestGroundState:
 
     def test_lab_and_transformed_spectra_match_at_weak_coupling(self):
         p = SystemParams(omega_1=1.05, omega_2=0.85, k_1=0.08, k_2=0.06, J=0.0, N=16)
-        from jtsim.model import build_transformed_hamiltonian
-
         wl = np.linalg.eigvalsh(full_matrix(build_lab_hamiltonian(p)))
         wt = np.linalg.eigvalsh(full_matrix(build_transformed_hamiltonian(p)))
         assert np.max(np.abs(wl[:5] - wt[:5])) < 1e-6
