@@ -3,10 +3,11 @@
 from ._version import __version__
 from .entanglement import EntanglementReport, NumericalIntegrityError, report_from_state
 from .groundstate import GroundStateResult, eig_hermitian, ground_state
-from .hilbert import StateVector, annihilation
 from .model import (
+    StateVector,
     SystemParams,
     ValidityReport,
+    annihilation,
     build_lab_hamiltonian,
     build_transformed_hamiltonian,
     mode_rotation_unitary,

@@ -94,11 +94,14 @@ def _positive_int(text: str) -> int:
 def _cutoff_list(text: str) -> list[int]:
     """argparse type for --cutoffs; convergence_study checks their size and order."""
     try:
-        return [int(c) for c in text.split(",")]
+        cutoffs = [int(c) for c in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"must be comma-separated integers, got {text!r}"
         ) from None
+    if len(cutoffs) < 2:  # one cutoff leaves no successive difference to check
+        raise argparse.ArgumentTypeError(f"must list at least two cutoffs, got {text!r}")
+    return cutoffs
 
 
 def _params_from_args(args) -> SystemParams:
@@ -165,26 +168,31 @@ def cmd_point(args) -> int:
     return 0
 
 
+def _refuse_given(args, dests, reason: str) -> bool:
+    """Print one error line naming each of ``dests`` given on the command line."""
+    given = [f"--{dest}" for dest in dests if getattr(args, dest) is not None]
+    if given:
+        print(f"error: {reason}: {', '.join(given)}", file=sys.stderr)
+    return bool(given)
+
+
 def cmd_sweep(args) -> int:
     if args.name != "custom":
         spec = figure_sweep(
             args.name, N=args.N, basis=args.basis,
             t_min=args.tmin, t_max=args.tmax, step=args.step,
         )
-        given = [f"--{dest}" for dest in (*MODEL_FLAGS, "var") if getattr(args, dest) is not None]
-        if given:
-            print(
-                f"error: {args.name} fixes the model parameters; "
-                f"custom sweeps only: {', '.join(given)}",
-                file=sys.stderr,
-            )
+        reason = f"{args.name} fixes the model parameters; custom sweeps only"
+        if _refuse_given(args, (*MODEL_FLAGS, "var"), reason):
             return 2
     else:
         if args.var is None or args.tmin is None or args.tmax is None or args.step is None:
-            print(
-                "error: custom sweep needs --var, --tmin, --tmax and --step",
-                file=sys.stderr,
-            )
+            print("error: custom sweep needs --var, --tmin, --tmax and --step", file=sys.stderr)
+            return 2
+        # Flags for what the control variable sets at every t (omega_1 is --omega1).
+        overwritten = {args.var, *(name.replace("_", "") for name in _control_values(args.var, 0))}
+        reason = f"--var {args.var} sets these parameters itself"
+        if _refuse_given(args, [dest for dest in MODEL_FLAGS if dest in overwritten], reason):
             return 2
         base = _params_from_args(args)
         spec = SweepSpec(
@@ -243,7 +251,7 @@ def cmd_converge(args) -> int:
             f"N {d['N_from']:>2d} -> {d['N_to']:<2d}  |d energy| = {d['d_energy']:.3e}"
             f"  max |d E_N| = {d['d_negativity_max']:.3e}"
         )
-    if diffs and diffs[-1]["d_negativity_max"] >= args.tol:
+    if diffs[-1]["d_negativity_max"] >= args.tol:
         print(
             f"not converged: final max |d E_N| {diffs[-1]['d_negativity_max']:.3e}"
             f" >= {args.tol:g}",
@@ -306,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_flags(p_conv, cutoff=False)  # --cutoffs sets N
     p_conv.add_argument("--basis", choices=BASES, default="transformed")
     p_conv.add_argument("--cutoffs", type=_cutoff_list, default="6,8,10,12,14,16",
-                        help="comma-separated ascending cutoffs")
+                        help="two or more comma-separated ascending cutoffs")
     p_conv.add_argument("--tol", type=_positive_float, default=VERIFY_TOL,
                         help="pass threshold on the final successive difference")
     p_conv.set_defaults(func=cmd_converge)

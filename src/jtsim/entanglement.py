@@ -32,7 +32,7 @@ import numpy as np
 # ground_state is unused here but stays importable as
 # jtsim.entanglement.ground_state, where the perfbench layer tracer looks it up.
 from .groundstate import ground_state  # noqa: F401
-from .hilbert import StateVector
+from .model import StateVector
 
 NEG_CLAMP = 1e-9
 # A mode's support: singular values of its unfolding above this share of the largest.

@@ -20,15 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import PARITY_SIGNS, StateVector, _parity_sector
+from .model import PARITY_SIGNS, StateVector, SystemParams, _parity_sector
+from .model import build_lab_hamiltonian, build_transformed_hamiltonian
 # parity_operator is unused here but stays importable as
 # jtsim.groundstate.parity_operator, where the perfbench layer tracer looks it up.
-from .hilbert import parity_operator  # noqa: F401
-from .model import (
-    SystemParams,
-    build_lab_hamiltonian,
-    build_transformed_hamiltonian,
-)
+from .model import parity_operator  # noqa: F401
 
 DEGENERACY_TOL = 1e-10
 

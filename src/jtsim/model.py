@@ -1,7 +1,14 @@
 """Two-mode Jahn-Teller Hamiltonians for the superconducting-circuit realisation.
 
-Both two-mode builders assemble one real symmetric operator on the layout
-fixed in :mod:`jtsim.hilbert`, in units of the qubit transition frequency,
+Basis-ordering contract used by every module in this package: the tensor
+order is (qubit, mode 1, mode 2), row-major, so a basis state |s, n1, n2>
+sits at flat index  s*N^2 + n1*N + n2  with s in {0, 1} and n_i in
+{0 .. N-1}.  Qubit index 0 is the lower level (sigma_z eigenvalue -1),
+index 1 the upper level (+1).  After the mode rotation the same layout
+holds with (qubit, privileged mode, disadvantaged mode).
+
+Both two-mode builders assemble one real symmetric operator on this
+layout, in units of the qubit transition frequency,
 
     H = 1/2 sz + w1 n1 + w2 n2 + (g1 x1 + g2 x2) sx + hop (a1^T a2 + a2^T a1)
 
@@ -17,7 +24,7 @@ with x_i = a_i + a_i^T; they differ only in the five coefficients:
 
 H conserves the parity Pi = sz (-1)^(n1+n2), so the builders return it as
 its two N^2 x N^2 parity blocks (``ParityBlocks``, sector layout in
-:mod:`jtsim.hilbert`); the full 2N^2 x 2N^2 matrix is never formed.
+``_parity_sector``); the full 2N^2 x 2N^2 matrix is never formed.
 Inside a block sx only relabels the qubit level, so the block of sign
 +-1 is diag(w1 n1 + w2 n2 +- 1/2 (-1)^(n1+n2)) + g1 x (x) I
 + g2 I (x) x + hop (a^T (x) a + a (x) a^T); these entries are written
@@ -29,10 +36,10 @@ algebra, and ``mode_rotation_unitary`` shares only its k_p.  Note the
 hopping J contributes 2*J*k1*k2/k_p^2 to the rotated number operators (the
 b1/b2 cross terms of a1(dag)a2 + a2(dag)a1 add up twice); the rotated
 hopping coefficient is c + J*(k2^2 - k1^2)/k_p^2.  A spectral cross-check
-against the lab builder is part of the test suite.  This module alone owns
-the k_1 = k_2 = 0 rule, where the rotation is undefined (``ValueError``):
-the transformed builder returns the lab blocks and ``privileged_validity``
-reports nan ratios with valid=None.
+against the lab builder is part of the test suite.  At k_1 = k_2 = 0 the
+rotation is undefined (``ValueError``): the transformed builder returns the
+lab blocks, ``privileged_validity`` reports nan ratios with valid=None, and
+``sweeps.compare_bases`` returns before it would build the rotation.
 """
 
 from __future__ import annotations
@@ -44,8 +51,111 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hilbert import PARITY_SIGNS, ParityBlocks, _check_cutoff, _sector_sigma_z, annihilation
-from .hilbert import embed  # noqa: F401  (looked up as jtsim.model.embed by perfbench's tracer)
+SLOTS = ("S", "M1", "M2")
+
+# Order of the parity sectors in ParityBlocks.entries.
+PARITY_SIGNS = (1, -1)
+
+
+@dataclass(frozen=True)
+class ParityBlocks:
+    """Operator that conserves Pi = sz (-1)^(n1+n2), as its two sector blocks.
+
+    ``entries`` has shape (2, N^2, N^2); entries[i] is the Pi = PARITY_SIGNS[i]
+    block, indexed like ``_parity_sector``.  ``factor_dims`` is (2, N, N).
+    """
+
+    entries: np.ndarray
+    factor_dims: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class StateVector:
+    """Amplitude vector over the same tensor-factor layout (dtype kept as given)."""
+
+    amplitudes: np.ndarray
+    factor_dims: tuple[int, ...]
+
+    def __post_init__(self):
+        amps = np.asarray(self.amplitudes)
+        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "factor_dims", tuple(int(d) for d in self.factor_dims))
+        if amps.shape != (math.prod(self.factor_dims),):
+            raise ValueError(
+                f"amplitude vector of length {amps.shape} does not match "
+                f"factor_dims {self.factor_dims}"
+            )
+
+
+def _check_cutoff(cutoff: int) -> int:
+    if int(cutoff) != cutoff or cutoff < 2:
+        raise ValueError("cutoff must be >= 2")
+    return int(cutoff)
+
+
+def annihilation(cutoff: int) -> np.ndarray:
+    """Bosonic annihilation operator a with a|n> = sqrt(n)|n-1>, truncated at cutoff."""
+    n = _check_cutoff(cutoff)
+    a = np.zeros((n, n))
+    for k in range(1, n):
+        a[k - 1, k] = math.sqrt(k)
+    return a
+
+
+def embed(op: np.ndarray, slot: str, cutoff: int) -> np.ndarray:
+    """Lift a single-factor operator to the full (qubit, mode1, mode2) space.
+
+    slot selects the tensor factor: "S" for the qubit (op is 2 x 2),
+    "M1"/"M2" for the modes (op is cutoff x cutoff).  The result is the
+    2 cutoff^2 x 2 cutoff^2 matrix that acts as identity on the other two
+    factors.
+    """
+    n = _check_cutoff(cutoff)
+    if slot not in SLOTS:
+        raise ValueError(f"unknown slot {slot!r}; expected one of {SLOTS}")
+    expected = 2 if slot == "S" else n
+    if op.shape != (expected, expected):
+        raise ValueError(
+            f"operator of shape {op.shape} does not fit slot {slot} "
+            f"(expected {expected} x {expected})"
+        )
+    eye_q = np.eye(2)
+    eye_m = np.eye(n)
+    parts = {
+        "S": (op, eye_m, eye_m),
+        "M1": (eye_q, op, eye_m),
+        "M2": (eye_q, eye_m, op),
+    }[slot]
+    return np.kron(np.kron(parts[0], parts[1]), parts[2])
+
+
+def parity_operator(cutoff: int) -> np.ndarray:
+    """Total parity sigma_z (x) (-1)^(n1+n2); commutes with every model Hamiltonian.
+
+    Its diagonal at qubit level s, sigma_z (-1)^(n1+n2), is _sector_sigma_z(N, sigma_z)
+    with sigma_z = -1 for s = 0 and +1 for s = 1.
+    """
+    n = _check_cutoff(cutoff)
+    diagonal = np.concatenate([_sector_sigma_z(n, -1), _sector_sigma_z(n, 1)])
+    return np.diag(diagonal.astype(np.float64))
+
+
+def _sector_sigma_z(cutoff: int, sign: int) -> np.ndarray:
+    """sigma_z (+-1) of the one qubit level the Pi = sign sector holds at each grid index."""
+    grid = np.arange(cutoff * cutoff)
+    return sign * (1 - 2 * ((grid // cutoff + grid % cutoff) % 2))
+
+
+def _parity_sector(cutoff: int, sign: int) -> np.ndarray:
+    """Flat indices of the Pi = sign sector, one per mode pair (n1, n2) in grid order.
+
+    For each (n1, n2) exactly one qubit level s gives sigma_z (-1)^(n1+n2)
+    = sign, so the sector has N^2 states and index k = n1*N + n2 of a
+    sector block maps to flat index s*N^2 + k of the full space.
+    """
+    # sigma_z = +1 on the upper level s = 1.
+    return np.arange(cutoff * cutoff) + (_sector_sigma_z(cutoff, sign) == 1) * cutoff * cutoff
+
 
 # Perturbative validity of the single-privileged-mode picture: both the
 # qubit-disadvantaged coupling and the mode hopping must stay below half

@@ -40,8 +40,8 @@ import numpy as np
 from ._version import __version__
 from .entanglement import EntanglementReport, report_from_state
 from .groundstate import BASES, ground_state
-from .hilbert import StateVector, _check_cutoff
-from .model import SystemParams, mode_rotation_unitary, privileged_validity
+from .model import StateVector, SystemParams, _check_cutoff
+from .model import mode_rotation_unitary, privileged_validity
 
 MAX_GRID_POINTS = 10_000
 

@@ -12,8 +12,7 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import settings, strategies as st
 
-from jtsim.hilbert import PARITY_SIGNS, ParityBlocks, _parity_sector, annihilation
-from jtsim.model import SystemParams
+from jtsim.model import PARITY_SIGNS, ParityBlocks, SystemParams, _parity_sector, annihilation
 
 # Qubit Pauli operators; index 0 is the lower level (sigma_z = -1).
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -308,6 +308,9 @@ def test_sweep_jobs_below_one_is_usage_error(value, tmp_path, capsys):
          "argument --cutoffs: must be comma-separated integers, got ''"),
         (["converge", "--cutoffs", "10.5"],
          "argument --cutoffs: must be comma-separated integers, got '10.5'"),
+        # one cutoff has no successive difference, so nothing would be checked
+        (["converge", "--cutoffs", "4"],
+         "argument --cutoffs: must list at least two cutoffs, got '4'"),
     ],
 )
 def test_unparsable_flag_values_read_as_usage_errors(argv, text, tmp_path, monkeypatch, capsys):
@@ -334,6 +337,26 @@ def test_preset_sweep_refuses_model_flags(flag, value, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: fig1 fixes the model parameters; custom sweeps only: {flag}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "var, flags, refused",
+    [
+        ("J", ["--J", "0.7"], "--J"),
+        ("delta", ["--omega1", "0.5"], "--omega1"),
+        ("delta", ["--omega2", "0.5", "--delta", "0.1", "--J", "0.1"], "--omega2, --delta"),
+        ("kappa", ["--k1", "0.5", "--k2", "0.5"], "--k1, --k2"),
+        ("kappa", ["--kappa", "0.2", "--omega1", "0.5"], "--kappa"),
+    ],
+)
+def test_custom_sweep_refuses_flags_its_var_overwrites(var, flags, refused, tmp_path, capsys):
+    # the control variable sets these parameters at every t, so a given value would be lost
+    code = main(["sweep", "custom", "--var", var, "--tmin", "0", "--tmax", "0.1",
+                 "--step", "0.05", "--N", "4", *flags, "-o", str(tmp_path / "c.csv")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: --var {var} sets these parameters itself: {refused}"]
     assert list(tmp_path.iterdir()) == []
 
 

@@ -16,8 +16,7 @@ from jtsim.entanglement import (
     partial_transpose,
     report_from_state,
 )
-from jtsim.hilbert import StateVector
-from jtsim.model import SystemParams
+from jtsim.model import StateVector, SystemParams
 from jtsim.sweeps import run_point
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)

@@ -7,8 +7,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from jtsim.groundstate import BASES, eig_hermitian, ground_state
-from jtsim.hilbert import PARITY_SIGNS, _parity_sector
-from jtsim.model import SystemParams, build_lab_hamiltonian, build_transformed_hamiltonian
+from jtsim.model import (
+    PARITY_SIGNS,
+    SystemParams,
+    _parity_sector,
+    build_lab_hamiltonian,
+    build_transformed_hamiltonian,
+)
 from jtsim.sweeps import convergence_study, run_point, successive_differences
 from oracles import (
     SX,

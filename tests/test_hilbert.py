@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from jtsim.hilbert import _parity_sector, _sector_sigma_z, annihilation, embed, parity_operator
+from jtsim.model import _parity_sector, _sector_sigma_z, annihilation, embed, parity_operator
 from oracles import SX, SZ, parity_oracle
 
 

@@ -8,15 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 from jtsim.groundstate import ground_state
 from jtsim.model import (
+    PARITY_SIGNS,
+    ParityBlocks,
     SystemParams,
     VALIDITY_THRESHOLD,
+    _parity_sector,
     _rotated_coefficients,
     build_lab_hamiltonian,
     build_transformed_hamiltonian,
     mode_rotation_unitary,
+    parity_operator,
     privileged_validity,
 )
-from jtsim.hilbert import PARITY_SIGNS, ParityBlocks, _parity_sector, parity_operator
 from oracles import (
     full_matrix,
     model_points,

@@ -25,7 +25,11 @@ def load_layers():
 def test_every_layer_patch_resolves():
     layers = load_layers()
     for module_name, attr, _span, _hook in layers.LAYER_PATCHES:
-        assert hasattr(importlib.import_module(module_name), attr), f"{module_name}.{attr}"
+        module = importlib.import_module(module_name)
+        assert hasattr(module, attr), f"{module_name}.{attr}"
+        # no run path calls embed, parity_operator or the dense toolkit, so a
+        # stub bound to one of those names would pass every other gate
+        assert callable(getattr(module, attr)), f"{module_name}.{attr} is not callable"
 
 
 def traced_metrics(argv, exit_code=0):
