@@ -11,8 +11,8 @@ Usage examples:
 
 Exit codes: 0 success, 2 usage or parameter error, 3 sweep completed with
 flagged rows, 4 threshold failure (converge/xcheck).  A sweep whose
-higher-cutoff verification drifts past its tolerance warns on stderr but
-keeps its exit code.
+higher-cutoff verification drifts past its tolerance says so in its summary
+line but keeps its exit code.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict
 from functools import partial
 
@@ -178,10 +179,8 @@ def _refuse_given(args, dests, reason: str) -> bool:
 
 def cmd_sweep(args) -> int:
     if args.name != "custom":
-        spec = figure_sweep(
-            args.name, N=args.N, basis=args.basis,
-            t_min=args.tmin, t_max=args.tmax, step=args.step,
-        )
+        spec = figure_sweep(args.name, N=args.N, basis=args.basis,
+                            t_min=args.tmin, t_max=args.tmax, step=args.step)
         reason = f"{args.name} fixes the model parameters; custom sweeps only"
         if _refuse_given(args, (*MODEL_FLAGS, "var"), reason):
             return 2
@@ -194,44 +193,33 @@ def cmd_sweep(args) -> int:
         reason = f"--var {args.var} sets these parameters itself"
         if _refuse_given(args, [dest for dest in MODEL_FLAGS if dest in overwritten], reason):
             return 2
-        base = _params_from_args(args)
-        spec = SweepSpec(
-            name="custom",
-            parameter_rule=partial(_controlled_params, args.var, base),
-            t_min=args.tmin,
-            t_max=args.tmax,
-            step=args.step,
-            basis=args.basis,
-            N=args.N,
-        )
+        rule = partial(_controlled_params, args.var, _params_from_args(args))
+        spec = SweepSpec("custom", rule, args.tmin, args.tmax, args.step, args.basis, args.N)
     result = run_sweep(spec, jobs=args.jobs, verify_subsample=not args.no_verify)
     out = args.output or _default_out(f"{spec.name}.csv")
     write_csv(result, out)
     write_manifest(result, out + ".manifest.json")
-    flagged = result.manifest["flagged_rows"]
-    failed = [row for row in result.rows if row.error is not None]
-    counts = {"degenerate": sum(row.degenerate for row in result.rows), "failed": len(failed)}
-    reasons = ", ".join(f"{count} {reason}" for reason, count in counts.items() if count)
-    print(
-        f"{spec.name}: {len(result.rows)} rows -> {out} "
-        f"({flagged} flagged{': ' + reasons if reasons else ''}, "
-        f"{result.manifest['runtime_s']:.2f} s)"
-    )
+    manifest = result.manifest
+    # Each reason reads "<kind>" or "<kind>: <detail>"; kinds sort as degenerate, failed.
+    counts = Counter(entry["reason"].partition(": ")[0] for entry in manifest["flagged"])
+    breakdown = ", ".join(f"{n} {kind}" for kind, n in sorted(counts.items()))
+    notes = [f"{manifest['flagged_rows']} flagged" + (f": {breakdown}" if breakdown else "")]
+    ver = manifest.get("verification")
+    if ver and ver["within_tol"] is False:
+        notes.append(
+            f"verification failed: max |d E_N| {ver['max_abs_negativity_diff']:.3e} "
+            f"at N={ver['cutoff_check']} >= {ver['tolerance']:g}"
+        )
+    notes.append(f"{manifest['runtime_s']:.2f} s")
+    print(f"{spec.name}: {manifest['rows']} rows -> {out} ({', '.join(notes)})")
+    failed = [entry for entry in manifest["flagged"] if entry["reason"].startswith("failed: ")]
     if failed:
         print(
-            f"warning: {spec.name}: {len(failed)} of {len(result.rows)} rows failed, "
-            f"first at t={failed[0].t:g}: {failed[0].error}",
+            f"warning: {spec.name}: {len(failed)} of {manifest['rows']} rows failed, "
+            f"first at t={failed[0]['t']:g}: {failed[0]['reason'].removeprefix('failed: ')}",
             file=sys.stderr,
         )
-    ver = result.manifest.get("verification")
-    if ver and ver["within_tol"] is False:
-        print(
-            f"warning: {spec.name} verification drift max |d E_N| "
-            f"{ver['max_abs_negativity_diff']:.3e} at N={ver['cutoff_check']} "
-            f">= tolerance {ver['tolerance']:g}",
-            file=sys.stderr,
-        )
-    return 3 if flagged else 0
+    return 3 if manifest["flagged_rows"] else 0
 
 
 def cmd_converge(args) -> int:

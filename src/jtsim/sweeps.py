@@ -2,8 +2,8 @@
 
 ``run_point`` is the one way a parameter point is evaluated: sweep rows,
 the higher-cutoff verification subsample and ``convergence_study`` all
-call it and all return ``SweepRow``, which owns the point's verdict
-(degenerate, or failed with its error).  Sweeps go to CSV plus a run manifest.
+call it and all return ``SweepRow``, whose ``reason`` is the one statement
+of why a row is flagged.  Sweeps go to CSV plus a run manifest.
 
 Each scan varies one control variable t; ``_control_values`` maps it to
 parameters: Delta sets omega_{1,2} = 1 +- Delta/2, kappa sets
@@ -90,7 +90,7 @@ class SweepSpec:
             raise ValueError("t_min must be below t_max")
         if not self.step > 0:
             raise ValueError("step must be positive")
-        if (self.t_max - self.t_min) / self.step > MAX_GRID_POINTS:
+        if _grid_size(self) > MAX_GRID_POINTS:
             raise ValueError(f"grid exceeds {MAX_GRID_POINTS} points")
 
 
@@ -112,8 +112,15 @@ class SweepRow:
     residual: float = math.nan
 
     @property
+    def reason(self) -> str | None:
+        """Why the row is flagged: ``failed: <error>``, ``degenerate``, or None if clean."""
+        if self.error is not None:
+            return f"failed: {self.error}"
+        return "degenerate" if self.degenerate else None
+
+    @property
     def flagged(self) -> bool:
-        return self.error is not None or self.degenerate
+        return self.reason is not None
 
 
 @dataclass
@@ -123,9 +130,14 @@ class SweepResult:
     manifest: dict = field(default_factory=dict)
 
 
+def _grid_size(spec: SweepSpec) -> float:
+    """Number of grid points, or inf when the span overflows a float."""
+    steps = (spec.t_max - spec.t_min) / spec.step + 1e-9
+    return math.floor(steps) + 1 if steps < math.inf else math.inf
+
+
 def grid_points(spec: SweepSpec) -> list[float]:
-    n_steps = int(math.floor((spec.t_max - spec.t_min) / spec.step + 1e-9))
-    return [round(spec.t_min + i * spec.step, 12) for i in range(n_steps + 1)]
+    return [round(spec.t_min + i * spec.step, 12) for i in range(_grid_size(spec))]
 
 
 def run_point(p: SystemParams, basis: str = "transformed", t: float = math.nan) -> SweepRow:
@@ -151,24 +163,24 @@ def _max_negativity_change(a: EntanglementReport, b: EntanglementReport) -> floa
 
 
 def _verify_subsample(spec: SweepSpec, rows: list[SweepRow]) -> dict:
-    """Recompute a few clean rows at a larger cutoff and record the drift."""
+    """Recompute a few clean rows at N + 4; the drift is None when no row is clean."""
     clean = [r for r in rows if not r.flagged]
-    if not clean:
-        return {"points": [], "max_abs_negativity_diff": None, "within_tol": None}
     picks = sorted(
         {int(i) for i in np.linspace(0, len(clean) - 1, min(VERIFY_POINTS, len(clean)))}
     )
     checked = [clean[i] for i in picks]
-    worst = 0.0
+    cutoff = spec.N + VERIFY_CUTOFF_BUMP
+    drifts = []
     for row in checked:
-        hi = run_point(replace(row.params, N=spec.N + VERIFY_CUTOFF_BUMP), spec.basis, t=row.t)
-        worst = max(worst, _max_negativity_change(row.report, hi.report))
+        hi = run_point(replace(row.params, N=cutoff), spec.basis, t=row.t)
+        drifts.append(_max_negativity_change(row.report, hi.report))
+    worst = max(drifts, default=None)
     return {
         "points": [row.t for row in checked],
-        "cutoff_check": spec.N + VERIFY_CUTOFF_BUMP,
+        "cutoff_check": cutoff,
         "tolerance": VERIFY_TOL,
         "max_abs_negativity_diff": worst,
-        "within_tol": worst < VERIFY_TOL,
+        "within_tol": None if worst is None else worst < VERIFY_TOL,
     }
 
 
@@ -190,6 +202,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, verify_subsample: bool = True) -> 
     else:
         rows = [_evaluate_grid_point(spec, t) for t in ts]
 
+    flagged = [{"t": r.t, "reason": r.reason} for r in rows if r.flagged]
     manifest = {
         "code_version": __version__,
         "sweep": spec.name,
@@ -197,12 +210,8 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, verify_subsample: bool = True) -> 
         "cutoff": spec.N,
         "grid": {"t_min": spec.t_min, "t_max": spec.t_max, "step": spec.step},
         "rows": len(rows),
-        "flagged_rows": sum(1 for r in rows if r.flagged),
-        "flagged": [
-            {"t": r.t, "reason": "degenerate" if r.degenerate else f"failed: {r.error}"}
-            for r in rows
-            if r.flagged
-        ],
+        "flagged_rows": len(flagged),
+        "flagged": flagged,
         "max_residual": max((r.residual for r in rows if not r.flagged), default=None),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
@@ -274,19 +283,19 @@ def _fig5_params(t: float) -> SystemParams:
     return SystemParams(**_control_values("delta", t), k_1=t, k_2=t)
 
 
-PRESETS = {
-    "fig1": (partial(_controlled_params, "delta", SystemParams(1.0, 1.0, K_STRONG, K_STRONG)),
-             -2.0, 2.0, 0.05),
-    "fig2": (partial(_controlled_params, "delta", SystemParams(1.0, 1.0, K_ULTRA, K_ULTRA)),
-             -2.0, 2.0, 0.05),
-    "fig3": (partial(_controlled_params, "kappa", SystemParams(0.1, 0.05, 0.5, 0.5)),
-             -1.0, 1.0, 0.05),
-    "fig4": (partial(_controlled_params, "kappa", SystemParams(1.0, 0.5, 0.5, 0.5)),
-             -1.0, 1.0, 0.05),
-    "fig5": (_fig5_params, 0.0, 2.0, 0.05),
-    "fig6": (partial(_controlled_params, "J", SystemParams(0.2, 0.1, K_ULTRA, K_ULTRA)),
-             0.0, 0.1, 0.0025),
-}
+PRESETS = {spec.name: spec for spec in (
+    SweepSpec("fig1", partial(_controlled_params, "delta",
+                              SystemParams(1.0, 1.0, K_STRONG, K_STRONG)), -2.0, 2.0, 0.05),
+    SweepSpec("fig2", partial(_controlled_params, "delta",
+                              SystemParams(1.0, 1.0, K_ULTRA, K_ULTRA)), -2.0, 2.0, 0.05),
+    SweepSpec("fig3", partial(_controlled_params, "kappa",
+                              SystemParams(0.1, 0.05, 0.5, 0.5)), -1.0, 1.0, 0.05),
+    SweepSpec("fig4", partial(_controlled_params, "kappa",
+                              SystemParams(1.0, 0.5, 0.5, 0.5)), -1.0, 1.0, 0.05),
+    SweepSpec("fig5", _fig5_params, 0.0, 2.0, 0.05),
+    SweepSpec("fig6", partial(_controlled_params, "J",
+                              SystemParams(0.2, 0.1, K_ULTRA, K_ULTRA)), 0.0, 0.1, 0.0025),
+)}
 
 
 def figure_sweep(
@@ -300,16 +309,9 @@ def figure_sweep(
     """Built-in sweep by name (fig1 .. fig6), with optional grid overrides."""
     if name not in PRESETS:
         raise ValueError(f"unknown sweep {name!r}; presets are {sorted(PRESETS)}")
-    rule, lo, hi, st = PRESETS[name]
-    return SweepSpec(
-        name=name,
-        parameter_rule=rule,
-        t_min=lo if t_min is None else t_min,
-        t_max=hi if t_max is None else t_max,
-        step=st if step is None else step,
-        basis=basis,
-        N=N,
-    )
+    grid = {"t_min": t_min, "t_max": t_max, "step": step}
+    return replace(PRESETS[name], N=N, basis=basis,
+                   **{key: value for key, value in grid.items() if value is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -374,14 +376,13 @@ def csv_row(row: SweepRow, N: int) -> str:
     else:
         pfields = [_fmt(v) for v in (p.omega_1, p.omega_2, p.k_1, p.k_2, p.J)]
     en = [_fmt(math.nan)] * 4 if row.report is None else [_fmt(v) for v in astuple(row.report)]
-    degenerate = row.flagged
     cells = (
         [_fmt(row.t)]
         + pfields
         + [str(N)]
         + en
         + [_fmt(row.energy), _fmt(row.gap), _fmt(row.r1), _fmt(row.r2)]
-        + ["true" if degenerate else "false"]
+        + ["true" if row.flagged else "false"]
     )
     return ",".join(cells)
 

@@ -197,20 +197,25 @@ def test_sweep_summary_breaks_down_flagged_rows(tmp_path, capsys):
 
 
 def test_sweep_verification_drift_warns(tmp_path, capsys):
-    # fig5 near Delta = 2 is far from converged at N = 6: drift above VERIFY_TOL
+    # fig5 near Delta = 2 is far from converged at N = 6: drift above VERIFY_TOL.
+    # The summary line names the failed verification; the exit code stays 0.
+    out = tmp_path / "fig5.csv"
     code = main(
         ["sweep", "fig5", "--tmin", "1.9", "--tmax", "1.95", "--step", "0.05",
-         "--N", "6", "-o", str(tmp_path / "fig5.csv")]
+         "--N", "6", "-o", str(out)]
     )
     assert code == 0
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
     manifest = json.loads((tmp_path / "fig5.csv.manifest.json").read_text())
     assert manifest["verification"]["within_tol"] is False
-    warnings = [line for line in err.splitlines() if line.startswith("warning:")]
-    assert len(warnings) == 1
+    lines = captured.out.splitlines()
+    assert len(lines) == 1
     drift = manifest["verification"]["max_abs_negativity_diff"]
-    assert f"{drift:.3e}" in warnings[0]
-    assert "N=10" in warnings[0] and "tolerance 0.005" in warnings[0]
+    assert lines[0].startswith(
+        f"fig5: 2 rows -> {out} (0 flagged, verification failed: max |d E_N| {drift:.3e} "
+        "at N=10 >= 0.005, "
+    )
+    assert "warning" not in captured.err
 
 
 def test_sweep_verification_within_tol_is_silent(tmp_path, capsys):
@@ -221,7 +226,29 @@ def test_sweep_verification_within_tol_is_silent(tmp_path, capsys):
     assert code == 0
     manifest = json.loads((tmp_path / "fig1.csv.manifest.json").read_text())
     assert manifest["verification"]["within_tol"] is True
-    assert "warning" not in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "warning" not in captured.err
+    notes = captured.out.rpartition(" (")[2]  # the path before it holds the test's name
+    assert notes.startswith("0 flagged, ") and "verification" not in notes
+
+
+def test_sweep_with_no_clean_row_records_full_verification_block(tmp_path, capsys):
+    # omega_2 < 0 at every t: each row fails, so no point is verified
+    out = tmp_path / "custom.csv"
+    code = main(
+        ["sweep", "custom", "--var", "delta", "--tmin", "2.1", "--tmax", "2.2",
+         "--step", "0.1", "--k1", "0.1", "--k2", "0.1", "--N", "4", "-o", str(out)]
+    )
+    assert code == 3
+    manifest = json.loads((tmp_path / "custom.csv.manifest.json").read_text())
+    assert manifest["verification"] == {
+        "points": [],
+        "cutoff_check": 8,
+        "tolerance": 0.005,
+        "max_abs_negativity_diff": None,
+        "within_tol": None,
+    }
+    assert f"custom: 2 rows -> {out} (2 flagged: 2 failed, " in capsys.readouterr().out
 
 
 def test_sweep_custom_rule(tmp_path):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import astuple
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -16,8 +16,10 @@ from jtsim.entanglement import (
     partial_transpose,
     report_from_state,
 )
+from jtsim.groundstate import BASES, ground_state
 from jtsim.model import StateVector, SystemParams
 from jtsim.sweeps import run_point
+from oracles import model_points, property_settings
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
 
@@ -296,6 +298,18 @@ class TestReportFromStateTensorPath:
         for amps in (np.full(8, 0.5), np.full(8, np.nan)):
             with pytest.raises(ValueError, match="norm"):
                 report_from_state(StateVector(amps, (2, 2, 2)))
+
+    @property_settings
+    @given(st.builds(replace, model_points, N=st.integers(2, 12)), st.sampled_from(BASES))
+    def test_support_cut_matches_uncut_report(self, p, basis):
+        # The cut drops sigma <= SUPPORT_TOL * sigma_max; at a cut of 0 every
+        # nonzero singular direction of each mode is kept.
+        state = ground_state(p, basis).state
+        cut = astuple(report_from_state(state))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(entanglement, "SUPPORT_TOL", 0.0)
+            uncut = astuple(report_from_state(state))
+        assert max(abs(a - b) for a, b in zip(cut, uncut)) < 1e-12
 
     def test_builds_no_density_matrix(self, monkeypatch):
         def refuse(*args, **kwargs):

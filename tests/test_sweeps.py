@@ -11,6 +11,7 @@ from jtsim.model import SystemParams
 from jtsim.sweeps import (
     CSV_COLUMNS,
     PRESETS,
+    SweepRow,
     SweepSpec,
     compare_bases,
     figure_sweep,
@@ -77,15 +78,33 @@ class TestGrid:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="t_min"):
-            SweepSpec("bad", PRESETS["fig1"][0], 1.0, 0.0, 0.1)
+            SweepSpec("bad", PRESETS["fig1"].parameter_rule, 1.0, 0.0, 0.1)
         with pytest.raises(ValueError, match="step"):
-            SweepSpec("bad", PRESETS["fig1"][0], 0.0, 1.0, -0.1)
+            SweepSpec("bad", PRESETS["fig1"].parameter_rule, 0.0, 1.0, -0.1)
         with pytest.raises(ValueError, match="grid"):
-            SweepSpec("bad", PRESETS["fig1"][0], 0.0, 1e6, 0.1)
+            SweepSpec("bad", PRESETS["fig1"].parameter_rule, 0.0, 1e6, 0.1)
         with pytest.raises(ValueError, match="cutoff must be >= 2"):
-            SweepSpec("bad", PRESETS["fig1"][0], 0.0, 1.0, 0.1, N=1)
+            SweepSpec("bad", PRESETS["fig1"].parameter_rule, 0.0, 1.0, 0.1, N=1)
         with pytest.raises(ValueError, match="unknown basis 'rotated'"):
-            SweepSpec("bad", PRESETS["fig1"][0], 0.0, 1.0, 0.1, basis="rotated")
+            SweepSpec("bad", PRESETS["fig1"].parameter_rule, 0.0, 1.0, 0.1, basis="rotated")
+
+    def test_grid_cap_counts_points_like_grid_points(self):
+        rule = PRESETS["fig1"].parameter_rule
+        assert len(grid_points(SweepSpec("edge", rule, 0.0, 9999.0, 1.0))) == 10_000
+        for t_max, step in ((10_000.0, 1.0), (1.0, 1e-4)):  # 10 001 points each
+            with pytest.raises(ValueError, match="grid exceeds 10000 points"):
+                SweepSpec("over", rule, 0.0, t_max, step)
+        with pytest.raises(ValueError, match="grid exceeds"):  # the span overflows a float
+            SweepSpec("over", rule, -1e308, 1e308, 1.0)
+
+    def test_presets_are_specs_and_overrides_are_validated(self):
+        assert all(isinstance(spec, SweepSpec) and spec.name == name
+                   for name, spec in PRESETS.items())
+        spec = figure_sweep("fig6", N=4, basis="lab", step=0.05)
+        assert (spec.t_min, spec.t_max, spec.step, spec.basis, spec.N) == (0.0, 0.1, 0.05, "lab", 4)
+        assert spec.parameter_rule is PRESETS["fig6"].parameter_rule
+        with pytest.raises(ValueError, match="t_min"):
+            figure_sweep("fig1", t_min=3.0)
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown sweep 'nosuch'"):
@@ -118,7 +137,7 @@ class TestRunSweep:
         # Delta -> -Delta relabels the modes: reports at +-1.9 must agree
         from dataclasses import replace
 
-        rule = PRESETS["fig1"][0]
+        rule = PRESETS["fig1"].parameter_rule
         plus = run_point(replace(rule(1.9), N=10))
         minus = run_point(replace(rule(-1.9), N=10))
         for f, v in asdict(plus.report).items():
@@ -155,6 +174,12 @@ class TestRunSweep:
             assert r.params is None and r.report is None and r.valid is None
             assert all(math.isnan(v) for v in (r.energy, r.gap, r.r1, r.r2, r.r3))
             assert not r.degenerate
+
+    def test_row_reason_is_the_flag(self):
+        assert SweepRow(0.5, error="ValueError: boom").reason == "failed: ValueError: boom"
+        assert SweepRow(0.5, degenerate=True).reason == "degenerate"
+        clean = run_point(SystemParams(omega_1=1, omega_2=0.5, k_1=0.1, k_2=0.1, N=4))
+        assert clean.reason is None and not clean.flagged
 
     def test_degenerate_endpoint_flagged(self):
         with warnings.catch_warnings():
