@@ -39,7 +39,7 @@ import numpy as np
 
 from ._version import __version__
 from .entanglement import EntanglementReport, report_from_state
-from .groundstate import BASES, ground_state
+from .groundstate import BASES, SOLVER_PATHS, ground_state
 from .model import StateVector, SystemParams, _check_cutoff
 from .model import mode_rotation_unitary, privileged_validity
 
@@ -86,6 +86,10 @@ class SweepSpec:
         object.__setattr__(self, "N", _check_cutoff(self.N))
         if self.basis not in BASES:
             raise ValueError(f"unknown basis {self.basis!r}; expected one of {BASES}")
+        if not all(map(math.isfinite, (self.t_min, self.t_max, self.step))):
+            raise ValueError(
+                f"t_min, t_max and step must be finite, got {self.t_min}, {self.t_max}, {self.step}"
+            )
         if not self.t_min < self.t_max:
             raise ValueError("t_min must be below t_max")
         if not self.step > 0:
@@ -110,6 +114,7 @@ class SweepRow:
     degenerate: bool = False
     error: str | None = None
     residual: float = math.nan
+    solver: str | None = None
 
     @property
     def reason(self) -> str | None:
@@ -146,7 +151,7 @@ def run_point(p: SystemParams, basis: str = "transformed", t: float = math.nan) 
     rep = report_from_state(gs.state)
     validity = asdict(privileged_validity(p))
     return SweepRow(t, p, rep, gs.energy, gs.gap, degenerate=gs.degenerate_flag,
-                    residual=gs.residual, **validity)
+                    residual=gs.residual, solver=gs.solver, **validity)
 
 
 def _evaluate_grid_point(spec: SweepSpec, t: float) -> SweepRow:
@@ -162,26 +167,28 @@ def _max_negativity_change(a: EntanglementReport, b: EntanglementReport) -> floa
     return max(abs(x - y) for x, y in zip(astuple(a), astuple(b)))
 
 
-def _verify_subsample(spec: SweepSpec, rows: list[SweepRow]) -> dict:
-    """Recompute a few clean rows at N + 4; the drift is None when no row is clean."""
+def _verify_subsample(spec: SweepSpec, rows: list[SweepRow]) -> tuple[dict, list[SweepRow]]:
+    """Recompute a few clean rows at N + 4: the manifest block and the recomputed rows.
+
+    The drift is None when no row is clean.
+    """
     clean = [r for r in rows if not r.flagged]
     picks = sorted(
         {int(i) for i in np.linspace(0, len(clean) - 1, min(VERIFY_POINTS, len(clean)))}
     )
     checked = [clean[i] for i in picks]
     cutoff = spec.N + VERIFY_CUTOFF_BUMP
-    drifts = []
-    for row in checked:
-        hi = run_point(replace(row.params, N=cutoff), spec.basis, t=row.t)
-        drifts.append(_max_negativity_change(row.report, hi.report))
-    worst = max(drifts, default=None)
+    recomputed = [run_point(replace(row.params, N=cutoff), spec.basis, t=row.t)
+                  for row in checked]
+    worst = max((_max_negativity_change(lo.report, hi.report)
+                 for lo, hi in zip(checked, recomputed)), default=None)
     return {
         "points": [row.t for row in checked],
         "cutoff_check": cutoff,
         "tolerance": VERIFY_TOL,
         "max_abs_negativity_diff": worst,
         "within_tol": None if worst is None else worst < VERIFY_TOL,
-    }
+    }, recomputed
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1, verify_subsample: bool = True) -> SweepResult:
@@ -215,8 +222,11 @@ def run_sweep(spec: SweepSpec, jobs: int = 1, verify_subsample: bool = True) -> 
         "max_residual": max((r.residual for r in rows if not r.flagged), default=None),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
+    solved = rows  # a failed row has no solver and counts for no path
     if verify_subsample:
-        manifest["verification"] = _verify_subsample(spec, rows)
+        manifest["verification"], recomputed = _verify_subsample(spec, rows)
+        solved = rows + recomputed
+    manifest["solver_paths"] = {path: sum(r.solver == path for r in solved) for path in SOLVER_PATHS}
     manifest["runtime_s"] = time.perf_counter() - start
     return SweepResult(spec=spec, rows=rows, manifest=manifest)
 

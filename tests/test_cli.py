@@ -353,6 +353,20 @@ def test_unparsable_flag_values_read_as_usage_errors(argv, text, tmp_path, monke
 
 
 @pytest.mark.parametrize(
+    "flag, value, shown",
+    [("--step", "inf", "-2.0, 2.0, inf"), ("--step", "nan", "-2.0, 2.0, nan"),
+     ("--tmin", "nan", "nan, 2.0, 0.05")],
+)
+def test_non_finite_grid_is_usage_error(flag, value, shown, tmp_path, capsys):
+    # --step inf used to write one failed row at t = nan and exit 3
+    code = main(["sweep", "fig1", "--N", "4", flag, value, "-o", str(tmp_path / "f.csv")])
+    assert code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: t_min, t_max and step must be finite, got {shown}"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
     "flag, value",
     [("--omega1", "0.5"), ("--omega2", "0.5"), ("--k1", "0"), ("--k2", "0.5"), ("--J", "0"),
      ("--delta", "0.1"), ("--kappa", "0.1"), ("--var", "J")],

@@ -4,9 +4,11 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from jtsim.groundstate import BASES, eig_hermitian, ground_state
+import jtsim.groundstate
+from jtsim.groundstate import BASES, BLOCK_MIN_N, RESIDUAL_TOL, eig_hermitian, ground_state
+from jtsim.groundstate import _block_cholesky, _shift_invert
 from jtsim.model import (
     PARITY_SIGNS,
     SystemParams,
@@ -277,3 +279,136 @@ class TestConvergenceStudy:
             convergence_study(p, (8, 6))
         with pytest.raises(ValueError, match="cutoff"):
             convergence_study(p, (1, 4))
+
+
+def fig5_params(t, n):
+    return SystemParams(omega_1=1 + t / 2, omega_2=1 - t / 2, k_1=t, k_2=t, N=n)
+
+
+def dense_ground_state(p, basis="transformed"):
+    """``ground_state`` with the block path switched off: the dense-path oracle."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(jtsim.groundstate, "BLOCK_MIN_N", math.inf)
+        return ground_state(p, basis)
+
+
+def assert_same_result(a, b):
+    assert (a.energy, a.gap, a.degenerate_flag, a.residual) == (
+        b.energy, b.gap, b.degenerate_flag, b.residual
+    )
+    assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
+
+
+# The preset ranges: Delta in [-2, 2] sets omega_{1,2} = 1 +- Delta/2, k up to 2 (fig5), J up to 0.1.
+preset_points = st.builds(
+    lambda delta, k_1, k_2, J, n: SystemParams(1 + delta / 2, 1 - delta / 2, k_1, k_2, J, n),
+    st.floats(-2.0, 2.0), *[st.one_of(st.just(0.0), st.floats(1e-3, 2.0))] * 2, st.floats(0.0, 0.1),
+    st.integers(20, 26),
+)
+
+
+class TestBlockPath:
+    def test_factor_certifies_the_shift(self):
+        # Sylvester's law of inertia: the block Cholesky of B - sigma I exists iff sigma < lambda_0.
+        n = 20
+        block = build_transformed_hamiltonian(fig5_params(1.95, n)).entries[0]
+        grid, rows = block.reshape(n, n, n, n), np.arange(n)
+        diag, upper = grid[rows, :, rows, :], grid[rows[:-1], :, rows[1:], :]
+        lam0 = np.linalg.eigvalsh(block)[0]
+        with pytest.raises(np.linalg.LinAlgError):
+            _block_cholesky(diag, upper, lam0 + 1e-6)
+        sigma = lam0 - 1e-3
+        x = np.cos(np.outer(np.arange(n * n), (1.0, 3.0)))
+        solved = _shift_invert(_block_cholesky(diag, upper, sigma), x)
+        expected = np.linalg.solve(block - sigma * np.eye(n * n), x)
+        assert np.max(np.abs(solved - expected)) < 1e-9 * np.max(np.abs(expected))
+
+    @settings(property_settings, max_examples=20)
+    @given(preset_points, st.sampled_from(BASES))
+    @example(SystemParams(1.0, 1.0, K_ULTRA, K_ULTRA, N=20), "lab")  # mode-swap symmetric
+    @example(SystemParams(1.0, 1.0, K_ULTRA, K_ULTRA, N=20), "transformed")  # n2 conserved
+    def test_matches_eigvalsh_and_dense_vector(self, p, basis):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # zero-frequency endpoints
+            h = build_lab_hamiltonian(p) if basis == "lab" else build_transformed_hamiltonian(p)
+            gs = ground_state(p, basis)
+            dense = dense_ground_state(p, basis)
+        w = [np.linalg.eigvalsh(block)[:2] for block in h.entries]
+        lowest = np.sort(np.concatenate(w))
+        scale = max(1.0, abs(lowest[0]))
+        assert gs.solver in ("block", "block-fallback")
+        assert abs(gs.energy - lowest[0]) < 1e-12 * scale
+        assert abs(gs.gap - (lowest[1] - lowest[0])) < 1e-12 * scale
+        assert gs.residual < RESIDUAL_TOL * scale
+        assert abs(gs.state.amplitudes @ dense.state.amplitudes) >= 1 - 1e-12
+
+    def test_converged_hard_point_matches_dense_path(self, monkeypatch):
+        p = fig5_params(1.95, 30)
+        row = run_point(p)
+        with monkeypatch.context() as m:
+            m.setattr(jtsim.groundstate, "BLOCK_MIN_N", math.inf)
+            dense = run_point(p)
+        assert (row.solver, dense.solver) == ("block", "dense")
+        assert abs(row.energy - dense.energy) < 1e-9
+        for a, b in zip(astuple(row.report), astuple(dense.report)):
+            assert abs(a - b) < 1e-9
+
+    def test_below_threshold_runs_eig_hermitian(self, monkeypatch):
+        calls = []
+
+        def recording(h, vectors=True):
+            calls.append((h.shape, vectors))
+            return eig_hermitian(h, vectors)
+
+        monkeypatch.setattr(jtsim.groundstate, "eig_hermitian", recording)
+        p = SystemParams(omega_1=1.0, omega_2=0.8, k_1=0.3, k_2=0.2, N=BLOCK_MIN_N - 1)
+        assert ground_state(p).solver == "dense"
+        assert calls == [((361, 361), False), ((361, 361), False)]
+        calls.clear()
+        assert ground_state(replace(p, N=BLOCK_MIN_N)).solver == "block"
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            # the shift is never certified
+            lambda m, gsm: m.setattr(gsm, "_block_cholesky", _refuse_factor),
+            # the stop rule is not met within the step cap
+            lambda m, gsm: (m.setattr(gsm, "ROUNDS", 1), m.setattr(gsm, "STEPS", 1)),
+        ],
+        ids=["shift", "stop-rule"],
+    )
+    def test_failure_returns_dense_result_bitwise(self, patch, monkeypatch):
+        p = fig5_params(1.95, 20)
+        dense = dense_ground_state(p)
+        patch(monkeypatch, jtsim.groundstate)
+        fallback = ground_state(p)
+        assert fallback.solver == "block-fallback"
+        assert_same_result(fallback, dense)
+
+    def test_zero_frequency_row_stays_degenerate(self):
+        p = replace(fig1_params(2.0), N=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            gs = ground_state(p)
+            dense = dense_ground_state(p)
+        assert gs.degenerate_flag and gs.solver == "block-fallback"
+        assert_same_result(gs, dense)
+
+    def test_extreme_scale_falls_back_without_warning(self):
+        p = SystemParams(omega_1=1e300, omega_2=1e300, k_1=0.5, k_2=0.5, N=20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gs = ground_state(p, "lab")
+        assert gs.solver == "block-fallback"
+        assert gs.residual < 1e-12 * abs(gs.energy)
+
+    def test_repeated_calls_are_bitwise_equal(self):
+        p = fig5_params(1.95, 20)
+        a, b = ground_state(p), ground_state(p)
+        assert a.solver == b.solver == "block"
+        assert_same_result(a, b)
+
+
+def _refuse_factor(diag, upper, sigma):
+    raise np.linalg.LinAlgError("not positive definite")

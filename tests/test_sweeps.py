@@ -88,6 +88,16 @@ class TestGrid:
         with pytest.raises(ValueError, match="unknown basis 'rotated'"):
             SweepSpec("bad", PRESETS["fig1"].parameter_rule, 0.0, 1.0, 0.1, basis="rotated")
 
+    @pytest.mark.parametrize(
+        "t_min, t_max, step",
+        [(-2.0, 2.0, math.inf), (-2.0, 2.0, math.nan), (math.nan, 2.0, 0.05),
+         (-math.inf, 2.0, 0.05), (-2.0, math.inf, 0.05)],
+    )
+    def test_non_finite_grid_refused(self, t_min, t_max, step):
+        # a step of inf used to give one row at t = t_min + 0 * inf = nan
+        with pytest.raises(ValueError, match="t_min, t_max and step must be finite"):
+            SweepSpec("bad", PRESETS["fig1"].parameter_rule, t_min, t_max, step)
+
     def test_grid_cap_counts_points_like_grid_points(self):
         rule = PRESETS["fig1"].parameter_rule
         assert len(grid_points(SweepSpec("edge", rule, 0.0, 9999.0, 1.0))) == 10_000
@@ -198,12 +208,45 @@ class TestRunSweep:
         assert ver["within_tol"] is True
 
 
+class TestSolverPaths:
+    def test_manifest_counts_rows_and_verification_points(self):
+        result = run_sweep(small_fig1(t_min=0.0, t_max=0.2, step=0.1))
+        assert all(row.solver == "dense" for row in result.rows)
+        # three rows at N = 6 and three verification points at N = 10
+        assert result.manifest["solver_paths"] == {"dense": 6, "block": 0, "block-fallback": 0}
+
+    def test_block_path_and_its_fallback_are_counted(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            result = run_sweep(small_fig1(N=20, t_min=1.95, t_max=2.0, step=0.05))
+        # t = 2 is degenerate (zero-frequency mode), so it is flagged and not re-run at N = 24
+        assert [row.solver for row in result.rows] == ["block", "block-fallback"]
+        assert result.manifest["solver_paths"] == {"dense": 0, "block": 2, "block-fallback": 1}
+
+    def test_failed_rows_are_not_counted(self):
+        spec = SweepSpec("custom", PRESETS["fig1"].parameter_rule, 2.05, 2.1, 0.05, N=4)
+        result = run_sweep(spec)
+        assert all(row.solver is None for row in result.rows)
+        assert sum(result.manifest["solver_paths"].values()) == 0
+
+
 class TestDeterminism:
     def test_csv_identical_across_runs_and_jobs(self, tmp_path):
         spec = small_fig1(t_min=-0.2, t_max=0.2, step=0.1)
         payloads = []
         for i, jobs in enumerate((1, 1, 2)):
             result = run_sweep(spec, jobs=jobs, verify_subsample=False)
+            out = tmp_path / f"run{i}.csv"
+            write_csv(result, str(out))
+            payloads.append(out.read_bytes())
+        assert payloads[0] == payloads[1] == payloads[2]
+
+    def test_block_path_csv_identical_across_runs_and_jobs(self, tmp_path):
+        spec = small_fig1(N=20, t_min=0.0, t_max=0.05, step=0.05)
+        payloads = []
+        for i, jobs in enumerate((1, 1, 2)):
+            result = run_sweep(spec, jobs=jobs, verify_subsample=False)
+            assert all(row.solver == "block" for row in result.rows)
             out = tmp_path / f"run{i}.csv"
             write_csv(result, str(out))
             payloads.append(out.read_bytes())
