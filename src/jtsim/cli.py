@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import asdict
 from functools import partial
 
@@ -58,8 +59,8 @@ MODEL_FLAGS = {
     "k1": (0.0, "mode-1 coupling scale (g_1 = omega_1*k_1)"),
     "k2": (0.0, "mode-2 coupling scale"),
     "J": (0.0, "inter-mode hopping rate"),
-    "delta": (None, "set omega_{1,2} = 1 +- delta/2 (overrides --omega1/--omega2)"),
-    "kappa": (None, "set k_{2,1} = (1 +- kappa)/2 (overrides --k1/--k2)"),
+    "delta": (None, "set omega_{1,2} = 1 +- delta/2"),
+    "kappa": (None, "set k_{2,1} = (1 +- kappa)/2"),
 }
 
 
@@ -105,28 +106,49 @@ def _cutoff_list(text: str) -> list[int]:
     return cutoffs
 
 
+def _set_by(var: str) -> list[str]:
+    """Flags of the parameters that control variable ``var`` sets (omega_1 is --omega1)."""
+    return [name.replace("_", "") for name in _control_values(var, 0)]
+
+
+def _refuse_given(args, dests, reason: str) -> None:
+    """Refuse, in one error naming each, the flags of ``dests`` given on the command line."""
+    given = [f"--{dest}" for dest in dests if getattr(args, dest) is not None]
+    if given:
+        raise ValueError(f"{reason}: {', '.join(given)}")
+
+
 def _params_from_args(args) -> SystemParams:
     flag = {dest: default if getattr(args, dest) is None else getattr(args, dest)
             for dest, (default, _) in MODEL_FLAGS.items()}
-    # --delta/--kappa override the argument values before validation, so an
-    # overridden --omega1 or --k1 is never checked.
-    values = {"omega_1": flag["omega1"], "omega_2": flag["omega2"],
-              "k_1": flag["k1"], "k_2": flag["k2"]}
+    values = {name: flag[name.replace("_", "")]
+              for name in ("omega_1", "omega_2", "k_1", "k_2", "J")}
     for var in ("delta", "kappa"):
         if flag[var] is not None:
+            _refuse_given(args, _set_by(var), f"--{var} sets these parameters itself")
             values.update(_control_values(var, flag[var]))
-    return SystemParams(**values, J=flag["J"], N=args.N)
+    return SystemParams(**values, N=args.N)
 
 
 def _default_out(filename: str) -> str:
     return os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), filename)
 
 
+@contextmanager
+def _writing(path: str):
+    """Turn an OSError from writing ``path`` (a parent that is a file, say) into a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from None
+
+
 def _emit(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
-        _atomic_write(path, text)
+        with _writing(path):
+            _atomic_write(path, text)
 
 
 def cmd_point(args) -> int:
@@ -169,36 +191,26 @@ def cmd_point(args) -> int:
     return 0
 
 
-def _refuse_given(args, dests, reason: str) -> bool:
-    """Print one error line naming each of ``dests`` given on the command line."""
-    given = [f"--{dest}" for dest in dests if getattr(args, dest) is not None]
-    if given:
-        print(f"error: {reason}: {', '.join(given)}", file=sys.stderr)
-    return bool(given)
-
-
 def cmd_sweep(args) -> int:
     if args.name != "custom":
         spec = figure_sweep(args.name, N=args.N, basis=args.basis,
                             t_min=args.tmin, t_max=args.tmax, step=args.step)
-        reason = f"{args.name} fixes the model parameters; custom sweeps only"
-        if _refuse_given(args, (*MODEL_FLAGS, "var"), reason):
-            return 2
+        _refuse_given(args, (*MODEL_FLAGS, "var"),
+                      f"{args.name} fixes the model parameters; custom sweeps only")
     else:
         if args.var is None or args.tmin is None or args.tmax is None or args.step is None:
-            print("error: custom sweep needs --var, --tmin, --tmax and --step", file=sys.stderr)
-            return 2
-        # Flags for what the control variable sets at every t (omega_1 is --omega1).
-        overwritten = {args.var, *(name.replace("_", "") for name in _control_values(args.var, 0))}
-        reason = f"--var {args.var} sets these parameters itself"
-        if _refuse_given(args, [dest for dest in MODEL_FLAGS if dest in overwritten], reason):
-            return 2
+            raise ValueError("custom sweep needs --var, --tmin, --tmax and --step")
+        # What the control variable sets at every t; refused before _params_from_args' check.
+        overwritten = (args.var, *_set_by(args.var))
+        _refuse_given(args, [dest for dest in MODEL_FLAGS if dest in overwritten],
+                      f"--var {args.var} sets these parameters itself")
         rule = partial(_controlled_params, args.var, _params_from_args(args))
         spec = SweepSpec("custom", rule, args.tmin, args.tmax, args.step, args.basis, args.N)
     result = run_sweep(spec, jobs=args.jobs, verify_subsample=not args.no_verify)
     out = args.output or _default_out(f"{spec.name}.csv")
-    write_csv(result, out)
-    write_manifest(result, out + ".manifest.json")
+    with _writing(out):
+        write_csv(result, out)
+        write_manifest(result, out + ".manifest.json")
     manifest = result.manifest
     # Each reason reads "<kind>" or "<kind>: <detail>"; kinds sort as degenerate, failed.
     counts = Counter(entry["reason"].partition(": ")[0] for entry in manifest["flagged"])

@@ -31,13 +31,15 @@ parity, and on an exact tie between the blocks the Pi = +1 sector wins.
   the point, so the result is the dense one bit for bit, and a degenerate
   point keeps the dense path's pick of vector.
 
-Both paths refuse a non-finite or non-Hermitian block with the same check,
-``_check_hermitian``.
+The builders' blocks are finite and symmetric by construction (``ParityBlocks``),
+so only ``eig_hermitian`` checks its input.  A corrupt block fails the block
+path's full-block residual test or floating-point traps, and the fallback refuses it.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,9 +79,6 @@ ROUNDS = 4
 STEPS = 8
 CERTIFY_TRIES = 3
 
-# _check_hermitian compares m with m^H in tiles of this many rows.
-HERMITIAN_TILE = 128
-
 BASES = ("lab", "transformed")
 SOLVER_PATHS = ("dense", "block", "block-fallback")
 
@@ -94,22 +93,6 @@ class GroundStateResult:
     solver: str
 
 
-def _check_hermitian(m: np.ndarray) -> np.ndarray:
-    """``m`` as an array; refuses a non-square, non-Hermitian or non-finite operator."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"the solver needs a square matrix; got shape {m.shape}")
-    # max |m - m^H| over pairs of tiles, whose transposed reads stay in cache.
-    t = HERMITIAN_TILE
-    with np.errstate(invalid="ignore"):
-        dev = np.max([np.max(np.abs(m[i:i + t, j:j + t] - m[j:j + t, i:i + t].conj().T))
-                      for i in range(0, len(m), t) for j in range(i, len(m), t)])
-    # A non-finite entry makes dev nan or inf, which fails the comparison.
-    if not dev < 1e-12:
-        raise ValueError(f"the solver needs a finite Hermitian operator; deviation {dev:.3e}")
-    return m
-
-
 def eig_hermitian(m: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
     """Eigendecomposition of a Hermitian (real symmetric or complex) matrix.
 
@@ -117,7 +100,14 @@ def eig_hermitian(m: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.n
     ``vectors``).  Inputs that are not square matrices, that deviate from
     Hermiticity by 1e-12 or more, or that hold a non-finite entry are refused.
     """
-    m = _check_hermitian(m)
+    m = np.asarray(m)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"the solver needs a square matrix; got shape {m.shape}")
+    with np.errstate(invalid="ignore"):
+        dev = np.max(np.abs(m - m.conj().T))
+    # A non-finite entry makes dev nan or inf, which fails the comparison.
+    if not dev < 1e-12:
+        raise ValueError(f"the solver needs a finite Hermitian operator; deviation {dev:.3e}")
     return np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
 
 
@@ -127,9 +117,9 @@ def _fix_sign(vec: np.ndarray) -> np.ndarray:
 
 
 def _norm(v: np.ndarray) -> float:
-    """2-norm taken on v / max|v|, so that its sum of squares cannot over- or underflow."""
+    """2-norm taken on v / max|v|, which cannot over- or underflow; nan if v holds a nan."""
     top = np.max(np.abs(v))
-    return float(top * np.linalg.norm(v / top)) if top > 0 else 0.0
+    return float(top * np.linalg.norm(v / top)) if top > 0 else float(top)
 
 
 def _lowest_vector(block: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -262,26 +252,6 @@ def _block_sector(block: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return None
 
 
-def _block_sectors(blocks: np.ndarray) -> list | None:
-    """``_block_sector`` of each block, or None if either falls back or the point is degenerate.
-
-    A degenerate point's vector is the solver's pick among equals, so the
-    dense path's pick stays the one reported.
-    """
-    sectors = []
-    for block in blocks:
-        _check_hermitian(block)
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            try:
-                sector = _block_sector(block)
-            except FloatingPointError:
-                sector = None
-        if sector is None:
-            return None
-        sectors.append(sector)
-    return None if _lower_sector(sectors)[1] < DEGENERACY_TOL else sectors
-
-
 def _lower_sector(sectors: list) -> tuple[int, float]:
     """Index of the lower sector and the gap to the next level of either sector."""
     spectra = [w for w, _ in sectors]
@@ -302,11 +272,20 @@ def ground_state(p: SystemParams, basis: str = "transformed") -> GroundStateResu
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
     h = build_lab_hamiltonian(p) if basis == "lab" else build_transformed_hamiltonian(p)
-    solver, sectors = "dense", None
+    solver, sectors = "dense", []
     if p.N >= BLOCK_MIN_N:
-        sectors = _block_sectors(h.entries)
+        traps = np.errstate(over="raise", invalid="raise", divide="raise")
+        with suppress(FloatingPointError), traps:
+            for block in h.entries:
+                if (sector := _block_sector(block)) is None:
+                    break
+                sectors.append(sector)
+        # A degenerate point's vector is the solver's pick among equals, so the
+        # dense path's pick stays the one reported.
+        if len(sectors) < 2 or _lower_sector(sectors)[1] < DEGENERACY_TOL:
+            sectors = []
         solver = "block" if sectors else "block-fallback"
-    if sectors is None:
+    if not sectors:
         sectors = [(eig_hermitian(block, vectors=False)[0], None) for block in h.entries]
     k, gap = _lower_sector(sectors)
     (w, vector), block = sectors[k], h.entries[k]

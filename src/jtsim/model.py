@@ -28,7 +28,8 @@ its two N^2 x N^2 parity blocks (``ParityBlocks``, sector layout in
 Inside a block sx only relabels the qubit level, so the block of sign
 +-1 is diag(w1 n1 + w2 n2 +- 1/2 (-1)^(n1+n2)) + g1 x (x) I
 + g2 I (x) x + hop (a^T (x) a + a (x) a^T); these entries are written
-straight into a zeroed (2, N^2, N^2) stack, with no kron products.
+straight into a zeroed (2, N^2, N^2) stack, with no kron products, each
+band mirrored in one assignment; an entry that overflows is refused first.
 
 ``_rotated_coefficients`` is the rotation's one home: it derives k_p,
 omega_p, omega_p_tilde, c = Delta*k1*k2/k_p^2 and g_p by exact operator
@@ -63,6 +64,8 @@ class ParityBlocks:
 
     ``entries`` has shape (2, N^2, N^2); entries[i] is the Pi = PARITY_SIGNS[i]
     block, indexed like ``_parity_sector``.  ``factor_dims`` is (2, N, N).
+    The builders' blocks are finite (they refuse an overflowing entry) and
+    symmetric by construction: each band is written mirrored, in one assignment.
     """
 
     entries: np.ndarray
@@ -288,18 +291,22 @@ def _two_mode_hamiltonian(
     """Real symmetric two-mode Hamiltonian (module docstring form) as its parity blocks.
 
     Grid index (n1, n2) couples to (n1 + 1, n2), (n1, n2 + 1) and (n1 + 1, n2 - 1).
+    Finite coefficients whose entries overflow (w1 (N - 1), say) raise ``ValueError``.
     """
     n1, n2 = np.divmod(np.arange(n * n), n)
-    blocks = np.zeros((2, n * n, n * n))
-    for block, sign in zip(blocks, PARITY_SIGNS):
-        np.fill_diagonal(block, w1 * n1 + w2 * n2 + 0.5 * _sector_sigma_z(n, sign))
     up1, up2 = np.flatnonzero(n1 < n - 1), np.flatnonzero(n2 < n - 1)
     hops = np.flatnonzero((n1 < n - 1) & (n2 > 0))
-    for rows, offset, values in (
-        (up1, n, g1 * np.sqrt(n1[up1] + 1)),
-        (up2, 1, g2 * np.sqrt(n2[up2] + 1)),
-        (hops, n - 1, hop * (np.sqrt(n1[hops] + 1) * np.sqrt(n2[hops]))),
-    ):
+    with np.errstate(over="ignore", invalid="ignore"):
+        bare = w1 * n1 + w2 * n2
+        bands = ((up1, n, g1 * np.sqrt(n1[up1] + 1)), (up2, 1, g2 * np.sqrt(n2[up2] + 1)),
+                 (hops, n - 1, hop * (np.sqrt(n1[hops] + 1) * np.sqrt(n2[hops]))))
+    if not np.isfinite(np.concatenate([bare, *(values for _, _, values in bands)])).all():
+        raise ValueError(f"H has a non-finite entry at N={n}: w1={w1:g} w2={w2:g} "
+                         f"g1={g1:g} g2={g2:g} hop={hop:g}")
+    blocks = np.zeros((2, n * n, n * n))
+    for block, sign in zip(blocks, PARITY_SIGNS):
+        np.fill_diagonal(block, bare + 0.5 * _sector_sigma_z(n, sign))
+    for rows, offset, values in bands:
         blocks[:, rows, rows + offset] = blocks[:, rows + offset, rows] = values
     return ParityBlocks(blocks, (2, n, n))
 

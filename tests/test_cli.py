@@ -61,6 +61,11 @@ def test_point_rejects_small_cutoff(capsys):
         # k_1^2 underflows to 0, which the rotation would read as k_1 = k_2 = 0
         ["point", "--k1", "1e-200"],
         ["point", "--basis", "lab", "--k1", "1e-200"],
+        # finite coefficients whose Hamiltonian entries overflow: the builder refuses them
+        ["point", "--omega1", "1e308"],
+        ["point", "--J", "1e308"],
+        ["point", "--basis", "lab", "--omega1", "1e308", "--k1", "1"],
+        ["point", "--N", "20", "--omega1", "1e308"],
     ],
 )
 def test_point_overflowing_couplings_are_usage_errors(argv):
@@ -399,6 +404,41 @@ def test_custom_sweep_refuses_flags_its_var_overwrites(var, flags, refused, tmp_
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: --var {var} sets these parameters itself: {refused}"]
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["point"], ["converge", "--cutoffs", "4,6"], ["xcheck", "--N", "4"],
+    ["sweep", "custom", "--var", "J", "--tmin", "0", "--tmax", "0.1", "--step", "0.05",
+     "--N", "4"],
+], ids=["point", "converge", "xcheck", "sweep"])
+@pytest.mark.parametrize("flags, refused", [
+    (["--delta", "0.1", "--omega1", "5"], "error: --delta sets these parameters itself: --omega1"),
+    (["--omega2", "5", "--delta", "0.1", "--omega1", "5"],
+     "error: --delta sets these parameters itself: --omega1, --omega2"),
+    (["--kappa", "0.2", "--k2", "0.3"], "error: --kappa sets these parameters itself: --k2"),
+], ids=["delta-omega1", "delta-both", "kappa-k2"])
+def test_control_flags_refuse_the_flags_they_set(
+    command, flags, refused, tmp_path, monkeypatch, capsys
+):
+    # --delta sets omega_1 and omega_2, --kappa sets k_1 and k_2: a given value would be lost
+    monkeypatch.setenv("JTSIM_OUTDIR", str(tmp_path))
+    assert main([*command, *flags]) == 2
+    assert capsys.readouterr().err.splitlines() == [refused]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, name", [
+    (["point"], "p.txt"),
+    (["sweep", "fig6", "--N", "4", "--no-verify"], "f.csv"),
+], ids=["point", "sweep"])
+def test_unwritable_output_is_usage_error(command, name, tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / name
+    assert main([*command, "-o", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
+    assert list(tmp_path.iterdir()) == [blocker]
 
 
 def test_preset_sweep_names_every_refused_flag(tmp_path, capsys):

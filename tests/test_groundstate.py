@@ -11,6 +11,7 @@ from jtsim.groundstate import BASES, BLOCK_MIN_N, RESIDUAL_TOL, eig_hermitian, g
 from jtsim.groundstate import _block_cholesky, _shift_invert
 from jtsim.model import (
     PARITY_SIGNS,
+    ParityBlocks,
     SystemParams,
     _parity_sector,
     build_lab_hamiltonian,
@@ -408,6 +409,35 @@ class TestBlockPath:
         a, b = ground_state(p), ground_state(p)
         assert a.solver == b.solver == "block"
         assert_same_result(a, b)
+
+    @pytest.mark.parametrize("n", [BLOCK_MIN_N - 1, BLOCK_MIN_N])
+    @pytest.mark.parametrize(
+        "edits",
+        [
+            [(1, 3, 3, np.nan)],
+            [(1, 0, -1, np.inf), (1, -1, 0, np.inf)],
+            [(1, 1, 0, 0.5)],
+            [(1, -1, 0, 0.5)],
+            # in the Pi = +1 block, the excited sector here: a nan in one row of its residual
+            [(0, 5, 300, np.nan)],
+        ],
+        ids=["nan-diagonal", "inf-off-band", "asymmetric-in-band", "asymmetric-off-band",
+             "nan-upper-block"],
+    )
+    def test_corrupt_block_is_refused_without_warning(self, edits, n, monkeypatch):
+        # The builders write finite symmetric blocks; one corrupt anyway must not come out of
+        # either path: the block path falls back and eig_hermitian refuses it.
+        p = SystemParams(omega_1=1.05, omega_2=0.95, k_1=0.3, k_2=0.2, N=n)
+        h = build_transformed_hamiltonian(p)
+        entries = h.entries.copy()
+        for sector, row, col, value in edits:
+            entries[sector, row, col] += value
+        monkeypatch.setattr(jtsim.groundstate, "build_transformed_hamiltonian",
+                            lambda _: ParityBlocks(entries, h.factor_dims))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite Hermitian operator"):
+                ground_state(p)
 
 
 def _refuse_factor(diag, upper, sigma):

@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -212,6 +213,21 @@ class TestLabHamiltonian:
             assert h.entries.dtype == np.float64
             assert h.entries.shape == (2, n * n, n * n)
             assert h.entries.nbytes == 2 * n**4 * 8
+
+    @pytest.mark.parametrize(
+        "p, coefficients",
+        [
+            (SystemParams(1e308, 1.0, 0.0, 0.0), "w1=1e+308 w2=1 g1=0 g2=0 hop=0"),
+            (SystemParams(1.0, 1.0, 0.0, 0.0, J=-1e308), "w1=1 w2=1 g1=0 g2=0 hop=-1e+308"),
+            (SystemParams(1e154, 1.0, 1e154, 0.0, N=5), "w1=1e+154 w2=1 g1=1e+308 g2=0 hop=0"),
+        ],
+    )
+    def test_overflowing_entry_is_refused(self, p, coefficients):
+        # finite coefficients, but w1 (N - 1), hop sqrt(n1 + 1) sqrt(n2) or g1 sqrt(4) overflows;
+        # a numpy overflow warning would fail the suite (pyproject filterwarnings)
+        message = rf"non-finite entry at N={p.N}: {re.escape(coefficients)}$"
+        with pytest.raises(ValueError, match=message):
+            build_lab_hamiltonian(p)
 
     def test_zero_frequency_mode_warns(self):
         p = SystemParams(omega_1=2.0, omega_2=0.0, k_1=0.1, k_2=0.1, N=3)
