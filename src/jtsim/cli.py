@@ -11,8 +11,8 @@ Usage examples:
 
 Exit codes: 0 success, 2 usage or parameter error, 3 sweep completed with
 flagged rows, 4 threshold failure (converge/xcheck).  A sweep whose
-higher-cutoff verification drifts past its tolerance says so in its summary
-line but keeps its exit code.
+higher-cutoff verification drifts past its tolerance, or fails at a point,
+says so in its summary line but keeps its exit code.
 """
 
 from __future__ import annotations
@@ -79,17 +79,6 @@ def _positive_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"must be a number > 0, got {text!r}") from None
     if not (math.isfinite(value) and value > 0):
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
-
-
-def _positive_int(text: str) -> int:
-    """argparse type for a worker count: below 1 the sweep would run serially unasked."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
     return value
 
 
@@ -206,8 +195,10 @@ def cmd_sweep(args) -> int:
                       f"--var {args.var} sets these parameters itself")
         rule = partial(_controlled_params, args.var, _params_from_args(args))
         spec = SweepSpec("custom", rule, args.tmin, args.tmax, args.step, args.basis, args.N)
-    result = run_sweep(spec, jobs=args.jobs, verify_subsample=not args.no_verify)
     out = args.output or _default_out(f"{spec.name}.csv")
+    with _writing(out):  # an unwritable path is refused before the sweep runs
+        os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
+    result = run_sweep(spec, verify_subsample=not args.no_verify)
     with _writing(out):
         write_csv(result, out)
         write_manifest(result, out + ".manifest.json")
@@ -217,7 +208,12 @@ def cmd_sweep(args) -> int:
     breakdown = ", ".join(f"{n} {kind}" for kind, n in sorted(counts.items()))
     notes = [f"{manifest['flagged_rows']} flagged" + (f": {breakdown}" if breakdown else "")]
     ver = manifest.get("verification")
-    if ver and ver["within_tol"] is False:
+    if ver and ver["failed"]:
+        notes.append(
+            f"verification failed: {len(ver['failed'])} of {len(ver['points'])} points "
+            f"failed at N={ver['cutoff_check']}"
+        )
+    elif ver and ver["within_tol"] is False:
         notes.append(
             f"verification failed: max |d E_N| {ver['max_abs_negativity_diff']:.3e} "
             f"at N={ver['cutoff_check']} >= {ver['tolerance']:g}"
@@ -302,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--tmin", type=float, default=None)
     p_sweep.add_argument("--tmax", type=float, default=None)
     p_sweep.add_argument("--step", type=float, default=None)
-    p_sweep.add_argument("--jobs", type=_positive_int, default=1,
-                         help="parallel workers (capped at the CPU count)")
     p_sweep.add_argument("--no-verify", action="store_true",
                          help="skip the higher-cutoff verification subsample")
     p_sweep.add_argument("-o", "--output", default=None,

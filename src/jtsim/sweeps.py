@@ -18,10 +18,10 @@ reproduce the standard parameter scans (all in units of the qubit frequency):
     fig6  hopping J in [0, 0.1], k_1 = k_2 = 1/sqrt(2),
           omega_1 = 2*omega_2 = 0.2
 
-Grid points are independent; ``run_sweep`` can evaluate them in parallel
-but always merges rows in grid order, so the CSV bytes do not depend on
-the job count.  Failures at individual points become flagged rows rather
-than aborting the sweep.
+Grid points are independent; ``run_sweep`` evaluates them in grid order
+in one process.  ``_evaluate_grid_point`` guards every point a sweep solves,
+its verification recomputes included: a point that raises becomes a failed
+row rather than aborting the sweep.
 """
 
 from __future__ import annotations
@@ -170,44 +170,33 @@ def _max_negativity_change(a: EntanglementReport, b: EntanglementReport) -> floa
 def _verify_subsample(spec: SweepSpec, rows: list[SweepRow]) -> tuple[dict, list[SweepRow]]:
     """Recompute a few clean rows at N + 4: the manifest block and the recomputed rows.
 
-    The drift is None when no row is clean.
+    A recompute that fails is listed in ``failed`` and fails the check; the
+    drift is taken over the others, and is None when none of them exists.
     """
     clean = [r for r in rows if not r.flagged]
     picks = sorted(
         {int(i) for i in np.linspace(0, len(clean) - 1, min(VERIFY_POINTS, len(clean)))}
     )
     checked = [clean[i] for i in picks]
-    cutoff = spec.N + VERIFY_CUTOFF_BUMP
-    recomputed = [run_point(replace(row.params, N=cutoff), spec.basis, t=row.t)
-                  for row in checked]
+    bumped = replace(spec, N=spec.N + VERIFY_CUTOFF_BUMP)
+    recomputed = [_evaluate_grid_point(bumped, row.t) for row in checked]
+    failed = [{"t": hi.t, "reason": hi.reason} for hi in recomputed if hi.error is not None]
     worst = max((_max_negativity_change(lo.report, hi.report)
-                 for lo, hi in zip(checked, recomputed)), default=None)
+                 for lo, hi in zip(checked, recomputed) if hi.error is None), default=None)
     return {
         "points": [row.t for row in checked],
-        "cutoff_check": cutoff,
+        "cutoff_check": bumped.N,
         "tolerance": VERIFY_TOL,
         "max_abs_negativity_diff": worst,
-        "within_tol": None if worst is None else worst < VERIFY_TOL,
+        "within_tol": False if failed else None if worst is None else worst < VERIFY_TOL,
+        "failed": failed,
     }, recomputed
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1, verify_subsample: bool = True) -> SweepResult:
-    """Evaluate every grid point; rows come back sorted by t.
-
-    jobs > 1 distributes points over worker processes, at most one per grid
-    point and per CPU.  Results are merged in grid order, so output is
-    independent of the job count.
-    """
+def run_sweep(spec: SweepSpec, verify_subsample: bool = True) -> SweepResult:
+    """Evaluate every grid point in grid order; rows come back sorted by t."""
     start = time.perf_counter()
-    ts = grid_points(spec)
-    workers = min(jobs, len(ts), os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(partial(_evaluate_grid_point, spec), ts))
-    else:
-        rows = [_evaluate_grid_point(spec, t) for t in ts]
+    rows = [_evaluate_grid_point(spec, t) for t in grid_points(spec)]
 
     flagged = [{"t": r.t, "reason": r.reason} for r in rows if r.flagged]
     manifest = {
@@ -285,7 +274,7 @@ def _control_values(var: str, t: float) -> dict:
 
 
 def _controlled_params(var: str, base: SystemParams, t: float) -> SystemParams:
-    """``base`` with control variable ``var`` set to t (a picklable sweep rule)."""
+    """``base`` with control variable ``var`` set to t."""
     return replace(base, **_control_values(var, t))
 
 

@@ -221,24 +221,21 @@ def test_criterion_11_performance_and_determinism(sweeps, tmp_path):
     start = time.perf_counter()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        timed = run_sweep(figure_sweep("fig2"), jobs=1)
+        timed = run_sweep(figure_sweep("fig2"))
     elapsed = time.perf_counter() - start
     assert len(timed.rows) == 81
     assert elapsed < 60.0
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        parallel = run_sweep(figure_sweep("fig2"), jobs=2, verify_subsample=False)
     payloads = []
-    for tag, result in (("a", sweeps["fig2"]), ("b", timed), ("c", parallel)):
+    for tag, result in (("a", sweeps["fig2"]), ("b", timed)):
         path = tmp_path / f"fig2_{tag}.csv"
         write_csv(result, str(path))
         payloads.append(path.read_bytes())
-    assert payloads[0] == payloads[1] == payloads[2]
+    assert payloads[0] == payloads[1]
     _pass(
         11,
         "performance-determinism",
-        f"81 points in {elapsed:.1f} s; CSV bytes identical across runs and jobs",
+        f"81 points in {elapsed:.1f} s; CSV bytes identical across runs",
     )
 
 

@@ -1,5 +1,4 @@
 import math
-import os
 import warnings
 from dataclasses import asdict, astuple
 
@@ -231,53 +230,26 @@ class TestSolverPaths:
 
 
 class TestDeterminism:
-    def test_csv_identical_across_runs_and_jobs(self, tmp_path):
+    def test_csv_identical_across_runs(self, tmp_path):
         spec = small_fig1(t_min=-0.2, t_max=0.2, step=0.1)
         payloads = []
-        for i, jobs in enumerate((1, 1, 2)):
-            result = run_sweep(spec, jobs=jobs, verify_subsample=False)
+        for i in range(3):
+            result = run_sweep(spec, verify_subsample=False)
             out = tmp_path / f"run{i}.csv"
             write_csv(result, str(out))
             payloads.append(out.read_bytes())
         assert payloads[0] == payloads[1] == payloads[2]
 
-    def test_block_path_csv_identical_across_runs_and_jobs(self, tmp_path):
+    def test_block_path_csv_identical_across_runs(self, tmp_path):
         spec = small_fig1(N=20, t_min=0.0, t_max=0.05, step=0.05)
         payloads = []
-        for i, jobs in enumerate((1, 1, 2)):
-            result = run_sweep(spec, jobs=jobs, verify_subsample=False)
+        for i in range(3):
+            result = run_sweep(spec, verify_subsample=False)
             assert all(row.solver == "block" for row in result.rows)
             out = tmp_path / f"run{i}.csv"
             write_csv(result, str(out))
             payloads.append(out.read_bytes())
         assert payloads[0] == payloads[1] == payloads[2]
-
-    @pytest.mark.parametrize("cpus, expected", [(None, []), (1, []), (2, [2]), (64, [3])])
-    def test_jobs_capped_by_grid_and_cpus(self, monkeypatch, cpus, expected):
-        # A fake pool records the worker count and maps serially: no process starts.
-        import concurrent.futures
-
-        requested = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        spec = small_fig1(t_min=0.0, t_max=0.1, step=0.05)
-        result = run_sweep(spec, jobs=10**6, verify_subsample=False)
-        assert [r.t for r in result.rows] == [0.0, 0.05, 0.1]
-        assert requested == expected
 
     def test_csv_format_contract(self, tmp_path):
         spec = small_fig1(t_min=0.0, t_max=0.1, step=0.05)
