@@ -25,7 +25,6 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict
-from functools import partial
 
 from ._version import __version__
 from .groundstate import BASES
@@ -36,7 +35,6 @@ from .sweeps import (
     SweepSpec,
     _atomic_write,
     _control_values,
-    _controlled_params,
     compare_bases,
     convergence_study,
     csv_row,
@@ -193,8 +191,8 @@ def cmd_sweep(args) -> int:
         overwritten = (args.var, *_set_by(args.var))
         _refuse_given(args, [dest for dest in MODEL_FLAGS if dest in overwritten],
                       f"--var {args.var} sets these parameters itself")
-        rule = partial(_controlled_params, args.var, _params_from_args(args))
-        spec = SweepSpec("custom", rule, args.tmin, args.tmax, args.step, args.basis, args.N)
+        spec = SweepSpec("custom", args.var, _params_from_args(args),
+                         args.tmin, args.tmax, args.step, args.basis, args.N)
     out = args.output or _default_out(f"{spec.name}.csv")
     with _writing(out):  # an unwritable path is refused before the sweep runs
         os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)

@@ -5,18 +5,19 @@ the higher-cutoff verification subsample and ``convergence_study`` all
 call it and all return ``SweepRow``, whose ``reason`` is the one statement
 of why a row is flagged.  Sweeps go to CSV plus a run manifest.
 
-Each scan varies one control variable t; ``_control_values`` maps it to
-parameters: Delta sets omega_{1,2} = 1 +- Delta/2, kappa sets
-k_{2,1} = (1 +- kappa)/2 and the hopping sets J.  Six built-in sweeps
-reproduce the standard parameter scans (all in units of the qubit frequency):
+A ``SweepSpec`` sets one control variable ``var`` to t at each grid point
+and holds the other parameters of ``base`` fixed; the manifest's ``control``
+block records both.  ``_control_values`` maps t: delta sets omega_{1,2} =
+1 +- t/2, kappa k_{2,1} = (1 +- t)/2, J the hopping, and delta_k both
+omega_{1,2} = 1 +- t/2 and k_1 = k_2 = t.  The six built-in sweeps (in units
+of the qubit frequency) reproduce the standard parameter scans:
 
-    fig1  detuning Delta in [-2, 2], k_1 = k_2 = 0.1/sqrt(2), J = 0
+    fig1  delta in [-2, 2], k_1 = k_2 = 0.1/sqrt(2), J = 0
     fig2  same with k_1 = k_2 = 1/sqrt(2)
-    fig3  coupling asymmetry kappa in [-1, 1], omega_1 = 2*omega_2 = 0.1, J = 0
+    fig3  kappa in [-1, 1], omega_1 = 2*omega_2 = 0.1, J = 0
     fig4  same with omega_1 = 2*omega_2 = 1
-    fig5  Delta in [0, 2] with k_1 = k_2 = Delta, J = 0
-    fig6  hopping J in [0, 0.1], k_1 = k_2 = 1/sqrt(2),
-          omega_1 = 2*omega_2 = 0.2
+    fig5  delta_k in [0, 2], J = 0
+    fig6  J in [0, 0.1], k_1 = k_2 = 1/sqrt(2), omega_1 = 2*omega_2 = 0.2
 
 Grid points are independent; ``run_sweep`` evaluates them in grid order
 in one process.  ``_evaluate_grid_point`` guards every point a sweep solves,
@@ -33,7 +34,6 @@ import os
 import tempfile
 import time
 from dataclasses import asdict, astuple, dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -72,10 +72,11 @@ CSV_COLUMNS = (
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Declarative sweep: a scalar control variable t mapped to parameters."""
+    """Declarative sweep: control variable ``var`` set to t over ``base``'s other parameters."""
 
     name: str
-    parameter_rule: "callable"
+    var: str
+    base: SystemParams
     t_min: float
     t_max: float
     step: float
@@ -84,6 +85,7 @@ class SweepSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "N", _check_cutoff(self.N))
+        _control_values(self.var, 0.0)  # refuses an unknown var
         if self.basis not in BASES:
             raise ValueError(f"unknown basis {self.basis!r}; expected one of {BASES}")
         if not all(map(math.isfinite, (self.t_min, self.t_max, self.step))):
@@ -96,6 +98,12 @@ class SweepSpec:
             raise ValueError("step must be positive")
         if _grid_size(self) > MAX_GRID_POINTS:
             raise ValueError(f"grid exceeds {MAX_GRID_POINTS} points")
+        points = grid_points(self)
+        if len(set(points)) < len(points):
+            raise ValueError(f"step {self.step:g} repeats grid points rounded to 12 decimals")
+
+    def params_at(self, t: float) -> SystemParams:
+        return replace(self.base, **_control_values(self.var, t), N=self.N)
 
 
 @dataclass(frozen=True)
@@ -156,8 +164,7 @@ def run_point(p: SystemParams, basis: str = "transformed", t: float = math.nan) 
 
 def _evaluate_grid_point(spec: SweepSpec, t: float) -> SweepRow:
     try:
-        p = replace(spec.parameter_rule(t), N=spec.N)
-        return run_point(p, spec.basis, t=t)
+        return run_point(spec.params_at(t), spec.basis, t=t)
     except Exception as exc:  # noqa: BLE001 - flagged row, sweep must finish
         return SweepRow(t, error=f"{type(exc).__name__}: {exc}")
 
@@ -199,9 +206,12 @@ def run_sweep(spec: SweepSpec, verify_subsample: bool = True) -> SweepResult:
     rows = [_evaluate_grid_point(spec, t) for t in grid_points(spec)]
 
     flagged = [{"t": r.t, "reason": r.reason} for r in rows if r.flagged]
+    swept = (*_control_values(spec.var, 0.0), "N")
+    fixed = {name: value for name, value in asdict(spec.base).items() if name not in swept}
     manifest = {
         "code_version": __version__,
         "sweep": spec.name,
+        "control": {"var": spec.var, "fixed": fixed},
         "basis": spec.basis,
         "cutoff": spec.N,
         "grid": {"t_min": spec.t_min, "t_max": spec.t_max, "step": spec.step},
@@ -265,35 +275,26 @@ K_ULTRA = 1.0 / math.sqrt(2.0)
 
 
 def _control_values(var: str, t: float) -> dict:
-    """The parameters that control variable ``var`` (delta, kappa or J) sets at value t."""
-    return {
-        "delta": {"omega_1": 1 + t / 2, "omega_2": 1 - t / 2},
+    """The parameters that control variable ``var`` sets at value t."""
+    delta = {"omega_1": 1 + t / 2, "omega_2": 1 - t / 2}
+    values = {
+        "delta": delta,
         "kappa": {"k_1": (1 - t) / 2, "k_2": (1 + t) / 2},
         "J": {"J": t},
-    }[var]
-
-
-def _controlled_params(var: str, base: SystemParams, t: float) -> SystemParams:
-    """``base`` with control variable ``var`` set to t."""
-    return replace(base, **_control_values(var, t))
-
-
-def _fig5_params(t: float) -> SystemParams:
-    return SystemParams(**_control_values("delta", t), k_1=t, k_2=t)
+        "delta_k": {**delta, "k_1": t, "k_2": t},
+    }
+    if var not in values:
+        raise ValueError(f"unknown control variable {var!r}; expected one of {tuple(values)}")
+    return values[var]
 
 
 PRESETS = {spec.name: spec for spec in (
-    SweepSpec("fig1", partial(_controlled_params, "delta",
-                              SystemParams(1.0, 1.0, K_STRONG, K_STRONG)), -2.0, 2.0, 0.05),
-    SweepSpec("fig2", partial(_controlled_params, "delta",
-                              SystemParams(1.0, 1.0, K_ULTRA, K_ULTRA)), -2.0, 2.0, 0.05),
-    SweepSpec("fig3", partial(_controlled_params, "kappa",
-                              SystemParams(0.1, 0.05, 0.5, 0.5)), -1.0, 1.0, 0.05),
-    SweepSpec("fig4", partial(_controlled_params, "kappa",
-                              SystemParams(1.0, 0.5, 0.5, 0.5)), -1.0, 1.0, 0.05),
-    SweepSpec("fig5", _fig5_params, 0.0, 2.0, 0.05),
-    SweepSpec("fig6", partial(_controlled_params, "J",
-                              SystemParams(0.2, 0.1, K_ULTRA, K_ULTRA)), 0.0, 0.1, 0.0025),
+    SweepSpec("fig1", "delta", SystemParams(1.0, 1.0, K_STRONG, K_STRONG), -2.0, 2.0, 0.05),
+    SweepSpec("fig2", "delta", SystemParams(1.0, 1.0, K_ULTRA, K_ULTRA), -2.0, 2.0, 0.05),
+    SweepSpec("fig3", "kappa", SystemParams(0.1, 0.05, 0.5, 0.5), -1.0, 1.0, 0.05),
+    SweepSpec("fig4", "kappa", SystemParams(1.0, 0.5, 0.5, 0.5), -1.0, 1.0, 0.05),
+    SweepSpec("fig5", "delta_k", SystemParams(1.0, 1.0, 0.0, 0.0), 0.0, 2.0, 0.05),
+    SweepSpec("fig6", "J", SystemParams(0.2, 0.1, K_ULTRA, K_ULTRA), 0.0, 0.1, 0.0025),
 )}
 
 

@@ -66,6 +66,9 @@ def test_point_rejects_small_cutoff(capsys):
         ["point", "--J", "1e308"],
         ["point", "--basis", "lab", "--omega1", "1e308", "--k1", "1"],
         ["point", "--N", "20", "--omega1", "1e308"],
+        # a non-finite hopping
+        ["point", "--J", "nan"],
+        ["point", "--J=-inf"],
     ],
 )
 def test_point_overflowing_couplings_are_usage_errors(argv):
@@ -290,6 +293,40 @@ def test_sweep_custom_rule(tmp_path):
     rows = out.read_text().splitlines()[1:]
     assert len(rows) == 3
     assert [r.split(",")[5] for r in rows] == ["0", "0.01", "0.02"]  # J column
+
+
+def test_custom_sweep_manifest_records_control(tmp_path):
+    out = tmp_path / "custom.csv"
+    code = main(
+        ["sweep", "custom", "--var", "J", "--tmin", "0", "--tmax", "0.02",
+         "--step", "0.01", "--k1", "0.3", "--k2", "0.4", "--delta", "0.1",
+         "--N", "4", "--no-verify", "-o", str(out)]
+    )
+    assert code == 0
+    manifest = json.loads((tmp_path / "custom.csv.manifest.json").read_text())
+    assert manifest["control"] == {
+        "var": "J", "fixed": {"omega_1": 1.05, "omega_2": 0.95, "k_1": 0.3, "k_2": 0.4}}
+
+
+def test_sweep_custom_has_no_delta_k_var(tmp_path, capsys):
+    # fig5's combined scan is a preset only; --var keeps its three choices
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "custom", "--var", "delta_k", "--tmin", "0", "--tmax", "1",
+              "--step", "0.5", "-o", str(tmp_path / "c.csv")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'delta_k'" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_step_finer_than_grid_rounding_is_usage_error(tmp_path, capsys):
+    # t is rounded to 12 decimals: this grid wrote "11 rows" holding only two values of t
+    code = main(["sweep", "custom", "--var", "J", "--tmin", "0", "--tmax", "1e-12",
+                 "--step", "1e-13", "--k1", "0.5", "--k2", "0.5", "--N", "4", "--no-verify",
+                 "-o", str(tmp_path / "c.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: step 1e-13 repeats grid points rounded to 12 decimals"]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_small_cutoff_is_usage_error(tmp_path, capsys):
@@ -517,6 +554,17 @@ def test_point_writes_output_file(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 2
+
+
+def test_output_that_is_a_directory_leaves_no_temp_file(tmp_path, capsys):
+    # the atomic write's temp file sits next to the target and is removed when the rename fails
+    out = tmp_path / "existing"
+    out.mkdir()
+    assert main(["point", "--N", "4", "--format", "csv", "-o", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
+    assert "Is a directory" in err[0]
+    assert list(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
 
 
 def test_version_flag(capsys):

@@ -11,6 +11,7 @@ from jtsim.groundstate import ground_state
 from jtsim.model import (
     PARITY_SIGNS,
     ParityBlocks,
+    StateVector,
     SystemParams,
     VALIDITY_THRESHOLD,
     _parity_sector,
@@ -65,6 +66,11 @@ class TestSystemParams:
             SystemParams(omega_1=1e200, omega_2=1, k_1=1e200, k_2=0)
         with pytest.raises(ValueError, match=r"g_2 = omega_2\*k_2 must be finite"):
             SystemParams(omega_1=1, omega_2=1e200, k_1=0, k_2=1e200)
+
+    @pytest.mark.parametrize("J", [math.nan, math.inf, -math.inf])
+    def test_non_finite_hopping_rejected(self, J):
+        with pytest.raises(ValueError, match="J must be finite"):
+            SystemParams(omega_1=1, omega_2=1, k_1=0.1, k_2=0.1, J=J)
 
     @pytest.mark.parametrize("k_1, k_2", [(1e-200, 0.0), (0.0, 1e-160), (1e-155, 1e-155)])
     def test_underflowing_coupling_norm_rejected(self, k_1, k_2):
@@ -417,3 +423,8 @@ def test_mode_rotation_unitary_without_k2_flips_mode_2(n):
     m2 = np.arange(n * n) % n
     expected = np.diag((-1.0) ** m2)
     assert np.max(np.abs(mode_rotation_unitary(p) - expected)) < 1e-14
+
+
+def test_state_vector_refuses_length_that_does_not_match_factor_dims():
+    with pytest.raises(ValueError, match=r"does not match factor_dims \(2, 3, 3\)"):
+        StateVector(np.zeros(17), (2, 3, 3))

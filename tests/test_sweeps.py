@@ -28,6 +28,7 @@ def small_fig1(**kw):
 
 K_STRONG = 0.1 / math.sqrt(2.0)
 K_ULTRA = 1.0 / math.sqrt(2.0)
+FIG1_BASE = PRESETS["fig1"].base
 
 # The README table of built-in sweeps, written out: t -> parameters.
 DOCUMENTED_PRESETS = {
@@ -44,9 +45,8 @@ class TestPresets:
     @pytest.mark.parametrize("name", sorted(DOCUMENTED_PRESETS))
     def test_rule_matches_documented_formula(self, name):
         spec = figure_sweep(name)
-        ts = grid_points(spec)
-        for t in (ts[0], ts[len(ts) // 2], ts[-1]):
-            assert spec.parameter_rule(t) == DOCUMENTED_PRESETS[name](t), t
+        for t in grid_points(spec):
+            assert spec.params_at(t) == DOCUMENTED_PRESETS[name](t), t
 
     @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3", "fig4"])
     def test_cli_flags_match_preset(self, name):
@@ -60,7 +60,7 @@ class TestPresets:
         ts = grid_points(spec)
         for t in (ts[0], ts[len(ts) // 2], ts[-1]):
             args = build_parser().parse_args(["point", var, repr(t), *fixed])
-            assert _params_from_args(args) == spec.parameter_rule(t), t
+            assert _params_from_args(args) == spec.params_at(t), t
 
 
 class TestGrid:
@@ -77,15 +77,17 @@ class TestGrid:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="t_min"):
-            SweepSpec("bad", PRESETS["fig1"].parameter_rule, 1.0, 0.0, 0.1)
+            SweepSpec("bad", "delta", FIG1_BASE, 1.0, 0.0, 0.1)
         with pytest.raises(ValueError, match="step"):
-            SweepSpec("bad", PRESETS["fig1"].parameter_rule, 0.0, 1.0, -0.1)
+            SweepSpec("bad", "delta", FIG1_BASE, 0.0, 1.0, -0.1)
         with pytest.raises(ValueError, match="grid"):
-            SweepSpec("bad", PRESETS["fig1"].parameter_rule, 0.0, 1e6, 0.1)
+            SweepSpec("bad", "delta", FIG1_BASE, 0.0, 1e6, 0.1)
         with pytest.raises(ValueError, match="cutoff must be >= 2"):
-            SweepSpec("bad", PRESETS["fig1"].parameter_rule, 0.0, 1.0, 0.1, N=1)
+            SweepSpec("bad", "delta", FIG1_BASE, 0.0, 1.0, 0.1, N=1)
         with pytest.raises(ValueError, match="unknown basis 'rotated'"):
-            SweepSpec("bad", PRESETS["fig1"].parameter_rule, 0.0, 1.0, 0.1, basis="rotated")
+            SweepSpec("bad", "delta", FIG1_BASE, 0.0, 1.0, 0.1, basis="rotated")
+        with pytest.raises(ValueError, match="unknown control variable 'omega'"):
+            SweepSpec("bad", "omega", FIG1_BASE, 0.0, 1.0, 0.1)
 
     @pytest.mark.parametrize(
         "t_min, t_max, step",
@@ -95,29 +97,47 @@ class TestGrid:
     def test_non_finite_grid_refused(self, t_min, t_max, step):
         # a step of inf used to give one row at t = t_min + 0 * inf = nan
         with pytest.raises(ValueError, match="t_min, t_max and step must be finite"):
-            SweepSpec("bad", PRESETS["fig1"].parameter_rule, t_min, t_max, step)
+            SweepSpec("bad", "delta", FIG1_BASE, t_min, t_max, step)
 
     def test_grid_cap_counts_points_like_grid_points(self):
-        rule = PRESETS["fig1"].parameter_rule
-        assert len(grid_points(SweepSpec("edge", rule, 0.0, 9999.0, 1.0))) == 10_000
+        assert len(grid_points(SweepSpec("edge", "delta", FIG1_BASE, 0.0, 9999.0, 1.0))) == 10_000
         for t_max, step in ((10_000.0, 1.0), (1.0, 1e-4)):  # 10 001 points each
             with pytest.raises(ValueError, match="grid exceeds 10000 points"):
-                SweepSpec("over", rule, 0.0, t_max, step)
+                SweepSpec("over", "delta", FIG1_BASE, 0.0, t_max, step)
         with pytest.raises(ValueError, match="grid exceeds"):  # the span overflows a float
-            SweepSpec("over", rule, -1e308, 1e308, 1.0)
+            SweepSpec("over", "delta", FIG1_BASE, -1e308, 1e308, 1.0)
 
     def test_presets_are_specs_and_overrides_are_validated(self):
         assert all(isinstance(spec, SweepSpec) and spec.name == name
                    for name, spec in PRESETS.items())
         spec = figure_sweep("fig6", N=4, basis="lab", step=0.05)
         assert (spec.t_min, spec.t_max, spec.step, spec.basis, spec.N) == (0.0, 0.1, 0.05, "lab", 4)
-        assert spec.parameter_rule is PRESETS["fig6"].parameter_rule
+        assert (spec.var, spec.base) == (PRESETS["fig6"].var, PRESETS["fig6"].base)
         with pytest.raises(ValueError, match="t_min"):
             figure_sweep("fig1", t_min=3.0)
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="unknown sweep 'nosuch'"):
             figure_sweep("nosuch")
+
+    def test_step_finer_than_grid_rounding_refused(self):
+        # t is rounded to 12 decimals: a 1e-13 step gave six rows at t = 0 and five at 1e-12
+        with pytest.raises(ValueError, match="step 1e-13 repeats grid points rounded to 12"):
+            SweepSpec("fine", "J", FIG1_BASE, 0.0, 1e-12, 1e-13)
+        spec = SweepSpec("edge", "J", FIG1_BASE, 0.0, 1e-11, 1e-12)
+        assert grid_points(spec) == [round(i * 1e-12, 12) for i in range(11)]
+
+
+class TestControlRecord:
+    def test_fig1_records_its_var_and_fixed_parameters(self):
+        result = run_sweep(small_fig1(t_min=0.0, t_max=0.05, step=0.05), verify_subsample=False)
+        assert result.manifest["control"] == {
+            "var": "delta", "fixed": {"k_1": K_STRONG, "k_2": K_STRONG, "J": 0.0}}
+
+    def test_fig5_fixes_only_the_hopping(self):
+        spec = figure_sweep("fig5", N=4, t_min=0.5, t_max=0.55, step=0.05)
+        result = run_sweep(spec, verify_subsample=False)
+        assert result.manifest["control"] == {"var": "delta_k", "fixed": {"J": 0.0}}
 
 
 class TestRunPoint:
@@ -144,11 +164,9 @@ class TestRunPoint:
 class TestRunSweep:
     def test_symmetric_fig1_rows(self):
         # Delta -> -Delta relabels the modes: reports at +-1.9 must agree
-        from dataclasses import replace
-
-        rule = PRESETS["fig1"].parameter_rule
-        plus = run_point(replace(rule(1.9), N=10))
-        minus = run_point(replace(rule(-1.9), N=10))
+        spec = PRESETS["fig1"]
+        plus = run_point(spec.params_at(1.9))
+        minus = run_point(spec.params_at(-1.9))
         for f, v in asdict(plus.report).items():
             assert abs(v - getattr(minus.report, f)) < 1e-8
 
@@ -167,12 +185,9 @@ class TestRunSweep:
         assert len(ts) == 6
 
     def test_failed_point_is_flagged_not_fatal(self):
-        def bad_rule(t):
-            if t > 0.15:
-                raise ValueError("boom")
-            return SystemParams(omega_1=1, omega_2=1, k_1=0.1, k_2=0.1)
-
-        spec = SweepSpec("custom", bad_rule, 0.0, 0.3, 0.1, N=4)
+        # past kappa = 1, k_1 = (1 - kappa)/2 is negative and refused
+        base = SystemParams(omega_1=1, omega_2=1, k_1=0.1, k_2=0.1)
+        spec = SweepSpec("custom", "kappa", base, 0.9, 1.2, 0.1, N=4)
         result = run_sweep(spec, verify_subsample=False)
         errors = [r for r in result.rows if r.error]
         assert len(result.rows) == 4
@@ -223,7 +238,7 @@ class TestSolverPaths:
         assert result.manifest["solver_paths"] == {"dense": 0, "block": 2, "block-fallback": 1}
 
     def test_failed_rows_are_not_counted(self):
-        spec = SweepSpec("custom", PRESETS["fig1"].parameter_rule, 2.05, 2.1, 0.05, N=4)
+        spec = SweepSpec("custom", "delta", FIG1_BASE, 2.05, 2.1, 0.05, N=4)
         result = run_sweep(spec)
         assert all(row.solver is None for row in result.rows)
         assert sum(result.manifest["solver_paths"].values()) == 0
