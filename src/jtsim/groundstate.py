@@ -8,18 +8,21 @@ live in the modules above it.  Every model Hamiltonian is real symmetric,
 so ground states are real; the sign is fixed by making the
 largest-magnitude amplitude positive.
 
-The builders return the two N^2 x N^2 parity blocks of H.  The solver needs
+The builders return the bands of the two N^2 x N^2 parity blocks of H
+(``ParityBlocks``), and each path takes the view it needs.  The solver needs
 the two lowest eigenvalues of each block, which give the energy, the gap
 and the lower block, and the lower block's ground vector: it has definite
 parity, and on an exact tie between the blocks the Pi = +1 sector wins.
 ``GroundStateResult.solver`` names the path that supplied them:
 
-* ``"dense"`` (N < BLOCK_MIN_N): ``eigvalsh`` of each block, then the lower
-  block's vector by inverse iteration (``_lowest_vector``).
+* ``"dense"`` (N < BLOCK_MIN_N): ``eigvalsh`` of each dense block
+  (``ParityBlocks.entries``), then the lower block's vector by inverse
+  iteration (``_lowest_vector``).
 * ``"block"`` (N >= BLOCK_MIN_N): in (n1, n2) order a block is
-  block-tridiagonal, N diagonal N x N blocks (tridiagonal through g2)
-  joined by N x N off-diagonal ones (g1 on the diagonal, the hopping on the
-  subdiagonal).  A block Cholesky of B - sigma I succeeds exactly when sigma
+  block-tridiagonal (``ParityBlocks.tridiagonal``), N diagonal N x N blocks
+  (tridiagonal through g2) joined by N x N off-diagonal ones (g1 on the
+  diagonal, the hopping on the subdiagonal); the path never forms a dense
+  N^2 x N^2 block.  A block Cholesky of B - sigma I succeeds exactly when sigma
   is below the lowest eigenvalue (Sylvester's law of inertia), so a
   successful factor certifies the shift.  Shift-invert block Krylov steps
   on that factor, each followed by a Rayleigh-Ritz step on B, give
@@ -32,19 +35,18 @@ parity, and on an exact tie between the blocks the Pi = +1 sector wins.
   point keeps the dense path's pick of vector.
 
 The builders' blocks are finite and symmetric by construction (``ParityBlocks``),
-so only ``eig_hermitian`` checks its input.  A corrupt block fails the block
-path's full-block residual test or floating-point traps, and the fallback refuses it.
+so only ``eig_hermitian`` checks its input.  A non-finite band fails the block
+path's floating-point traps or its residual test, and the fallback refuses it.
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PARITY_SIGNS, StateVector, SystemParams, _parity_sector
+from .model import PARITY_SIGNS, StateVector, SystemParams, _assemble, _parity_sector
 from .model import build_lab_hamiltonian, build_transformed_hamiltonian
 # parity_operator is unused here but stays importable as
 # jtsim.groundstate.parity_operator, where the perfbench layer tracer looks it up.
@@ -155,13 +157,13 @@ def _block_cholesky(diag: np.ndarray, upper: np.ndarray, sigma: float):
 
 
 def _block_product(diag: np.ndarray, upper: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """B x for the columns of x, from B's diagonal and upper blocks."""
+    """B x for a vector x or the columns of x, from B's diagonal and upper blocks."""
     n = len(diag)
-    x = x.reshape(n, n, -1)
-    y = diag @ x
-    y[:-1] += upper @ x[1:]
-    y[1:] += upper.transpose(0, 2, 1) @ x[:-1]
-    return y.reshape(n * n, -1)
+    cols = x.reshape(n, n, -1)
+    y = diag @ cols
+    y[:-1] += upper @ cols[1:]
+    y[1:] += upper.transpose(0, 2, 1) @ cols[:-1]
+    return y.reshape(x.shape)
 
 
 def _shift_invert(factor, x: np.ndarray) -> np.ndarray:
@@ -211,15 +213,14 @@ def _ritz(basis: np.ndarray, image: np.ndarray):
     return theta, ritz, res_vecs, [_norm(r) for r in res_vecs.T]
 
 
-def _block_sector(block: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(lambda_0, lambda_1) and the unit ground vector of one block, or None to fall back."""
-    n = math.isqrt(len(block))
-    grid = block.reshape(n, n, n, n)
-    rows = np.arange(n)
-    diag, upper = grid[rows, :, rows, :], grid[rows[:-1], :, rows[1:], :]
+def _block_sector(diag: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """(lambda_0, lambda_1) and the unit ground vector of one block, given by its
+    diagonal and upper blocks, or None to fall back."""
+    n = len(diag)
     m = min(START_N, n)
+    corner = _assemble(diag[:m, :m, :m], upper[:m - 1, :m, :m])  # the leading m x m Fock grid
     start = np.zeros((n, n, 2))
-    start[:m, :m] = np.linalg.eigh(grid[:m, :m, :m, :m].reshape(m * m, m * m))[1][:, :2].reshape(m, m, 2)
+    start[:m, :m] = np.linalg.eigh(corner)[1][:, :2].reshape(m, m, 2)
     generic = np.cos(np.outer(np.arange(n * n), (1.0, 2.0)))
     basis = np.linalg.qr(start.reshape(n * n, 2) + START_NOISE * generic)[0]
     image = _block_product(diag, upper, basis)
@@ -244,9 +245,9 @@ def _block_sector(block: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
         if not any(unmet):
             if theta[1] - theta[0] < SHIFT * max(1.0, abs(theta[0])):
                 return None  # unresolved gap: the dense path takes eigh's vector
-            # The ground pair's residual is taken on the full block, not the banded product.
+            # The Ritz residual is accumulated over the steps; this one is taken afresh.
             ground = ritz[:, 0] / _norm(ritz[:, 0])
-            if _norm(block @ ground - theta[0] * ground) < tol:
+            if _norm(_block_product(diag, upper, ground) - theta[0] * ground) < tol:
                 return theta[:2], ground
             unmet[0] = True
     return None
@@ -276,8 +277,8 @@ def ground_state(p: SystemParams, basis: str = "transformed") -> GroundStateResu
     if p.N >= BLOCK_MIN_N:
         traps = np.errstate(over="raise", invalid="raise", divide="raise")
         with suppress(FloatingPointError), traps:
-            for block in h.entries:
-                if (sector := _block_sector(block)) is None:
+            for diag, upper in zip(*h.tridiagonal):
+                if (sector := _block_sector(diag, upper)) is None:
                     break
                 sectors.append(sector)
         # A degenerate point's vector is the solver's pick among equals, so the
@@ -288,8 +289,15 @@ def ground_state(p: SystemParams, basis: str = "transformed") -> GroundStateResu
     if not sectors:
         sectors = [(eig_hermitian(block, vectors=False)[0], None) for block in h.entries]
     k, gap = _lower_sector(sectors)
-    (w, vector), block = sectors[k], h.entries[k]
-    ground = _fix_sign(_lowest_vector(block, w) if vector is None else vector)
+    w, vector = sectors[k]
+    if vector is None:
+        block = h.entries[k]
+        ground = _fix_sign(_lowest_vector(block, w))
+        h_ground = block @ ground
+    else:
+        diag, upper = h.tridiagonal
+        ground = _fix_sign(vector)
+        h_ground = _block_product(diag[k], upper[k], ground)
     vec = np.zeros(2 * p.N * p.N)
     vec[_parity_sector(p.N, PARITY_SIGNS[k])] = ground
     return GroundStateResult(
@@ -297,6 +305,6 @@ def ground_state(p: SystemParams, basis: str = "transformed") -> GroundStateResu
         state=StateVector(vec, h.factor_dims),
         gap=gap,
         degenerate_flag=gap < DEGENERACY_TOL,
-        residual=_norm(block @ ground - w[0] * ground),
+        residual=_norm(h_ground - w[0] * ground),
         solver=solver,
     )

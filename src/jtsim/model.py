@@ -27,9 +27,10 @@ its two N^2 x N^2 parity blocks (``ParityBlocks``, sector layout in
 ``_parity_sector``); the full 2N^2 x 2N^2 matrix is never formed.
 Inside a block sx only relabels the qubit level, so the block of sign
 +-1 is diag(w1 n1 + w2 n2 +- 1/2 (-1)^(n1+n2)) + g1 x (x) I
-+ g2 I (x) x + hop (a^T (x) a + a (x) a^T); these entries are written
-straight into a zeroed (2, N^2, N^2) stack, with no kron products, each
-band mirrored in one assignment; an entry that overflows is refused first.
++ g2 I (x) x + hop (a^T (x) a + a (x) a^T).  The builders store only
+those bands, O(N^2) floats with no kron products, and refuse an entry that
+overflows; the dense blocks and the block-tridiagonal form are views built
+from the bands on first use.
 
 ``_rotated_coefficients`` is the rotation's one home: it derives k_p,
 omega_p, omega_p_tilde, c = Delta*k1*k2/k_p^2 and g_p by exact operator
@@ -49,27 +50,78 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 SLOTS = ("S", "M1", "M2")
 
-# Order of the parity sectors in ParityBlocks.entries.
+# Order of the parity sectors in ParityBlocks.
 PARITY_SIGNS = (1, -1)
 
 
 @dataclass(frozen=True)
 class ParityBlocks:
-    """Operator that conserves Pi = sz (-1)^(n1+n2), as its two sector blocks.
+    """Operator that conserves Pi = sz (-1)^(n1+n2), as the bands of its two sector blocks.
 
-    ``entries`` has shape (2, N^2, N^2); entries[i] is the Pi = PARITY_SIGNS[i]
-    block, indexed like ``_parity_sector``.  ``factor_dims`` is (2, N, N).
-    The builders' blocks are finite (they refuse an overflowing entry) and
-    symmetric by construction: each band is written mirrored, in one assignment.
+    Sector i holds Pi = PARITY_SIGNS[i], indexed like ``_parity_sector``:
+    block index n1*N + n2.  Only the bands are stored, over the mode grid:
+
+    * ``diagonal`` (2, N, N): sector i's diagonal entry at (n1, n2);
+    * ``g1_band`` (N - 1, N): the entry coupling (n1, n2) to (n1 + 1, n2);
+    * ``g2_band`` (N, N - 1): the entry coupling (n1, n2) to (n1, n2 + 1);
+    * ``hop_band`` (N - 1, N - 1): at [n1, n2 - 1], the entry coupling (n1, n2)
+      to (n1 + 1, n2 - 1).
+
+    The three bands are the same in both sectors and each is stored once, so
+    both views are symmetric by construction.  The builders' bands are finite
+    (they refuse an overflowing entry).
     """
 
-    entries: np.ndarray
-    factor_dims: tuple[int, ...]
+    diagonal: np.ndarray
+    g1_band: np.ndarray
+    g2_band: np.ndarray
+    hop_band: np.ndarray
+
+    @property
+    def factor_dims(self) -> tuple[int, ...]:
+        return (2, *self.diagonal.shape[1:])
+
+    @cached_property
+    def tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
+        """(diag (2, N, N, N), upper (2, N - 1, N, N)): each block in (n1, n2) order is
+        block-tridiagonal, diag[i, n1] its block (n1, n1) and upper[i, n1] its block
+        (n1, n1 + 1); g2 is diag's off-diagonal, g1 upper's diagonal, the hopping
+        upper's subdiagonal."""
+        n = self.diagonal.shape[1]
+        rows = np.arange(n)
+        diag, upper = np.zeros((2, n, n, n)), np.zeros((2, n - 1, n, n))
+        diag[:, :, rows, rows] = self.diagonal
+        diag[:, :, rows[:-1], rows[1:]] = diag[:, :, rows[1:], rows[:-1]] = self.g2_band
+        upper[:, :, rows, rows] = self.g1_band
+        upper[:, :, rows[1:], rows[:-1]] = self.hop_band
+        return diag, upper
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """Dense (2, N^2, N^2) stack; entries[i] is the sector i block."""
+        return _assemble(*self.tridiagonal)
+
+
+def _assemble(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Dense matrix of the block-tridiagonal operator with diagonal blocks ``diag``
+    (..., n, m, m) and upper blocks ``upper`` (..., n - 1, m, m); leading axes are kept."""
+    n, m = diag.shape[-3:-1]
+    lead = diag.shape[:-3]
+    grid = np.zeros((*lead, n, m, n, m))
+
+    def blocks(g):  # writeable view of the blocks (i, i) of g, shape (..., n, m, m)
+        return np.einsum("...iaib->...iab", g)
+
+    blocks(grid)[...] = diag
+    blocks(grid[..., :-1, :, 1:, :])[...] = upper
+    blocks(grid[..., 1:, :, :-1, :])[...] = upper.swapaxes(-1, -2)
+    return grid.reshape(*lead, n * m, n * m)
 
 
 @dataclass(frozen=True)
@@ -288,27 +340,23 @@ def _rotated_coefficients(p: SystemParams) -> dict[str, float]:
 def _two_mode_hamiltonian(
     n: int, w1: float, w2: float, g1: float, g2: float, hop: float
 ) -> ParityBlocks:
-    """Real symmetric two-mode Hamiltonian (module docstring form) as its parity blocks.
+    """Real symmetric two-mode Hamiltonian (module docstring form) as the bands of its
+    parity blocks.
 
     Grid index (n1, n2) couples to (n1 + 1, n2), (n1, n2 + 1) and (n1 + 1, n2 - 1).
     Finite coefficients whose entries overflow (w1 (N - 1), say) raise ``ValueError``.
     """
-    n1, n2 = np.divmod(np.arange(n * n), n)
-    up1, up2 = np.flatnonzero(n1 < n - 1), np.flatnonzero(n2 < n - 1)
-    hops = np.flatnonzero((n1 < n - 1) & (n2 > 0))
+    n1, n2 = np.indices((n, n))
     with np.errstate(over="ignore", invalid="ignore"):
         bare = w1 * n1 + w2 * n2
-        bands = ((up1, n, g1 * np.sqrt(n1[up1] + 1)), (up2, 1, g2 * np.sqrt(n2[up2] + 1)),
-                 (hops, n - 1, hop * (np.sqrt(n1[hops] + 1) * np.sqrt(n2[hops]))))
-    if not np.isfinite(np.concatenate([bare, *(values for _, _, values in bands)])).all():
+        bands = (g1 * np.sqrt(n1[:-1] + 1), g2 * np.sqrt(n2[:, :-1] + 1),
+                 hop * (np.sqrt(n1[:-1, 1:] + 1) * np.sqrt(n2[:-1, 1:])))
+    if not all(np.isfinite(values).all() for values in (bare, *bands)):
         raise ValueError(f"H has a non-finite entry at N={n}: w1={w1:g} w2={w2:g} "
                          f"g1={g1:g} g2={g2:g} hop={hop:g}")
-    blocks = np.zeros((2, n * n, n * n))
-    for block, sign in zip(blocks, PARITY_SIGNS):
-        np.fill_diagonal(block, bare + 0.5 * _sector_sigma_z(n, sign))
-    for rows, offset, values in bands:
-        blocks[:, rows, rows + offset] = blocks[:, rows + offset, rows] = values
-    return ParityBlocks(blocks, (2, n, n))
+    sz = 0.5 * _sector_sigma_z(n, 1).reshape(n, n)  # the Pi = -1 sector holds -sz
+    diagonal = np.stack([bare + sign * sz for sign in PARITY_SIGNS])
+    return ParityBlocks(diagonal, *bands)
 
 
 def build_lab_hamiltonian(p: SystemParams) -> ParityBlocks:

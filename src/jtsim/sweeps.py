@@ -70,6 +70,10 @@ CSV_COLUMNS = (
 )
 
 
+def _fmt(x: float) -> str:
+    return f"{x:.12g}"
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Declarative sweep: control variable ``var`` set to t over ``base``'s other parameters."""
@@ -101,6 +105,8 @@ class SweepSpec:
         points = grid_points(self)
         if len(set(points)) < len(points):
             raise ValueError(f"step {self.step:g} repeats grid points rounded to 12 decimals")
+        if len(set(map(_fmt, points))) < len(points):
+            raise ValueError(f"step {self.step:g} repeats t printed to 12 significant digits")
 
     def params_at(self, t: float) -> SystemParams:
         return replace(self.base, **_control_values(self.var, t), N=self.N)
@@ -363,10 +369,6 @@ def compare_bases(p: SystemParams) -> BasisDivergence:
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def csv_row(row: SweepRow, N: int) -> str:

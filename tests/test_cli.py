@@ -329,6 +329,17 @@ def test_step_finer_than_grid_rounding_is_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_t_printed_alike_is_usage_error(tmp_path, capsys):
+    # distinct grid points that the CSV prints alike: this grid wrote 10 rows all at t = 1000
+    code = main(["sweep", "custom", "--var", "J", "--tmin", "1000", "--tmax", "1000.000000001",
+                 "--step", "1e-10", "--k1", "0.5", "--k2", "0.5", "--N", "4", "--no-verify",
+                 "-o", str(tmp_path / "c.csv")])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: step 1e-10 repeats t printed to 12 significant digits"]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_small_cutoff_is_usage_error(tmp_path, capsys):
     out = tmp_path / "fig1.csv"
     assert main(["sweep", "fig1", "--N", "1", "-o", str(out)]) == 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import astuple, replace
 
@@ -11,7 +12,6 @@ from jtsim.groundstate import BASES, BLOCK_MIN_N, RESIDUAL_TOL, eig_hermitian, g
 from jtsim.groundstate import _block_cholesky, _shift_invert
 from jtsim.model import (
     PARITY_SIGNS,
-    ParityBlocks,
     SystemParams,
     _parity_sector,
     build_lab_hamiltonian,
@@ -412,32 +412,52 @@ class TestBlockPath:
 
     @pytest.mark.parametrize("n", [BLOCK_MIN_N - 1, BLOCK_MIN_N])
     @pytest.mark.parametrize(
-        "edits",
+        "band, index, value",
         [
-            [(1, 3, 3, np.nan)],
-            [(1, 0, -1, np.inf), (1, -1, 0, np.inf)],
-            [(1, 1, 0, 0.5)],
-            [(1, -1, 0, 0.5)],
-            # in the Pi = +1 block, the excited sector here: a nan in one row of its residual
-            [(0, 5, 300, np.nan)],
+            ("diagonal", (1, 0, 3), np.nan),
+            ("hop_band", (-1, -1), np.inf),
+            # upper[:, 5] of both sectors: a nan in one row of each block's residual
+            ("g1_band", (5, 0), np.nan),
         ],
-        ids=["nan-diagonal", "inf-off-band", "asymmetric-in-band", "asymmetric-off-band",
-             "nan-upper-block"],
+        ids=["nan-diagonal", "inf-band", "nan-upper-block"],
     )
-    def test_corrupt_block_is_refused_without_warning(self, edits, n, monkeypatch):
-        # The builders write finite symmetric blocks; one corrupt anyway must not come out of
-        # either path: the block path falls back and eig_hermitian refuses it.
+    def test_corrupt_block_is_refused_without_warning(self, band, index, value, n, monkeypatch):
+        # The builders write finite bands; one corrupt anyway must not come out of either
+        # path: the block path falls back and eig_hermitian refuses it.
         p = SystemParams(omega_1=1.05, omega_2=0.95, k_1=0.3, k_2=0.2, N=n)
         h = build_transformed_hamiltonian(p)
-        entries = h.entries.copy()
-        for sector, row, col, value in edits:
-            entries[sector, row, col] += value
-        monkeypatch.setattr(jtsim.groundstate, "build_transformed_hamiltonian",
-                            lambda _: ParityBlocks(entries, h.factor_dims))
+        values = getattr(h, band).copy()
+        values[index] += value
+        corrupt = replace(h, **{band: values})
+        # Each band is stored once and written mirrored: no edit makes a view asymmetric.
+        diag, _ = corrupt.tridiagonal
+        assert np.array_equal(diag, diag.swapaxes(-1, -2), equal_nan=True)
+        assert np.array_equal(corrupt.entries, corrupt.entries.swapaxes(-1, -2), equal_nan=True)
+        monkeypatch.setattr(jtsim.groundstate, "build_transformed_hamiltonian", lambda _: corrupt)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite Hermitian operator"):
                 ground_state(p)
+
+    def test_block_path_forms_no_dense_stack(self, monkeypatch):
+        # fig2 t = 0.5 at N = 40: one dense N^2 x N^2 block would take 20.48 MB.
+        p = SystemParams(omega_1=1.25, omega_2=0.75, k_1=K_ULTRA, k_2=K_ULTRA, N=40)
+        built = []
+
+        def keeping(q):
+            built.append(build_transformed_hamiltonian(q))
+            return built[-1]
+
+        monkeypatch.setattr(jtsim.groundstate, "build_transformed_hamiltonian", keeping)
+        tracemalloc.start()
+        try:
+            gs = ground_state(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gs.solver == "block"
+        assert "entries" not in vars(built[0])  # the dense view was never built
+        assert peak < (p.N * p.N) ** 2 * 8
 
 
 def _refuse_factor(diag, upper, sigma):

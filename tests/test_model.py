@@ -297,6 +297,37 @@ class TestTransformedHamiltonian:
         assert h[p.N, 1] == pytest.approx(hop, abs=1e-15)
 
 
+# model_points at cutoffs up to 24, past the block path's BLOCK_MIN_N = 20.
+view_points = st.builds(replace, model_points, N=st.integers(2, 24))
+
+
+class TestParityBlocksViews:
+    @settings(property_settings, max_examples=40)
+    @given(view_points, st.sampled_from(["lab", "transformed"]))
+    def test_views_agree_with_each_other_and_the_oracle(self, p, basis):
+        if basis == "lab":
+            h, coefficients = build_lab_hamiltonian(p), (p.omega_1, p.omega_2, p.g_1, p.g_2, p.J)
+        else:
+            h, coefficients = build_transformed_hamiltonian(p), rotated_coefficients(p)
+        n = p.N
+        diag, upper = h.tridiagonal
+        assert diag.shape == (2, n, n, n) and upper.shape == (2, n - 1, n, n)
+        # the tridiagonal view, block by block, is the dense view bit for bit
+        grid = np.zeros((2, n, n, n, n))
+        for i in range(n):
+            grid[:, i, :, i] = diag[:, i]
+        for i in range(n - 1):
+            grid[:, i, :, i + 1] = upper[:, i]
+            grid[:, i + 1, :, i] = upper[:, i].transpose(0, 2, 1)
+        assert np.array_equal(grid.reshape(2, n * n, n * n), h.entries)
+        assert np.array_equal(h.entries, h.entries.transpose(0, 2, 1))
+        oracle = two_mode_oracle(n, *coefficients)
+        scale = max(1.0, np.max(np.abs(oracle)))
+        for block, sign in zip(h.entries, PARITY_SIGNS):
+            idx = _parity_sector(n, sign)
+            assert np.max(np.abs(block - oracle[np.ix_(idx, idx)])) <= 16 * np.finfo(float).eps * scale
+
+
 class TestSingleModeJT:
     def test_decoupled_ground_energy(self):
         p = SystemParams(omega_1=1.0, omega_2=1.0, k_1=1e-12, k_2=1e-12, N=8)
