@@ -192,7 +192,7 @@ def cmd_sweep(args) -> int:
         _refuse_given(args, [dest for dest in MODEL_FLAGS if dest in overwritten],
                       f"--var {args.var} sets these parameters itself")
         spec = SweepSpec("custom", args.var, _params_from_args(args),
-                         args.tmin, args.tmax, args.step, args.basis, args.N)
+                         args.tmin, args.tmax, args.step, args.basis)
     out = args.output or _default_out(f"{spec.name}.csv")
     with _writing(out):  # an unwritable path is refused before the sweep runs
         os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
@@ -245,6 +245,10 @@ def cmd_converge(args) -> int:
             f"N {d['N_from']:>2d} -> {d['N_to']:<2d}  |d energy| = {d['d_energy']:.3e}"
             f"  max |d E_N| = {d['d_negativity_max']:.3e}"
         )
+    for r in rows:  # on stderr, as the ladder table on stdout is parsed
+        if r.degenerate:
+            print(f"caveat: N={r.params.N}: degenerate ground state, values depend on solver pick",
+                  file=sys.stderr)
     if diffs[-1]["d_negativity_max"] >= args.tol:
         print(
             f"not converged: final max |d E_N| {diffs[-1]['d_negativity_max']:.3e}"

@@ -21,11 +21,11 @@ parity, and on an exact tie between the blocks the Pi = +1 sector wins.
 * ``"block"`` (N >= BLOCK_MIN_N): in (n1, n2) order a block is
   block-tridiagonal (``ParityBlocks.tridiagonal``), N diagonal N x N blocks
   (tridiagonal through g2) joined by N x N off-diagonal ones (g1 on the
-  diagonal, the hopping on the subdiagonal); the path never forms a dense
-  N^2 x N^2 block.  A block Cholesky of B - sigma I succeeds exactly when sigma
-  is below the lowest eigenvalue (Sylvester's law of inertia), so a
-  successful factor certifies the shift.  Shift-invert block Krylov steps
-  on that factor, each followed by a Rayleigh-Ritz step on B, give
+  diagonal, the hopping on the subdiagonal) that both blocks share; the path
+  never forms a dense N^2 x N^2 block.  A block Cholesky of B - sigma I
+  succeeds exactly when sigma is below the lowest eigenvalue (Sylvester's law
+  of inertia), so a successful factor certifies the shift.  Shift-invert block
+  Krylov steps on that factor, each followed by a Rayleigh-Ritz step on B, give
   lambda_0, lambda_1 and the ground vector without a dense solve or
   eigvalsh; sigma is refined and re-certified between rounds.
 * ``"block-fallback"``: the block path could not certify a shift, missed
@@ -277,7 +277,8 @@ def ground_state(p: SystemParams, basis: str = "transformed") -> GroundStateResu
     if p.N >= BLOCK_MIN_N:
         traps = np.errstate(over="raise", invalid="raise", divide="raise")
         with suppress(FloatingPointError), traps:
-            for diag, upper in zip(*h.tridiagonal):
+            diags, upper = h.tridiagonal
+            for diag in diags:
                 if (sector := _block_sector(diag, upper)) is None:
                     break
                 sectors.append(sector)
@@ -295,9 +296,9 @@ def ground_state(p: SystemParams, basis: str = "transformed") -> GroundStateResu
         ground = _fix_sign(_lowest_vector(block, w))
         h_ground = block @ ground
     else:
-        diag, upper = h.tridiagonal
+        diags, upper = h.tridiagonal
         ground = _fix_sign(vector)
-        h_ground = _block_product(diag[k], upper[k], ground)
+        h_ground = _block_product(diags[k], upper, ground)
     vec = np.zeros(2 * p.N * p.N)
     vec[_parity_sector(p.N, PARITY_SIGNS[k])] = ground
     return GroundStateResult(

@@ -89,17 +89,17 @@ class ParityBlocks:
 
     @cached_property
     def tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
-        """(diag (2, N, N, N), upper (2, N - 1, N, N)): each block in (n1, n2) order is
-        block-tridiagonal, diag[i, n1] its block (n1, n1) and upper[i, n1] its block
-        (n1, n1 + 1); g2 is diag's off-diagonal, g1 upper's diagonal, the hopping
-        upper's subdiagonal."""
+        """(diag (2, N, N, N), upper (N - 1, N, N)): each block in (n1, n2) order is
+        block-tridiagonal, diag[i, n1] its block (n1, n1) and upper[n1] its block
+        (n1, n1 + 1), which both sectors share; g2 is diag's off-diagonal, g1 upper's
+        diagonal, the hopping upper's subdiagonal."""
         n = self.diagonal.shape[1]
         rows = np.arange(n)
-        diag, upper = np.zeros((2, n, n, n)), np.zeros((2, n - 1, n, n))
+        diag, upper = np.zeros((2, n, n, n)), np.zeros((n - 1, n, n))
         diag[:, :, rows, rows] = self.diagonal
         diag[:, :, rows[:-1], rows[1:]] = diag[:, :, rows[1:], rows[:-1]] = self.g2_band
-        upper[:, :, rows, rows] = self.g1_band
-        upper[:, :, rows[1:], rows[:-1]] = self.hop_band
+        upper[:, rows, rows] = self.g1_band
+        upper[:, rows[1:], rows[:-1]] = self.hop_band
         return diag, upper
 
     @cached_property
@@ -110,7 +110,7 @@ class ParityBlocks:
 
 def _assemble(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Dense matrix of the block-tridiagonal operator with diagonal blocks ``diag``
-    (..., n, m, m) and upper blocks ``upper`` (..., n - 1, m, m); leading axes are kept."""
+    (..., n, m, m) and upper blocks ``upper`` (n - 1, m, m); diag's leading axes are kept."""
     n, m = diag.shape[-3:-1]
     lead = diag.shape[:-3]
     grid = np.zeros((*lead, n, m, n, m))

@@ -7,10 +7,11 @@ of why a row is flagged.  Sweeps go to CSV plus a run manifest.
 
 A ``SweepSpec`` sets one control variable ``var`` to t at each grid point
 and holds the other parameters of ``base`` fixed; the manifest's ``control``
-block records both.  ``_control_values`` maps t: delta sets omega_{1,2} =
-1 +- t/2, kappa k_{2,1} = (1 +- t)/2, J the hopping, and delta_k both
-omega_{1,2} = 1 +- t/2 and k_1 = k_2 = t.  The six built-in sweeps (in units
-of the qubit frequency) reproduce the standard parameter scans:
+block records both.  ``base.N`` is the sweep's one Fock cutoff, checked by
+``SystemParams``.  ``_control_values`` maps t: delta sets omega_{1,2} = 1 +-
+t/2, kappa k_{2,1} = (1 +- t)/2, J the hopping, and delta_k both omega_{1,2}
+= 1 +- t/2 and k_1 = k_2 = t.  The six built-in sweeps (in units of the qubit
+frequency) reproduce the standard parameter scans:
 
     fig1  delta in [-2, 2], k_1 = k_2 = 0.1/sqrt(2), J = 0
     fig2  same with k_1 = k_2 = 1/sqrt(2)
@@ -40,7 +41,7 @@ import numpy as np
 from ._version import __version__
 from .entanglement import EntanglementReport, report_from_state
 from .groundstate import BASES, SOLVER_PATHS, ground_state
-from .model import StateVector, SystemParams, _check_cutoff
+from .model import StateVector, SystemParams
 from .model import mode_rotation_unitary, privileged_validity
 
 MAX_GRID_POINTS = 10_000
@@ -76,7 +77,7 @@ def _fmt(x: float) -> str:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Declarative sweep: control variable ``var`` set to t over ``base``'s other parameters."""
+    """Declarative sweep: ``var`` set to t; ``base`` holds the other parameters and cutoff N."""
 
     name: str
     var: str
@@ -85,10 +86,8 @@ class SweepSpec:
     t_max: float
     step: float
     basis: str = "transformed"
-    N: int = 10
 
     def __post_init__(self):
-        object.__setattr__(self, "N", _check_cutoff(self.N))
         _control_values(self.var, 0.0)  # refuses an unknown var
         if self.basis not in BASES:
             raise ValueError(f"unknown basis {self.basis!r}; expected one of {BASES}")
@@ -109,7 +108,7 @@ class SweepSpec:
             raise ValueError(f"step {self.step:g} repeats t printed to 12 significant digits")
 
     def params_at(self, t: float) -> SystemParams:
-        return replace(self.base, **_control_values(self.var, t), N=self.N)
+        return replace(self.base, **_control_values(self.var, t))
 
 
 @dataclass(frozen=True)
@@ -191,14 +190,14 @@ def _verify_subsample(spec: SweepSpec, rows: list[SweepRow]) -> tuple[dict, list
         {int(i) for i in np.linspace(0, len(clean) - 1, min(VERIFY_POINTS, len(clean)))}
     )
     checked = [clean[i] for i in picks]
-    bumped = replace(spec, N=spec.N + VERIFY_CUTOFF_BUMP)
+    bumped = replace(spec, base=replace(spec.base, N=spec.base.N + VERIFY_CUTOFF_BUMP))
     recomputed = [_evaluate_grid_point(bumped, row.t) for row in checked]
     failed = [{"t": hi.t, "reason": hi.reason} for hi in recomputed if hi.error is not None]
     worst = max((_max_negativity_change(lo.report, hi.report)
                  for lo, hi in zip(checked, recomputed) if hi.error is None), default=None)
     return {
         "points": [row.t for row in checked],
-        "cutoff_check": bumped.N,
+        "cutoff_check": bumped.base.N,
         "tolerance": VERIFY_TOL,
         "max_abs_negativity_diff": worst,
         "within_tol": False if failed else None if worst is None else worst < VERIFY_TOL,
@@ -219,7 +218,7 @@ def run_sweep(spec: SweepSpec, verify_subsample: bool = True) -> SweepResult:
         "sweep": spec.name,
         "control": {"var": spec.var, "fixed": fixed},
         "basis": spec.basis,
-        "cutoff": spec.N,
+        "cutoff": spec.base.N,
         "grid": {"t_min": spec.t_min, "t_max": spec.t_max, "step": spec.step},
         "rows": len(rows),
         "flagged_rows": len(flagged),
@@ -249,10 +248,10 @@ def convergence_study(
     cutoffs must be ascending, each >= 2.  Use successive_differences()
     on the result to see how fast the numbers settle.
     """
-    cutoffs = [_check_cutoff(n) for n in cutoffs]
-    if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
+    rungs = [replace(p, N=n) for n in cutoffs]  # SystemParams refuses a bad cutoff
+    if any(b.N <= a.N for a, b in zip(rungs, rungs[1:])):
         raise ValueError("cutoffs must be strictly ascending")
-    return [run_point(replace(p, N=n), basis) for n in cutoffs]
+    return [run_point(rung, basis) for rung in rungs]
 
 
 def successive_differences(rows: list[SweepRow]) -> list[dict]:
@@ -316,7 +315,7 @@ def figure_sweep(
     if name not in PRESETS:
         raise ValueError(f"unknown sweep {name!r}; presets are {sorted(PRESETS)}")
     grid = {"t_min": t_min, "t_max": t_max, "step": step}
-    return replace(PRESETS[name], N=N, basis=basis,
+    return replace(PRESETS[name], base=replace(PRESETS[name].base, N=N), basis=basis,
                    **{key: value for key, value in grid.items() if value is not None})
 
 
@@ -396,7 +395,7 @@ def write_csv(result: SweepResult, path: str) -> None:
     degenerate column set to true, so flagged rows are visible downstream.
     """
     lines = [",".join(CSV_COLUMNS)]
-    lines += [csv_row(r, result.spec.N) for r in result.rows]
+    lines += [csv_row(r, result.spec.base.N) for r in result.rows]
     payload = "\n".join(lines) + "\n"
     _atomic_write(path, payload)
 

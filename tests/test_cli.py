@@ -379,6 +379,19 @@ def test_converge_threshold_failure(capsys):
     assert "not converged" in capsys.readouterr().err
 
 
+def test_converge_names_each_degenerate_rung(capsys):
+    # Delta = 2 puts mode 2 at zero frequency: the gap is 3.6e-7 at N = 6, 3.3e-12 at
+    # N = 8 and 2.7e-15 at N = 10, so the last two rungs are degenerate.
+    code = main(["converge", "--delta", "2", "--k1", "0.7071068", "--k2", "0.7071068",
+                 "--cutoffs", "6,8,10"])
+    captured = capsys.readouterr()
+    assert code == 4
+    assert [line for line in captured.err.splitlines() if line.startswith("caveat:")] == [
+        f"caveat: N={n}: degenerate ground state, values depend on solver pick" for n in (8, 10)]
+    # the table on stdout is unchanged: header, three rungs, two differences
+    assert len(captured.out.splitlines()) == 6 and "caveat" not in captured.out
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-3"])
 @pytest.mark.parametrize("command, flag", [("converge", "--tol"), ("xcheck", "--threshold")])
 def test_pass_thresholds_must_be_finite_and_positive(command, flag, value, capsys):

@@ -311,14 +311,14 @@ class TestParityBlocksViews:
             h, coefficients = build_transformed_hamiltonian(p), rotated_coefficients(p)
         n = p.N
         diag, upper = h.tridiagonal
-        assert diag.shape == (2, n, n, n) and upper.shape == (2, n - 1, n, n)
+        assert diag.shape == (2, n, n, n) and upper.shape == (n - 1, n, n)
         # the tridiagonal view, block by block, is the dense view bit for bit
         grid = np.zeros((2, n, n, n, n))
         for i in range(n):
             grid[:, i, :, i] = diag[:, i]
         for i in range(n - 1):
-            grid[:, i, :, i + 1] = upper[:, i]
-            grid[:, i + 1, :, i] = upper[:, i].transpose(0, 2, 1)
+            grid[:, i, :, i + 1] = upper[i]
+            grid[:, i + 1, :, i] = upper[i].T
         assert np.array_equal(grid.reshape(2, n * n, n * n), h.entries)
         assert np.array_equal(h.entries, h.entries.transpose(0, 2, 1))
         oracle = two_mode_oracle(n, *coefficients)

@@ -1,6 +1,6 @@
 import math
 import warnings
-from dataclasses import asdict, astuple
+from dataclasses import asdict, astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from jtsim.sweeps import (
     SweepRow,
     SweepSpec,
     compare_bases,
+    convergence_study,
     figure_sweep,
     grid_points,
     run_point,
@@ -83,7 +84,7 @@ class TestGrid:
         with pytest.raises(ValueError, match="grid"):
             SweepSpec("bad", "delta", FIG1_BASE, 0.0, 1e6, 0.1)
         with pytest.raises(ValueError, match="cutoff must be >= 2"):
-            SweepSpec("bad", "delta", FIG1_BASE, 0.0, 1.0, 0.1, N=1)
+            SweepSpec("bad", "delta", replace(FIG1_BASE, N=1), 0.0, 1.0, 0.1)
         with pytest.raises(ValueError, match="unknown basis 'rotated'"):
             SweepSpec("bad", "delta", FIG1_BASE, 0.0, 1.0, 0.1, basis="rotated")
         with pytest.raises(ValueError, match="unknown control variable 'omega'"):
@@ -111,8 +112,8 @@ class TestGrid:
         assert all(isinstance(spec, SweepSpec) and spec.name == name
                    for name, spec in PRESETS.items())
         spec = figure_sweep("fig6", N=4, basis="lab", step=0.05)
-        assert (spec.t_min, spec.t_max, spec.step, spec.basis, spec.N) == (0.0, 0.1, 0.05, "lab", 4)
-        assert (spec.var, spec.base) == (PRESETS["fig6"].var, PRESETS["fig6"].base)
+        assert (spec.t_min, spec.t_max, spec.step, spec.basis) == (0.0, 0.1, 0.05, "lab")
+        assert (spec.var, spec.base) == (PRESETS["fig6"].var, replace(PRESETS["fig6"].base, N=4))
         with pytest.raises(ValueError, match="t_min"):
             figure_sweep("fig1", t_min=3.0)
 
@@ -126,6 +127,39 @@ class TestGrid:
             SweepSpec("fine", "J", FIG1_BASE, 0.0, 1e-12, 1e-13)
         spec = SweepSpec("edge", "J", FIG1_BASE, 0.0, 1e-11, 1e-12)
         assert grid_points(spec) == [round(i * 1e-12, 12) for i in range(11)]
+
+
+class TestCutoff:
+    """A sweep's one cutoff is its base's N."""
+
+    def test_spec_has_no_cutoff_field_of_its_own(self):
+        assert "N" not in {f.name for f in fields(SweepSpec)}
+
+    def test_custom_base_cutoff_runs_end_to_end(self, tmp_path):
+        base = SystemParams(1.0, 1.0, 0.5, 0.5, N=6)
+        spec = SweepSpec("custom", "J", base, 0.0, 0.1, 0.05)
+        assert [spec.params_at(t).N for t in grid_points(spec)] == [6, 6, 6]
+        result = run_sweep(spec)
+        assert {row.params.N for row in result.rows} == {6}
+        assert result.manifest["cutoff"] == 6
+        assert result.manifest["verification"]["cutoff_check"] == 10
+        out = tmp_path / "custom.csv"
+        write_csv(result, str(out))
+        lines = out.read_text().splitlines()
+        assert [dict(zip(CSV_COLUMNS, line.split(",")))["N"] for line in lines[1:]] == ["6"] * 3
+
+    def test_figure_sweep_sets_the_preset_base_cutoff(self):
+        assert figure_sweep("fig1").base.N == 10
+        assert figure_sweep("fig1", N=14).base.N == 14
+        assert figure_sweep("fig1", N=14).base == replace(PRESETS["fig1"].base, N=14)
+
+    def test_ladder_refuses_a_bad_rung_before_it_solves(self, monkeypatch):
+        solved = []
+        monkeypatch.setattr("jtsim.sweeps.run_point", lambda p, basis: solved.append(p.N))
+        for cutoffs in ((1, 4), (4, 4.5)):
+            with pytest.raises(ValueError, match="cutoff must be >= 2"):
+                convergence_study(FIG1_BASE, cutoffs)
+        assert solved == []
 
 
 class TestControlRecord:
@@ -186,8 +220,8 @@ class TestRunSweep:
 
     def test_failed_point_is_flagged_not_fatal(self):
         # past kappa = 1, k_1 = (1 - kappa)/2 is negative and refused
-        base = SystemParams(omega_1=1, omega_2=1, k_1=0.1, k_2=0.1)
-        spec = SweepSpec("custom", "kappa", base, 0.9, 1.2, 0.1, N=4)
+        base = SystemParams(omega_1=1, omega_2=1, k_1=0.1, k_2=0.1, N=4)
+        spec = SweepSpec("custom", "kappa", base, 0.9, 1.2, 0.1)
         result = run_sweep(spec, verify_subsample=False)
         errors = [r for r in result.rows if r.error]
         assert len(result.rows) == 4
@@ -218,7 +252,7 @@ class TestRunSweep:
         spec = small_fig1(t_min=0.0, t_max=0.2, step=0.1)
         result = run_sweep(spec, verify_subsample=True)
         ver = result.manifest["verification"]
-        assert ver["cutoff_check"] == spec.N + 4
+        assert ver["cutoff_check"] == spec.base.N + 4
         assert ver["within_tol"] is True
 
 
@@ -238,7 +272,7 @@ class TestSolverPaths:
         assert result.manifest["solver_paths"] == {"dense": 0, "block": 2, "block-fallback": 1}
 
     def test_failed_rows_are_not_counted(self):
-        spec = SweepSpec("custom", "delta", FIG1_BASE, 2.05, 2.1, 0.05, N=4)
+        spec = SweepSpec("custom", "delta", replace(FIG1_BASE, N=4), 2.05, 2.1, 0.05)
         result = run_sweep(spec)
         assert all(row.solver is None for row in result.rows)
         assert sum(result.manifest["solver_paths"].values()) == 0
@@ -286,7 +320,7 @@ class TestDeterminism:
 
         manifest = json.loads((tmp_path / "fig1.csv.manifest.json").read_text())
         assert manifest["rows"] == len(result.rows)
-        assert manifest["cutoff"] == spec.N
+        assert manifest["cutoff"] == spec.base.N
 
 
 class TestCompareBases:
