@@ -48,6 +48,12 @@ from .sweeps import (
 
 OUTPUT_DIR_ENV = "JTSIM_OUTDIR"
 
+# What ``point`` and ``converge`` say of a row flagged for each of these reasons.
+CAVEATS = {
+    "degenerate": "degenerate ground state, values depend on solver pick",
+    "imprecise": "gap below the solver's precision (eps*||H||), values are not resolved",
+}
+
 
 # Model flags: dest -> (default, help).  Each parses to None when not given,
 # so a preset sweep, which fixes the model itself, can refuse any given one.
@@ -172,8 +178,8 @@ def cmd_point(args) -> int:
             f"validity: r1 = {row.r1:.4g}  r2 = {row.r2:.4g}  r3 = {row.r3:.4g}"
             f"  valid = {valid_label}",
         ]
-        if row.degenerate:
-            lines.append("caveat: degenerate ground state, values depend on solver pick")
+        if row.reason in CAVEATS:
+            lines.append(f"caveat: {CAVEATS[row.reason]}")
         _emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -201,7 +207,7 @@ def cmd_sweep(args) -> int:
         write_csv(result, out)
         write_manifest(result, out + ".manifest.json")
     manifest = result.manifest
-    # Each reason reads "<kind>" or "<kind>: <detail>"; kinds sort as degenerate, failed.
+    # Each reason reads "<kind>" or "<kind>: <detail>"; kinds sort as degenerate, failed, imprecise.
     counts = Counter(entry["reason"].partition(": ")[0] for entry in manifest["flagged"])
     breakdown = ", ".join(f"{n} {kind}" for kind, n in sorted(counts.items()))
     notes = [f"{manifest['flagged_rows']} flagged" + (f": {breakdown}" if breakdown else "")]
@@ -246,9 +252,8 @@ def cmd_converge(args) -> int:
             f"  max |d E_N| = {d['d_negativity_max']:.3e}"
         )
     for r in rows:  # on stderr, as the ladder table on stdout is parsed
-        if r.degenerate:
-            print(f"caveat: N={r.params.N}: degenerate ground state, values depend on solver pick",
-                  file=sys.stderr)
+        if r.reason in CAVEATS:
+            print(f"caveat: N={r.params.N}: {CAVEATS[r.reason]}", file=sys.stderr)
     if diffs[-1]["d_negativity_max"] >= args.tol:
         print(
             f"not converged: final max |d E_N| {diffs[-1]['d_negativity_max']:.3e}"

@@ -27,12 +27,26 @@ parity, and on an exact tie between the blocks the Pi = +1 sector wins.
   of inertia), so a successful factor certifies the shift.  Shift-invert block
   Krylov steps on that factor, each followed by a Rayleigh-Ritz step on B, give
   lambda_0, lambda_1 and the ground vector without a dense solve or
-  eigvalsh; sigma is refined and re-certified between rounds.
-* ``"block-fallback"``: the block path could not certify a shift, missed
-  its stop rule within ROUNDS x STEPS steps, overflowed, met a block whose
-  own gap is unresolved, or found the point degenerate.  The dense path then solves
-  the point, so the result is the dense one bit for bit, and a degenerate
-  point keeps the dense path's pick of vector.
+  eigvalsh; sigma is refined and re-certified between rounds.  The factor
+  also keeps L_ii^-1 L_(i,i-1) and L_ii^-T L_(i+1,i)^T, so each substitution
+  sweep is one batched L_ii^-1 product plus one small product per block row.
+  Each block starts from two columns of a smaller cutoff, zero-padded: the
+  lowest two vectors of its leading START_N x START_N Fock grid, or the two
+  lowest Ritz vectors of a block solve at a smaller N (``start``), which the
+  result hands on in ``ritz_vectors`` for the next rung of a cutoff ladder.
+  The start only changes where the Krylov space begins; the shift is still
+  certified by its factor and the stop rule is the same.
+* ``"block-fallback"``: the point has a zero-frequency mode, whose decoupled
+  oscillator makes it degenerate, so the block path is not tried; or the
+  block path could not certify a shift, missed its stop rule within ROUNDS x
+  STEPS steps, overflowed, met a block whose own gap is unresolved, or found
+  the point degenerate.  The dense path then solves the point, so the result
+  is the dense one bit for bit, and a degenerate point keeps the dense path's
+  pick of vector.
+
+A gap below DEGENERACY_TOL flags the point degenerate, unless the solver
+cannot resolve a gap that small: where eps times a Gershgorin bound on ||H||
+is at least DEGENERACY_TOL, the point is flagged ``imprecise`` instead.
 
 The builders' blocks are finite and symmetric by construction (``ParityBlocks``),
 so only ``eig_hermitian`` checks its input.  A non-finite band fails the block
@@ -41,13 +55,14 @@ path's floating-point traps or its residual test, and the fallback refuses it.
 
 from __future__ import annotations
 
+import math
 from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import PARITY_SIGNS, StateVector, SystemParams, _assemble, _parity_sector
-from .model import build_lab_hamiltonian, build_transformed_hamiltonian
+from .model import _zero_frequency, build_lab_hamiltonian, build_transformed_hamiltonian
 # parity_operator is unused here but stays importable as
 # jtsim.groundstate.parity_operator, where the perfbench layer tracer looks it up.
 from .model import parity_operator  # noqa: F401
@@ -65,9 +80,10 @@ MAX_SOLVES = 4
 # t = 1.95) one eigvalsh of the N^2 x N^2 block costs less than its Python loops
 # over N block rows; the default sweeps (N = 10, verified at 14) stay dense.
 BLOCK_MIN_N = 20
-# Its start vectors are the lowest two of the leading START_N x START_N Fock grid,
-# plus START_NOISE of a fixed generic vector, so that no symmetry class of the
-# block is missing from the Krylov space.
+# Without a start of its own, a block starts from the lowest two vectors of its
+# leading START_N x START_N Fock grid.  Either start gets START_NOISE of a fixed
+# generic vector, so that no symmetry class of the block is missing from the
+# Krylov space.
 START_N = 10
 START_NOISE = 1e-6
 # It stops when lambda_0's residual is below RESIDUAL_TOL * max(1, |lambda_0|) and
@@ -93,6 +109,10 @@ class GroundStateResult:
     degenerate_flag: bool
     residual: float
     solver: str
+    # Gap below DEGENERACY_TOL that the solver's precision cannot resolve (module docstring).
+    imprecise: bool
+    # Each sector's two lowest Ritz vectors, (N^2, 2), when solver == "block"; else None.
+    ritz_vectors: tuple[np.ndarray, np.ndarray] | None
 
 
 def eig_hermitian(m: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
@@ -142,8 +162,9 @@ def _block_cholesky(diag: np.ndarray, upper: np.ndarray, sigma: float):
     """Block Cholesky of B - sigma I; raises LinAlgError unless sigma < lambda_0(B).
 
     ``diag[i]`` and ``upper[i]`` are B's blocks (i, i) and (i, i + 1).  Returns
-    the inverses of the diagonal factors L_ii and the blocks L_ii^-1 B_(i,i+1),
-    whose transposes are the sub-diagonal factors.
+    the inverses of the diagonal factors L_ii, and the products L_ii^-1 L_(i,i-1)
+    and L_ii^-T L_(i+1,i)^T that ``_shift_invert``'s two sweeps apply; the
+    sub-diagonal factor L_(i+1,i) is (L_ii^-1 B_(i,i+1))^T.
     """
     shifted = diag - sigma * np.eye(diag.shape[1])
     inv_l, coupling = np.empty_like(diag), np.empty_like(upper)
@@ -153,7 +174,9 @@ def _block_cholesky(diag: np.ndarray, upper: np.ndarray, sigma: float):
         if i < len(upper):
             coupling[i] = inv_l[i] @ upper[i]
             schur = shifted[i + 1] - coupling[i].T @ coupling[i]
-    return inv_l, coupling
+    forward = inv_l[1:] @ coupling.transpose(0, 2, 1)
+    back = inv_l[:-1].transpose(0, 2, 1) @ coupling
+    return inv_l, forward, back
 
 
 def _block_product(diag: np.ndarray, upper: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -167,18 +190,19 @@ def _block_product(diag: np.ndarray, upper: np.ndarray, x: np.ndarray) -> np.nda
 
 
 def _shift_invert(factor, x: np.ndarray) -> np.ndarray:
-    """(B - sigma I)^-1 x for the columns of x, by forward and back substitution."""
-    inv_l, coupling = factor
+    """(B - sigma I)^-1 x for the columns of x, by forward and back substitution.
+
+    Forward: y_i = L_ii^-1 x_i - (L_ii^-1 L_(i,i-1)) y_(i-1); back: u_i = L_ii^-T y_i
+    - (L_ii^-T L_(i+1,i)^T) u_(i+1).  Each sweep's L_ii^-1 products are one batched call.
+    """
+    inv_l, forward, back = factor
     n = len(inv_l)
-    x = x.reshape(n, n, -1)
-    y = np.empty_like(x)
-    y[0] = inv_l[0] @ x[0]
+    y = inv_l @ x.reshape(n, n, -1)
     for i in range(1, n):
-        y[i] = inv_l[i] @ (x[i] - coupling[i - 1].T @ y[i - 1])
+        y[i] -= forward[i - 1] @ y[i - 1]
+    y = inv_l.transpose(0, 2, 1) @ y
     for i in range(n - 2, -1, -1):
-        y[i + 1] = inv_l[i + 1].T @ y[i + 1]
-        y[i] -= coupling[i] @ y[i + 1]
-    y[0] = inv_l[0].T @ y[0]
+        y[i] -= back[i] @ y[i + 1]
     return y.reshape(n * n, -1)
 
 
@@ -213,16 +237,24 @@ def _ritz(basis: np.ndarray, image: np.ndarray):
     return theta, ritz, res_vecs, [_norm(r) for r in res_vecs.T]
 
 
-def _block_sector(diag: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """(lambda_0, lambda_1) and the unit ground vector of one block, given by its
-    diagonal and upper blocks, or None to fall back."""
+def _block_sector(diag: np.ndarray, upper: np.ndarray, start: np.ndarray | None = None):
+    """(lambda_0, lambda_1) of one block, given by its diagonal and upper blocks, and its
+    two lowest Ritz vectors, the first the unit ground vector; or None to fall back.
+
+    ``start`` holds two columns over the m x m Fock grid of a cutoff m <= N; by
+    default the lowest two vectors of the leading START_N x START_N grid.
+    """
     n = len(diag)
-    m = min(START_N, n)
-    corner = _assemble(diag[:m, :m, :m], upper[:m - 1, :m, :m])  # the leading m x m Fock grid
-    start = np.zeros((n, n, 2))
-    start[:m, :m] = np.linalg.eigh(corner)[1][:, :2].reshape(m, m, 2)
+    if start is None:
+        m = min(START_N, n)
+        start = np.linalg.eigh(_assemble(diag[:m, :m, :m], upper[:m - 1, :m, :m]))[1][:, :2]
+    m = math.isqrt(len(start))
+    if m * m != len(start) or m > n or start.shape[1:] != (2,):
+        raise ValueError(f"a start needs two columns over an m x m grid, m <= {n}; got {start.shape}")
+    padded = np.zeros((n, n, 2))
+    padded[:m, :m] = start.reshape(m, m, 2)
     generic = np.cos(np.outer(np.arange(n * n), (1.0, 2.0)))
-    basis = np.linalg.qr(start.reshape(n * n, 2) + START_NOISE * generic)[0]
+    basis = np.linalg.qr(padded.reshape(n * n, 2) + START_NOISE * generic)[0]
     image = _block_product(diag, upper, basis)
     theta, ritz, res_vecs, res = _ritz(basis, image)
     unmet = [True, True]
@@ -246,9 +278,10 @@ def _block_sector(diag: np.ndarray, upper: np.ndarray) -> tuple[np.ndarray, np.n
             if theta[1] - theta[0] < SHIFT * max(1.0, abs(theta[0])):
                 return None  # unresolved gap: the dense path takes eigh's vector
             # The Ritz residual is accumulated over the steps; this one is taken afresh.
-            ground = ritz[:, 0] / _norm(ritz[:, 0])
+            ritz[:, 0] /= _norm(ritz[:, 0])
+            ground = ritz[:, 0]
             if _norm(_block_product(diag, upper, ground) - theta[0] * ground) < tol:
-                return theta[:2], ground
+                return theta[:2], ritz
             unmet[0] = True
     return None
 
@@ -262,26 +295,30 @@ def _lower_sector(sectors: list) -> tuple[int, float]:
     return k, float(lowest[1] - lowest[0])
 
 
-def ground_state(p: SystemParams, basis: str = "transformed") -> GroundStateResult:
+def ground_state(p: SystemParams, basis: str = "transformed",
+                 start: tuple[np.ndarray, np.ndarray] | None = None) -> GroundStateResult:
     """Lowest eigenpair with gap, parity and degeneracy flag, solved per parity sector.
 
     ``gap`` is the distance to the next level of either sector, so a
     degeneracy across the sectors is flagged like one inside a sector.
     ``residual`` is ||H psi - E psi|| of the returned state and ``solver``
-    the path that found it (module docstring).
+    the path that found it (module docstring).  ``start``, one (m^2, 2)
+    array per sector from a cutoff m <= N (the ``ritz_vectors`` of an
+    earlier result), is where the block path starts; other paths ignore it.
     """
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
     h = build_lab_hamiltonian(p) if basis == "lab" else build_transformed_hamiltonian(p)
     solver, sectors = "dense", []
     if p.N >= BLOCK_MIN_N:
-        traps = np.errstate(over="raise", invalid="raise", divide="raise")
-        with suppress(FloatingPointError), traps:
-            diags, upper = h.tridiagonal
-            for diag in diags:
-                if (sector := _block_sector(diag, upper)) is None:
-                    break
-                sectors.append(sector)
+        if not _zero_frequency(p):
+            traps = np.errstate(over="raise", invalid="raise", divide="raise")
+            with suppress(FloatingPointError), traps:
+                diags, upper = h.tridiagonal
+                for diag, first in zip(diags, start or (None, None)):
+                    if (sector := _block_sector(diag, upper, first)) is None:
+                        break
+                    sectors.append(sector)
         # A degenerate point's vector is the solver's pick among equals, so the
         # dense path's pick stays the one reported.
         if len(sectors) < 2 or _lower_sector(sectors)[1] < DEGENERACY_TOL:
@@ -290,22 +327,25 @@ def ground_state(p: SystemParams, basis: str = "transformed") -> GroundStateResu
     if not sectors:
         sectors = [(eig_hermitian(block, vectors=False)[0], None) for block in h.entries]
     k, gap = _lower_sector(sectors)
-    w, vector = sectors[k]
-    if vector is None:
+    w, vectors = sectors[k]
+    if vectors is None:
         block = h.entries[k]
         ground = _fix_sign(_lowest_vector(block, w))
         h_ground = block @ ground
     else:
         diags, upper = h.tridiagonal
-        ground = _fix_sign(vector)
+        ground = _fix_sign(vectors[:, 0])
         h_ground = _block_product(diags[k], upper, ground)
     vec = np.zeros(2 * p.N * p.N)
     vec[_parity_sector(p.N, PARITY_SIGNS[k])] = ground
+    degenerate = gap < DEGENERACY_TOL
     return GroundStateResult(
         energy=float(w[0]),
         state=StateVector(vec, h.factor_dims),
         gap=gap,
-        degenerate_flag=gap < DEGENERACY_TOL,
+        degenerate_flag=degenerate,
         residual=_norm(h_ground - w[0] * ground),
         solver=solver,
+        imprecise=degenerate and np.finfo(float).eps * h.norm_bound >= DEGENERACY_TOL,
+        ritz_vectors=tuple(v for _, v in sectors) if solver == "block" else None,
     )

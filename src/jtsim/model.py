@@ -102,6 +102,15 @@ class ParityBlocks:
         upper[:, rows[1:], rows[:-1]] = self.hop_band
         return diag, upper
 
+    @property
+    def norm_bound(self) -> float:
+        """Gershgorin bound on the 2-norm of either block: each row holds one diagonal entry
+        and at most two entries of each band (inf if the sum overflows)."""
+        with np.errstate(over="ignore"):
+            return float(np.max(np.abs(self.diagonal)) + 2 * sum(
+                np.max(np.abs(band))
+                for band in (self.g1_band, self.g2_band, self.hop_band)))
+
     @cached_property
     def entries(self) -> np.ndarray:
         """Dense (2, N^2, N^2) stack; entries[i] is the sector i block."""
@@ -300,10 +309,15 @@ def _privileged_norm(p: SystemParams) -> tuple[float, float]:
     return kp2, math.sqrt(kp2)
 
 
+def _zero_frequency(p: SystemParams) -> bool:
+    """A mode of zero frequency has g_i = 0 too: a decoupled oscillator, so a degenerate point."""
+    return p.omega_1 == 0.0 or p.omega_2 == 0.0
+
+
 def _warn_zero_frequency(p: SystemParams):
     # stacklevel=3 points at a direct caller of a builder; other call chains
     # are deeper, so the message also names the point.
-    if p.omega_1 == 0.0 or p.omega_2 == 0.0:
+    if _zero_frequency(p):
         warnings.warn(
             f"zero-frequency mode at omega_1={p.omega_1:g} omega_2={p.omega_2:g} "
             f"k_1={p.k_1:g} k_2={p.k_2:g}: decoupled oscillator makes the ground "

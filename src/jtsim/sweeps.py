@@ -1,9 +1,11 @@
 """Parameter sweeps, the Fock-cutoff convergence ladder and their verification.
 
-``run_point`` is the one way a parameter point is evaluated: sweep rows,
-the higher-cutoff verification subsample and ``convergence_study`` all
-call it and all return ``SweepRow``, whose ``reason`` is the one statement
-of why a row is flagged.  Sweeps go to CSV plus a run manifest.
+``run_point`` is the one way a parameter point is evaluated: sweep rows
+and the higher-cutoff verification subsample call it, and
+``convergence_study`` builds each rung's row with the same ``_point_row``
+after handing the rung the block solver's start from the rung below.  All
+return ``SweepRow``, whose ``reason`` is the one statement of why a row is
+flagged.  Sweeps go to CSV plus a run manifest.
 
 A ``SweepSpec`` sets one control variable ``var`` to t at each grid point
 and holds the other parameters of ``base`` fixed; the manifest's ``control``
@@ -40,7 +42,7 @@ import numpy as np
 
 from ._version import __version__
 from .entanglement import EntanglementReport, report_from_state
-from .groundstate import BASES, SOLVER_PATHS, ground_state
+from .groundstate import BASES, SOLVER_PATHS, GroundStateResult, ground_state
 from .model import StateVector, SystemParams
 from .model import mode_rotation_unitary, privileged_validity
 
@@ -128,12 +130,16 @@ class SweepRow:
     error: str | None = None
     residual: float = math.nan
     solver: str | None = None
+    imprecise: bool = False
 
     @property
     def reason(self) -> str | None:
-        """Why the row is flagged: ``failed: <error>``, ``degenerate``, or None if clean."""
+        """Why the row is flagged: ``failed: <error>``, ``imprecise`` (a gap below the
+        solver's precision), ``degenerate``, or None if clean."""
         if self.error is not None:
             return f"failed: {self.error}"
+        if self.imprecise:
+            return "imprecise"
         return "degenerate" if self.degenerate else None
 
     @property
@@ -160,11 +166,15 @@ def grid_points(spec: SweepSpec) -> list[float]:
 
 def run_point(p: SystemParams, basis: str = "transformed", t: float = math.nan) -> SweepRow:
     """One fully evaluated parameter point (ground state, negativities, validity)."""
-    gs = ground_state(p, basis)
+    return _point_row(p, ground_state(p, basis), t)
+
+
+def _point_row(p: SystemParams, gs: GroundStateResult, t: float = math.nan) -> SweepRow:
+    """The row of ``p`` from its ground state ``gs``: negativities and validity added."""
     rep = report_from_state(gs.state)
     validity = asdict(privileged_validity(p))
     return SweepRow(t, p, rep, gs.energy, gs.gap, degenerate=gs.degenerate_flag,
-                    residual=gs.residual, solver=gs.solver, **validity)
+                    residual=gs.residual, solver=gs.solver, imprecise=gs.imprecise, **validity)
 
 
 def _evaluate_grid_point(spec: SweepSpec, t: float) -> SweepRow:
@@ -243,15 +253,22 @@ def run_sweep(spec: SweepSpec, verify_subsample: bool = True) -> SweepResult:
 def convergence_study(
     p: SystemParams, cutoffs, basis: str = "transformed"
 ) -> list[SweepRow]:
-    """``p`` evaluated by ``run_point`` at each Fock cutoff.
+    """``p`` evaluated at each Fock cutoff, each row built as ``run_point`` builds it.
 
-    cutoffs must be ascending, each >= 2.  Use successive_differences()
-    on the result to see how fast the numbers settle.
+    cutoffs must be ascending, each >= 2.  A rung the block path solved hands
+    its Ritz vectors to the next rung as the block solver's start; any other
+    rung hands on nothing.  Use successive_differences() on the result to see
+    how fast the numbers settle.
     """
     rungs = [replace(p, N=n) for n in cutoffs]  # SystemParams refuses a bad cutoff
     if any(b.N <= a.N for a, b in zip(rungs, rungs[1:])):
         raise ValueError("cutoffs must be strictly ascending")
-    return [run_point(rung, basis) for rung in rungs]
+    rows, start = [], None
+    for rung in rungs:
+        gs = ground_state(rung, basis, start)
+        rows.append(_point_row(rung, gs))
+        start = gs.ritz_vectors
+    return rows
 
 
 def successive_differences(rows: list[SweepRow]) -> list[dict]:

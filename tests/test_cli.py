@@ -392,6 +392,24 @@ def test_converge_names_each_degenerate_rung(capsys):
     assert len(captured.out.splitlines()) == 6 and "caveat" not in captured.out
 
 
+def test_imprecise_rows_are_named(capsys, tmp_path):
+    # At omega_1 = 1.6e307 the J > 0 gaps read 0 but eps * ||H|| is near 3e292.
+    huge = ["--omega1", "1.6e307", "--omega2", "1", "--k1", "0", "--k2", "0"]
+    caveat = "gap below the solver's precision (eps*||H||), values are not resolved"
+    assert main(["point", *huge, "--J", "0.05"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"caveat: {caveat}"
+    assert main(["converge", *huge, "--J", "0.05", "--cutoffs", "6,8"]) == 0
+    assert capsys.readouterr().err.splitlines() == [f"caveat: N={n}: {caveat}" for n in (6, 8)]
+    out = str(tmp_path / "imprecise.csv")
+    code = main(["sweep", "custom", "--var", "J", "--tmin", "0", "--tmax", "0.1", "--step", "0.05",
+                 *huge, "--N", "10", "--no-verify", "-o", out])
+    assert code == 3
+    assert "(2 flagged: 2 imprecise, " in capsys.readouterr().out
+    with open(out) as fh:
+        assert [line.rsplit(",", 1)[1] for line in fh.read().splitlines()[1:]] == [
+            "false", "true", "true"]
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-3"])
 @pytest.mark.parametrize("command, flag", [("converge", "--tol"), ("xcheck", "--threshold")])
 def test_pass_thresholds_must_be_finite_and_positive(command, flag, value, capsys):

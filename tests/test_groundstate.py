@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import jtsim.groundstate
+import jtsim.sweeps
 from jtsim.groundstate import BASES, BLOCK_MIN_N, RESIDUAL_TOL, eig_hermitian, ground_state
 from jtsim.groundstate import _block_cholesky, _shift_invert
 from jtsim.model import (
@@ -262,9 +263,9 @@ class TestConvergenceStudy:
 
         calls = []
 
-        def counting(p, basis="transformed"):
+        def counting(p, basis="transformed", start=None):
             calls.append(p.N)
-            return ground_state(p, basis)
+            return ground_state(p, basis, start)
 
         # every module that looks ground_state up by name
         monkeypatch.setattr(jtsim.groundstate, "ground_state", counting)
@@ -439,6 +440,81 @@ class TestBlockPath:
             with pytest.raises(ValueError, match="finite Hermitian operator"):
                 ground_state(p)
 
+    @settings(property_settings, max_examples=12)
+    @given(preset_points, st.integers(1, 6), st.sampled_from(BASES))
+    @example(fig5_params(1.95, 20), 10, "transformed")  # ladder's 20 -> 30 at the hard point
+    def test_warm_start_matches_cold_solve(self, p, step, basis):
+        bigger = replace(p, N=p.N + step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # zero-frequency endpoints
+            start = ground_state(p, basis).ritz_vectors
+            warm, cold = ground_state(bigger, basis, start), ground_state(bigger, basis)
+        scale = max(1.0, abs(cold.energy))
+        assert warm.solver == cold.solver
+        assert abs(warm.energy - cold.energy) < 1e-12 * scale
+        assert abs(warm.gap - cold.gap) < 1e-12 * scale
+        assert abs(warm.state.amplitudes @ cold.state.amplitudes) >= 1 - 1e-12
+
+    def test_only_a_block_rung_hands_on_a_start(self, monkeypatch):
+        starts, results = [], []
+
+        def recording(p, basis="transformed", start=None):
+            starts.append(start)
+            results.append(ground_state(p, basis, start))
+            return results[-1]
+
+        monkeypatch.setattr(jtsim.sweeps, "ground_state", recording)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            convergence_study(fig5_params(1.95, 10), (10, 20, 24))
+            convergence_study(replace(fig1_params(2.0), N=20), (20, 24))  # zero frequency
+        assert [gs.solver for gs in results] == ["dense", "block", "block"] + ["block-fallback"] * 2
+        for gs in results:
+            assert (gs.ritz_vectors is None) == (gs.solver != "block")
+        n = results[1].state.factor_dims[1]
+        assert [v.shape for v in results[1].ritz_vectors] == [(n * n, 2)] * 2
+        # the first rung of each ladder starts cold; each later rung gets the rung below's vectors
+        assert starts[0] is starts[3] is None
+        assert [starts[i] is results[i - 1].ritz_vectors for i in (1, 2, 4)] == [True] * 3
+
+    def test_start_from_a_larger_cutoff_is_refused(self):
+        start = ground_state(fig5_params(1.95, 24)).ritz_vectors
+        with pytest.raises(ValueError, match="m <= 20"):
+            ground_state(fig5_params(1.95, 20), start=start)
+
+    def test_fallback_hands_on_no_start(self, monkeypatch):
+        monkeypatch.setattr(jtsim.groundstate, "_block_cholesky", _refuse_factor)
+        gs = ground_state(fig5_params(1.95, 20))
+        assert gs.solver == "block-fallback" and gs.ritz_vectors is None
+
+    @pytest.mark.parametrize(
+        "p",
+        [replace(fig1_params(2.0), N=20), replace(fig1_params(-2.0), N=20), fig5_params(2.0, 20)],
+        ids=["omega2=0", "omega1=0", "fig5"],
+    )
+    def test_zero_frequency_skips_the_block_attempt(self, p, monkeypatch):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            dense = dense_ground_state(p)
+            start = ground_state(replace(p, omega_1=1.0, omega_2=1.0)).ritz_vectors
+            monkeypatch.setattr(jtsim.groundstate, "_block_sector", _never_called)
+            results = [ground_state(p), ground_state(p, start=start)]
+        for gs in results:
+            assert gs.solver == "block-fallback" and gs.ritz_vectors is None
+            assert_same_result(gs, dense)
+
+    def test_unresolvable_gap_is_imprecise_not_degenerate(self):
+        # omega_1 = 1.6e307 puts eps * ||H|| near 3e292: eigvalsh cannot resolve a 1e-10 gap
+        huge = SystemParams(omega_1=1.6e307, omega_2=1.0, k_1=0.0, k_2=0.0, N=10)
+        clean, lost = ground_state(huge), ground_state(replace(huge, J=0.05))
+        assert (clean.gap, clean.degenerate_flag, clean.imprecise) == (1.0, False, False)
+        assert lost.degenerate_flag and lost.imprecise
+        # an ordinary zero-frequency point is degenerate, and its gap is resolved
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            degenerate = ground_state(fig1_params(2.0))
+        assert degenerate.degenerate_flag and not degenerate.imprecise
+
     def test_block_path_forms_no_dense_stack(self, monkeypatch):
         # fig2 t = 0.5 at N = 40: one dense N^2 x N^2 block would take 20.48 MB.
         p = SystemParams(omega_1=1.25, omega_2=0.75, k_1=K_ULTRA, k_2=K_ULTRA, N=40)
@@ -462,3 +538,7 @@ class TestBlockPath:
 
 def _refuse_factor(diag, upper, sigma):
     raise np.linalg.LinAlgError("not positive definite")
+
+
+def _never_called(*args):
+    raise AssertionError("the block path was tried")

@@ -327,6 +327,14 @@ class TestParityBlocksViews:
             idx = _parity_sector(n, sign)
             assert np.max(np.abs(block - oracle[np.ix_(idx, idx)])) <= 16 * np.finfo(float).eps * scale
 
+    @settings(property_settings, max_examples=30)
+    @given(view_points, st.sampled_from(["lab", "transformed"]))
+    def test_norm_bound_is_a_row_sum_bound(self, p, basis):
+        h = build_lab_hamiltonian(p) if basis == "lab" else build_transformed_hamiltonian(p)
+        rows = np.max(np.abs(h.entries).sum(axis=2))  # Gershgorin: the max row sum bounds ||B||_2
+        assert rows <= h.norm_bound * (1 + 1e-15)
+        assert max(np.linalg.norm(block, 2) for block in h.entries) <= rows * (1 + 1e-12)
+
 
 class TestSingleModeJT:
     def test_decoupled_ground_energy(self):

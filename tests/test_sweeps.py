@@ -248,6 +248,16 @@ class TestRunSweep:
         assert end.t == 2.0
         assert end.degenerate and end.flagged
 
+    def test_unresolvable_gap_is_flagged_imprecise(self):
+        # eps * ||H|| is near 3e292 at omega_1 = 1.6e307: a gap below 1e-10 cannot be resolved
+        base = SystemParams(omega_1=1.6e307, omega_2=1.0, k_1=0.0, k_2=0.0, N=10)
+        result = run_sweep(SweepSpec("custom", "J", base, 0.0, 0.1, 0.05), verify_subsample=False)
+        assert [r.reason for r in result.rows] == [None, "imprecise", "imprecise"]
+        assert [r.degenerate for r in result.rows] == [False, True, True]  # the gap reads 0
+        assert result.manifest["flagged"] == [{"t": 0.05, "reason": "imprecise"},
+                                              {"t": 0.1, "reason": "imprecise"}]
+        assert SweepRow(0.5, degenerate=True, imprecise=True).reason == "imprecise"
+
     def test_verification_subsample_recorded(self):
         spec = small_fig1(t_min=0.0, t_max=0.2, step=0.1)
         result = run_sweep(spec, verify_subsample=True)
