@@ -10,9 +10,10 @@ Usage examples:
   jtsim xcheck --delta 0.05 --k1 0.0707107 --k2 0.0707107 --N 16
 
 Exit codes: 0 success, 2 usage or parameter error, 3 sweep completed with
-flagged rows, 4 threshold failure (converge/xcheck).  A sweep whose
-higher-cutoff verification drifts past its tolerance, or fails at a point,
-says so in its summary line but keeps its exit code.
+flagged rows, 4 threshold failure (converge/xcheck) or a converge whose final
+difference has a flagged rung.  A sweep whose higher-cutoff verification
+drifts past its tolerance, or fails at a point, says so in its summary line
+but keeps its exit code.
 """
 
 from __future__ import annotations
@@ -254,6 +255,11 @@ def cmd_converge(args) -> int:
     for r in rows:  # on stderr, as the ladder table on stdout is parsed
         if r.reason in CAVEATS:
             print(f"caveat: N={r.params.N}: {CAVEATS[r.reason]}", file=sys.stderr)
+    # A flagged rung's numbers are not the point's, so a small difference proves nothing.
+    flagged = next((r for r in rows[-2:] if r.flagged), None)
+    if flagged is not None:
+        print(f"not converged: N={flagged.params.N} is {flagged.reason}", file=sys.stderr)
+        return 4
     if diffs[-1]["d_negativity_max"] >= args.tol:
         print(
             f"not converged: final max |d E_N| {diffs[-1]['d_negativity_max']:.3e}"

@@ -15,11 +15,15 @@ pipeline bug and raises.
 
 ``report_from_state`` works on the (qubit, mode, mode) tensor of the pure
 state psi, first cut down to each mode's support, and never forms a density
-matrix: E_N(S|B1B2) is log2 (sum of Schmidt values)^2 (Vidal & Werner, PRA
-65, 032314, 2002), and each two-party cut is one contraction of psi with
-itself that gives the partially transposed reduced state, rho^(T_A)[a b, d
-e] = rho[d b, a e], directly.  ``DensityMatrix`` and the functions on it
-are the dense oracle this path is tested against.
+matrix.  The support is an error budget: a mode keeps its singular direction
+i while sigma_i + sigma_(i+1) + ... exceeds SUPPORT_TOL * sigma_0, so the
+singular values it drops sum to at most SUPPORT_TOL * sigma_0, and the ranks
+it keeps do not follow the solver's rounding noise.  Then E_N(S|B1B2) is
+log2 (sum of Schmidt values)^2 (Vidal & Werner, PRA 65, 032314, 2002), and
+each two-party cut is one contraction of psi with itself that gives the
+partially transposed reduced state, rho^(T_A)[a b, d e] = rho[d b, a e],
+directly.  ``DensityMatrix`` and the functions on it are the dense oracle
+this path is tested against.
 """
 
 from __future__ import annotations
@@ -35,8 +39,9 @@ from .groundstate import ground_state  # noqa: F401
 from .model import StateVector
 
 NEG_CLAMP = 1e-9
-# A mode's support: singular values of its unfolding above this share of the largest.
-SUPPORT_TOL = 1e-15
+# A mode's support: the leading singular directions of its unfolding, cut where the
+# singular values left over sum to at most this share of the largest.
+SUPPORT_TOL = 1e-13
 
 
 class NumericalIntegrityError(RuntimeError):
@@ -174,11 +179,13 @@ def report_from_state(psi: StateVector) -> EntanglementReport:
     _check_normalized(psi)
     t = psi.amplitudes.reshape(psi.factor_dims)
     # Contract each mode with u^dagger, u the left singular vectors of its unfolding on
-    # its support: an isometry on the range of its reduced state, so E_N is unchanged.
+    # its support: an isometry on the range of its reduced state but for the dropped
+    # directions, so E_N moves only by their weight.
     for axis in (1, 2):
         unfolding = np.moveaxis(t, axis, 0).reshape(t.shape[axis], -1)
         u, sigma, _ = np.linalg.svd(unfolding, full_matrices=False)
-        support = u[:, sigma > SUPPORT_TOL * sigma[0]]
+        tails = np.cumsum(sigma[::-1])[::-1]  # tails[i] = sigma_i + sigma_(i+1) + ...
+        support = u[:, tails > SUPPORT_TOL * sigma[0]]
         t = np.moveaxis(np.tensordot(support.conj(), t, axes=(0, axis)), 0, axis)
     s, n1, n2 = t.shape
     schmidt = np.linalg.svd(t.reshape(s, n1 * n2), compute_uv=False)

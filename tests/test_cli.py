@@ -398,8 +398,9 @@ def test_imprecise_rows_are_named(capsys, tmp_path):
     caveat = "gap below the solver's precision (eps*||H||), values are not resolved"
     assert main(["point", *huge, "--J", "0.05"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == f"caveat: {caveat}"
-    assert main(["converge", *huge, "--J", "0.05", "--cutoffs", "6,8"]) == 0
-    assert capsys.readouterr().err.splitlines() == [f"caveat: N={n}: {caveat}" for n in (6, 8)]
+    assert main(["converge", *huge, "--J", "0.05", "--cutoffs", "6,8"]) == 4
+    assert capsys.readouterr().err.splitlines() == [
+        *(f"caveat: N={n}: {caveat}" for n in (6, 8)), "not converged: N=6 is imprecise"]
     out = str(tmp_path / "imprecise.csv")
     code = main(["sweep", "custom", "--var", "J", "--tmin", "0", "--tmax", "0.1", "--step", "0.05",
                  *huge, "--N", "10", "--no-verify", "-o", out])

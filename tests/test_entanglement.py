@@ -18,7 +18,7 @@ from jtsim.entanglement import (
 )
 from jtsim.groundstate import BASES, ground_state
 from jtsim.model import StateVector, SystemParams
-from jtsim.sweeps import run_point
+from jtsim.sweeps import PRESETS, run_point
 from oracles import model_points, property_settings
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
@@ -302,13 +302,38 @@ class TestReportFromStateTensorPath:
     @property_settings
     @given(st.builds(replace, model_points, N=st.integers(2, 12)), st.sampled_from(BASES))
     def test_support_cut_matches_uncut_report(self, p, basis):
-        # The cut drops sigma <= SUPPORT_TOL * sigma_max; at a cut of 0 every
-        # nonzero singular direction of each mode is kept.
+        # The cut drops singular values that sum to at most SUPPORT_TOL * sigma_max;
+        # at a cut of 0 every nonzero singular direction of each mode is kept.
         state = ground_state(p, basis).state
         cut = astuple(report_from_state(state))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(entanglement, "SUPPORT_TOL", 0.0)
             uncut = astuple(report_from_state(state))
+        assert max(abs(a - b) for a, b in zip(cut, uncut)) < 1e-12
+
+    def test_budget_cut_keeps_fewer_directions_than_the_noise_floor(self, monkeypatch):
+        # fig5 t = 1.5, N = 30: each mode's unfolding has singular values above
+        # 1e-15 sigma_max that sum to below SUPPORT_TOL sigma_max, so the budget
+        # drops them where a per-value floor at 1e-15 kept them.
+        p = replace(PRESETS["fig5"].params_at(1.5), N=30)
+        state = ground_state(p).state
+        t = state.amplitudes.reshape(state.factor_dims)
+        sigmas = [np.linalg.svd(np.moveaxis(t, axis, 0).reshape(30, -1), compute_uv=False)
+                  for axis in (1, 2)]
+        shapes, negativity = [], entanglement._negativity
+
+        def spy(pt):
+            shapes.append(pt.shape[0])
+            return negativity(pt)
+
+        monkeypatch.setattr(entanglement, "_negativity", spy)
+        cut = astuple(report_from_state(state))
+        monkeypatch.setattr(entanglement, "SUPPORT_TOL", 0.0)
+        uncut = astuple(report_from_state(state))
+        # _negativity sees S|B1 (2 r1 x 2 r1) first, then S|B2 (2 r2 x 2 r2).
+        for rank, sigma in zip((shapes[0] // 2, shapes[1] // 2), sigmas):
+            assert rank < np.count_nonzero(sigma > 1e-15 * sigma[0])
+            assert sigma[rank:].sum() <= 1e-13 * sigma[0] < sigma[rank - 1:].sum()
         assert max(abs(a - b) for a, b in zip(cut, uncut)) < 1e-12
 
     def test_builds_no_density_matrix(self, monkeypatch):

@@ -5,7 +5,9 @@ from dataclasses import asdict, astuple, fields, replace
 import numpy as np
 import pytest
 
+import jtsim.sweeps
 from jtsim.cli import _params_from_args, build_parser
+from jtsim.groundstate import ground_state
 from jtsim.model import SystemParams
 from jtsim.sweeps import (
     CSV_COLUMNS,
@@ -333,7 +335,50 @@ class TestDeterminism:
         assert manifest["cutoff"] == spec.base.N
 
 
+def record_ground_states(monkeypatch) -> list:
+    """(basis, start, result) of each ground_state call jtsim.sweeps makes."""
+    calls = []
+
+    def recording(p, basis="transformed", start=None):
+        gs = ground_state(p, basis, start)
+        calls.append((basis, start, gs))
+        return gs
+
+    monkeypatch.setattr(jtsim.sweeps, "ground_state", recording)
+    return calls
+
+
 class TestCompareBases:
+    @pytest.mark.parametrize("n", [20, 24])
+    @pytest.mark.parametrize("delta, k_1, k_2", [
+        (0.05, 0.7071068, 0.7071068),  # the xcheck benchmark point at seed 0
+        (-0.1048141, 0.7088458, 0.6739910),  # and at seed 3
+    ])
+    def test_transformed_solve_starts_from_the_lab_solve(self, monkeypatch, n, delta, k_1, k_2):
+        p = SystemParams(1 + delta / 2, 1 - delta / 2, k_1, k_2, N=n)
+        calls = record_ground_states(monkeypatch)
+        compare_bases(p)
+        (lab_basis, _, lab), (basis, start, warm) = calls
+        assert (lab_basis, lab.solver, basis) == ("lab", "block", "transformed")
+        assert start is not None
+        cold = ground_state(p, "transformed")
+        scale = max(1.0, abs(cold.energy))
+        assert warm.solver == cold.solver
+        assert abs(warm.energy - cold.energy) < 1e-12 * scale
+        assert abs(warm.gap - cold.gap) < 1e-12 * scale
+
+    @pytest.mark.parametrize("p, solver", [
+        (SystemParams(1.025, 0.975, 0.7071068, 0.7071068, N=12), "dense"),
+        (SystemParams(2.0, 0.0, 0.7071068, 0.7071068, N=20), "block-fallback"),  # delta = 2
+    ])
+    def test_no_start_without_a_block_lab_solve(self, monkeypatch, p, solver):
+        calls = record_ground_states(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the zero-frequency warning
+            compare_bases(p)
+        assert [(basis, start, gs.solver) for basis, start, gs in calls] == [
+            ("lab", None, solver), ("transformed", None, solver)]
+
     def test_identity_rotation_no_divergence(self):
         p = SystemParams(omega_1=0.9, omega_2=0.4, k_1=0.3, k_2=0.0, J=0.0, N=8)
         div = compare_bases(p)
