@@ -1,0 +1,80 @@
+"""The end-to-end jtsim commands, each run once, as Markdown for the job summary.  `run TREE
+OUT` runs TABLE on TREE's src, in OUT, and exits 1 on an unexpected exit code; `diff TREE OUT
+SAVED` then names each output that differs from SAVED's, but for what holds a run's time."""
+import difflib, json, os, subprocess, sys, time
+
+ULTRA = ["--k1", "0.7071068", "--k2", "0.7071068"]
+FIG5_HARD = ["--delta", "1.95", "--k1", "1.95", "--k2", "1.95"]  # fig5 t = 1.95
+# name -> (argv, expected exit code); stdout goes to <name>.out, a sweep's CSV to <name>.csv.
+TABLE = {
+    **{f"fig{i}": (["sweep", f"fig{i}"], code) for i, code in enumerate([3, 3, 0, 0, 0, 0], 1)},
+    # the one sweep through the block solver; its t = 2 row has a zero-frequency mode
+    "fig1-n20": (["sweep", "fig1", "--N", "20", "--tmin", "1.5"], 3),
+    # a huge frequency: its t > 0 rows have a gap below eps * ||H||
+    "imprecise": (["sweep", "custom", "--var", "J", "--tmin", "0", "--tmax", "0.1", "--step", "0.05",
+                   "--omega1", "1.6e307", "--omega2", "1", "--k1", "0", "--k2", "0", "--N", "10"], 3),
+    "converge-n30": (["converge", "--delta", "0", *ULTRA, "--cutoffs", "10,20,30"], 0),
+    "converge-fig5": (["converge", *FIG5_HARD, "--cutoffs", "20,30,40"], 0),  # most block rounds
+    "point-fig5-n40": (["point", *FIG5_HARD, "--N", "40", "--format", "json"], 0),
+    "point-fig2-n40": (["point", "--delta", "0.5", *ULTRA, "--N", "40", "--format", "json"], 0),
+    # a block-path point where a dense (2, N^2, N^2) parity stack would take 157 MB
+    "point-n56": (["point", "--N", "56", "--delta", "0.5", *ULTRA], 0),
+    **{f"xcheck-n{n}": (["xcheck", "--delta", "0.05", *ULTRA, "--N", str(n)], 0) for n in (24, 40)},
+}
+SWEEPS = [name for name, (argv, _) in TABLE.items() if argv[0] == "sweep"]
+
+
+def run(tree, out):
+    """Run every command; name -> (exit code, wall s, the child's peak RSS in MB)."""
+    os.makedirs(out)
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(tree), "src")}
+    print("Ran", subprocess.run([sys.executable, "-c", "import jtsim; print(jtsim.__file__)"],
+                                env=env, capture_output=True, text=True).stdout.strip())
+    results = {}
+    for name, (argv, _) in TABLE.items():
+        argv = [sys.executable, "-m", "jtsim.cli", *argv] + ["-o", f"{name}.csv"] * (name in SWEEPS)
+        with open(os.path.join(out, f"{name}.out"), "w") as fh:
+            start = time.perf_counter()
+            child = subprocess.Popen(argv, env=env, cwd=out, stdout=fh)
+            _, status, usage = os.wait4(child.pid, 0)
+        child.returncode = os.waitstatus_to_exitcode(status)
+        results[name] = (child.returncode, time.perf_counter() - start, usage.ru_maxrss / 1024)
+    with open(os.path.join(out, "exit-codes.out"), "w") as fh:
+        fh.writelines(f"{name}: {code}\n" for name, (code, _, _) in results.items())
+    return results
+
+
+def read(path):
+    """The lines of ``path`` ([] if missing), without a manifest's timestamp and runtime_s."""
+    lines = open(path).read().splitlines() if os.path.exists(path) else []
+    return [line for line in lines if not line.lstrip().startswith(('"timestamp"', '"runtime_s"'))]
+
+
+def report(out, results):
+    for name, (code, wall, rss) in results.items():
+        text = read(os.path.join(out, f"{name}.out"))
+        manifest = os.path.join(out, f"{name}.csv.manifest.json")
+        paths = json.load(open(manifest))["solver_paths"] if os.path.exists(manifest) else None
+        shown = f": `{' '.join(text)}`, solver_paths `{paths}`" if name in SWEEPS else ""
+        print(f"- `{name}`: exit {code} (expected {TABLE[name][1]}), {wall:.2f} s, "
+              f"{rss:.1f} MB peak RSS{shown}")
+        if TABLE[name][0][0] in ("converge", "xcheck"):
+            print("\n".join(f"  {row}" for row in ["```", *text, "```"]))
+    return any(code != TABLE[name][1] for name, (code, _, _) in results.items())
+
+
+def diff(out, saved):
+    names = sorted((set(os.listdir(out)) | set(os.listdir(saved))) - {f"{n}.out" for n in SWEEPS})
+    diffs = []
+    for name in names:
+        old, new = (read(os.path.join(d, name)) for d in (out, saved))
+        if changes := [*difflib.unified_diff(old, new, n=0, lineterm="")][3:7]:  # past the headers
+            diffs.append(f"- `{name}`: " + " ".join(f"`{line}`" for line in changes))
+    print(f"Outputs against HEAD^1 ({len(names)} files): "
+          + (f"{len(diffs)} differ" if diffs else "identical"), *diffs, sep="\n")
+
+
+if __name__ == "__main__":
+    mode, tree, out, *saved = sys.argv[1:]
+    results = run(tree, out)
+    sys.exit(report(out, results) if mode == "run" else diff(out, *saved))

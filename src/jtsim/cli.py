@@ -49,12 +49,6 @@ from .sweeps import (
 
 OUTPUT_DIR_ENV = "JTSIM_OUTDIR"
 
-# What ``point`` and ``converge`` say of a row flagged for each of these reasons.
-CAVEATS = {
-    "degenerate": "degenerate ground state, values depend on solver pick",
-    "imprecise": "gap below the solver's precision (eps*||H||), values are not resolved",
-}
-
 
 # Model flags: dest -> (default, help).  Each parses to None when not given,
 # so a preset sweep, which fixes the model itself, can refuse any given one.
@@ -161,6 +155,7 @@ def cmd_point(args) -> int:
             "r3": row.r3,
             "valid": row.valid,
             "degenerate": row.degenerate,
+            "reason": row.reason,
         }
         # RFC 8259 has no nan or inf: an undefined ratio is written as null.
         payload = {key: None if isinstance(value, float) and not math.isfinite(value) else value
@@ -179,8 +174,8 @@ def cmd_point(args) -> int:
             f"validity: r1 = {row.r1:.4g}  r2 = {row.r2:.4g}  r3 = {row.r3:.4g}"
             f"  valid = {valid_label}",
         ]
-        if row.reason in CAVEATS:
-            lines.append(f"caveat: {CAVEATS[row.reason]}")
+        if row.caveat:
+            lines.append(f"caveat: {row.caveat}")
         _emit("\n".join(lines) + "\n", args.output)
     return 0
 
@@ -253,8 +248,8 @@ def cmd_converge(args) -> int:
             f"  max |d E_N| = {d['d_negativity_max']:.3e}"
         )
     for r in rows:  # on stderr, as the ladder table on stdout is parsed
-        if r.reason in CAVEATS:
-            print(f"caveat: N={r.params.N}: {CAVEATS[r.reason]}", file=sys.stderr)
+        if r.caveat:
+            print(f"caveat: N={r.params.N}: {r.caveat}", file=sys.stderr)
     # A flagged rung's numbers are not the point's, so a small difference proves nothing.
     flagged = next((r for r in rows[-2:] if r.flagged), None)
     if flagged is not None:

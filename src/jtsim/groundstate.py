@@ -36,8 +36,8 @@ parity, and on an exact tie between the blocks the Pi = +1 sector wins.
   result hands on in ``ritz_vectors`` for the next rung of a cutoff ladder.
   The start only changes where the Krylov space begins; the shift is still
   certified by its factor and the stop rule is the same.
-* ``"block-fallback"``: the point has a zero-frequency mode, whose decoupled
-  oscillator makes it degenerate, so the block path is not tried; or the
+* ``"block-fallback"``: the point has a zero-frequency mode
+  (``model._zero_frequency``), so the block path is not tried; or the
   block path could not certify a shift, missed its stop rule within ROUNDS x
   STEPS steps, overflowed, met a block whose own gap is unresolved, or found
   the point degenerate.  The dense path then solves the point, so the result
@@ -133,19 +133,14 @@ def eig_hermitian(m: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.n
     return np.linalg.eigh(m) if vectors else (np.linalg.eigvalsh(m), None)
 
 
-def _fix_sign(vec: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude amplitude positive (deterministic output)."""
-    return -vec if vec[np.argmax(np.abs(vec))] < 0 else vec
-
-
 def _norm(v: np.ndarray) -> float:
     """2-norm taken on v / max|v|, which cannot over- or underflow; nan if v holds a nan."""
     top = np.max(np.abs(v))
     return float(top * np.linalg.norm(v / top)) if top > 0 else float(top)
 
 
-def _lowest_vector(block: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Unit eigenvector of ``block`` for its lowest eigenvalue w[0] (see SHIFT)."""
+def _lowest_vector(block: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unit eigenvector x of ``block`` for w[0] (see SHIFT), and ||block x - w[0] x||."""
     scale = max(1.0, abs(w[0]))
     if w[1] - w[0] >= SHIFT * scale:
         shifted = block - (w[0] - SHIFT * (w[1] - w[0])) * np.eye(len(block))
@@ -153,9 +148,10 @@ def _lowest_vector(block: np.ndarray, w: np.ndarray) -> np.ndarray:
         for _ in range(MAX_SOLVES):
             x = np.linalg.solve(shifted, x)
             x /= _norm(x)
-            if _norm(block @ x - w[0] * x) < RESIDUAL_TOL * scale:
-                return x
-    return eig_hermitian(block)[1][:, 0]
+            if (residual := _norm(block @ x - w[0] * x)) < RESIDUAL_TOL * scale:
+                return x, residual
+    x = eig_hermitian(block)[1][:, 0]
+    return x, _norm(block @ x - w[0] * x)
 
 
 def _block_cholesky(diag: np.ndarray, upper: np.ndarray, sigma: float):
@@ -238,8 +234,8 @@ def _ritz(basis: np.ndarray, image: np.ndarray):
 
 
 def _block_sector(diag: np.ndarray, upper: np.ndarray, start: np.ndarray | None = None):
-    """(lambda_0, lambda_1) of one block, given by its diagonal and upper blocks, and its
-    two lowest Ritz vectors, the first the unit ground vector; or None to fall back.
+    """(lambda_0, lambda_1) of one block from its diagonal and upper blocks, its two lowest
+    Ritz vectors (the first the unit ground vector) and its fresh residual; or None to fall back.
 
     ``start`` holds two columns over the m x m Fock grid of a cutoff m <= N; by
     default the lowest two vectors of the leading START_N x START_N grid.
@@ -280,15 +276,15 @@ def _block_sector(diag: np.ndarray, upper: np.ndarray, start: np.ndarray | None 
             # The Ritz residual is accumulated over the steps; this one is taken afresh.
             ritz[:, 0] /= _norm(ritz[:, 0])
             ground = ritz[:, 0]
-            if _norm(_block_product(diag, upper, ground) - theta[0] * ground) < tol:
-                return theta[:2], ritz
+            if (fresh := _norm(_block_product(diag, upper, ground) - theta[0] * ground)) < tol:
+                return theta[:2], ritz, fresh
             unmet[0] = True
     return None
 
 
 def _lower_sector(sectors: list) -> tuple[int, float]:
     """Index of the lower sector and the gap to the next level of either sector."""
-    spectra = [w for w, _ in sectors]
+    spectra = [w for w, *_ in sectors]
     # Strict <: on an exact tie the first sector, Pi = +1, wins.
     k = 1 if spectra[1][0] < spectra[0][0] else 0
     lowest = np.sort(np.concatenate([w[:2] for w in spectra]))
@@ -299,12 +295,12 @@ def ground_state(p: SystemParams, basis: str = "transformed",
                  start: tuple[np.ndarray, np.ndarray] | None = None) -> GroundStateResult:
     """Lowest eigenpair with gap, parity and degeneracy flag, solved per parity sector.
 
-    ``gap`` is the distance to the next level of either sector, so a
-    degeneracy across the sectors is flagged like one inside a sector.
-    ``residual`` is ||H psi - E psi|| of the returned state and ``solver``
-    the path that found it (module docstring).  ``start``, one (m^2, 2)
-    array per sector from a cutoff m <= N (the ``ritz_vectors`` of an
-    earlier result), is where the block path starts; other paths ignore it.
+    ``gap`` is the distance to the next level of either sector, so a degeneracy across
+    the sectors is flagged like one inside a sector.  ``residual`` is ||H psi - E psi||
+    of the returned state, the value the stop test that accepted psi measured, and
+    ``solver`` the path that found it (module docstring).  ``start``, one (m^2, 2) array
+    per sector from a cutoff m <= N (the ``ritz_vectors`` of an earlier result), is
+    where the block path starts; other paths ignore it.
     """
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
@@ -325,27 +321,22 @@ def ground_state(p: SystemParams, basis: str = "transformed",
             sectors = []
         solver = "block" if sectors else "block-fallback"
     if not sectors:
-        sectors = [(eig_hermitian(block, vectors=False)[0], None) for block in h.entries]
+        sectors = [(eig_hermitian(block, vectors=False)[0], None, None) for block in h.entries]
     k, gap = _lower_sector(sectors)
-    w, vectors = sectors[k]
-    if vectors is None:
-        block = h.entries[k]
-        ground = _fix_sign(_lowest_vector(block, w))
-        h_ground = block @ ground
-    else:
-        diags, upper = h.tridiagonal
-        ground = _fix_sign(vectors[:, 0])
-        h_ground = _block_product(diags[k], upper, ground)
+    w, ritz, residual = sectors[k]
+    ground, residual = _lowest_vector(h.entries[k], w) if ritz is None else (ritz[:, 0], residual)
+    # The largest-magnitude amplitude is made positive, so the output is deterministic.
+    sign = -1.0 if ground[np.argmax(np.abs(ground))] < 0 else 1.0
     vec = np.zeros(2 * p.N * p.N)
-    vec[_parity_sector(p.N, PARITY_SIGNS[k])] = ground
+    vec[_parity_sector(p.N, PARITY_SIGNS[k])] = sign * ground
     degenerate = gap < DEGENERACY_TOL
     return GroundStateResult(
         energy=float(w[0]),
         state=StateVector(vec, h.factor_dims),
         gap=gap,
         degenerate_flag=degenerate,
-        residual=_norm(h_ground - w[0] * ground),
+        residual=residual,
         solver=solver,
         imprecise=degenerate and np.finfo(float).eps * h.norm_bound >= DEGENERACY_TOL,
-        ritz_vectors=tuple(v for _, v in sectors) if solver == "block" else None,
+        ritz_vectors=tuple(v for _, v, _ in sectors) if solver == "block" else None,
     )

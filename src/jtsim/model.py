@@ -310,7 +310,8 @@ def _privileged_norm(p: SystemParams) -> tuple[float, float]:
 
 
 def _zero_frequency(p: SystemParams) -> bool:
-    """A mode of zero frequency has g_i = 0 too: a decoupled oscillator, so a degenerate point."""
+    """A mode of zero frequency, so g_i = 0 too.  At J = 0 it is a decoupled oscillator and the
+    point is degenerate; at J != 0 H has no ground state (ROADMAP item 10)."""
     return p.omega_1 == 0.0 or p.omega_2 == 0.0
 
 

@@ -113,6 +113,13 @@ class SweepSpec:
         return replace(self.base, **_control_values(self.var, t))
 
 
+# What ``point`` and ``converge`` say of a row flagged for each kind of reason.
+CAVEATS = {
+    "degenerate": "degenerate ground state, values depend on solver pick",
+    "imprecise": "gap below the solver's precision (eps*||H||), values are not resolved",
+}
+
+
 @dataclass(frozen=True)
 class SweepRow:
     """One evaluated point; a failed point keeps only t and its error."""
@@ -141,6 +148,11 @@ class SweepRow:
         if self.imprecise:
             return "imprecise"
         return "degenerate" if self.degenerate else None
+
+    @property
+    def caveat(self) -> str | None:
+        """``CAVEATS`` of the reason's kind (the text before any ``": "``), or None."""
+        return CAVEATS.get((self.reason or "").partition(": ")[0])
 
     @property
     def flagged(self) -> bool:

@@ -46,6 +46,25 @@ def test_point_json_is_strict(capsys):
     assert payload["r1"] is payload["r2"] is payload["r3"] is payload["valid"] is None
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        ([], None),
+        # Delta = 2 puts mode 2 at zero frequency: the gap is 3.3e-12 at N = 8
+        (["--delta", "2", "--k1", "0.7071068", "--k2", "0.7071068", "--N", "8"], "degenerate"),
+        # the gap reads 0, but eps * ||H|| is near 3e292
+        (["--omega1", "1.6e307", "--omega2", "1", "--k1", "0", "--k2", "0", "--J", "0.05",
+          "--N", "6"], "imprecise"),
+    ],
+    ids=["clean", "degenerate", "imprecise"],
+)
+def test_point_json_names_the_reason(capsys, argv, reason):
+    assert main(["point", *argv, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["reason"] == reason
+    assert payload["degenerate"] is (reason is not None)
+
+
 def test_point_rejects_small_cutoff(capsys):
     assert main(["point", "--N", "1"]) == 2
     assert "cutoff must be >= 2" in capsys.readouterr().err

@@ -173,13 +173,24 @@ class TestGroundState:
         assert abs(np.linalg.norm(gs.state.amplitudes) - 1.0) < 1e-12
         assert gs.residual < 1e-12 * abs(gs.energy)
 
-    def test_converged_cutoff_residual(self):
+    def test_converged_cutoff_residual(self, monkeypatch):
+        # On every path the reported residual is the one the accepting stop test
+        # measured; it must match ||H psi - E psi|| taken afresh on the full matrix,
+        # to within rounding even where both are rounding noise.
         p = SystemParams(omega_1=1.0, omega_2=1.0, k_1=K_ULTRA, k_2=K_ULTRA, N=30)
-        gs = ground_state(p, "transformed")
-        assert gs.residual < 1e-12
-        h = full_matrix(build_transformed_hamiltonian(p))
-        psi = gs.state.amplitudes
-        assert abs(np.linalg.norm(h @ psi - gs.energy * psi) - gs.residual) < 1e-14
+        for q, solver in ((p, "block"), (replace(p, N=10), "dense"),
+                          (replace(p, N=20), "block-fallback")):
+            with monkeypatch.context() as m:
+                if solver == "block-fallback":
+                    m.setattr(jtsim.groundstate, "ROUNDS", 0)  # the block path gives up at once
+                gs = ground_state(q)
+            assert gs.solver == solver
+            assert gs.residual < 1e-12
+            h = full_matrix(build_transformed_hamiltonian(q))
+            psi = gs.state.amplitudes
+            fresh = np.linalg.norm(h @ psi - gs.energy * psi)
+            assert abs(fresh - gs.residual) < 1e-14
+            assert fresh / 2 <= gs.residual <= 2 * fresh
 
     @property_settings
     @given(st.builds(replace, model_points, N=st.integers(2, 6)), st.sampled_from(BASES))
