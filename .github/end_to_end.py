@@ -1,12 +1,22 @@
 """The end-to-end jtsim commands, each run once, as Markdown for the job summary.  `run TREE
-OUT` runs TABLE on TREE's src, in OUT, and exits 1 on an unexpected exit code; `diff TREE OUT
-SAVED` then names each output that differs from SAVED's, but for what holds a run's time."""
-import difflib, json, os, subprocess, sys, time
+OUT` runs TABLE on TREE's src, in OUT, and exits 1 on an unexpected exit code or when a jtsim
+line of this checkout's README command-line block is not a row; `diff TREE OUT SAVED` then
+names each output that differs from SAVED's, but for what holds a run's time."""
+import difflib, json, os, shlex, subprocess, sys, time
 
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
+WEAK = ["--k1", "0.0707107", "--k2", "0.0707107"]
 ULTRA = ["--k1", "0.7071068", "--k2", "0.7071068"]
 FIG5_HARD = ["--delta", "1.95", "--k1", "1.95", "--k2", "1.95"]  # fig5 t = 1.95
 # name -> (argv, expected exit code); stdout goes to <name>.out, a sweep's CSV to <name>.csv.
 TABLE = {
+    # the README command-line block's lines in its order, but for fig1, a row below
+    "point": (["point", "--omega1", "1.05", "--omega2", "0.95", *WEAK, "--J", "0", "--N", "10"], 0),
+    "point-json": (["point", "--delta", "0.1", *WEAK, "--format", "json"], 0),
+    "custom": (["sweep", "custom", "--var", "J", "--tmin", "0", "--tmax", "0.1", "--step", "0.0025",
+                *ULTRA, "--omega1", "0.2", "--omega2", "0.1"], 0),
+    "converge": (["converge", "--delta", "0", *ULTRA], 0),
+    "xcheck-n16": (["xcheck", "--delta", "0.05", *WEAK, "--N", "16"], 0),
     **{f"fig{i}": (["sweep", f"fig{i}"], code) for i, code in enumerate([3, 3, 0, 0, 0, 0], 1)},
     # the one sweep through the block solver; its t = 2 row has a zero-frequency mode
     "fig1-n20": (["sweep", "fig1", "--N", "20", "--tmin", "1.5"], 3),
@@ -24,6 +34,19 @@ TABLE = {
 SWEEPS = [name for name, (argv, _) in TABLE.items() if argv[0] == "sweep"]
 
 
+def argv_of(name):
+    """A row's jtsim arguments; a sweep writes its CSV to <name>.csv."""
+    return TABLE[name][0] + ["-o", f"{name}.csv"] * (name in SWEEPS)
+
+
+def readme_lines_without_row():
+    """The jtsim lines of the README's command-line block whose arguments are no row's."""
+    block = open(README).read().split("## Command line", 1)[1].split("```")[1]
+    rows = [argv_of(name) for name in TABLE]
+    return [line for line in block.splitlines()
+            if line.startswith("jtsim") and shlex.split(line)[1:] not in rows]
+
+
 def run(tree, out):
     """Run every command; name -> (exit code, wall s, the child's peak RSS in MB)."""
     os.makedirs(out)
@@ -31,8 +54,8 @@ def run(tree, out):
     print("Ran", subprocess.run([sys.executable, "-c", "import jtsim; print(jtsim.__file__)"],
                                 env=env, capture_output=True, text=True).stdout.strip())
     results = {}
-    for name, (argv, _) in TABLE.items():
-        argv = [sys.executable, "-m", "jtsim.cli", *argv] + ["-o", f"{name}.csv"] * (name in SWEEPS)
+    for name in TABLE:
+        argv = [sys.executable, "-m", "jtsim.cli", *argv_of(name)]
         with open(os.path.join(out, f"{name}.out"), "w") as fh:
             start = time.perf_counter()
             child = subprocess.Popen(argv, env=env, cwd=out, stdout=fh)
@@ -77,4 +100,9 @@ def diff(out, saved):
 if __name__ == "__main__":
     mode, tree, out, *saved = sys.argv[1:]
     results = run(tree, out)
-    sys.exit(report(out, results) if mode == "run" else diff(out, *saved))
+    if mode != "run":
+        sys.exit(diff(out, *saved))
+    missing = readme_lines_without_row()
+    for line in missing:
+        print(f"- README line with no row: `{line}`")
+    sys.exit(report(out, results) or bool(missing))

@@ -1,13 +1,6 @@
 """Command-line front end.
 
-Usage examples:
-
-  jtsim point --omega1 1.05 --omega2 0.95 --k1 0.0707107 --k2 0.0707107 --J 0 --N 10
-  jtsim point --delta 0.1 --k1 0.0707107 --k2 0.0707107
-  jtsim sweep fig1 -o fig1.csv
-  jtsim sweep custom --var delta --tmin 0 --tmax 1 --step 0.1 --k1 0.5 --k2 0.5
-  jtsim converge --delta 0 --k1 0.7071068 --k2 0.7071068
-  jtsim xcheck --delta 0.05 --k1 0.0707107 --k2 0.0707107 --N 16
+Usage examples are the README's "Command line" block, which CI runs.
 
 Exit codes: 0 success, 2 usage or parameter error, 3 sweep completed with
 flagged rows, 4 threshold failure (converge/xcheck) or a converge whose final

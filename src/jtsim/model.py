@@ -319,10 +319,11 @@ def _warn_zero_frequency(p: SystemParams):
     # stacklevel=3 points at a direct caller of a builder; other call chains
     # are deeper, so the message also names the point.
     if _zero_frequency(p):
+        why = ("decoupled oscillator makes the ground state degenerate" if p.J == 0.0 else
+               f"J={p.J:g} leaves H with no ground state, values are truncation artefacts")
         warnings.warn(
             f"zero-frequency mode at omega_1={p.omega_1:g} omega_2={p.omega_2:g} "
-            f"k_1={p.k_1:g} k_2={p.k_2:g}: decoupled oscillator makes the ground "
-            "state degenerate",
+            f"k_1={p.k_1:g} k_2={p.k_2:g}: {why}",
             RuntimeWarning,
             stacklevel=3,
         )

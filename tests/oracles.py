@@ -130,7 +130,9 @@ def single_mode_jt(p: SystemParams) -> np.ndarray:
 
 # Random model points for the property tests; frequencies stay above zero
 # (a zero-frequency mode only adds a warning) and k_1 > 0 keeps the
-# mode rotation defined.
+# mode rotation defined.  A draw may have J^2 > omega_1 omega_2, where H has
+# no ground state (ROADMAP item 10); the properties hold at a fixed cutoff all
+# the same.
 model_points = st.builds(
     SystemParams,
     omega_1=st.floats(0.01, 2.0),

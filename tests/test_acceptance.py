@@ -6,7 +6,6 @@ summary lines alongside the pytest verdicts.
 
 import math
 import time
-import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -35,10 +34,8 @@ def _pass(num, label, detail):
 def sweeps():
     """All six built-in sweeps at the default cutoff, computed once."""
     results = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        for name in ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6"):
-            results[name] = run_sweep(figure_sweep(name), verify_subsample=False)
+    for name in ("fig1", "fig2", "fig3", "fig4", "fig5", "fig6"):
+        results[name] = run_sweep(figure_sweep(name), verify_subsample=False)
     return results
 
 
@@ -219,9 +216,7 @@ def test_criterion_10_analytic_fixtures():
 
 def test_criterion_11_performance_and_determinism(sweeps, tmp_path):
     start = time.perf_counter()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        timed = run_sweep(figure_sweep("fig2"))
+    timed = run_sweep(figure_sweep("fig2"))
     elapsed = time.perf_counter() - start
     assert len(timed.rows) == 81
     assert elapsed < 60.0

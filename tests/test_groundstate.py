@@ -103,17 +103,13 @@ class TestGroundState:
 
     def test_degenerate_endpoint_flagged(self):
         # Delta = 2 puts mode 2 at zero frequency: N-fold degenerate manifold
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            gs = ground_state(fig1_params(2.0), "transformed")
+        gs = ground_state(fig1_params(2.0), "transformed")
         assert gs.gap < 1e-10
         assert gs.degenerate_flag
 
     def test_degenerate_endpoint_has_definite_parity(self):
         p = fig1_params(2.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            gs = ground_state(p, "transformed")
+        gs = ground_state(p, "transformed")
         assert gs.degenerate_flag
         psi = gs.state.amplitudes
         parity = psi @ parity_oracle(p.N) @ psi
@@ -137,10 +133,8 @@ class TestGroundState:
 
     def test_degenerate_block_keeps_full_eigh_vector(self):
         p = fig1_params(2.0)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            gs = ground_state(p, "transformed")
-            entries = build_transformed_hamiltonian(p).entries
+        gs = ground_state(p, "transformed")
+        entries = build_transformed_hamiltonian(p).entries
         k = 1 if np.linalg.eigvalsh(entries[1])[0] < np.linalg.eigvalsh(entries[0])[0] else 0
         v = np.linalg.eigh(entries[k])[1][:, 0]
         expected = np.zeros(2 * p.N * p.N)
@@ -341,11 +335,9 @@ class TestBlockPath:
     @example(SystemParams(1.0, 1.0, K_ULTRA, K_ULTRA, N=20), "lab")  # mode-swap symmetric
     @example(SystemParams(1.0, 1.0, K_ULTRA, K_ULTRA, N=20), "transformed")  # n2 conserved
     def test_matches_eigvalsh_and_dense_vector(self, p, basis):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # zero-frequency endpoints
-            h = build_lab_hamiltonian(p) if basis == "lab" else build_transformed_hamiltonian(p)
-            gs = ground_state(p, basis)
-            dense = dense_ground_state(p, basis)
+        h = build_lab_hamiltonian(p) if basis == "lab" else build_transformed_hamiltonian(p)
+        gs = ground_state(p, basis)
+        dense = dense_ground_state(p, basis)
         w = [np.linalg.eigvalsh(block)[:2] for block in h.entries]
         lowest = np.sort(np.concatenate(w))
         scale = max(1.0, abs(lowest[0]))
@@ -401,10 +393,8 @@ class TestBlockPath:
 
     def test_zero_frequency_row_stays_degenerate(self):
         p = replace(fig1_params(2.0), N=20)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            gs = ground_state(p)
-            dense = dense_ground_state(p)
+        gs = ground_state(p)
+        dense = dense_ground_state(p)
         assert gs.degenerate_flag and gs.solver == "block-fallback"
         assert_same_result(gs, dense)
 
@@ -456,10 +446,8 @@ class TestBlockPath:
     @example(fig5_params(1.95, 20), 10, "transformed")  # ladder's 20 -> 30 at the hard point
     def test_warm_start_matches_cold_solve(self, p, step, basis):
         bigger = replace(p, N=p.N + step)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # zero-frequency endpoints
-            start = ground_state(p, basis).ritz_vectors
-            warm, cold = ground_state(bigger, basis, start), ground_state(bigger, basis)
+        start = ground_state(p, basis).ritz_vectors
+        warm, cold = ground_state(bigger, basis, start), ground_state(bigger, basis)
         scale = max(1.0, abs(cold.energy))
         assert warm.solver == cold.solver
         assert abs(warm.energy - cold.energy) < 1e-12 * scale
@@ -475,10 +463,8 @@ class TestBlockPath:
             return results[-1]
 
         monkeypatch.setattr(jtsim.sweeps, "ground_state", recording)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            convergence_study(fig5_params(1.95, 10), (10, 20, 24))
-            convergence_study(replace(fig1_params(2.0), N=20), (20, 24))  # zero frequency
+        convergence_study(fig5_params(1.95, 10), (10, 20, 24))
+        convergence_study(replace(fig1_params(2.0), N=20), (20, 24))  # zero frequency
         assert [gs.solver for gs in results] == ["dense", "block", "block"] + ["block-fallback"] * 2
         for gs in results:
             assert (gs.ritz_vectors is None) == (gs.solver != "block")
@@ -504,12 +490,10 @@ class TestBlockPath:
         ids=["omega2=0", "omega1=0", "fig5"],
     )
     def test_zero_frequency_skips_the_block_attempt(self, p, monkeypatch):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            dense = dense_ground_state(p)
-            start = ground_state(replace(p, omega_1=1.0, omega_2=1.0)).ritz_vectors
-            monkeypatch.setattr(jtsim.groundstate, "_block_sector", _never_called)
-            results = [ground_state(p), ground_state(p, start=start)]
+        dense = dense_ground_state(p)
+        start = ground_state(replace(p, omega_1=1.0, omega_2=1.0)).ritz_vectors
+        monkeypatch.setattr(jtsim.groundstate, "_block_sector", _never_called)
+        results = [ground_state(p), ground_state(p, start=start)]
         for gs in results:
             assert gs.solver == "block-fallback" and gs.ritz_vectors is None
             assert_same_result(gs, dense)
@@ -521,9 +505,7 @@ class TestBlockPath:
         assert (clean.gap, clean.degenerate_flag, clean.imprecise) == (1.0, False, False)
         assert lost.degenerate_flag and lost.imprecise
         # an ordinary zero-frequency point is degenerate, and its gap is resolved
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            degenerate = ground_state(fig1_params(2.0))
+        degenerate = ground_state(fig1_params(2.0))
         assert degenerate.degenerate_flag and not degenerate.imprecise
 
     def test_block_path_forms_no_dense_stack(self, monkeypatch):

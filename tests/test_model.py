@@ -250,6 +250,13 @@ class TestLabHamiltonian:
         with pytest.warns(RuntimeWarning, match=point):
             ground_state(p, "transformed")
 
+    def test_zero_frequency_mode_with_hopping_has_no_ground_state(self):
+        # J^2 > omega_1 omega_2 = 0: H is unbounded below, so there is no degenerate ground state
+        p = SystemParams(omega_1=1.0, omega_2=0.0, k_1=0.5, k_2=0.5, J=0.05, N=3)
+        with pytest.warns(RuntimeWarning, match="no ground state") as record:
+            build_lab_hamiltonian(p)
+        assert not any("degenerate" in str(w.message) for w in record)
+
 
 class TestTransformedHamiltonian:
     @property_settings

@@ -1,5 +1,4 @@
 import math
-import warnings
 from dataclasses import asdict, astuple, fields, replace
 
 import numpy as np
@@ -242,10 +241,8 @@ class TestRunSweep:
         assert clean.reason is None and not clean.flagged
 
     def test_degenerate_endpoint_flagged(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            spec = small_fig1(t_min=1.95, t_max=2.0, step=0.05)
-            result = run_sweep(spec, verify_subsample=False)
+        spec = small_fig1(t_min=1.95, t_max=2.0, step=0.05)
+        result = run_sweep(spec, verify_subsample=False)
         end = result.rows[-1]
         assert end.t == 2.0
         assert end.degenerate and end.flagged
@@ -276,9 +273,7 @@ class TestSolverPaths:
         assert result.manifest["solver_paths"] == {"dense": 6, "block": 0, "block-fallback": 0}
 
     def test_block_path_and_its_fallback_are_counted(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            result = run_sweep(small_fig1(N=20, t_min=1.95, t_max=2.0, step=0.05))
+        result = run_sweep(small_fig1(N=20, t_min=1.95, t_max=2.0, step=0.05))
         # t = 2 is degenerate (zero-frequency mode), so it is flagged and not re-run at N = 24
         assert [row.solver for row in result.rows] == ["block", "block-fallback"]
         assert result.manifest["solver_paths"] == {"dense": 0, "block": 2, "block-fallback": 1}
@@ -373,9 +368,7 @@ class TestCompareBases:
     ])
     def test_no_start_without_a_block_lab_solve(self, monkeypatch, p, solver):
         calls = record_ground_states(monkeypatch)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the zero-frequency warning
-            compare_bases(p)
+        compare_bases(p)
         assert [(basis, start, gs.solver) for basis, start, gs in calls] == [
             ("lab", None, solver), ("transformed", None, solver)]
 
