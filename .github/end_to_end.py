@@ -1,14 +1,16 @@
 """The end-to-end jtsim commands, each run once, as Markdown for the job summary.  `run TREE
 OUT` runs TABLE on TREE's src, in OUT, and exits 1 on an unexpected exit code or when a jtsim
 line of this checkout's README command-line block is not a row; `diff TREE OUT SAVED` then
-names each output that differs from SAVED's, but for what holds a run's time."""
+names each output that differs from SAVED's, but for what holds a run's time.  A row's stderr
+goes to <name>.err with TREE's path written as TREE, so the two trees' warnings compare."""
 import difflib, json, os, shlex, subprocess, sys, time
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 WEAK = ["--k1", "0.0707107", "--k2", "0.0707107"]
 ULTRA = ["--k1", "0.7071068", "--k2", "0.7071068"]
 FIG5_HARD = ["--delta", "1.95", "--k1", "1.95", "--k2", "1.95"]  # fig5 t = 1.95
-# name -> (argv, expected exit code); stdout goes to <name>.out, a sweep's CSV to <name>.csv.
+# name -> (argv, expected exit code); stdout goes to <name>.out, stderr to <name>.err and a
+# sweep's CSV to <name>.csv.
 TABLE = {
     # the README command-line block's lines in its order, but for fig1, a row below
     "point": (["point", "--omega1", "1.05", "--omega2", "0.95", *WEAK, "--J", "0", "--N", "10"], 0),
@@ -29,7 +31,9 @@ TABLE = {
     "point-fig2-n40": (["point", "--delta", "0.5", *ULTRA, "--N", "40", "--format", "json"], 0),
     # a block-path point where a dense (2, N^2, N^2) parity stack would take 157 MB
     "point-n56": (["point", "--N", "56", "--delta", "0.5", *ULTRA], 0),
-    **{f"xcheck-n{n}": (["xcheck", "--delta", "0.05", *ULTRA, "--N", str(n)], 0) for n in (24, 40)},
+    # at N = 56 an N^2 x N^2 rotation matrix would take 79 MB; its shell blocks take 2.8 MB
+    **{f"xcheck-n{n}": (["xcheck", "--delta", "0.05", *ULTRA, "--N", str(n)], 0)
+       for n in (24, 40, 56)},
 }
 SWEEPS = [name for name, (argv, _) in TABLE.items() if argv[0] == "sweep"]
 
@@ -50,17 +54,22 @@ def readme_lines_without_row():
 def run(tree, out):
     """Run every command; name -> (exit code, wall s, the child's peak RSS in MB)."""
     os.makedirs(out)
-    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(tree), "src")}
+    root = os.path.abspath(tree)
+    env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
     print("Ran", subprocess.run([sys.executable, "-c", "import jtsim; print(jtsim.__file__)"],
                                 env=env, capture_output=True, text=True).stdout.strip())
     results = {}
     for name in TABLE:
         argv = [sys.executable, "-m", "jtsim.cli", *argv_of(name)]
-        with open(os.path.join(out, f"{name}.out"), "w") as fh:
+        err = os.path.join(out, f"{name}.err")
+        with open(os.path.join(out, f"{name}.out"), "w") as fh, open(err, "w") as fe:
             start = time.perf_counter()
-            child = subprocess.Popen(argv, env=env, cwd=out, stdout=fh)
+            child = subprocess.Popen(argv, env=env, cwd=out, stdout=fh, stderr=fe)
             _, status, usage = os.wait4(child.pid, 0)
         child.returncode = os.waitstatus_to_exitcode(status)
+        text = open(err).read()
+        with open(err, "w") as fe:
+            fe.write(text.replace(root, "TREE"))
         results[name] = (child.returncode, time.perf_counter() - start, usage.ru_maxrss / 1024)
     with open(os.path.join(out, "exit-codes.out"), "w") as fh:
         fh.writelines(f"{name}: {code}\n" for name, (code, _, _) in results.items())

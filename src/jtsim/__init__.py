@@ -4,6 +4,7 @@ from ._version import __version__
 from .entanglement import EntanglementReport, NumericalIntegrityError, report_from_state
 from .groundstate import GroundStateResult, eig_hermitian, ground_state
 from .model import (
+    ShellRotation,
     StateVector,
     SystemParams,
     ValidityReport,
@@ -39,6 +40,7 @@ __all__ = [
     "build_lab_hamiltonian",
     "build_transformed_hamiltonian",
     "mode_rotation_unitary",
+    "ShellRotation",
     "GroundStateResult",
     "eig_hermitian",
     "ground_state",

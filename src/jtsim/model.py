@@ -38,7 +38,11 @@ algebra, and ``mode_rotation_unitary`` shares only its k_p.  Note the
 hopping J contributes 2*J*k1*k2/k_p^2 to the rotated number operators (the
 b1/b2 cross terms of a1(dag)a2 + a2(dag)a1 add up twice); the rotated
 hopping coefficient is c + J*(k2^2 - k1^2)/k_p^2.  A spectral cross-check
-against the lab builder is part of the test suite.  At k_1 = k_2 = 0 the
+against the lab builder is part of the test suite.  The change of Fock basis
+keeps n1 + n2, so ``mode_rotation_unitary`` returns it as a
+``ShellRotation``: one block per total-quanta shell, (2N - 1, N, N) floats,
+and a map of lab-grid vectors into rotated-mode coordinates; the
+N^2 x N^2 matrix is never formed.  At k_1 = k_2 = 0 the
 rotation is undefined (``ValueError``): the transformed builder returns the
 lab blocks, ``privileged_validity`` reports nan ratios with valid=None, and
 ``sweeps.compare_bases`` returns before it would build the rotation.
@@ -411,28 +415,60 @@ def privileged_validity(p: SystemParams) -> ValidityReport:
     return ValidityReport(r1=r1, r2=r2, r3=_ratio(p.J, p.g_2), valid=valid)
 
 
-def mode_rotation_unitary(p: SystemParams) -> np.ndarray:
-    """Matrix whose columns are the rotated-mode Fock states in lab coordinates.
+@dataclass(frozen=True)
+class ShellRotation:
+    """The mode rotation as one block per total-quanta shell, which it keeps.
 
-    Column (m1*N + m2) holds |m1, m2> of the (privileged, disadvantaged)
-    modes expanded over lab Fock states |n1, n2>.  Exact for total quanta
-    m1 + m2 <= N - 1; higher columns lose the weight that truncation pushes
-    outside the lab grid, so the matrix is only approximately unitary.
+    ``blocks[n, n1, m1]`` (2N - 1, N, N) is <n1, n - n1 | m1, n - m1>: the lab
+    Fock state (n1, n - n1) against the (privileged, disadvantaged) Fock state
+    (m1, n - m1).  Entries whose lab or rotated state lies off the (N, N) grid
+    are 0, so a shell n >= N holds only its in-grid part.
+    """
 
-    grids[m1, m2] is |m1, m2> as an (N, N) grid c over (n1, n2); a1^T c is
-    ad @ c and a2^T c is c @ ad.T, so one step raises every m2 of one m1.
+    blocks: np.ndarray
+
+    def apply(self, vectors: np.ndarray) -> np.ndarray:
+        """Lab-grid vectors (..., N^2) in rotated-mode coordinates, W^T v for each, where
+        column m1*N + m2 of W is |m1, m2> over the lab states: one gather, one product per
+        shell and one scatter.  Weight of a shell n >= N that leaves the grid is dropped."""
+        n = self.blocks.shape[1]
+        shell, n1 = np.arange(2 * n - 1)[:, None], np.arange(n)
+        n2 = shell - n1
+        # flat lab index of each (shell, n1); off-grid slots read an appended zero
+        index = np.where((n2 >= 0) & (n2 < n), n1 * n + n2, n * n)
+        padded = np.concatenate([vectors, np.zeros((*vectors.shape[:-1], 1))], axis=-1)
+        rotated = padded[..., index][..., :, None, :] @ self.blocks  # (..., 2N - 1, 1, N)
+        m1, m2 = np.divmod(np.arange(n * n), n)
+        return rotated[..., m1 + m2, 0, m1]
+
+
+def mode_rotation_unitary(p: SystemParams) -> ShellRotation:
+    """The lab-to-rotated-mode change of Fock basis, built shell by shell.
+
+    Shell n follows from shell n - 1 by one symmetric one-photon step (the
+    Schwinger-spin recursion of Risbo, J. Geodesy 70, 383, 1996): with lab
+    quanta i = (n1, n2), rotated quanta k = (m1, m2) and b_b^T = sum_a R_ab a_a^T,
+
+        B_n[i, k] = 1/n sum_(a, b) sqrt(i_a k_b) R_ab B_(n-1)[i - e_a, k - e_b],
+
+    R = [[u1, u2], [u2, -u1]], u = (k_1, k_2)/k_p.  Lowering a quantum keeps a
+    state on the grid, so the in-grid part of each shell depends only on the
+    in-grid part of the last: truncation is an exact restriction.
     """
     _, k_p = _privileged_norm(p)
     n = p.N
-    ad = annihilation(n).T
     u1, u2 = p.k_1 / k_p, p.k_2 / k_p
-
-    grids = np.zeros((n, n, n, n))
-    grids[0, 0, 0, 0] = 1.0
-    for m2 in range(1, n):
-        c = grids[0, m2 - 1]
-        grids[0, m2] = (u2 * (ad @ c) - u1 * (c @ ad.T)) / math.sqrt(m2)
-    for m1 in range(1, n):
-        c = grids[m1 - 1]
-        grids[m1] = (u1 * (ad @ c) + u2 * (c @ ad.T)) / math.sqrt(m1)
-    return grids.reshape(n * n, n * n).T
+    root = np.sqrt(np.arange(2 * n))
+    # padded[s, 1 + n1, 1 + m1] is blocks[s, n1, m1]; row and column 0 stay zero
+    padded = np.zeros((2 * n - 1, n + 1, n + 1))
+    padded[0, 1, 1] = 1.0
+    for shell in range(1, 2 * n - 1):
+        lo, hi = max(0, shell - n + 1), min(shell, n - 1)  # n1 of the shell's in-grid states
+        up, down = root[lo:hi + 1], root[shell - hi:shell - lo + 1][::-1]  # sqrt(n1), sqrt(n2)
+        last = padded[shell - 1, lo:hi + 2, lo:hi + 2]
+        left, right = last[:, :-1] * up, last[:, 1:] * down  # k - e_1, k - e_2
+        lower_1 = u1 * left[:-1] + u2 * right[:-1]  # i - e_1
+        lower_2 = u2 * left[1:] - u1 * right[1:]  # i - e_2
+        padded[shell, lo + 1:hi + 2, lo + 1:hi + 2] = (
+            up[:, None] * lower_1 + down[:, None] * lower_2) / shell
+    return ShellRotation(padded[:, 1:, 1:])

@@ -445,9 +445,15 @@ class TestValidity:
             assert v.r1 <= VALIDITY_THRESHOLD and v.r2 <= VALIDITY_THRESHOLD
 
 
+def dense_rotation(p: SystemParams) -> np.ndarray:
+    """W, whose column m1*N + m2 is |m1, m2> of the rotated modes over the lab Fock states:
+    its row j is W^T e_j."""
+    return mode_rotation_unitary(p).apply(np.eye(p.N * p.N))
+
+
 def test_mode_rotation_unitary_on_low_quanta():
     p = SystemParams(omega_1=1.0, omega_2=0.5, k_1=0.4, k_2=0.3, N=6)
-    w = mode_rotation_unitary(p)
+    w = dense_rotation(p)
     # columns with few quanta are exactly orthonormal
     low = [m1 * p.N + m2 for m1 in range(3) for m2 in range(3)]
     assert w.dtype == np.float64
@@ -463,7 +469,7 @@ def test_mode_rotation_unitary_on_low_quanta():
 )
 def test_mode_rotation_unitary_matches_kron_oracle(n, k_1, k_2):
     p = SystemParams(omega_1=1.0, omega_2=0.5, k_1=k_1, k_2=k_2, N=n)
-    w = mode_rotation_unitary(p)
+    w = dense_rotation(p)
     assert w.shape == (n * n, n * n) and w.dtype == np.float64
     assert np.max(np.abs(w - rotation_oracle(p))) < 1e-12
 
@@ -474,7 +480,33 @@ def test_mode_rotation_unitary_without_k2_flips_mode_2(n):
     p = SystemParams(omega_1=1.0, omega_2=0.5, k_1=0.3, k_2=0.0, N=n)
     m2 = np.arange(n * n) % n
     expected = np.diag((-1.0) ** m2)
-    assert np.max(np.abs(mode_rotation_unitary(p) - expected)) < 1e-14
+    assert np.max(np.abs(dense_rotation(p) - expected)) < 1e-14
+
+
+class TestShellRotation:
+    DIRECTIONS = [(0.7071068, 0.7071068), (0.3, 1.9), (1.0, 1e-3), (1e-3, 1.0)]
+
+    @pytest.mark.parametrize("k_1, k_2", DIRECTIONS)
+    def test_full_shells_are_orthogonal_to_rounding(self, k_1, k_2):
+        # shell n < N holds all n + 1 states of n quanta, so its block is orthogonal
+        n = 80
+        blocks = mode_rotation_unitary(SystemParams(1.0, 0.5, k_1, k_2, N=n)).blocks
+        assert blocks.shape == (2 * n - 1, n, n)
+        eps = np.finfo(float).eps
+        for shell in range(n):
+            b = blocks[shell, :shell + 1, :shell + 1]
+            assert np.max(np.abs(b.T @ b - np.eye(shell + 1))) <= 8 * (shell + 1) * eps, shell
+
+    @pytest.mark.parametrize("n", [2, 7, 24])
+    @pytest.mark.parametrize("k_1, k_2", DIRECTIONS)
+    def test_truncation_is_the_in_grid_part_of_a_larger_grid(self, n, k_1, k_2):
+        small = mode_rotation_unitary(SystemParams(1.0, 0.5, k_1, k_2, N=n)).blocks
+        large = mode_rotation_unitary(SystemParams(1.0, 0.5, k_1, k_2, N=2 * n)).blocks
+        shell, n1 = np.arange(2 * n - 1)[:, None], np.arange(n)
+        on_grid = (shell - n1 >= 0) & (shell - n1 < n)  # lab (n1, shell - n1) on the N grid
+        kept = on_grid[:, :, None] & on_grid[:, None, :]
+        np.testing.assert_array_equal(small, np.where(kept, large[:2 * n - 1, :n, :n], 0.0))
+
 
 
 def test_state_vector_refuses_length_that_does_not_match_factor_dims():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import asdict, astuple, fields, replace
 
 import numpy as np
@@ -398,3 +399,17 @@ class TestCompareBases:
             p = SystemParams(omega_1=1.5, omega_2=0.5, k_1=k, k_2=k, N=n)
             divs.append(compare_bases(p).energy_divergence)
         assert divs[1] < divs[0]
+
+    def test_rotation_forms_no_dense_matrix(self, monkeypatch):
+        # the xcheck point at N = 40: an N^2 x N^2 rotation matrix alone would take 20.48 MB
+        p = SystemParams(omega_1=1.025, omega_2=0.975, k_1=K_ULTRA, k_2=K_ULTRA, N=40)
+        calls = record_ground_states(monkeypatch)
+        tracemalloc.start()
+        try:
+            div = compare_bases(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [gs.solver for _, _, gs in calls] == ["block", "block"]
+        assert div.energy_divergence < 1e-12
+        assert peak < 5e6
