@@ -2,8 +2,9 @@
 OUT` runs TABLE on TREE's src, in OUT, and exits 1 on an unexpected exit code or when a jtsim
 line of this checkout's README command-line block is not a row; `diff TREE OUT SAVED` then
 names each output that differs from SAVED's, but for what holds a run's time.  A row's stderr
-goes to <name>.err with TREE's path written as TREE, so the two trees' warnings compare."""
-import difflib, json, os, shlex, subprocess, sys, time
+goes to <name>.err with TREE's path written as TREE and without source line numbers, so the
+two trees' warnings compare even when a change moves the line that warns."""
+import difflib, json, os, re, shlex, subprocess, sys, time
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 WEAK = ["--k1", "0.0707107", "--k2", "0.0707107"]
@@ -52,7 +53,7 @@ def readme_lines_without_row():
 
 
 def run(tree, out):
-    """Run every command; name -> (exit code, wall s, the child's peak RSS in MB)."""
+    """Run every command; name -> (exit code, wall s, the child's CPU s, its peak RSS in MB)."""
     os.makedirs(out)
     root = os.path.abspath(tree)
     env = {**os.environ, "PYTHONPATH": os.path.join(root, "src")}
@@ -69,10 +70,11 @@ def run(tree, out):
         child.returncode = os.waitstatus_to_exitcode(status)
         text = open(err).read()
         with open(err, "w") as fe:
-            fe.write(text.replace(root, "TREE"))
-        results[name] = (child.returncode, time.perf_counter() - start, usage.ru_maxrss / 1024)
+            fe.write(re.sub(r"(\.py):\d+:", r"\1:", text.replace(root, "TREE")))
+        results[name] = (child.returncode, time.perf_counter() - start,
+                         usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024)
     with open(os.path.join(out, "exit-codes.out"), "w") as fh:
-        fh.writelines(f"{name}: {code}\n" for name, (code, _, _) in results.items())
+        fh.writelines(f"{name}: {code}\n" for name, (code, *_) in results.items())
     return results
 
 
@@ -83,16 +85,16 @@ def read(path):
 
 
 def report(out, results):
-    for name, (code, wall, rss) in results.items():
+    for name, (code, wall, cpu, rss) in results.items():
         text = read(os.path.join(out, f"{name}.out"))
         manifest = os.path.join(out, f"{name}.csv.manifest.json")
         paths = json.load(open(manifest))["solver_paths"] if os.path.exists(manifest) else None
         shown = f": `{' '.join(text)}`, solver_paths `{paths}`" if name in SWEEPS else ""
         print(f"- `{name}`: exit {code} (expected {TABLE[name][1]}), {wall:.2f} s, "
-              f"{rss:.1f} MB peak RSS{shown}")
+              f"{cpu:.2f} s CPU, {rss:.1f} MB peak RSS{shown}")
         if TABLE[name][0][0] in ("converge", "xcheck"):
             print("\n".join(f"  {row}" for row in ["```", *text, "```"]))
-    return any(code != TABLE[name][1] for name, (code, _, _) in results.items())
+    return any(code != TABLE[name][1] for name, (code, *_) in results.items())
 
 
 def diff(out, saved):

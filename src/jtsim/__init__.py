@@ -1,5 +1,17 @@
 """Ground-state entanglement of the two-mode Jahn-Teller circuit model."""
 
+import os
+import sys
+
+# jtsim solves small dense matrices one after another, where a second BLAS thread only
+# spins between calls, so BLAS gets one thread before numpy first loads it.  A thread
+# count the user set wins, and so does numpy loaded first: its BLAS has read the environment.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+if "numpy" not in sys.modules and not any(var in os.environ for var in BLAS_THREAD_VARS):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+# the thread variables BLAS started under; {} where it kept its default
+BLAS_THREADS = {var: os.environ[var] for var in BLAS_THREAD_VARS if var in os.environ}
+
 from ._version import __version__
 from .entanglement import EntanglementReport, NumericalIntegrityError, report_from_state
 from .groundstate import GroundStateResult, eig_hermitian, ground_state

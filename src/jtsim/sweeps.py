@@ -40,6 +40,7 @@ from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
 
+from . import BLAS_THREADS
 from ._version import __version__
 from .entanglement import EntanglementReport, report_from_state
 from .groundstate import BASES, SOLVER_PATHS, GroundStateResult, ground_state
@@ -236,6 +237,7 @@ def run_sweep(spec: SweepSpec, verify_subsample: bool = True) -> SweepResult:
     swept = (*_control_values(spec.var, 0.0), "N")
     fixed = {name: value for name, value in asdict(spec.base).items() if name not in swept}
     manifest = {
+        "blas_threads": dict(BLAS_THREADS),
         "code_version": __version__,
         "sweep": spec.name,
         "control": {"var": spec.var, "fixed": fixed},
