@@ -23,6 +23,8 @@ TABLE = {
     **{f"fig{i}": (["sweep", f"fig{i}"], code) for i, code in enumerate([3, 3, 0, 0, 0, 0], 1)},
     # the one sweep through the block solver; its t = 2 row has a zero-frequency mode
     "fig1-n20": (["sweep", "fig1", "--N", "20", "--tmin", "1.5"], 3),
+    # fig5's cross-parity doublets through the block solver; its t = 2 row falls back
+    "fig5-n24": (["sweep", "fig5", "--N", "24", "--tmin", "1.5", "--no-verify"], 3),
     # a huge frequency: its t > 0 rows have a gap below eps * ||H||
     "imprecise": (["sweep", "custom", "--var", "J", "--tmin", "0", "--tmax", "0.1", "--step", "0.05",
                    "--omega1", "1.6e307", "--omega2", "1", "--k1", "0", "--k2", "0", "--N", "10"], 3),

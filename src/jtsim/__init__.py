@@ -20,7 +20,6 @@ from .model import (
     StateVector,
     SystemParams,
     ValidityReport,
-    annihilation,
     build_lab_hamiltonian,
     build_transformed_hamiltonian,
     mode_rotation_unitary,
@@ -45,7 +44,6 @@ from .sweeps import (
 __all__ = [
     "__version__",
     "StateVector",
-    "annihilation",
     "SystemParams",
     "ValidityReport",
     "privileged_validity",

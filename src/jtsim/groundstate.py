@@ -8,12 +8,12 @@ live in the modules above it.  Every model Hamiltonian is real symmetric,
 so ground states are real; the sign is fixed by making the
 largest-magnitude amplitude positive.
 
-The builders return the bands of the two N^2 x N^2 parity blocks of H
-(``ParityBlocks``), and each path takes the view it needs.  The solver needs
-the two lowest eigenvalues of each block, which give the energy, the gap
-and the lower block, and the lower block's ground vector: it has definite
-parity, and on an exact tie between the blocks the Pi = +1 sector wins.
-``GroundStateResult.solver`` names the path that supplied them:
+The builders return the bands of the two N^2 x N^2 parity blocks B_+ and B_-
+of H (``ParityBlocks``), and each path takes the view it needs.  The solver
+needs H's two lowest levels, which give the energy and the gap, and the
+ground vector: it has definite parity, and on an exact tie between the
+blocks the Pi = +1 sector wins.  ``GroundStateResult.solver`` names the path
+that supplied them:
 
 * ``"dense"`` (N < BLOCK_MIN_N): ``eigvalsh`` of each dense block
   (``ParityBlocks.entries``), then the lower block's vector by inverse
@@ -22,27 +22,34 @@ parity, and on an exact tie between the blocks the Pi = +1 sector wins.
   block-tridiagonal (``ParityBlocks.tridiagonal``), N diagonal N x N blocks
   (tridiagonal through g2) joined by N x N off-diagonal ones (g1 on the
   diagonal, the hopping on the subdiagonal) that both blocks share; the path
-  never forms a dense N^2 x N^2 block.  A block Cholesky of B - sigma I
-  succeeds exactly when sigma is below the lowest eigenvalue (Sylvester's law
-  of inertia), so a successful factor certifies the shift.  Shift-invert block
-  Krylov steps on that factor, each followed by a Rayleigh-Ritz step on B, give
-  lambda_0, lambda_1 and the ground vector without a dense solve or
-  eigvalsh; sigma is refined and re-certified between rounds.  The factor
-  also keeps L_ii^-1 L_(i,i-1) and L_ii^-T L_(i+1,i)^T, so each substitution
-  sweep is one batched L_ii^-1 product plus one small product per block row.
-  Each block starts from two columns of a smaller cutoff, zero-padded: the
-  lowest two vectors of its leading START_N x START_N Fock grid, or the two
-  lowest Ritz vectors of a block solve at a smaller N (``start``), which the
-  result hands on in ``ritz_vectors`` for the next rung of a cutoff ladder.
-  The start only changes where the Krylov space begins; the shift is still
-  certified by its factor and the stop rule is the same.
+  never forms a dense N^2 x N^2 block.  It solves both blocks in one Krylov
+  run on A = diag(B_+, B_-), whose spectrum is H's (``_joint_solve``); every
+  product, factor and substitution carries the block axis, so one numpy call
+  serves both blocks.  A block LDL^T of A - sigma I whose pivots all have a
+  Cholesky factor exists exactly when sigma is below lambda_0(H) (Sylvester's
+  law of inertia), so a successful factor certifies the shift.  Shift-invert
+  block Krylov steps on that factor, each followed by a Rayleigh-Ritz step on
+  A, give H's two lowest Ritz pairs without a dense solve or eigvalsh; sigma
+  is refined and re-certified between rounds.  The factor keeps the inverse
+  pivots and the multipliers, so each shift-invert is one batched product
+  with the inverse pivots plus one small product per block row and sweep.
+  The ground Ritz vector is restricted to its dominant block and
+  renormalised, so the state has exactly zero amplitude off its sector, and
+  its residual is taken afresh on that block.  The run starts from two
+  columns of a smaller cutoff over both blocks, zero-padded: the two lowest
+  of the blocks' four lowest vectors on their leading START_N x START_N Fock
+  grids, or the two lowest Ritz vectors of a block solve at a smaller N
+  (``start``), which the result hands on in ``ritz_vectors`` for the next
+  rung of a cutoff ladder.  The start only changes where the Krylov space
+  begins; the shift is still certified by its factor and the stop rule is
+  the same.
 * ``"block-fallback"``: the point has a zero-frequency mode
   (``model._zero_frequency``), so the block path is not tried; or the
   block path could not certify a shift, missed its stop rule within ROUNDS x
-  STEPS steps, overflowed, met a block whose own gap is unresolved, or found
-  the point degenerate.  The dense path then solves the point, so the result
-  is the dense one bit for bit, and a degenerate point keeps the dense path's
-  pick of vector.
+  STEPS steps, overflowed, found H's two lowest levels in one block with a
+  gap it cannot resolve, or found the point degenerate.  The dense path then
+  solves the point, so the result is the dense one bit for bit, and a
+  degenerate point keeps the dense path's pick of vector.
 
 A gap below DEGENERACY_TOL flags the point degenerate, unless the solver
 cannot resolve a gap that small: where eps times a Gershgorin bound on ||H||
@@ -80,10 +87,10 @@ MAX_SOLVES = 4
 # t = 1.95) one eigvalsh of the N^2 x N^2 block costs less than its Python loops
 # over N block rows; the default sweeps (N = 10, verified at 14) stay dense.
 BLOCK_MIN_N = 20
-# Without a start of its own, a block starts from the lowest two vectors of its
-# leading START_N x START_N Fock grid.  Either start gets START_NOISE of a fixed
-# generic vector, so that no symmetry class of the block is missing from the
-# Krylov space.
+# Without a start of its own, the run starts from the two lowest of the blocks' four
+# lowest vectors on their leading START_N x START_N Fock grids.  Either start gets
+# START_NOISE of a fixed generic vector over both blocks, so that neither block, and
+# no symmetry class of either, is missing from the Krylov space.
 START_N = 10
 START_NOISE = 1e-6
 # It stops when lambda_0's residual is below RESIDUAL_TOL * max(1, |lambda_0|) and
@@ -111,8 +118,8 @@ class GroundStateResult:
     solver: str
     # Gap below DEGENERACY_TOL that the solver's precision cannot resolve (module docstring).
     imprecise: bool
-    # Each sector's two lowest Ritz vectors, (N^2, 2), when solver == "block"; else None.
-    ritz_vectors: tuple[np.ndarray, np.ndarray] | None
+    # H's two lowest Ritz vectors over both sectors, (2 N^2, 2), when solver == "block"; else None.
+    ritz_vectors: np.ndarray | None
 
 
 def eig_hermitian(m: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
@@ -155,51 +162,53 @@ def _lowest_vector(block: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]
 
 
 def _block_cholesky(diag: np.ndarray, upper: np.ndarray, sigma: float):
-    """Block Cholesky of B - sigma I; raises LinAlgError unless sigma < lambda_0(B).
+    """Block LDL^T of diag(B_+, B_-) - sigma I; raises LinAlgError unless sigma is below
+    the lowest eigenvalue of both blocks.
 
-    ``diag[i]`` and ``upper[i]`` are B's blocks (i, i) and (i, i + 1).  Returns
-    the inverses of the diagonal factors L_ii, and the products L_ii^-1 L_(i,i-1)
-    and L_ii^-T L_(i+1,i)^T that ``_shift_invert``'s two sweeps apply; the
-    sub-diagonal factor L_(i+1,i) is (L_ii^-1 B_(i,i+1))^T.
+    ``diag[b, i]`` is block b's block (i, i) and ``upper[i]`` the block (i, i + 1) that
+    both share.  The pivots are S_0 = B_00 - sigma I and S_(i+1) = B_(i+1,i+1) - sigma I
+    - L_(i+1,i) B_(i,i+1), with the multipliers L_(i+1,i) = B_(i,i+1)^T S_i^-1; a
+    Cholesky factor of each pivot certifies it positive definite.  Returns, with the
+    block axis first, the S_i^-1 and the L_(i+1,i).
     """
-    shifted = diag - sigma * np.eye(diag.shape[1])
-    inv_l, coupling = np.empty_like(diag), np.empty_like(upper)
-    schur = shifted[0]
-    for i in range(len(diag)):
-        inv_l[i] = np.linalg.inv(np.linalg.cholesky(schur))
+    # Row i holds B_ii - sigma I, then the pivot S_i, then, once S_i is inverted, L_(i+1,i).
+    work = diag - sigma * np.eye(diag.shape[-1])
+    inv_pivot = np.empty_like(diag)
+    for i in range(diag.shape[1]):
+        np.linalg.cholesky(work[:, i])  # the certificate: raises unless S_i is positive definite
+        inv_pivot[:, i] = np.linalg.inv(work[:, i])
         if i < len(upper):
-            coupling[i] = inv_l[i] @ upper[i]
-            schur = shifted[i + 1] - coupling[i].T @ coupling[i]
-    forward = inv_l[1:] @ coupling.transpose(0, 2, 1)
-    back = inv_l[:-1].transpose(0, 2, 1) @ coupling
-    return inv_l, forward, back
+            work[:, i] = upper[i].T @ inv_pivot[:, i]
+            work[:, i + 1] -= work[:, i] @ upper[i]
+    return inv_pivot, work[:, :-1]
 
 
 def _block_product(diag: np.ndarray, upper: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """B x for a vector x or the columns of x, from B's diagonal and upper blocks."""
-    n = len(diag)
-    cols = x.reshape(n, n, -1)
+    """diag(B_+, B_-) x, or B x for a one-block ``diag``, for a vector x or the columns of x."""
+    b, n = diag.shape[:2]
+    cols = x.reshape(b, n, n, -1)
     y = diag @ cols
-    y[:-1] += upper @ cols[1:]
-    y[1:] += upper.transpose(0, 2, 1) @ cols[:-1]
+    y[:, :-1] += upper @ cols[:, 1:]
+    y[:, 1:] += upper.swapaxes(1, 2) @ cols[:, :-1]
     return y.reshape(x.shape)
 
 
 def _shift_invert(factor, x: np.ndarray) -> np.ndarray:
-    """(B - sigma I)^-1 x for the columns of x, by forward and back substitution.
+    """(diag(B_+, B_-) - sigma I)^-1 x for the columns of x, from ``_block_cholesky``'s factor.
 
-    Forward: y_i = L_ii^-1 x_i - (L_ii^-1 L_(i,i-1)) y_(i-1); back: u_i = L_ii^-T y_i
-    - (L_ii^-T L_(i+1,i)^T) u_(i+1).  Each sweep's L_ii^-1 products are one batched call.
+    Forward: z_i = x_i - L_(i,i-1) z_(i-1); then w = S^-1 z, one batched call over both
+    blocks' pivots; back: u_i = w_i - L_(i+1,i)^T u_(i+1).
     """
-    inv_l, forward, back = factor
-    n = len(inv_l)
-    y = inv_l @ x.reshape(n, n, -1)
+    inv_pivot, lower = factor
+    b, n = inv_pivot.shape[:2]
+    y = x.reshape(b, n, n, -1).copy()
     for i in range(1, n):
-        y[i] -= forward[i - 1] @ y[i - 1]
-    y = inv_l.transpose(0, 2, 1) @ y
+        y[:, i] -= lower[:, i - 1] @ y[:, i - 1]
+    y = inv_pivot @ y
+    lower_t = lower.swapaxes(2, 3)
     for i in range(n - 2, -1, -1):
-        y[i] -= back[i] @ y[i + 1]
-    return y.reshape(n * n, -1)
+        y[:, i] -= lower_t[:, i] @ y[:, i + 1]
+    return y.reshape(x.shape)
 
 
 def _extend(basis: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -214,7 +223,8 @@ def _extend(basis: np.ndarray, new: np.ndarray) -> np.ndarray:
 
 
 def _certified_factor(diag, upper, theta: np.ndarray, res: np.ndarray):
-    """Block Cholesky at the round's shift (see ROUNDS), lowered until it exists; or None."""
+    """``_block_cholesky``'s factor at the round's shift (see ROUNDS), lowered until it
+    exists; or None."""
     distance = 2 * res[0] + SHIFT * (theta[1] - theta[0])
     for _ in range(CERTIFY_TRIES):
         try:
@@ -225,7 +235,7 @@ def _certified_factor(diag, upper, theta: np.ndarray, res: np.ndarray):
 
 
 def _ritz(basis: np.ndarray, image: np.ndarray):
-    """Rayleigh-Ritz on B over span(basis), image = B basis: Ritz values, the lowest
+    """Rayleigh-Ritz on A over span(basis), image = A basis: Ritz values, the lowest
     two Ritz vectors, their residual vectors and residual norms."""
     theta, coef = np.linalg.eigh(basis.T @ image)
     ritz = basis @ coef[:, :2]
@@ -233,24 +243,33 @@ def _ritz(basis: np.ndarray, image: np.ndarray):
     return theta, ritz, res_vecs, [_norm(r) for r in res_vecs.T]
 
 
-def _block_sector(diag: np.ndarray, upper: np.ndarray, start: np.ndarray | None = None):
-    """(lambda_0, lambda_1) of one block from its diagonal and upper blocks, its two lowest
-    Ritz vectors (the first the unit ground vector) and its fresh residual; or None to fall back.
+def _joint_solve(diag: np.ndarray, upper: np.ndarray, start: np.ndarray | None = None):
+    """H's two lowest levels by one Krylov run on A = diag(B_+, B_-); or None to fall back.
 
-    ``start`` holds two columns over the m x m Fock grid of a cutoff m <= N; by
-    default the lowest two vectors of the leading START_N x START_N grid.
+    Returns (theta_0, theta_1), the two lowest Ritz vectors of A (2N^2, 2), the sector k
+    of the ground vector, that vector restricted to B_k and renormalised, and its fresh
+    residual on B_k.  ``start`` holds two columns over both sectors of an m x m Fock grid
+    of a cutoff m <= N; by default the two lowest of the four lowest vectors of the
+    blocks' leading START_N x START_N grids.
     """
-    n = len(diag)
+    b, n = diag.shape[:2]
     if start is None:
         m = min(START_N, n)
-        start = np.linalg.eigh(_assemble(diag[:m, :m, :m], upper[:m - 1, :m, :m]))[1][:, :2]
-    m = math.isqrt(len(start))
-    if m * m != len(start) or m > n or start.shape[1:] != (2,):
-        raise ValueError(f"a start needs two columns over an m x m grid, m <= {n}; got {start.shape}")
-    padded = np.zeros((n, n, 2))
-    padded[:m, :m] = start.reshape(m, m, 2)
-    generic = np.cos(np.outer(np.arange(n * n), (1.0, 2.0)))
-    basis = np.linalg.qr(padded.reshape(n * n, 2) + START_NOISE * generic)[0]
+        w, v = np.linalg.eigh(_assemble(diag[:, :m, :m, :m], upper[:m - 1, :m, :m]))
+        # stable: on a tie the Pi = +1 sector's vector comes first
+        sector, level = np.unravel_index(np.argsort(w[:, :2], axis=None, kind="stable")[:2], (b, 2))
+        start = np.zeros((b, m * m, 2))
+        start[sector, :, (0, 1)] = v[sector, :, level]
+        start = start.reshape(b * m * m, 2)
+    start = np.asarray(start)
+    m = math.isqrt(len(start) // b)
+    if b * m * m != len(start) or m > n or start.shape[1:] != (2,):
+        raise ValueError(f"a start needs two columns over both sectors of an m x m grid, "
+                         f"m <= {n}; got {start.shape}")
+    padded = np.zeros((b, n, n, 2))
+    padded[:, :m, :m] = start.reshape(b, m, m, 2)
+    generic = np.cos(np.outer(np.arange(b * n * n), (1.0, 2.0)))
+    basis = np.linalg.qr(padded.reshape(b * n * n, 2) + START_NOISE * generic)[0]
     image = _block_product(diag, upper, basis)
     theta, ritz, res_vecs, res = _ritz(basis, image)
     unmet = [True, True]
@@ -271,20 +290,23 @@ def _block_sector(diag: np.ndarray, upper: np.ndarray, start: np.ndarray | None 
         unmet = [res[0] >= tol,
                  res[1] >= gap_tol and res[1] * res[1] >= gap_tol * (theta[2] - theta[1])]
         if not any(unmet):
-            if theta[1] - theta[0] < SHIFT * max(1.0, abs(theta[0])):
-                return None  # unresolved gap: the dense path takes eigh's vector
+            halves = ritz.reshape(b, n * n, 2)
+            # each Ritz vector's dominant sector; on a tie Pi = +1
+            sectors = np.argmax(np.linalg.norm(halves, axis=1), axis=0)
+            if sectors[0] == sectors[1] and theta[1] - theta[0] < SHIFT * max(1.0, abs(theta[0])):
+                return None  # unresolved gap in one block: the dense path takes eigh's vector
+            k = int(sectors[0])
+            ground = halves[k, :, 0] / _norm(halves[k, :, 0])
             # The Ritz residual is accumulated over the steps; this one is taken afresh.
-            ritz[:, 0] /= _norm(ritz[:, 0])
-            ground = ritz[:, 0]
-            if (fresh := _norm(_block_product(diag, upper, ground) - theta[0] * ground)) < tol:
-                return theta[:2], ritz, fresh
+            fresh = _norm(_block_product(diag[k:k + 1], upper, ground) - theta[0] * ground)
+            if fresh < tol:
+                return theta[:2], ritz, k, ground, fresh
             unmet[0] = True
     return None
 
 
-def _lower_sector(sectors: list) -> tuple[int, float]:
+def _lower_sector(spectra: list) -> tuple[int, float]:
     """Index of the lower sector and the gap to the next level of either sector."""
-    spectra = [w for w, *_ in sectors]
     # Strict <: on an exact tie the first sector, Pi = +1, wins.
     k = 1 if spectra[1][0] < spectra[0][0] else 0
     lowest = np.sort(np.concatenate([w[:2] for w in spectra]))
@@ -292,39 +314,38 @@ def _lower_sector(sectors: list) -> tuple[int, float]:
 
 
 def ground_state(p: SystemParams, basis: str = "transformed",
-                 start: tuple[np.ndarray, np.ndarray] | None = None) -> GroundStateResult:
-    """Lowest eigenpair with gap, parity and degeneracy flag, solved per parity sector.
+                 start: np.ndarray | None = None) -> GroundStateResult:
+    """Lowest eigenpair with gap, parity and degeneracy flag, solved on the parity sectors.
 
     ``gap`` is the distance to the next level of either sector, so a degeneracy across
     the sectors is flagged like one inside a sector.  ``residual`` is ||H psi - E psi||
     of the returned state, the value the stop test that accepted psi measured, and
-    ``solver`` the path that found it (module docstring).  ``start``, one (m^2, 2) array
-    per sector from a cutoff m <= N (the ``ritz_vectors`` of an earlier result), is
-    where the block path starts; other paths ignore it.
+    ``solver`` the path that found it (module docstring).  ``start``, one (2 m^2, 2)
+    array over both sectors of a cutoff m <= N (the ``ritz_vectors`` of an earlier
+    result), is where the block path starts; other paths ignore it.
     """
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
     h = build_lab_hamiltonian(p) if basis == "lab" else build_transformed_hamiltonian(p)
-    solver, sectors = "dense", []
+    solver, solved = "dense", None
     if p.N >= BLOCK_MIN_N:
         if not _zero_frequency(p):
             traps = np.errstate(over="raise", invalid="raise", divide="raise")
             with suppress(FloatingPointError), traps:
-                diags, upper = h.tridiagonal
-                for diag, first in zip(diags, start or (None, None)):
-                    if (sector := _block_sector(diag, upper, first)) is None:
-                        break
-                    sectors.append(sector)
+                solved = _joint_solve(*h.tridiagonal, start)
         # A degenerate point's vector is the solver's pick among equals, so the
         # dense path's pick stays the one reported.
-        if len(sectors) < 2 or _lower_sector(sectors)[1] < DEGENERACY_TOL:
-            sectors = []
-        solver = "block" if sectors else "block-fallback"
-    if not sectors:
-        sectors = [(eig_hermitian(block, vectors=False)[0], None, None) for block in h.entries]
-    k, gap = _lower_sector(sectors)
-    w, ritz, residual = sectors[k]
-    ground, residual = _lowest_vector(h.entries[k], w) if ritz is None else (ritz[:, 0], residual)
+        if solved is not None and solved[0][1] - solved[0][0] < DEGENERACY_TOL:
+            solved = None
+        solver = "block" if solved else "block-fallback"
+    if solved is None:
+        spectra = [eig_hermitian(block, vectors=False)[0] for block in h.entries]
+        k, gap = _lower_sector(spectra)
+        w, ritz = spectra[k], None
+        ground, residual = _lowest_vector(h.entries[k], w)
+    else:
+        w, ritz, k, ground, residual = solved
+        gap = float(w[1] - w[0])
     # The largest-magnitude amplitude is made positive, so the output is deterministic.
     sign = -1.0 if ground[np.argmax(np.abs(ground))] < 0 else 1.0
     vec = np.zeros(2 * p.N * p.N)
@@ -338,5 +359,5 @@ def ground_state(p: SystemParams, basis: str = "transformed",
         residual=residual,
         solver=solver,
         imprecise=degenerate and np.finfo(float).eps * h.norm_bound >= DEGENERACY_TOL,
-        ritz_vectors=tuple(v for _, v, _ in sectors) if solver == "block" else None,
+        ritz_vectors=ritz,
     )

@@ -161,15 +161,6 @@ def _check_cutoff(cutoff: int) -> int:
     return int(cutoff)
 
 
-def annihilation(cutoff: int) -> np.ndarray:
-    """Bosonic annihilation operator a with a|n> = sqrt(n)|n-1>, truncated at cutoff."""
-    n = _check_cutoff(cutoff)
-    a = np.zeros((n, n))
-    for k in range(1, n):
-        a[k - 1, k] = math.sqrt(k)
-    return a
-
-
 def embed(op: np.ndarray, slot: str, cutoff: int) -> np.ndarray:
     """Lift a single-factor operator to the full (qubit, mode1, mode2) space.
 

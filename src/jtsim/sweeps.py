@@ -373,26 +373,28 @@ def compare_bases(p: SystemParams) -> BasisDivergence:
     rotation_norm_loss records how much) and its four cuts are compared with
     the transformed-basis report.
 
-    The lab basis is solved first.  When the block path solved it, each
-    sector's two Ritz vectors, rotated the same way, are where the transformed
-    block solve starts: the rotation keeps n1 + n2, so it maps each parity
-    sector to itself.  The start only moves where the Krylov space begins;
+    The lab basis is solved first.  When the block path solved it, its two
+    Ritz vectors, each sector half rotated the same way, are where the
+    transformed block solve starts: the rotation keeps n1 + n2, so it maps each
+    parity sector to itself.  The start only moves where the Krylov space begins;
     both energies are still solved and certified separately.
 
     The rotation is applied shell by shell (``ShellRotation.apply``): the
-    state's two qubit components and the four Ritz vectors go through one
-    gather, one product per total-quanta shell and one scatter, and no
-    N^2 x N^2 matrix is formed.
+    state's two qubit components and the Ritz vectors' four sector halves go
+    through one gather, one product per total-quanta shell and one scatter, and
+    no N^2 x N^2 matrix is formed.
     """
     if p.k_1 == 0.0 and p.k_2 == 0.0:
         gs = ground_state(p, "lab")
         return BasisDivergence(gs.energy, gs.energy, 0.0, 0.0, 0.0)
 
     gs_lab = ground_state(p, "lab")
-    ritz = [] if gs_lab.ritz_vectors is None else [v.T for v in gs_lab.ritz_vectors]
+    ritz = gs_lab.ritz_vectors
+    # each Ritz vector's two sector halves, one row each
+    halves = np.empty((0, p.N * p.N)) if ritz is None else ritz.T.reshape(4, -1)
     rotated = mode_rotation_unitary(p).apply(
-        np.concatenate([gs_lab.state.amplitudes.reshape(2, -1), *ritz]))
-    start = None if not ritz else (rotated[2:4].T, rotated[4:6].T)
+        np.concatenate([gs_lab.state.amplitudes.reshape(2, -1), halves]))
+    start = None if ritz is None else rotated[2:].reshape(2, -1).T
     gs_tr = ground_state(p, "transformed", start)
 
     psi_b = rotated[:2].ravel()

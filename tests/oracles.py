@@ -2,8 +2,9 @@
 
 Each oracle builds its operator from explicit basis states or kron products,
 not from the package's parity-sector layout, so a test that compares the
-two checks that layout.  ``model_points`` and ``property_settings`` are the
-hypothesis strategy and settings the property tests share.
+two checks that layout.  ``annihilation`` is the truncated ladder operator
+the kron oracles are built from.  ``model_points`` and ``property_settings``
+are the hypothesis strategy and settings the property tests share.
 """
 
 import math
@@ -12,11 +13,20 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import settings, strategies as st
 
-from jtsim.model import PARITY_SIGNS, ParityBlocks, SystemParams, _parity_sector, annihilation
+from jtsim.model import PARITY_SIGNS, ParityBlocks, SystemParams, _check_cutoff, _parity_sector
 
 # Qubit Pauli operators; index 0 is the lower level (sigma_z = -1).
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
 SZ = np.diag([-1.0, 1.0])
+
+
+def annihilation(cutoff: int) -> np.ndarray:
+    """Bosonic annihilation operator a with a|n> = sqrt(n)|n-1>, truncated at cutoff."""
+    n = _check_cutoff(cutoff)
+    a = np.zeros((n, n))
+    for k in range(1, n):
+        a[k - 1, k] = math.sqrt(k)
+    return a
 
 
 def parity_oracle(n: int) -> np.ndarray:

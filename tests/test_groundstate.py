@@ -316,24 +316,47 @@ preset_points = st.builds(
 
 class TestBlockPath:
     def test_factor_certifies_the_shift(self):
-        # Sylvester's law of inertia: the block Cholesky of B - sigma I exists iff sigma < lambda_0.
+        # Sylvester's law of inertia: the block factor of diag(B_+, B_-) - sigma I, each
+        # pivot with a Cholesky factor, exists iff sigma is below the lowest eigenvalue of
+        # both blocks.
         n = 20
-        block = build_transformed_hamiltonian(fig5_params(1.95, n)).entries[0]
-        grid, rows = block.reshape(n, n, n, n), np.arange(n)
-        diag, upper = grid[rows, :, rows, :], grid[rows[:-1], :, rows[1:], :]
-        lam0 = np.linalg.eigvalsh(block)[0]
-        with pytest.raises(np.linalg.LinAlgError):
-            _block_cholesky(diag, upper, lam0 + 1e-6)
-        sigma = lam0 - 1e-3
-        x = np.cos(np.outer(np.arange(n * n), (1.0, 3.0)))
+        h = build_transformed_hamiltonian(SystemParams(1.25, 0.75, K_ULTRA, K_ULTRA, N=n))
+        diag, upper = h.tridiagonal
+        lam0 = [np.linalg.eigvalsh(block)[0] for block in h.entries]
+        assert lam0[1] < lam0[0] - 0.1  # fig2 t = 0.5: the Pi = -1 block is lower
+        # above lambda_0 of the lower block only, in either batch slot, or of both blocks
+        for blocks in (diag, diag[::-1]):
+            for sigma in (lam0[1] + 1e-6, lam0[0] + 1e-6):
+                with pytest.raises(np.linalg.LinAlgError):
+                    _block_cholesky(blocks, upper, sigma)
+        sigma = lam0[1] - 1e-3
+        x = np.cos(np.outer(np.arange(2 * n * n), (1.0, 3.0)))
         solved = _shift_invert(_block_cholesky(diag, upper, sigma), x)
-        expected = np.linalg.solve(block - sigma * np.eye(n * n), x)
+        expected = np.concatenate([np.linalg.solve(block - sigma * np.eye(n * n), half)
+                                   for block, half in zip(h.entries, x.reshape(2, n * n, 2))])
         assert np.max(np.abs(solved - expected)) < 1e-9 * np.max(np.abs(expected))
+
+    def test_cross_block_doublet_state_keeps_its_sector(self):
+        # fig5 t = 1.95, N = 24: H's two lowest levels are the two sectors' ground levels,
+        # about 3e-7 apart (test_matches_eigvalsh_and_dense_vector checks their values).
+        p = fig5_params(1.95, 24)
+        w = [np.linalg.eigvalsh(block)[:2] for block in build_transformed_hamiltonian(p).entries]
+        assert max(w[0][0], w[1][0]) < min(w[0][1], w[1][1])
+        assert 1e-7 < abs(w[0][0] - w[1][0]) < 1e-6
+        gs, dense = ground_state(p), dense_ground_state(p)
+        assert (gs.solver, dense.solver) == ("block", "dense")
+        parity = np.diag(parity_oracle(p.N))  # kron-built, independent of _parity_sector
+        sign = parity[np.argmax(np.abs(dense.state.amplitudes))]
+        assert np.all(dense.state.amplitudes[parity != sign] == 0.0)
+        assert parity[np.argmax(np.abs(gs.state.amplitudes))] == sign
+        assert np.all(gs.state.amplitudes[parity != sign] == 0.0)
+        assert abs(gs.state.amplitudes @ dense.state.amplitudes) >= 1 - 1e-12
 
     @settings(property_settings, max_examples=20)
     @given(preset_points, st.sampled_from(BASES))
     @example(SystemParams(1.0, 1.0, K_ULTRA, K_ULTRA, N=20), "lab")  # mode-swap symmetric
     @example(SystemParams(1.0, 1.0, K_ULTRA, K_ULTRA, N=20), "transformed")  # n2 conserved
+    @example(fig5_params(1.95, 24), "transformed")  # a cross-block doublet, gap 2.8e-7
     def test_matches_eigvalsh_and_dense_vector(self, p, basis):
         h = build_lab_hamiltonian(p) if basis == "lab" else build_transformed_hamiltonian(p)
         gs = ground_state(p, basis)
@@ -345,6 +368,34 @@ class TestBlockPath:
         assert abs(gs.energy - lowest[0]) < 1e-12 * scale
         assert abs(gs.gap - (lowest[1] - lowest[0])) < 1e-12 * scale
         assert gs.residual < RESIDUAL_TOL * scale
+        assert abs(gs.state.amplitudes @ dense.state.amplitudes) >= 1 - 1e-12
+
+    @pytest.mark.parametrize("p", [
+        # fig2 t = 0.5: the lifted Pi = -1 block held the ground level
+        SystemParams(1.25, 0.75, K_ULTRA, K_ULTRA, N=20),
+        # k = 0: Pi = +1 holds 0.5 (qubit up) and 0.5 + 3e-9 (one b1 quantum)
+        SystemParams(1 + 3e-9, 1.5, 0.0, 0.0, N=20),
+    ], ids=["fig2", "split-3e-9"])
+    def test_two_lowest_levels_in_one_block(self, p, monkeypatch):
+        # Lifting the Pi = -1 block by 10 puts both of H's lowest levels in the Pi = +1 block.
+        h = build_transformed_hamiltonian(p)
+        lifted = replace(h, diagonal=h.diagonal + np.array([0.0, 10.0])[:, None, None])
+        monkeypatch.setattr(jtsim.groundstate, "build_transformed_hamiltonian", lambda _: lifted)
+        w = [np.linalg.eigvalsh(block)[:2] for block in lifted.entries]
+        assert w[0][1] < w[1][0]
+        dense = dense_ground_state(p)
+        gs = ground_state(p)
+        scale = max(1.0, abs(w[0][0]))
+        if w[0][1] - w[0][0] < jtsim.groundstate.SHIFT * scale:
+            # a gap inside one block that the block path cannot resolve goes to eigh
+            assert gs.solver == "block-fallback"
+            assert_same_result(gs, dense)
+            # the rule, not a stall: with a smaller SHIFT the block path keeps the point
+            monkeypatch.setattr(jtsim.groundstate, "SHIFT", 1e-10)
+            gs = ground_state(p)
+        assert gs.solver == "block"
+        assert abs(gs.energy - w[0][0]) < 1e-12 * scale
+        assert abs(gs.gap - (w[0][1] - w[0][0])) < 1e-12 * scale
         assert abs(gs.state.amplitudes @ dense.state.amplitudes) >= 1 - 1e-12
 
     def test_converged_hard_point_matches_dense_path(self, monkeypatch):
@@ -469,7 +520,7 @@ class TestBlockPath:
         for gs in results:
             assert (gs.ritz_vectors is None) == (gs.solver != "block")
         n = results[1].state.factor_dims[1]
-        assert [v.shape for v in results[1].ritz_vectors] == [(n * n, 2)] * 2
+        assert results[1].ritz_vectors.shape == (2 * n * n, 2)
         # the first rung of each ladder starts cold; each later rung gets the rung below's vectors
         assert starts[0] is starts[3] is None
         assert [starts[i] is results[i - 1].ritz_vectors for i in (1, 2, 4)] == [True] * 3
@@ -492,7 +543,7 @@ class TestBlockPath:
     def test_zero_frequency_skips_the_block_attempt(self, p, monkeypatch):
         dense = dense_ground_state(p)
         start = ground_state(replace(p, omega_1=1.0, omega_2=1.0)).ritz_vectors
-        monkeypatch.setattr(jtsim.groundstate, "_block_sector", _never_called)
+        monkeypatch.setattr(jtsim.groundstate, "_joint_solve", _never_called)
         results = [ground_state(p), ground_state(p, start=start)]
         for gs in results:
             assert gs.solver == "block-fallback" and gs.ritz_vectors is None

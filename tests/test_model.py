@@ -17,7 +17,6 @@ from jtsim.model import (
     _parity_sector,
     _rotated_coefficients,
     _sector_sigma_z,
-    annihilation,
     build_lab_hamiltonian,
     build_transformed_hamiltonian,
     embed,
@@ -28,6 +27,7 @@ from jtsim.model import (
 from oracles import (
     SX,
     SZ,
+    annihilation,
     full_matrix,
     model_points,
     parity_oracle,

@@ -8,7 +8,7 @@ import pytest
 import jtsim.sweeps
 from jtsim.cli import _params_from_args, build_parser
 from jtsim.groundstate import ground_state
-from jtsim.model import SystemParams
+from jtsim.model import SystemParams, mode_rotation_unitary
 from jtsim.sweeps import (
     CSV_COLUMNS,
     PRESETS,
@@ -356,7 +356,12 @@ class TestCompareBases:
         compare_bases(p)
         (lab_basis, _, lab), (basis, start, warm) = calls
         assert (lab_basis, lab.solver, basis) == ("lab", "block", "transformed")
-        assert start is not None
+        assert start.shape == lab.ritz_vectors.shape == (2 * n * n, 2)
+        # each sector half of each lab Ritz vector, rotated on its own
+        rotation = mode_rotation_unitary(p)
+        halves = lab.ritz_vectors.reshape(2, n * n, 2)
+        rotated = np.concatenate([rotation.apply(half.T).T for half in halves])
+        assert np.max(np.abs(start - rotated)) < 1e-14
         cold = ground_state(p, "transformed")
         scale = max(1.0, abs(cold.energy))
         assert warm.solver == cold.solver

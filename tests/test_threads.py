@@ -1,7 +1,8 @@
 """jtsim runs BLAS on one thread unless the user chose a thread count or loaded numpy first.
 
-Each test runs a new interpreter, because BLAS reads its thread count once, when numpy
-loads it, and tier-1's own interpreter has loaded numpy before jtsim.
+Each subprocess test runs a new interpreter, because BLAS reads its thread count once,
+when numpy loads it.  The suite's own interpreter imports jtsim first (the root
+``conftest.py``), so the library runs under the suite as it runs under the CLI.
 """
 
 import json
@@ -33,6 +34,11 @@ def fresh(code, **thread_vars):
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_suite_process_loaded_jtsim_before_numpy():
+    # {} would mean numpy loaded first and BLAS kept its default thread count
+    assert jtsim.BLAS_THREADS != {}
 
 
 def test_unset_thread_count_is_pinned_to_one():
