@@ -21,7 +21,7 @@ TABLE = {
     "converge": (["converge", "--delta", "0", *ULTRA], 0),
     "xcheck-n16": (["xcheck", "--delta", "0.05", *WEAK, "--N", "16"], 0),
     **{f"fig{i}": (["sweep", f"fig{i}"], code) for i, code in enumerate([3, 3, 0, 0, 0, 0], 1)},
-    # the one sweep through the block solver; its t = 2 row has a zero-frequency mode
+    # a sweep through the block solver; its t = 2 row has a zero-frequency mode
     "fig1-n20": (["sweep", "fig1", "--N", "20", "--tmin", "1.5"], 3),
     # fig5's cross-parity doublets through the block solver; its t = 2 row falls back
     "fig5-n24": (["sweep", "fig5", "--N", "24", "--tmin", "1.5", "--no-verify"], 3),
@@ -32,6 +32,8 @@ TABLE = {
     "converge-fig5": (["converge", *FIG5_HARD, "--cutoffs", "20,30,40"], 0),  # most block rounds
     "point-fig5-n40": (["point", *FIG5_HARD, "--N", "40", "--format", "json"], 0),
     "point-fig2-n40": (["point", "--delta", "0.5", *ULTRA, "--N", "40", "--format", "json"], 0),
+    # the block run converges a cross-parity doublet 1.3e-12 apart, refuses it and falls back
+    "point-doublet-n20": (["point", "--N", "20", "--delta", "1.8", "--k1", "4", "--k2", "4"], 0),
     # a block-path point where a dense (2, N^2, N^2) parity stack would take 157 MB
     "point-n56": (["point", "--N", "56", "--delta", "0.5", *ULTRA], 0),
     # at N = 56 an N^2 x N^2 rotation matrix would take 79 MB; its shell blocks take 2.8 MB

@@ -52,8 +52,9 @@ that supplied them:
   degenerate point keeps the dense path's pick of vector.
 
 A gap below DEGENERACY_TOL flags the point degenerate, unless the solver
-cannot resolve a gap that small: where eps times a Gershgorin bound on ||H||
-is at least DEGENERACY_TOL, the point is flagged ``imprecise`` instead.
+cannot resolve a gap that small: eigenvalues are good to about eps ||H||, and
+where that is at least DEGENERACY_TOL the point is flagged ``imprecise`` instead.
+Only the dense path reports a degenerate point; ||H|| is its largest |eigenvalue|.
 
 The builders' blocks are finite and symmetric by construction (``ParityBlocks``),
 so only ``eig_hermitian`` checks its input.  A non-finite band fails the block
@@ -147,7 +148,7 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _lowest_vector(block: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unit eigenvector x of ``block`` for w[0] (see SHIFT), and ||block x - w[0] x||."""
+    """Unit eigenvector x of a checked ``block`` for w[0] (see SHIFT), and ||block x - w[0] x||."""
     scale = max(1.0, abs(w[0]))
     if w[1] - w[0] >= SHIFT * scale:
         shifted = block - (w[0] - SHIFT * (w[1] - w[0])) * np.eye(len(block))
@@ -157,7 +158,7 @@ def _lowest_vector(block: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]
             x /= _norm(x)
             if (residual := _norm(block @ x - w[0] * x)) < RESIDUAL_TOL * scale:
                 return x, residual
-    x = eig_hermitian(block)[1][:, 0]
+    x = np.linalg.eigh(block)[1][:, 0]
     return x, _norm(block @ x - w[0] * x)
 
 
@@ -243,21 +244,28 @@ def _ritz(basis: np.ndarray, image: np.ndarray):
     return theta, ritz, res_vecs, [_norm(r) for r in res_vecs.T]
 
 
+def _two_lowest(lowest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sector, level) of H's two lowest levels, from each sector's two lowest values
+    ``lowest`` (2, 2); the sort is stable, so on a tie the Pi = +1 sector comes first."""
+    return np.unravel_index(np.argsort(lowest, axis=None, kind="stable")[:2], lowest.shape)
+
+
 def _joint_solve(diag: np.ndarray, upper: np.ndarray, start: np.ndarray | None = None):
     """H's two lowest levels by one Krylov run on A = diag(B_+, B_-); or None to fall back.
 
     Returns (theta_0, theta_1), the two lowest Ritz vectors of A (2N^2, 2), the sector k
     of the ground vector, that vector restricted to B_k and renormalised, and its fresh
-    residual on B_k.  ``start`` holds two columns over both sectors of an m x m Fock grid
-    of a cutoff m <= N; by default the two lowest of the four lowest vectors of the
-    blocks' leading START_N x START_N grids.
+    residual on B_k.  It refuses a gap it cannot resolve inside one block, and a
+    degenerate pair, whose vector is the solver's pick among equals: the dense path's
+    pick stays the one reported.  ``start`` holds two columns over both sectors of an
+    m x m Fock grid of a cutoff m <= N; by default the two lowest of the four lowest
+    vectors of the blocks' leading START_N x START_N grids.
     """
     b, n = diag.shape[:2]
     if start is None:
         m = min(START_N, n)
         w, v = np.linalg.eigh(_assemble(diag[:, :m, :m, :m], upper[:m - 1, :m, :m]))
-        # stable: on a tie the Pi = +1 sector's vector comes first
-        sector, level = np.unravel_index(np.argsort(w[:, :2], axis=None, kind="stable")[:2], (b, 2))
+        sector, level = _two_lowest(w[:, :2])
         start = np.zeros((b, m * m, 2))
         start[sector, :, (0, 1)] = v[sector, :, level]
         start = start.reshape(b * m * m, 2)
@@ -293,8 +301,9 @@ def _joint_solve(diag: np.ndarray, upper: np.ndarray, start: np.ndarray | None =
             halves = ritz.reshape(b, n * n, 2)
             # each Ritz vector's dominant sector; on a tie Pi = +1
             sectors = np.argmax(np.linalg.norm(halves, axis=1), axis=0)
-            if sectors[0] == sectors[1] and theta[1] - theta[0] < SHIFT * max(1.0, abs(theta[0])):
-                return None  # unresolved gap in one block: the dense path takes eigh's vector
+            same = sectors[0] == sectors[1]
+            if theta[1] - theta[0] < (SHIFT * max(1.0, abs(theta[0])) if same else DEGENERACY_TOL):
+                return None
             k = int(sectors[0])
             ground = halves[k, :, 0] / _norm(halves[k, :, 0])
             # The Ritz residual is accumulated over the steps; this one is taken afresh.
@@ -303,14 +312,6 @@ def _joint_solve(diag: np.ndarray, upper: np.ndarray, start: np.ndarray | None =
                 return theta[:2], ritz, k, ground, fresh
             unmet[0] = True
     return None
-
-
-def _lower_sector(spectra: list) -> tuple[int, float]:
-    """Index of the lower sector and the gap to the next level of either sector."""
-    # Strict <: on an exact tie the first sector, Pi = +1, wins.
-    k = 1 if spectra[1][0] < spectra[0][0] else 0
-    lowest = np.sort(np.concatenate([w[:2] for w in spectra]))
-    return k, float(lowest[1] - lowest[0])
 
 
 def ground_state(p: SystemParams, basis: str = "transformed",
@@ -333,19 +334,17 @@ def ground_state(p: SystemParams, basis: str = "transformed",
             traps = np.errstate(over="raise", invalid="raise", divide="raise")
             with suppress(FloatingPointError), traps:
                 solved = _joint_solve(*h.tridiagonal, start)
-        # A degenerate point's vector is the solver's pick among equals, so the
-        # dense path's pick stays the one reported.
-        if solved is not None and solved[0][1] - solved[0][0] < DEGENERACY_TOL:
-            solved = None
         solver = "block" if solved else "block-fallback"
     if solved is None:
-        spectra = [eig_hermitian(block, vectors=False)[0] for block in h.entries]
-        k, gap = _lower_sector(spectra)
-        w, ritz = spectra[k], None
-        ground, residual = _lowest_vector(h.entries[k], w)
+        spectra = np.array([eig_hermitian(block, vectors=False)[0] for block in h.entries])
+        sector, level = _two_lowest(spectra[:, :2])
+        w, ritz, k = spectra[sector, level], None, int(sector[0])
+        ground, residual = _lowest_vector(h.entries[k], spectra[k])
+        # The eigenvalues are good to about eps ||H||_2, the largest |eigenvalue|.
+        unresolved = np.finfo(float).eps * np.max(np.abs(spectra[:, [0, -1]])) >= DEGENERACY_TOL
     else:
-        w, ritz, k, ground, residual = solved
-        gap = float(w[1] - w[0])
+        (w, ritz, k, ground, residual), unresolved = solved, False  # _joint_solve resolved the gap
+    gap = float(w[1] - w[0])
     # The largest-magnitude amplitude is made positive, so the output is deterministic.
     sign = -1.0 if ground[np.argmax(np.abs(ground))] < 0 else 1.0
     vec = np.zeros(2 * p.N * p.N)
@@ -358,6 +357,6 @@ def ground_state(p: SystemParams, basis: str = "transformed",
         degenerate_flag=degenerate,
         residual=residual,
         solver=solver,
-        imprecise=degenerate and np.finfo(float).eps * h.norm_bound >= DEGENERACY_TOL,
+        imprecise=bool(degenerate and unresolved),
         ritz_vectors=ritz,
     )

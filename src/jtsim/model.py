@@ -106,15 +106,6 @@ class ParityBlocks:
         upper[:, rows[1:], rows[:-1]] = self.hop_band
         return diag, upper
 
-    @property
-    def norm_bound(self) -> float:
-        """Gershgorin bound on the 2-norm of either block: each row holds one diagonal entry
-        and at most two entries of each band (inf if the sum overflows)."""
-        with np.errstate(over="ignore"):
-            return float(np.max(np.abs(self.diagonal)) + 2 * sum(
-                np.max(np.abs(band))
-                for band in (self.g1_band, self.g2_band, self.hop_band)))
-
     @cached_property
     def entries(self) -> np.ndarray:
         """Dense (2, N^2, N^2) stack; entries[i] is the sector i block."""

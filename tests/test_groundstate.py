@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -9,8 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 import jtsim.groundstate
 import jtsim.sweeps
-from jtsim.groundstate import BASES, BLOCK_MIN_N, RESIDUAL_TOL, eig_hermitian, ground_state
-from jtsim.groundstate import _block_cholesky, _shift_invert
+from jtsim.groundstate import BASES, BLOCK_MIN_N, DEGENERACY_TOL, RESIDUAL_TOL
+from jtsim.groundstate import eig_hermitian, ground_state
+from jtsim.groundstate import _block_cholesky, _shift_invert, _two_lowest
 from jtsim.model import (
     PARITY_SIGNS,
     SystemParams,
@@ -235,6 +237,25 @@ class TestGroundState:
             ground_state(fig1_params(0.0), "rotating")
 
 
+class TestTwoLowest:
+    def test_exact_tie_puts_even_parity_first(self):
+        for lowest in ([[1.0, 2.0], [1.0, 3.0]], [[1.0, 3.0], [1.0, 2.0]], [[1.0, 1.0], [1.0, 1.0]]):
+            sector, level = _two_lowest(np.array(lowest))
+            assert sector[0] == 0 and level[0] == 0
+
+    def test_every_ordering_matches_the_lower_sector_rule(self):
+        # each sector's two lowest values, ascending, over every ordering and tie of the four
+        for values in itertools.product(range(3), repeat=4):
+            lowest = np.sort(np.reshape(values, (2, 2)).astype(float), axis=1)
+            sector, level = _two_lowest(lowest)
+            # the rule it replaced: strict <, so on a tie the Pi = +1 sector holds the ground level
+            k = 1 if lowest[1][0] < lowest[0][0] else 0
+            pair = np.sort(lowest, axis=None)[:2]
+            assert sector[0] == k and level[0] == 0
+            assert np.array_equal(lowest[sector, level], pair)
+            assert lowest[sector[1], level[1]] - lowest[k, 0] == pair[1] - pair[0]
+
+
 class TestConvergenceStudy:
     def test_decoupled_rows_identical(self):
         p = SystemParams(omega_1=1.0, omega_2=0.5, k_1=0, k_2=0, N=4)
@@ -442,6 +463,53 @@ class TestBlockPath:
         assert fallback.solver == "block-fallback"
         assert_same_result(fallback, dense)
 
+    def test_degenerate_cross_block_pair_is_refused(self, monkeypatch):
+        # Delta = 1.8, k = 4 at N = 20: the joint run converges the two sectors' ground
+        # levels about 1.3e-12 apart, refuses the pair, and the dense path reports it.
+        p = SystemParams(1 + 0.9, 1 - 0.9, 4.0, 4.0, N=20)
+        joint, returned = jtsim.groundstate._joint_solve, []
+
+        def recording(*args):
+            returned.append(joint(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(jtsim.groundstate, "_joint_solve", recording)
+        gs = ground_state(p)
+        assert returned == [None]
+        assert gs.solver == "block-fallback" and gs.degenerate_flag and not gs.imprecise
+        assert_same_result(gs, dense_ground_state(p))
+        # the rule, not a stall: below a smaller tolerance the block path keeps the pair
+        monkeypatch.setattr(jtsim.groundstate, "DEGENERACY_TOL", 1e-13)
+        kept = ground_state(p)
+        halves = kept.ritz_vectors.reshape(2, p.N * p.N, 2)
+        assert kept.solver == "block" and kept.gap < DEGENERACY_TOL
+        assert list(np.argmax(np.linalg.norm(halves, axis=1), axis=0)) in ([0, 1], [1, 0])
+
+    @pytest.mark.parametrize("p", [SystemParams(1.25, 0.75, K_ULTRA, K_ULTRA, N=20),
+                                   fig5_params(1.95, 20)], ids=["fig2", "fig5"])
+    def test_failed_fresh_residual_takes_another(self, p, monkeypatch):
+        # The first one-block product, the accepted vector's fresh residual, is off by 1e-6:
+        # the run goes on and takes a second fresh residual.
+        product, fresh = jtsim.groundstate._block_product, []
+
+        def perturbed(diag, upper, x):
+            y = product(diag, upper, x)
+            if len(diag) == 1:
+                fresh.append(x)
+                if len(fresh) == 1:
+                    y[0] += 1e-6
+            return y
+
+        monkeypatch.setattr(jtsim.groundstate, "_block_product", perturbed)
+        gs = ground_state(p)
+        w = np.sort(np.concatenate([np.linalg.eigvalsh(block)[:2]
+                                    for block in build_transformed_hamiltonian(p).entries]))
+        scale = max(1.0, abs(w[0]))
+        assert gs.solver == "block" and len(fresh) == 2
+        assert abs(gs.energy - w[0]) < 1e-12 * scale
+        assert abs(gs.gap - (w[1] - w[0])) < 1e-12 * scale
+        assert gs.residual < RESIDUAL_TOL * scale
+
     def test_zero_frequency_row_stays_degenerate(self):
         p = replace(fig1_params(2.0), N=20)
         gs = ground_state(p)
@@ -558,6 +626,20 @@ class TestBlockPath:
         # an ordinary zero-frequency point is degenerate, and its gap is resolved
         degenerate = ground_state(fig1_params(2.0))
         assert degenerate.degenerate_flag and not degenerate.imprecise
+
+    def test_imprecise_reads_the_norm_of_h(self):
+        # omega_2 = 0: a degenerate lab point with gap 4.4e-11.  eps ||H||_2 = 8.5e-11 resolves
+        # it; eps times the Gershgorin bound from the bands (4.6e5) would not.
+        p = SystemParams(omega_1=30700.0, omega_2=0.0, k_1=1.0, k_2=0.0, N=10)
+        h = build_lab_hamiltonian(p)
+        eps = np.finfo(float).eps
+        assert eps * max(np.linalg.norm(block, 2) for block in h.entries) < DEGENERACY_TOL
+        bands = (h.g1_band, h.g2_band, h.hop_band)
+        bound = np.max(np.abs(h.diagonal)) + 2 * sum(np.max(np.abs(band)) for band in bands)
+        assert eps * bound >= DEGENERACY_TOL
+        gs = ground_state(p, "lab")
+        assert gs.gap < DEGENERACY_TOL
+        assert gs.degenerate_flag and not gs.imprecise
 
     def test_block_path_forms_no_dense_stack(self, monkeypatch):
         # fig2 t = 0.5 at N = 40: one dense N^2 x N^2 block would take 20.48 MB.
