@@ -32,7 +32,8 @@ TABLE = {
     "converge-fig5": (["converge", *FIG5_HARD, "--cutoffs", "20,30,40"], 0),  # most block rounds
     "point-fig5-n40": (["point", *FIG5_HARD, "--N", "40", "--format", "json"], 0),
     "point-fig2-n40": (["point", "--delta", "0.5", *ULTRA, "--N", "40", "--format", "json"], 0),
-    # the block run converges a cross-parity doublet 1.3e-12 apart, refuses it and falls back
+    # the block run converges a cross-parity doublet 1.3e-12 apart, refuses it, and the row
+    # shows the fallback in its solver line
     "point-doublet-n20": (["point", "--N", "20", "--delta", "1.8", "--k1", "4", "--k2", "4"], 0),
     # a block-path point where a dense (2, N^2, N^2) parity stack would take 157 MB
     "point-n56": (["point", "--N", "56", "--delta", "0.5", *ULTRA], 0),

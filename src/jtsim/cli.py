@@ -18,20 +18,19 @@ import os
 import sys
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 from ._version import __version__
 from .groundstate import BASES
 from .model import SystemParams
 from .sweeps import (
-    CSV_COLUMNS,
     VERIFY_TOL,
     SweepSpec,
     _atomic_write,
     _control_values,
     compare_bases,
     convergence_study,
-    csv_row,
+    csv_text,
     figure_sweep,
     run_point,
     run_sweep,
@@ -136,20 +135,13 @@ def cmd_point(args) -> int:
     p = _params_from_args(args)
     row = run_point(p, basis=args.basis)
     if args.format == "csv":
-        _emit(",".join(CSV_COLUMNS) + "\n" + csv_row(row, p.N) + "\n", args.output)
+        _emit(csv_text([row], p.N), args.output)
     elif args.format == "json":
-        payload = {
-            "params": asdict(p),
-            **asdict(row.report),
-            "energy": row.energy,
-            "gap": row.gap,
-            "r1": row.r1,
-            "r2": row.r2,
-            "r3": row.r3,
-            "valid": row.valid,
-            "degenerate": row.degenerate,
-            "reason": row.reason,
-        }
+        # The row's own fields; a point has no t, and raises where a sweep row keeps an error.
+        payload = {"params": asdict(p), **asdict(row.report),
+                   **{f.name: getattr(row, f.name) for f in fields(row)
+                      if f.name not in ("t", "params", "report", "error")},
+                   "reason": row.reason}
         # RFC 8259 has no nan or inf: an undefined ratio is written as null.
         payload = {key: None if isinstance(value, float) and not math.isfinite(value) else value
                    for key, value in payload.items()}
@@ -164,6 +156,7 @@ def cmd_point(args) -> int:
             f"E_N(S|B2)   = {row.report.en_s_b2:.9f}",
             f"E_N(B1|B2)  = {row.report.en_b1_b2:.9f}",
             f"energy = {row.energy:.9f}   gap = {row.gap:.3e}",
+            f"solver = {row.solver}   residual = {row.residual:.1e}",
             f"validity: r1 = {row.r1:.4g}  r2 = {row.r2:.4g}  r3 = {row.r3:.4g}"
             f"  valid = {valid_label}",
         ]

@@ -434,16 +434,18 @@ def csv_row(row: SweepRow, N: int) -> str:
     return ",".join(cells)
 
 
+def csv_text(rows: list[SweepRow], N: int) -> str:
+    """The CSV header and one line per row, each line ending in LF."""
+    return "\n".join([",".join(CSV_COLUMNS)] + [csv_row(r, N) for r in rows]) + "\n"
+
+
 def write_csv(result: SweepResult, path: str) -> None:
     """Write rows as CSV (12 significant digits, LF endings, atomic rename).
 
     Failed points keep their t and show nan numeric fields with the
     degenerate column set to true, so flagged rows are visible downstream.
     """
-    lines = [",".join(CSV_COLUMNS)]
-    lines += [csv_row(r, result.spec.base.N) for r in result.rows]
-    payload = "\n".join(lines) + "\n"
-    _atomic_write(path, payload)
+    _atomic_write(path, csv_text(result.rows, result.spec.base.N))
 
 
 def write_manifest(result: SweepResult, path: str) -> None:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -63,6 +64,22 @@ def test_point_json_names_the_reason(capsys, argv, reason):
     payload = json.loads(capsys.readouterr().out)
     assert payload["reason"] == reason
     assert payload["degenerate"] is (reason is not None)
+
+
+def test_point_names_its_solver_path(capsys):
+    # the joint run refuses this point's cross-block doublet and the dense path reports it
+    argv = ["point", "--N", "20", "--delta", "1.8", "--k1", "4", "--k2", "4"]
+    assert main(argv) == 0
+    line = re.search(r"^solver = (\S+)   residual = (\S+)$", capsys.readouterr().out, re.M)
+    assert line and line[1] == "block-fallback" and 0 < float(line[2]) < 1e-12  # 1.5e-14 here
+    assert main([*argv, "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload) == [
+        "params", "en_s_b1b2", "en_s_b1", "en_s_b2", "en_b1_b2", "energy", "gap",
+        "r1", "r2", "r3", "valid", "degenerate", "residual", "solver", "imprecise", "reason",
+    ]
+    assert payload["solver"] == "block-fallback" and payload["imprecise"] is False
+    assert 0 < payload["residual"] < 1e-12
 
 
 def test_point_rejects_small_cutoff(capsys):

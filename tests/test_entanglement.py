@@ -89,6 +89,10 @@ class TestDensityMatrix:
         with pytest.raises(ValueError, match="trace"):
             DensityMatrix(np.eye(4) / 2, (2, 2))
 
+    def test_rejects_shape_that_does_not_match_factor_dims(self):
+        with pytest.raises(ValueError, match="does not match factor_dims"):
+            DensityMatrix(np.eye(4) / 4, (2, 3))
+
 
 class TestDensityFromState:
     def test_basis_state_projector(self):
@@ -145,6 +149,13 @@ class TestPartialTrace:
         with pytest.raises(ValueError, match="at least one"):
             partial_trace(bell_density(), keep=())
 
+    def test_keeping_every_factor_returns_an_equal_copy(self):
+        rho = bell_density()
+        kept = partial_trace(rho, keep=(1, 0))
+        assert kept.factor_dims == rho.factor_dims
+        assert np.array_equal(kept.entries, rho.entries)
+        assert not np.shares_memory(kept.entries, rho.entries)
+
 
 class TestPartialTranspose:
     def test_product_state_unchanged_spectrum(self):
@@ -170,6 +181,10 @@ class TestPartialTranspose:
     def test_invalid_factor_rejected(self):
         with pytest.raises(ValueError):
             partial_transpose(bell_density(), 5)
+
+    def test_empty_selection_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            partial_transpose(bell_density(), ())
 
 
 class TestTraceNorm:

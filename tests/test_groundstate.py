@@ -510,6 +510,17 @@ class TestBlockPath:
         assert abs(gs.gap - (w[1] - w[0])) < 1e-12 * scale
         assert gs.residual < RESIDUAL_TOL * scale
 
+    def test_doublet_splitting_is_the_tunnelling_overlap(self):
+        # Ultrastrong limit: the qubit term tunnels between the privileged mode displaced
+        # to -k_p and +k_p, so H's parity doublet is split by about <k_p|-k_p> = exp(-2 k_p^2)
+        # (Irish et al., PRB 72, 195410).  The ratio falls toward 1 as k_p grows.
+        ratios = []
+        for t in (1.0, 1.25, 1.5, 1.75, 1.95):
+            p = fig5_params(t, 40)
+            ratios.append(ground_state(p).gap / math.exp(-2 * (p.k_1**2 + p.k_2**2)))
+        assert all(1.0 <= r <= 1.08 for r in ratios), ratios
+        assert all(a > b for a, b in zip(ratios, ratios[1:])), ratios
+
     def test_zero_frequency_row_stays_degenerate(self):
         p = replace(fig1_params(2.0), N=20)
         gs = ground_state(p)
