@@ -30,6 +30,8 @@ TABLE = {
                    "--omega1", "1.6e307", "--omega2", "1", "--k1", "0", "--k2", "0", "--N", "10"], 3),
     "converge-n30": (["converge", "--delta", "0", *ULTRA, "--cutoffs", "10,20,30"], 0),
     "converge-fig5": (["converge", *FIG5_HARD, "--cutoffs", "20,30,40"], 0),  # most block rounds
+    # the default sweep's cutoff and its N + 4 verification: E_N(S|B1) moves 0.26 -> 0.79
+    "converge-fig5-n10": (["converge", *FIG5_HARD, "--cutoffs", "10,14"], 4),
     "point-fig5-n40": (["point", *FIG5_HARD, "--N", "40", "--format", "json"], 0),
     "point-fig2-n40": (["point", "--delta", "0.5", *ULTRA, "--N", "40", "--format", "json"], 0),
     # the block run converges a cross-parity doublet 1.3e-12 apart, refuses it, and the row

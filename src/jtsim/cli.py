@@ -12,6 +12,7 @@ but keeps its exit code.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -25,6 +26,7 @@ from .groundstate import BASES
 from .model import SystemParams
 from .sweeps import (
     VERIFY_TOL,
+    XCHECK_TOL,
     SweepSpec,
     _atomic_write,
     _control_values,
@@ -60,17 +62,6 @@ def _add_param_flags(ap: argparse.ArgumentParser, cutoff: bool = True) -> None:
         ap.add_argument(f"--{dest}", type=float, help=text)
     if cutoff:
         ap.add_argument("--N", type=int, default=10, help="Fock cutoff per mode")
-
-
-def _positive_float(text: str) -> float:
-    """argparse type for a pass threshold: a comparison with nan would always pass."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a number > 0, got {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text}")
-    return value
 
 
 def _cutoff_list(text: str) -> list[int]:
@@ -241,10 +232,10 @@ def cmd_converge(args) -> int:
     if flagged is not None:
         print(f"not converged: N={flagged.params.N} is {flagged.reason}", file=sys.stderr)
         return 4
-    if diffs[-1]["d_negativity_max"] >= args.tol:
+    if diffs[-1]["d_negativity_max"] >= VERIFY_TOL:
         print(
             f"not converged: final max |d E_N| {diffs[-1]['d_negativity_max']:.3e}"
-            f" >= {args.tol:g}",
+            f" >= {VERIFY_TOL:g}",
             file=sys.stderr,
         )
         return 4
@@ -259,15 +250,16 @@ def cmd_xcheck(args) -> int:
     print(f"energy divergence           = {div.energy_divergence:.3e}")
     print(f"report divergence (max E_N) = {div.report_divergence:.3e}")
     print(f"rotation norm loss          = {div.rotation_norm_loss:.3e}")
-    if div.energy_divergence >= args.threshold:
+    if div.energy_divergence >= XCHECK_TOL:
         print(
-            f"divergence {div.energy_divergence:.3e} >= threshold {args.threshold:g}",
+            f"divergence {div.energy_divergence:.3e} >= threshold {XCHECK_TOL:g}",
             file=sys.stderr,
         )
         return 4
     return 0
 
 
+@functools.cache  # built once; a patched run_sweep etc. still applies, looked up at call time
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="jtsim",
@@ -303,14 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--basis", choices=BASES, default="transformed")
     p_conv.add_argument("--cutoffs", type=_cutoff_list, default="6,8,10,12,14,16",
                         help="two or more comma-separated ascending cutoffs")
-    p_conv.add_argument("--tol", type=_positive_float, default=VERIFY_TOL,
-                        help="pass threshold on the final successive difference")
     p_conv.set_defaults(func=cmd_converge)
 
     p_x = sub.add_parser("xcheck", help="lab vs transformed basis cross-check")
     _add_param_flags(p_x)
-    p_x.add_argument("--threshold", type=_positive_float, default=1e-4,
-                     help="pass threshold on the energy divergence")
     p_x.set_defaults(func=cmd_xcheck)
     return ap
 

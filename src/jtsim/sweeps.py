@@ -53,6 +53,8 @@ MAX_GRID_POINTS = 10_000
 VERIFY_TOL = 5e-3
 VERIFY_CUTOFF_BUMP = 4
 VERIFY_POINTS = 10
+# The lab and transformed ground energies of one point should agree within this.
+XCHECK_TOL = 1e-4
 
 CSV_COLUMNS = (
     "t",
