@@ -32,6 +32,8 @@ TABLE = {
     "converge-fig5": (["converge", *FIG5_HARD, "--cutoffs", "20,30,40"], 0),  # most block rounds
     # the default sweep's cutoff and its N + 4 verification: E_N(S|B1) moves 0.26 -> 0.79
     "converge-fig5-n10": (["converge", *FIG5_HARD, "--cutoffs", "10,14"], 4),
+    # the block path's slowest preset point at its threshold, BLOCK_MIN_N = 14
+    "point-fig5-n14": (["point", *FIG5_HARD, "--N", "14", "--format", "json"], 0),
     "point-fig5-n40": (["point", *FIG5_HARD, "--N", "40", "--format", "json"], 0),
     "point-fig2-n40": (["point", "--delta", "0.5", *ULTRA, "--N", "40", "--format", "json"], 0),
     # the block run converges a cross-parity doublet 1.3e-12 apart, refuses it, and the row

@@ -37,12 +37,12 @@ that supplied them:
   renormalised, so the state has exactly zero amplitude off its sector, and
   its residual is taken afresh on that block.  The run starts from two
   columns of a smaller cutoff over both blocks, zero-padded: the two lowest
-  of the blocks' four lowest vectors on their leading START_N x START_N Fock
-  grids, or the two lowest Ritz vectors of a block solve at a smaller N
-  (``start``), which the result hands on in ``ritz_vectors`` for the next
-  rung of a cutoff ladder.  The start only changes where the Krylov space
-  begins; the shift is still certified by its factor and the stop rule is
-  the same.
+  of the blocks' four lowest vectors on their leading m x m Fock grids,
+  m = min(START_N, N // 2), or the two lowest Ritz vectors of a block solve
+  at a smaller N (``start``), which the result hands on in ``ritz_vectors``
+  for the next rung of a cutoff ladder.  The start only changes where the
+  Krylov space begins; the shift is still certified by its factor and the
+  stop rule is the same.
 * ``"block-fallback"``: the point has a zero-frequency mode
   (``model._zero_frequency``), so the block path is not tried; or the
   block path could not certify a shift, missed its stop rule within ROUNDS x
@@ -84,14 +84,19 @@ SHIFT = 1e-8
 RESIDUAL_TOL = 1e-12
 MAX_SOLVES = 4
 
-# The block path serves N >= BLOCK_MIN_N.  Below about N = 16-20 (20 at fig5
-# t = 1.95) one eigvalsh of the N^2 x N^2 block costs less than its Python loops
-# over N block rows; the default sweeps (N = 10, verified at 14) stay dense.
-BLOCK_MIN_N = 20
+# The block path serves N >= BLOCK_MIN_N.  Dense / block ms at ten preset points,
+# medians of 15 in-process ground_state calls at one BLAS thread: at N = 14 the block
+# path wins at 7 (ladder point 5.8 / 5.3, fig3 t = 0.5 7.2 / 3.6, fig6 t = 0.05
+# 7.7 / 3.7) and loses at fig5 t = 1.0, 1.5 and 1.95 (7.6 / 7.9, 7.6 / 8.5, 7.6 / 10.5);
+# at N = 16 it loses only at fig5 t = 1.95 (13.6 / 14.8); at N = 12 it loses at 6
+# (fig5 t = 1.95 4.5 / 10.4).  So the default sweeps' rows (N = 10) stay dense and
+# their N + 4 = 14 verification takes the block path.
+BLOCK_MIN_N = 14
 # Without a start of its own, the run starts from the two lowest of the blocks' four
-# lowest vectors on their leading START_N x START_N Fock grids.  Either start gets
-# START_NOISE of a fixed generic vector over both blocks, so that neither block, and
-# no symmetry class of either, is missing from the Krylov space.
+# lowest vectors on their leading m x m Fock grids, m = min(START_N, N // 2): below
+# N = 20 the eigh of a START_N grid would cost about what the dense path does.  Either
+# start gets START_NOISE of a fixed generic vector over both blocks, so that neither
+# block, and no symmetry class of either, is missing from the Krylov space.
 START_N = 10
 START_NOISE = 1e-6
 # It stops when lambda_0's residual is below RESIDUAL_TOL * max(1, |lambda_0|) and
@@ -259,11 +264,11 @@ def _joint_solve(diag: np.ndarray, upper: np.ndarray, start: np.ndarray | None =
     degenerate pair, whose vector is the solver's pick among equals: the dense path's
     pick stays the one reported.  ``start`` holds two columns over both sectors of an
     m x m Fock grid of a cutoff m <= N; by default the two lowest of the four lowest
-    vectors of the blocks' leading START_N x START_N grids.
+    vectors of the blocks' leading m x m grids, m = min(START_N, N // 2).
     """
     b, n = diag.shape[:2]
     if start is None:
-        m = min(START_N, n)
+        m = min(START_N, n // 2)
         w, v = np.linalg.eigh(_assemble(diag[:, :m, :m, :m], upper[:m - 1, :m, :m]))
         sector, level = _two_lowest(w[:, :2])
         start = np.zeros((b, m * m, 2))

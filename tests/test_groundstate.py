@@ -430,6 +430,41 @@ class TestBlockPath:
         for a, b in zip(astuple(row.report), astuple(dense.report)):
             assert abs(a - b) < 1e-9
 
+    @pytest.mark.parametrize("n", [14, 16, 19])
+    @pytest.mark.parametrize("p", [
+        SystemParams(1.25, 0.75, K_ULTRA, K_ULTRA),  # fig2 t = 0.5
+        SystemParams(0.1, 0.05, 0.25, 0.75),  # fig3 t = 0.5
+        fig5_params(1.5, 10),
+        fig5_params(1.95, 10),
+    ], ids=["fig2", "fig3", "fig5-1.5", "fig5-1.95"])
+    def test_cold_solve_near_the_threshold_matches_dense_path(self, p, n, monkeypatch):
+        # The sweeps' N + 4 verification solves at N = 14 from a cold start.
+        p = replace(p, N=n)
+        row = run_point(p)
+        with monkeypatch.context() as m:
+            m.setattr(jtsim.groundstate, "BLOCK_MIN_N", math.inf)
+            dense = run_point(p)
+        assert (row.solver, dense.solver) == ("block", "dense")
+        scale = max(1.0, abs(dense.energy))
+        assert abs(row.energy - dense.energy) < 1e-11 * scale
+        assert abs(row.gap - dense.gap) < 1e-11 * scale
+        for a, b in zip(astuple(row.report), astuple(dense.report)):
+            assert abs(a - b) < 1e-10
+
+    @pytest.mark.parametrize("n, m", [(14, 7), (19, 9), (20, 10), (30, 10)])
+    def test_cold_start_solves_at_most_half_the_cutoff(self, n, m, monkeypatch):
+        # The default start's eigh runs on the blocks' leading min(START_N, N // 2) grids.
+        assemble, shapes = jtsim.groundstate._assemble, []
+
+        def recording(diag, upper):
+            blocks = assemble(diag, upper)
+            shapes.append(blocks.shape)
+            return blocks
+
+        monkeypatch.setattr(jtsim.groundstate, "_assemble", recording)
+        assert ground_state(fig5_params(1.95, n)).solver == "block"
+        assert shapes == [(2, m * m, m * m)]
+
     def test_below_threshold_runs_eig_hermitian(self, monkeypatch):
         calls = []
 
@@ -440,7 +475,8 @@ class TestBlockPath:
         monkeypatch.setattr(jtsim.groundstate, "eig_hermitian", recording)
         p = SystemParams(omega_1=1.0, omega_2=0.8, k_1=0.3, k_2=0.2, N=BLOCK_MIN_N - 1)
         assert ground_state(p).solver == "dense"
-        assert calls == [((361, 361), False), ((361, 361), False)]
+        d = (BLOCK_MIN_N - 1) ** 2
+        assert calls == [((d, d), False), ((d, d), False)]
         calls.clear()
         assert ground_state(replace(p, N=BLOCK_MIN_N)).solver == "block"
         assert calls == []

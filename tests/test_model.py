@@ -310,7 +310,7 @@ class TestTransformedHamiltonian:
         assert h[p.N, 1] == pytest.approx(hop, abs=1e-15)
 
 
-# model_points at cutoffs up to 24, past the block path's BLOCK_MIN_N = 20.
+# model_points at cutoffs up to 24, past the block path's BLOCK_MIN_N = 14.
 view_points = st.builds(replace, model_points, N=st.integers(2, 24))
 
 

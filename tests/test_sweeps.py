@@ -5,6 +5,7 @@ from dataclasses import asdict, astuple, fields, replace
 import numpy as np
 import pytest
 
+import jtsim.groundstate
 import jtsim.sweeps
 from jtsim.cli import _params_from_args, build_parser
 from jtsim.groundstate import ground_state
@@ -278,6 +279,22 @@ class TestSolverPaths:
         # t = 2 is degenerate (zero-frequency mode), so it is flagged and not re-run at N = 24
         assert [row.solver for row in result.rows] == ["block", "block-fallback"]
         assert result.manifest["solver_paths"] == {"dense": 0, "block": 2, "block-fallback": 1}
+
+    @pytest.mark.parametrize("name", [f"fig{i}" for i in range(1, 7)])
+    def test_default_verification_on_block_path_matches_dense(self, name, monkeypatch):
+        # The default sweeps verify at N + 4 = 14, on the block path; the dense path
+        # there must pick the same points and reach the same verdict.
+        result = run_sweep(figure_sweep(name))
+        with monkeypatch.context() as m:
+            m.setattr(jtsim.groundstate, "BLOCK_MIN_N", math.inf)
+            dense = run_sweep(figure_sweep(name))
+        ver, expected = result.manifest["verification"], dense.manifest["verification"]
+        assert (ver["points"], ver["within_tol"]) == (expected["points"], expected["within_tol"])
+        drift, expected_drift = ver["max_abs_negativity_diff"], expected["max_abs_negativity_diff"]
+        assert abs(drift - expected_drift) < 1e-10
+        if name == "fig6":
+            paths = {"dense": 41, "block": 10, "block-fallback": 0}
+            assert result.manifest["solver_paths"] == paths
 
     def test_failed_rows_are_not_counted(self):
         spec = SweepSpec("custom", "delta", replace(FIG1_BASE, N=4), 2.05, 2.1, 0.05)
