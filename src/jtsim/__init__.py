@@ -11,8 +11,8 @@ if "numpy" not in sys.modules and not any(var in os.environ for var in BLAS_THRE
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 # the thread variables BLAS started under; {} where it kept its default
 BLAS_THREADS = {var: os.environ[var] for var in BLAS_THREAD_VARS if var in os.environ}
+__version__ = "0.1.0"  # the one statement of the version; pyproject.toml reads it
 
-from ._version import __version__
 from .entanglement import EntanglementReport, NumericalIntegrityError, report_from_state
 from .groundstate import GroundStateResult, eig_hermitian, ground_state
 from .model import (

@@ -21,7 +21,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, fields
 
-from ._version import __version__
+from . import __version__
 from .groundstate import BASES
 from .model import SystemParams
 from .sweeps import (
@@ -185,16 +185,13 @@ def cmd_sweep(args) -> int:
     breakdown = ", ".join(f"{n} {kind}" for kind, n in sorted(counts.items()))
     notes = [f"{manifest['flagged_rows']} flagged" + (f": {breakdown}" if breakdown else "")]
     ver = manifest.get("verification")
-    if ver and ver["failed"]:
-        notes.append(
-            f"verification failed: {len(ver['failed'])} of {len(ver['points'])} points "
-            f"failed at N={ver['cutoff_check']}"
-        )
-    elif ver and ver["within_tol"] is False:
-        notes.append(
-            f"verification failed: max |d E_N| {ver['max_abs_negativity_diff']:.3e} "
-            f"at N={ver['cutoff_check']} >= {ver['tolerance']:g}"
-        )
+    if ver and ver["within_tol"] is False:  # a failed point, a drift past tolerance, or both
+        n, drift, clauses = ver["cutoff_check"], ver["max_abs_negativity_diff"], []
+        if ver["failed"]:
+            clauses.append(f"{len(ver['failed'])} of {len(ver['points'])} points failed at N={n}")
+        if drift is not None and not drift < ver["tolerance"]:
+            clauses.append(f"max |d E_N| {drift:.3e} at N={n} >= {ver['tolerance']:g}")
+        notes.append("verification failed: " + ", ".join(clauses))
     notes.append(f"{manifest['runtime_s']:.2f} s")
     print(f"{spec.name}: {manifest['rows']} rows -> {out} ({', '.join(notes)})")
     failed = [entry for entry in manifest["flagged"] if entry["reason"].startswith("failed: ")]

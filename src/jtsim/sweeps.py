@@ -40,8 +40,7 @@ from dataclasses import asdict, astuple, dataclass, field, replace
 
 import numpy as np
 
-from . import BLAS_THREADS
-from ._version import __version__
+from . import BLAS_THREADS, __version__
 from .entanglement import EntanglementReport, report_from_state
 from .groundstate import BASES, SOLVER_PATHS, GroundStateResult, ground_state
 from .model import StateVector, SystemParams
@@ -207,8 +206,9 @@ def _max_negativity_change(a: EntanglementReport, b: EntanglementReport) -> floa
 def _verify_subsample(spec: SweepSpec, rows: list[SweepRow]) -> tuple[dict, list[SweepRow]]:
     """Recompute a few clean rows at N + 4: the manifest block and the recomputed rows.
 
-    A recompute that fails is listed in ``failed`` and fails the check; the
-    drift is taken over the others, and is None when none of them exists.
+    A recompute that is ``flagged`` (raised, ``degenerate`` or ``imprecise``) is listed in
+    ``failed`` with its reason and fails the check, as a flagged rung fails ``converge``;
+    the drift is taken over the clean recomputes, and is None when none of them exists.
     """
     clean = [r for r in rows if not r.flagged]
     picks = sorted(
@@ -217,9 +217,9 @@ def _verify_subsample(spec: SweepSpec, rows: list[SweepRow]) -> tuple[dict, list
     checked = [clean[i] for i in picks]
     bumped = replace(spec, base=replace(spec.base, N=spec.base.N + VERIFY_CUTOFF_BUMP))
     recomputed = [_evaluate_grid_point(bumped, row.t) for row in checked]
-    failed = [{"t": hi.t, "reason": hi.reason} for hi in recomputed if hi.error is not None]
+    failed = [{"t": hi.t, "reason": hi.reason} for hi in recomputed if hi.flagged]
     worst = max((_max_negativity_change(lo.report, hi.report)
-                 for lo, hi in zip(checked, recomputed) if hi.error is None), default=None)
+                 for lo, hi in zip(checked, recomputed) if not hi.flagged), default=None)
     return {
         "points": [row.t for row in checked],
         "cutoff_check": bumped.base.N,
@@ -419,21 +419,15 @@ def compare_bases(p: SystemParams) -> BasisDivergence:
 
 
 def csv_row(row: SweepRow, N: int) -> str:
-    p = row.params
-    if p is None:
-        pfields = [_fmt(math.nan)] * 5
-    else:
-        pfields = [_fmt(v) for v in (p.omega_1, p.omega_2, p.k_1, p.k_2, p.J)]
-    en = [_fmt(math.nan)] * 4 if row.report is None else [_fmt(v) for v in astuple(row.report)]
-    cells = (
-        [_fmt(row.t)]
-        + pfields
-        + [str(N)]
-        + en
-        + [_fmt(row.energy), _fmt(row.gap), _fmt(row.r1), _fmt(row.r2)]
-        + ["true" if row.flagged else "false"]
-    )
-    return ",".join(cells)
+    """The row's cells in ``CSV_COLUMNS`` order, each read by name from the row's fields,
+    its parameters and its report: a value a failed row lacks reads nan, ``N`` reads the
+    sweep's cutoff and ``degenerate`` reads whether the row is ``flagged``."""
+    values = {**vars(row),
+              **(asdict(row.params) if row.params else {}),
+              **(asdict(row.report) if row.report else {}),
+              "N": N, "degenerate": row.flagged}
+    cells = (values.get(name, math.nan) for name in CSV_COLUMNS)
+    return ",".join(str(v).lower() if isinstance(v, bool) else _fmt(v) for v in cells)
 
 
 def csv_text(rows: list[SweepRow], N: int) -> str:

@@ -319,6 +319,17 @@ def test_sweep_verification_point_that_raises_is_recorded_not_fatal(tmp_path, mo
             "failed at N=8, ") in capsys.readouterr().out
 
 
+def test_sweep_summary_names_a_failed_point_and_the_drift(tmp_path, capsys):
+    # fig5 at N = 12: the t = 2 recompute at N = 16 reads degenerate, and the drift
+    # over the other nine points passes the tolerance; one note names both.
+    out = tmp_path / "fig5.csv"
+    assert main(["sweep", "fig5", "--N", "12", "--tmin", "1.5", "-o", str(out)]) == 0
+    ver = json.loads((tmp_path / "fig5.csv.manifest.json").read_text())["verification"]
+    assert capsys.readouterr().out.startswith(
+        f"fig5: 11 rows -> {out} (0 flagged, verification failed: 1 of 10 points failed "
+        f"at N=16, max |d E_N| {ver['max_abs_negativity_diff']:.3e} at N=16 >= 0.005, ")
+
+
 def test_sweep_custom_rule(tmp_path):
     out = tmp_path / "custom.csv"
     code = main(

@@ -266,6 +266,22 @@ class TestRunSweep:
         assert ver["cutoff_check"] == spec.base.N + 4
         assert ver["within_tol"] is True
 
+    def test_flagged_verification_recompute_is_set_aside(self):
+        # fig5's t = 2 row is clean at N = 12, but its N = 16 recompute reads degenerate:
+        # it is listed as failed and its solver-pick values stay out of the drift.
+        result = run_sweep(figure_sweep("fig5", N=12, t_min=1.5))
+        assert not any(row.flagged for row in result.rows)
+        ver = result.manifest["verification"]
+        assert ver["failed"] == [{"t": 2.0, "reason": "degenerate"}]
+        rows = {row.t: row for row in result.rows}
+        clean = [t for t in ver["points"] if t != 2.0]
+        assert len(clean) == 9
+        drifts = [max(abs(a - b) for a, b in zip(
+            astuple(rows[t].report), astuple(run_point(replace(rows[t].params, N=16)).report)))
+            for t in clean]
+        assert ver["max_abs_negativity_diff"] == max(drifts)
+        assert ver["within_tol"] is False
+
 
 class TestSolverPaths:
     def test_manifest_counts_rows_and_verification_points(self):
@@ -324,6 +340,20 @@ class TestDeterminism:
             write_csv(result, str(out))
             payloads.append(out.read_bytes())
         assert payloads[0] == payloads[1] == payloads[2]
+
+    def test_csv_cells_follow_the_column_order(self, monkeypatch):
+        # Each cell is read by its column's name, so reversing the columns reverses every line.
+        rows = [run_point(replace(FIG1_BASE, N=6), t=0.0), SweepRow(0.5, error="ValueError: x")]
+        by_name = [dict(zip(CSV_COLUMNS, line.split(",")))
+                   for line in jtsim.sweeps.csv_text(rows, 6).splitlines()[1:]]
+        reversed_columns = CSV_COLUMNS[::-1]
+        monkeypatch.setattr(jtsim.sweeps, "CSV_COLUMNS", reversed_columns)
+        header, *lines = jtsim.sweeps.csv_text(rows, 6).splitlines()
+        assert header == ",".join(reversed_columns)
+        assert [dict(zip(reversed_columns, line.split(","))) for line in lines] == by_name
+        failed = dict(zip(reversed_columns, lines[1].split(",")))
+        assert (failed.pop("t"), failed.pop("N"), failed.pop("degenerate")) == ("0.5", "6", "true")
+        assert set(failed.values()) == {"nan"}
 
     def test_csv_format_contract(self, tmp_path):
         spec = small_fig1(t_min=0.0, t_max=0.1, step=0.05)
