@@ -42,6 +42,9 @@ TABLE = {
     # the block run converges a cross-parity doublet 1.3e-12 apart, refuses it, and the row
     # shows the fallback in its solver line
     "point-doublet-n20": (["point", "--N", "20", "--delta", "1.8", "--k1", "4", "--k2", "4"], 0),
+    # a zero-frequency mode at k1 = k2 = 0, where the transformed basis reads the lab map: its
+    # .err shows where the warning points, at the builder's caller in jtsim's ground_state
+    "point-k0-zero-mode": (["point", "--omega2", "0", "--N", "4"], 0),
     # a block-path point where a dense (2, N^2, N^2) parity stack would take 157 MB
     "point-n56": (["point", "--N", "56", "--delta", "0.5", *ULTRA], 0),
     # at N = 56 an N^2 x N^2 rotation matrix would take 79 MB; its shell blocks take 2.8 MB

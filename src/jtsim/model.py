@@ -12,11 +12,12 @@ layout, in units of the qubit transition frequency,
 
     H = 1/2 sz + w1 n1 + w2 n2 + (g1 x1 + g2 x2) sx + hop (a1^T a2 + a2^T a1)
 
-with x_i = a_i + a_i^T; they differ only in the five coefficients:
+with x_i = a_i + a_i^T; they differ only in the five coefficients, and
+``_coefficients(p, basis)`` is their one home, the k_1 = k_2 = 0 rule included:
 
 * ``build_lab_hamiltonian`` -- qubit + two resonator modes with linear
   displacement coupling g_i = omega_i * k_i and an optional inter-mode
-  hopping J, in the bare (lab) mode basis: the identity coefficient map.
+  hopping J, in the bare (lab) mode basis: the lab map (omega_i, g_i, J).
 * ``build_transformed_hamiltonian`` -- the same operator rewritten in the
   rotated mode basis b1 = (k1 a1 + k2 a2)/k_p, b2 = (k2 a1 - k1 a2)/k_p,
   where b1 is the privileged mode carrying the dominant qubit coupling
@@ -42,9 +43,9 @@ against the lab builder is part of the test suite.  The change of Fock basis
 keeps n1 + n2, so ``mode_rotation_unitary`` returns it as a
 ``ShellRotation``: one block per total-quanta shell, (2N - 1, N, N) floats,
 and a map of lab-grid vectors into rotated-mode coordinates; the
-N^2 x N^2 matrix is never formed.  At k_1 = k_2 = 0 the
-rotation is undefined (``ValueError``): the transformed builder returns the
-lab blocks, ``privileged_validity`` reports nan ratios with valid=None, and
+N^2 x N^2 matrix is never formed.  At k_1 = k_2 = 0 the rotation is undefined
+(``ValueError``): ``_coefficients`` gives both bases the lab map, which every rotation
+leaves invariant, ``privileged_validity`` reports nan ratios with valid=None, and
 ``sweeps.compare_bases`` returns before it would build the rotation.
 """
 
@@ -302,8 +303,8 @@ def _zero_frequency(p: SystemParams) -> bool:
 
 
 def _warn_zero_frequency(p: SystemParams):
-    # stacklevel=3 points at a direct caller of a builder; other call chains
-    # are deeper, so the message also names the point.
+    # stacklevel=3 points at the caller of a builder, which calls no other builder; callers
+    # further out (a sweep, the CLI) are not reached, so the message also names the point.
     if _zero_frequency(p):
         why = ("decoupled oscillator makes the ground state degenerate" if p.J == 0.0 else
                f"J={p.J:g} leaves H with no ground state, values are truncation artefacts")
@@ -361,21 +362,23 @@ def _two_mode_hamiltonian(
     return ParityBlocks(diagonal, *bands)
 
 
+def _coefficients(p: SystemParams, basis: str) -> dict[str, float]:
+    """H's w1, w2, g1, g2 and hop in ``basis``; both read the lab map at k_1 = k_2 = 0."""
+    if basis == "lab" or (p.k_1 == 0.0 and p.k_2 == 0.0):
+        return {"w1": p.omega_1, "w2": p.omega_2, "g1": p.g_1, "g2": p.g_2, "hop": p.J}
+    return _rotated_coefficients(p)
+
+
 def build_lab_hamiltonian(p: SystemParams) -> ParityBlocks:
     """Qubit + two modes + displacement couplings + hopping, lab mode basis."""
     _warn_zero_frequency(p)
-    return _two_mode_hamiltonian(p.N, p.omega_1, p.omega_2, p.g_1, p.g_2, p.J)
+    return _two_mode_hamiltonian(p.N, **_coefficients(p, "lab"))
 
 
 def build_transformed_hamiltonian(p: SystemParams) -> ParityBlocks:
-    """Same operator in the (qubit, privileged, disadvantaged) basis.
-
-    At k_1 = k_2 = 0 every mode rotation leaves H invariant: the lab blocks.
-    """
-    if p.k_1 == 0.0 and p.k_2 == 0.0:
-        return build_lab_hamiltonian(p)
+    """Same operator in the (qubit, privileged, disadvantaged) basis."""
     _warn_zero_frequency(p)
-    return _two_mode_hamiltonian(p.N, **_rotated_coefficients(p))
+    return _two_mode_hamiltonian(p.N, **_coefficients(p, "transformed"))
 
 
 def _ratio(x: float, g: float) -> float:

@@ -13,7 +13,9 @@ from dataclasses import replace
 import numpy as np
 from hypothesis import settings, strategies as st
 
-from jtsim.model import PARITY_SIGNS, ParityBlocks, SystemParams, _check_cutoff, _parity_sector
+from jtsim.model import (
+    PARITY_SIGNS, ParityBlocks, StateVector, SystemParams, _check_cutoff, _parity_sector,
+)
 
 # Qubit Pauli operators; index 0 is the lower level (sigma_z = -1).
 SX = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -136,6 +138,32 @@ def single_mode_jt(p: SystemParams) -> np.ndarray:
     h += omega_p * (b.T @ b)
     h += g_p * (b + b.T) @ sx
     return h
+
+
+def perturbative_state(p: SystemParams, order: int, n: int = 6) -> StateVector:
+    """Rayleigh-Schroedinger ground state of the rotated-mode operator to ``order`` 1 or 2,
+    normalized, on a (2, n, n) grid; no solver and no cutoff question.
+
+    H0 = 1/2 sz + w1 n1 + w2 n2 + hop (b1^T b2 + b2^T b1) keeps |down, 0, 0> with E0 = -1/2,
+    and V = (g1 x1 + g2 x2) sx.  With R = Q (E0 - H0)^-1 Q the reduced resolvent, order 1 adds
+    psi1 = R V |0>, order 2 also R V psi1 - |psi1|^2 / 2 |0> (<0|V|0> = 0).  H0 keeps
+    n1 + n2, and order 2 reaches two quanta, so n >= 3 makes the grid exact.
+    """
+    w1, w2, g1, g2, hop = rotated_coefficients(p)
+    eye = np.eye(n)
+    b1, b2 = np.kron(annihilation(n), eye), np.kron(eye, annihilation(n))
+    modes = w1 * b1.T @ b1 + w2 * b2.T @ b2 + hop * (b1.T @ b2 + b2.T @ b1)
+    h0 = np.kron(0.5 * SZ, np.eye(n * n)) + np.kron(np.eye(2), modes)
+    v = np.kron(SX, g1 * (b1 + b1.T) + g2 * (b2 + b2.T))
+    ground = np.eye(2 * n * n)[0]
+    # (E0 - H0 + P)^-1 = R + P for the projector P = |0><0|, since H0 |0> = E0 |0>
+    projector = np.outer(ground, ground)
+    r = np.linalg.inv(-0.5 * np.eye(2 * n * n) - h0 + projector) - projector
+    psi1 = r @ v @ ground
+    state = ground + psi1
+    if order == 2:
+        state += r @ v @ psi1 - 0.5 * (psi1 @ psi1) * ground
+    return StateVector(state / np.linalg.norm(state), (2, n, n))
 
 
 # Random model points for the property tests; frequencies stay above zero

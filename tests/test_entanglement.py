@@ -19,7 +19,7 @@ from jtsim.entanglement import (
 from jtsim.groundstate import BASES, ground_state
 from jtsim.model import StateVector, SystemParams
 from jtsim.sweeps import PRESETS, run_point
-from oracles import model_points, property_settings
+from oracles import model_points, perturbative_state, property_settings
 
 BELL = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
 
@@ -396,3 +396,36 @@ class TestReport:
     def test_report_from_state_requires_three_factors(self):
         with pytest.raises(ValueError, match="qubit, mode, mode"):
             report_from_state(StateVector(BELL, (2, 2)))
+
+
+# Weak-coupling points of fig1 and fig3, where Rayleigh-Schroedinger theory gives the ground state.
+WEAK_POINTS = [("fig1", -1.5), ("fig1", 0.5), ("fig1", 1.5),
+               ("fig3", -0.5), ("fig3", 0.0), ("fig3", 0.5)]
+
+
+def perturbative_errors(p, order):
+    """(largest |full - oracle| over the three qubit cuts, B1|B2's) against the full
+    transformed-basis result at N = 16."""
+    full = astuple(run_point(replace(p, N=16), "transformed").report)
+    oracle = astuple(report_from_state(perturbative_state(p, order)))
+    errors = [abs(a - b) for a, b in zip(full, oracle)]
+    return max(errors[:3]), errors[3]
+
+
+class TestPerturbativeOracle:
+    """The four E_N end to end (coefficient map, solver and report) against a state with no
+    solver and no cutoff: the weak end's counterpart of the tunnelling-doublet oracle."""
+
+    @pytest.mark.parametrize("fig, t", WEAK_POINTS)
+    def test_error_is_of_the_next_order(self, fig, t):
+        # the qubit cuts' error at order 1 is third order in k, B1|B2's at order 2 fourth
+        p = PRESETS[fig].params_at(t)
+        halved = replace(p, k_1=p.k_1 / 2, k_2=p.k_2 / 2)
+        assert perturbative_errors(p, 1)[0] >= 6 * perturbative_errors(halved, 1)[0]
+        assert perturbative_errors(p, 2)[1] >= 10 * perturbative_errors(halved, 2)[1]
+
+    @pytest.mark.parametrize("t", [t for fig, t in WEAK_POINTS if fig == "fig1"])
+    def test_second_order_agrees_at_fig1(self, t):
+        qubit_cuts, b1_b2 = perturbative_errors(PRESETS["fig1"].params_at(t), 2)
+        assert qubit_cuts < 5e-4
+        assert b1_b2 < 5e-5

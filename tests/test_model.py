@@ -17,6 +17,7 @@ from jtsim.model import (
     _parity_sector,
     _rotated_coefficients,
     _sector_sigma_z,
+    _two_mode_hamiltonian,
     build_lab_hamiltonian,
     build_transformed_hamiltonian,
     embed,
@@ -24,6 +25,7 @@ from jtsim.model import (
     parity_operator,
     privileged_validity,
 )
+from jtsim.sweeps import PRESETS, grid_points
 from oracles import (
     SX,
     SZ,
@@ -243,12 +245,19 @@ class TestLabHamiltonian:
 
     def test_zero_frequency_mode_warns(self):
         p = SystemParams(omega_1=2.0, omega_2=0.0, k_1=0.1, k_2=0.1, N=3)
-        # the message names the point: no stack level reaches the caller on every path
+        # the message names the point: a caller further out than a builder's is not reached
         point = r"zero-frequency mode at omega_1=2 omega_2=0 k_1=0\.1 k_2=0\.1"
         with pytest.warns(RuntimeWarning, match=point):
             build_lab_hamiltonian(p)
         with pytest.warns(RuntimeWarning, match=point):
             ground_state(p, "transformed")
+        # a builder calls no other builder, so its warning points at its caller in either
+        # basis, at k1 = k2 = 0 too
+        for q in (p, replace(p, k_1=0.0, k_2=0.0)):
+            for build in (build_lab_hamiltonian, build_transformed_hamiltonian):
+                with pytest.warns(RuntimeWarning, match="zero-frequency mode") as record:
+                    build(q)
+                assert record[0].filename == __file__
 
     def test_zero_frequency_mode_with_hopping_has_no_ground_state(self):
         # J^2 > omega_1 omega_2 = 0: H is unbounded below, so there is no degenerate ground state
@@ -273,6 +282,21 @@ class TestTransformedHamiltonian:
         lab, transformed = build_lab_hamiltonian(p), build_transformed_hamiltonian(p)
         assert transformed.factor_dims == lab.factor_dims
         assert np.array_equal(transformed.entries, lab.entries)
+
+    def test_preset_bands_are_the_per_basis_calls_bit_for_bit(self):
+        # one coefficient map per basis changes no float: at every fig1-fig6 point at N = 10,
+        # each builder's bands are those of the lab or rotated coefficients passed directly
+        fields = ("diagonal", "g1_band", "g2_band", "hop_band")
+        points = [spec.params_at(t) for spec in PRESETS.values() for t in grid_points(spec)]
+        assert len(points) == 326 and all(p.N == 10 for p in points)
+        for p in points:
+            lab = _two_mode_hamiltonian(p.N, p.omega_1, p.omega_2, p.g_1, p.g_2, p.J)
+            rotated = (lab if p.k_1 == 0.0 and p.k_2 == 0.0
+                       else _two_mode_hamiltonian(p.N, **_rotated_coefficients(p)))
+            for build, expected in ((build_lab_hamiltonian, lab),
+                                    (build_transformed_hamiltonian, rotated)):
+                h = build(p)
+                assert all(np.array_equal(getattr(h, f), getattr(expected, f)) for f in fields)
 
     def test_identity_rotation_reproduces_lab(self):
         p = SystemParams(omega_1=0.9, omega_2=0.4, k_1=0.3, k_2=0.0, J=0.0, N=4)

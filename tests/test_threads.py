@@ -1,14 +1,18 @@
-"""jtsim runs BLAS on one thread unless the user chose a thread count or loaded numpy first.
+"""jtsim runs BLAS on one thread unless the user chose a thread count or loaded numpy first;
+a sweep's CSV bytes repeat at one thread count, and its clean values hold across counts.
 
 Each subprocess test runs a new interpreter, because BLAS reads its thread count once,
 when numpy loads it.  The suite's own interpreter imports jtsim first (the root
 ``conftest.py``), so the library runs under the suite as it runs under the CLI.
 """
 
+import csv
 import json
 import os
 import subprocess
 import sys
+
+import pytest
 
 import jtsim
 
@@ -75,3 +79,62 @@ def test_manifest_records_blas_threads():
     )
     assert fresh("import json, jtsim; " + sweep) == {"OPENBLAS_NUM_THREADS": "1"}
     assert fresh("import json, numpy, jtsim; " + sweep) == {}
+
+
+# The determinism contract: at a fixed BLAS configuration a sweep's CSV bytes repeat; at another
+# thread count a different reduction order moves only digits below the eigensolver's
+# resolution, eps*||H|| ~ 1e-14, in clean rows.  fig2 runs the dense path at N = 10; fig5 at
+# N = 24 runs the block path, and its t = 2 row has a zero-frequency mode and falls back.
+SWEEPS = {"fig2": ["sweep", "fig2", "--no-verify"],
+          "fig5": ["sweep", "fig5", "--N", "24", "--tmin", "1.9", "--no-verify"]}
+CELL_TOL = 1e-12
+
+
+@pytest.fixture(scope="module")
+def sweep_runs(tmp_path_factory):
+    """Three runs of SWEEPS, at OPENBLAS_NUM_THREADS 1, 1 and 2: for each, name -> (exit code,
+    CSV text).  Each run is one interpreter, since BLAS reads its thread count once."""
+    out = tmp_path_factory.mktemp("sweeps")
+    code = ("import json, jtsim; from jtsim.cli import main; out = {}\n"
+            f"for name, argv in {SWEEPS!r}.items():\n"
+            f"    path = {str(out)!r} + '/' + name + '.csv'\n"
+            "    out[name] = (main(argv + ['-o', path]), open(path).read())\n"
+            "print(json.dumps(out))")
+    return [fresh(code, OPENBLAS_NUM_THREADS=threads) for threads in ("1", "1", "2")]
+
+
+def csv_rows(text):
+    return list(csv.DictReader(text.splitlines()))
+
+
+def cells_agree(a, b):
+    """Every numeric cell of CSV rows a and b within CELL_TOL."""
+    return all(abs(float(a[key]) - float(b[key])) <= CELL_TOL for key in a if key != "degenerate")
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_same_thread_count_repeats_the_bytes(sweep_runs, name):
+    first, again, _ = sweep_runs
+    assert first[name] == again[name]
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_thread_count_moves_clean_cells_below_tolerance(sweep_runs, name):
+    (code_one, one), _, (code_two, two) = (run[name] for run in sweep_runs)
+    assert code_one == code_two == 3  # each sweep has a degenerate row
+    one, two = csv_rows(one), csv_rows(two)
+    assert [row["degenerate"] for row in one] == [row["degenerate"] for row in two]
+    clean = [(a, b) for a, b in zip(one, two) if a["degenerate"] == "false"]
+    assert clean and len(one) == len(two)
+    for a, b in clean:
+        assert cells_agree(a, b), (a, b)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "ROADMAP item 11: a zero-frequency row reports whichever vector of its degenerate ground "
+    "space the solver picks: E_N(S|B1) 0.2919 at one thread, 0.0550 at two on a 2-vCPU host"))
+def test_zero_frequency_row_agrees_across_thread_counts(sweep_runs):
+    # a missing row raises StopIteration, not the expected AssertionError, and so fails
+    one, _, two = (next(row for row in csv_rows(run["fig5"][1])
+                        if row["t"] == "2" and row["degenerate"] == "true") for run in sweep_runs)
+    assert cells_agree(one, two)
