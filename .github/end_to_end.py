@@ -43,8 +43,12 @@ TABLE = {
     # shows the fallback in its solver line
     "point-doublet-n20": (["point", "--N", "20", "--delta", "1.8", "--k1", "4", "--k2", "4"], 0),
     # a zero-frequency mode at k1 = k2 = 0, where the transformed basis reads the lab map: its
-    # .err shows where the warning points, at the builder's caller in jtsim's ground_state
+    # .err shows where the warning points, at ground_state's caller, run_point in sweeps.py
     "point-k0-zero-mode": (["point", "--omega2", "0", "--N", "4"], 0),
+    # the README's J != 0 zero-frequency point, which has no ground state (E = -0.6677 at
+    # N = 10): it warns and exits 0 until ROADMAP item 10 refuses it with exit 2
+    "point-zero-mode-hopping": (["point", "--omega1", "1", "--omega2", "0", "--k1", "0.5", "--k2",
+                                 "0.5", "--J", "0.05"], 0),
     # a block-path point where a dense (2, N^2, N^2) parity stack would take 157 MB
     "point-n56": (["point", "--N", "56", "--delta", "0.5", *ULTRA], 0),
     # at N = 56 an N^2 x N^2 rotation matrix would take 79 MB; its shell blocks take 2.8 MB

@@ -49,7 +49,10 @@ that supplied them:
   STEPS steps, overflowed, found H's two lowest levels in one block with a
   gap it cannot resolve, or found the point degenerate.  The dense path then
   solves the point, so the result is the dense one bit for bit, and a
-  degenerate point keeps the dense path's pick of vector.
+  degenerate point keeps the dense path's pick of vector.  ``ground_state``
+  judges a zero-frequency point once, before the build, and warns at its caller
+  with a ``RuntimeWarning`` that names the point; the builders build any finite
+  point silently.
 
 A gap below DEGENERACY_TOL flags the point degenerate, unless the solver
 cannot resolve a gap that small: eigenvalues are good to about eps ||H||, and
@@ -64,6 +67,7 @@ path's floating-point traps or its residual test, and the fallback refuses it.
 from __future__ import annotations
 
 import math
+import warnings
 from contextlib import suppress
 from dataclasses import dataclass
 
@@ -332,10 +336,15 @@ def ground_state(p: SystemParams, basis: str = "transformed",
     """
     if basis not in BASES:
         raise ValueError(f"unknown basis {basis!r}; expected one of {BASES}")
+    if zero_frequency := _zero_frequency(p):
+        why = ("decoupled oscillator makes the ground state degenerate" if p.J == 0.0 else
+               f"J={p.J:g} leaves H with no ground state, values are truncation artefacts")
+        warnings.warn(f"zero-frequency mode at omega_1={p.omega_1:g} omega_2={p.omega_2:g} "
+                      f"k_1={p.k_1:g} k_2={p.k_2:g}: {why}", RuntimeWarning, stacklevel=2)
     h = build_lab_hamiltonian(p) if basis == "lab" else build_transformed_hamiltonian(p)
     solver, solved = "dense", None
     if p.N >= BLOCK_MIN_N:
-        if not _zero_frequency(p):
+        if not zero_frequency:
             traps = np.errstate(over="raise", invalid="raise", divide="raise")
             with suppress(FloatingPointError), traps:
                 solved = _joint_solve(*h.tridiagonal, start)

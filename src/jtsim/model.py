@@ -53,7 +53,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -302,20 +301,6 @@ def _zero_frequency(p: SystemParams) -> bool:
     return p.omega_1 == 0.0 or p.omega_2 == 0.0
 
 
-def _warn_zero_frequency(p: SystemParams):
-    # stacklevel=3 points at the caller of a builder, which calls no other builder; callers
-    # further out (a sweep, the CLI) are not reached, so the message also names the point.
-    if _zero_frequency(p):
-        why = ("decoupled oscillator makes the ground state degenerate" if p.J == 0.0 else
-               f"J={p.J:g} leaves H with no ground state, values are truncation artefacts")
-        warnings.warn(
-            f"zero-frequency mode at omega_1={p.omega_1:g} omega_2={p.omega_2:g} "
-            f"k_1={p.k_1:g} k_2={p.k_2:g}: {why}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
 def _rotated_coefficients(p: SystemParams) -> dict[str, float]:
     """w1, w2, g1, g2 and hop of H in the rotated mode basis.
 
@@ -371,13 +356,11 @@ def _coefficients(p: SystemParams, basis: str) -> dict[str, float]:
 
 def build_lab_hamiltonian(p: SystemParams) -> ParityBlocks:
     """Qubit + two modes + displacement couplings + hopping, lab mode basis."""
-    _warn_zero_frequency(p)
     return _two_mode_hamiltonian(p.N, **_coefficients(p, "lab"))
 
 
 def build_transformed_hamiltonian(p: SystemParams) -> ParityBlocks:
     """Same operator in the (qubit, privileged, disadvantaged) basis."""
-    _warn_zero_frequency(p)
     return _two_mode_hamiltonian(p.N, **_coefficients(p, "transformed"))
 
 

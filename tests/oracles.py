@@ -167,7 +167,7 @@ def perturbative_state(p: SystemParams, order: int, n: int = 6) -> StateVector:
 
 
 # Random model points for the property tests; frequencies stay above zero
-# (a zero-frequency mode only adds a warning) and k_1 > 0 keeps the
+# (a zero-frequency mode only adds ground_state's warning) and k_1 > 0 keeps the
 # mode rotation defined.  A draw may have J^2 > omega_1 omega_2, where H has
 # no ground state (ROADMAP item 10); the properties hold at a fixed cutoff all
 # the same.

@@ -236,6 +236,15 @@ class TestGroundState:
         with pytest.raises(ValueError, match="basis"):
             ground_state(fig1_params(0.0), "rotating")
 
+    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception, reason=(
+        "ROADMAP item 10: past J^2 = omega_1 omega_2 H has no ground state, but the truncated H "
+        "has one: E = -1.0247 at N = 10 (dense), -1.5939 and -2.1685 at N = 20 and 30 (block)"))
+    def test_point_with_no_ground_state_is_refused(self):
+        # J^2 = 0.04 > omega_1 omega_2 = 0.02; any other exception than DID NOT RAISE fails
+        p = SystemParams(0.2, 0.1, 0.7071068, 0.7071068, J=0.2, N=10)
+        with pytest.raises(ValueError, match="no ground state"):
+            ground_state(p)
+
 
 class TestTwoLowest:
     def test_exact_tie_puts_even_parity_first(self):

@@ -1,6 +1,7 @@
 import math
 import re
 import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -245,25 +246,28 @@ class TestLabHamiltonian:
 
     def test_zero_frequency_mode_warns(self):
         p = SystemParams(omega_1=2.0, omega_2=0.0, k_1=0.1, k_2=0.1, N=3)
-        # the message names the point: a caller further out than a builder's is not reached
-        point = r"zero-frequency mode at omega_1=2 omega_2=0 k_1=0\.1 k_2=0\.1"
-        with pytest.warns(RuntimeWarning, match=point):
-            build_lab_hamiltonian(p)
-        with pytest.warns(RuntimeWarning, match=point):
-            ground_state(p, "transformed")
-        # a builder calls no other builder, so its warning points at its caller in either
-        # basis, at k1 = k2 = 0 too
-        for q in (p, replace(p, k_1=0.0, k_2=0.0)):
-            for build in (build_lab_hamiltonian, build_transformed_hamiltonian):
-                with pytest.warns(RuntimeWarning, match="zero-frequency mode") as record:
-                    build(q)
+        points = (p, replace(p, k_1=0.0, k_2=0.0))
+        # the builders are truncated-matrix tools: they build a zero-frequency point silently
+        with warnings.catch_warnings(record=True) as record:
+            warnings.simplefilter("always")
+            for q in points:
+                build_lab_hamiltonian(q)
+                build_transformed_hamiltonian(q)
+        assert record == []
+        # ground_state owns the warning: it names the point and is filed under its caller,
+        # in either basis and at k1 = k2 = 0 too
+        for q in points:
+            for basis in ("lab", "transformed"):
+                point = f"zero-frequency mode at omega_1=2 omega_2=0 k_1={q.k_1:g} k_2={q.k_2:g}:"
+                with pytest.warns(RuntimeWarning, match=re.escape(point)) as record:
+                    ground_state(q, basis)
                 assert record[0].filename == __file__
 
     def test_zero_frequency_mode_with_hopping_has_no_ground_state(self):
         # J^2 > omega_1 omega_2 = 0: H is unbounded below, so there is no degenerate ground state
         p = SystemParams(omega_1=1.0, omega_2=0.0, k_1=0.5, k_2=0.5, J=0.05, N=3)
         with pytest.warns(RuntimeWarning, match="no ground state") as record:
-            build_lab_hamiltonian(p)
+            ground_state(p, "lab")
         assert not any("degenerate" in str(w.message) for w in record)
 
 
