@@ -1,9 +1,11 @@
 """The end-to-end jtsim commands, each run once, as Markdown for the job summary.  `run TREE
 OUT` runs TABLE on TREE's src, in OUT, and exits 1 on an unexpected exit code or when a jtsim
 line of this checkout's README command-line block is not a row; `diff TREE OUT SAVED` then
-names each output that differs from SAVED's, but for what holds a run's time.  A row's stderr
-goes to <name>.err with TREE's path written as TREE and without source line numbers, so the
-two trees' warnings compare even when a change moves the line that warns."""
+names each output that differs from SAVED's, but for what holds a run's time.  TREE's lines
+print with `-` and SAVED's with `+`: CI runs the parent as TREE against the change's `run`
+output as SAVED, so a change's own lines are the `+` ones.  A row's stderr goes to <name>.err
+with TREE's path written as TREE and without source line numbers, so the two trees' warnings
+compare even when a change moves the line that warns."""
 import difflib, json, os, re, shlex, subprocess, sys, time
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
@@ -49,6 +51,12 @@ TABLE = {
     # N = 10): it warns and exits 0 until ROADMAP item 10 refuses it with exit 2
     "point-zero-mode-hopping": (["point", "--omega1", "1", "--omega2", "0", "--k1", "0.5", "--k2",
                                  "0.5", "--J", "0.05"], 0),
+    # a zero-frequency mode with k != 0: compare_bases solves it in each basis, and each
+    # solve warns
+    "xcheck-zero-mode": (["xcheck", "--omega1", "1", "--omega2", "0", "--k1", "0.5", "--k2", "0.5",
+                          "--N", "6"], 0),
+    # k1 = k2 = 0: compare_bases solves the lab basis only, and both energies are its energy
+    "xcheck-k0": (["xcheck", "--k1", "0", "--k2", "0", "--N", "4"], 0),
     # a block-path point where a dense (2, N^2, N^2) parity stack would take 157 MB
     "point-n56": (["point", "--N", "56", "--delta", "0.5", *ULTRA], 0),
     # at N = 56 an N^2 x N^2 rotation matrix would take 79 MB; its shell blocks take 2.8 MB
@@ -116,14 +124,14 @@ def report(out, results):
     return any(code != TABLE[name][1] for name, (code, *_) in results.items())
 
 
-def diff(out, saved):
+def diff(tree, out, saved):
     names = sorted((set(os.listdir(out)) | set(os.listdir(saved))) - {f"{n}.out" for n in SWEEPS})
     diffs = []
     for name in names:
         old, new = (read(os.path.join(d, name)) for d in (out, saved))
         if changes := [*difflib.unified_diff(old, new, n=0, lineterm="")][3:7]:  # past the headers
             diffs.append(f"- `{name}`: " + " ".join(f"`{line}`" for line in changes))
-    print(f"Outputs against HEAD^1 ({len(names)} files): "
+    print(f"Outputs of {tree} (-) against {saved} (+) ({len(names)} files): "
           + (f"{len(diffs)} differ" if diffs else "identical"), *diffs, sep="\n")
 
 
@@ -131,7 +139,7 @@ if __name__ == "__main__":
     mode, tree, out, *saved = sys.argv[1:]
     results = run(tree, out)
     if mode != "run":
-        sys.exit(diff(out, *saved))
+        sys.exit(diff(tree, out, *saved))
     missing = readme_lines_without_row()
     for line in missing:
         print(f"- README line with no row: `{line}`")

@@ -366,7 +366,7 @@ def ground_state(p: SystemParams, basis: str = "transformed",
     degenerate = gap < DEGENERACY_TOL
     return GroundStateResult(
         energy=float(w[0]),
-        state=StateVector(vec, h.factor_dims),
+        state=StateVector(vec, (2, p.N, p.N)),
         gap=gap,
         degenerate_flag=degenerate,
         residual=residual,

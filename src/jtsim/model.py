@@ -87,10 +87,6 @@ class ParityBlocks:
     g2_band: np.ndarray
     hop_band: np.ndarray
 
-    @property
-    def factor_dims(self) -> tuple[int, ...]:
-        return (2, *self.diagonal.shape[1:])
-
     @cached_property
     def tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
         """(diag (2, N, N, N), upper (N - 1, N, N)): each block in (n1, n2) order is

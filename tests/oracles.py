@@ -98,7 +98,7 @@ def rotation_oracle(p: SystemParams) -> np.ndarray:
 
 def full_matrix(blocks: ParityBlocks) -> np.ndarray:
     """Scatter the two parity blocks into the full 2N^2 x 2N^2 matrix."""
-    n = blocks.factor_dims[1]
+    n = blocks.diagonal.shape[1]
     h = np.zeros((2 * n * n, 2 * n * n))
     for sign, block in zip(PARITY_SIGNS, blocks.entries):
         idx = _parity_sector(n, sign)

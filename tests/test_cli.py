@@ -366,25 +366,19 @@ def test_sweep_custom_has_no_delta_k_var(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_step_finer_than_grid_rounding_is_usage_error(tmp_path, capsys):
+@pytest.mark.parametrize("tmin, tmax, step", [
     # t is rounded to 12 decimals: this grid wrote "11 rows" holding only two values of t
-    code = main(["sweep", "custom", "--var", "J", "--tmin", "0", "--tmax", "1e-12",
-                 "--step", "1e-13", "--k1", "0.5", "--k2", "0.5", "--N", "4", "--no-verify",
-                 "-o", str(tmp_path / "c.csv")])
-    assert code == 2
-    assert capsys.readouterr().err.splitlines() == [
-        "error: step 1e-13 repeats grid points rounded to 12 decimals"]
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_t_printed_alike_is_usage_error(tmp_path, capsys):
+    ("0", "1e-12", "1e-13"),
     # distinct grid points that the CSV prints alike: this grid wrote 10 rows all at t = 1000
-    code = main(["sweep", "custom", "--var", "J", "--tmin", "1000", "--tmax", "1000.000000001",
-                 "--step", "1e-10", "--k1", "0.5", "--k2", "0.5", "--N", "4", "--no-verify",
+    ("1000", "1000.000000001", "1e-10"),
+])
+def test_t_printed_alike_is_usage_error(tmp_path, capsys, tmin, tmax, step):
+    code = main(["sweep", "custom", "--var", "J", "--tmin", tmin, "--tmax", tmax,
+                 "--step", step, "--k1", "0.5", "--k2", "0.5", "--N", "4", "--no-verify",
                  "-o", str(tmp_path / "c.csv")])
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: step 1e-10 repeats t printed to 12 significant digits"]
+        f"error: step {step} repeats t printed to 12 significant digits"]
     assert list(tmp_path.iterdir()) == []
 
 

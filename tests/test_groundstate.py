@@ -508,6 +508,33 @@ class TestBlockPath:
         assert fallback.solver == "block-fallback"
         assert_same_result(fallback, dense)
 
+    @pytest.mark.parametrize("basis", BASES)
+    def test_refused_first_shift_is_retried(self, basis, monkeypatch):
+        # The first round's shift sits about 0.5 above E0 in either basis: its factor is
+        # refused, and the next try, 4x as far below theta_0, certifies.
+        # J^2 = 0.77 omega_1 omega_2, so the point has a ground state.
+        p = SystemParams(1.4004193141716739, 0.8676891600177101, 1.9675366589008219,
+                         2.069420391614324, J=-0.9675281138904557, N=14)
+        dense = dense_ground_state(p, basis)
+        factor, refused = jtsim.groundstate._block_cholesky, []
+
+        def recording(diag, upper, sigma):
+            try:
+                return factor(diag, upper, sigma)
+            except np.linalg.LinAlgError:
+                refused.append(sigma)
+                raise
+
+        monkeypatch.setattr(jtsim.groundstate, "_block_cholesky", recording)
+        gs = ground_state(p, basis)
+        scale = max(1.0, abs(dense.energy))
+        assert gs.solver == "block" and len(refused) == 1
+        assert abs(gs.energy - dense.energy) < 1e-12 * scale
+        assert abs(gs.gap - dense.gap) < 1e-12 * scale
+        # without the retry the refused shift sends the point to the fallback
+        monkeypatch.setattr(jtsim.groundstate, "CERTIFY_TRIES", 1)
+        assert ground_state(p, basis).solver == "block-fallback"
+
     def test_degenerate_cross_block_pair_is_refused(self, monkeypatch):
         # Delta = 1.8, k = 4 at N = 20: the joint run converges the two sectors' ground
         # levels about 1.3e-12 apart, refuses the pair, and the dense path reports it.

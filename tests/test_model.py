@@ -46,7 +46,7 @@ K_STRONG = 0.1 / math.sqrt(2)
 
 def assert_blocks_match_oracle(blocks: ParityBlocks, oracle: np.ndarray):
     """Each parity block equals the oracle's sector block; the oracle has no off-sector entry."""
-    n = blocks.factor_dims[1]
+    n = blocks.diagonal.shape[1]
     assert blocks.entries.dtype == np.float64
     plus, minus = (_parity_sector(n, sign) for sign in PARITY_SIGNS)
     assert np.all(oracle[np.ix_(plus, minus)] == 0.0)
@@ -224,7 +224,7 @@ class TestLabHamiltonian:
         for build in (build_lab_hamiltonian, build_transformed_hamiltonian):
             h = build(p)
             assert isinstance(h, ParityBlocks)
-            assert h.factor_dims == (2, n, n)
+            assert h.diagonal.shape == (2, n, n)
             assert h.entries.dtype == np.float64
             assert h.entries.shape == (2, n * n, n * n)
             assert h.entries.nbytes == 2 * n**4 * 8
@@ -284,7 +284,7 @@ class TestTransformedHamiltonian:
         # k_1 = k_2 = 0: every mode rotation leaves H invariant
         p = SystemParams(omega_1=0.9, omega_2=0.4, k_1=0.0, k_2=0.0, J=0.05, N=4)
         lab, transformed = build_lab_hamiltonian(p), build_transformed_hamiltonian(p)
-        assert transformed.factor_dims == lab.factor_dims
+        assert transformed.diagonal.shape == lab.diagonal.shape
         assert np.array_equal(transformed.entries, lab.entries)
 
     def test_preset_bands_are_the_per_basis_calls_bit_for_bit(self):

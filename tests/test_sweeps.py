@@ -125,8 +125,9 @@ class TestGrid:
             figure_sweep("nosuch")
 
     def test_step_finer_than_grid_rounding_refused(self):
-        # t is rounded to 12 decimals: a 1e-13 step gave six rows at t = 0 and five at 1e-12
-        with pytest.raises(ValueError, match="step 1e-13 repeats grid points rounded to 12"):
+        # t is rounded to 12 decimals: a 1e-13 step gave six rows at t = 0 and five at 1e-12,
+        # which print alike too
+        with pytest.raises(ValueError, match="step 1e-13 repeats t printed to 12 significant"):
             SweepSpec("fine", "J", FIG1_BASE, 0.0, 1e-12, 1e-13)
         spec = SweepSpec("edge", "J", FIG1_BASE, 0.0, 1e-11, 1e-12)
         assert grid_points(spec) == [round(i * 1e-12, 12) for i in range(11)]
@@ -431,10 +432,14 @@ class TestCompareBases:
         assert div.energy_divergence < 1e-12
         assert div.report_divergence < 1e-10
 
-    def test_fully_decoupled_short_circuit(self):
+    def test_fully_decoupled_short_circuit(self, monkeypatch):
+        # k1 = k2 = 0: the lab solve is the only one, and both energies are its energy
         p = SystemParams(omega_1=0.9, omega_2=0.4, k_1=0.0, k_2=0.0, N=6)
+        calls = record_ground_states(monkeypatch)
         div = compare_bases(p)
-        assert div.energy_divergence == 0.0
+        [(basis, start, gs)] = calls
+        assert (basis, start) == ("lab", None)
+        assert astuple(div) == (gs.energy, gs.energy, 0.0, 0.0, 0.0)
 
     def test_weak_coupling_energy_divergence_small(self):
         p = SystemParams(
