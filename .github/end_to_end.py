@@ -37,6 +37,9 @@ TABLE = {
     "converge-fig5": (["converge", *FIG5_HARD, "--cutoffs", "20,30,40"], 0),  # most block rounds
     # the default sweep's cutoff and its N + 4 verification: E_N(S|B1) moves 0.26 -> 0.79
     "converge-fig5-n10": (["converge", *FIG5_HARD, "--cutoffs", "10,14"], 4),
+    # an ordinary point whose dense N = 10 rung hands its two lowest vectors to the N = 14
+    # block rung, which hands its Ritz vectors to N = 20
+    "converge-hand-off": (["converge", "--delta", "0.5", *ULTRA, "--cutoffs", "10,14,20"], 0),
     # the block path's slowest preset point at its threshold, BLOCK_MIN_N = 14
     "point-fig5-n14": (["point", *FIG5_HARD, "--N", "14", "--format", "json"], 0),
     "point-fig5-n40": (["point", *FIG5_HARD, "--N", "40", "--format", "json"], 0),

@@ -17,7 +17,10 @@ that supplied them:
 
 * ``"dense"`` (N < BLOCK_MIN_N): ``eigvalsh`` of each dense block
   (``ParityBlocks.entries``), then the lower block's vector by inverse
-  iteration (``_lowest_vector``).
+  iteration (``_lowest_vector``).  Unless the point is degenerate or has a
+  zero-frequency mode, the result hands on H's two lowest vectors in
+  ``ritz_vectors``, computed on their first read (``_lowest_pair``): the
+  ground vector and the vector of H's next level.
 * ``"block"`` (N >= BLOCK_MIN_N): in (n1, n2) order a block is
   block-tridiagonal (``ParityBlocks.tridiagonal``), N diagonal N x N blocks
   (tridiagonal through g2) joined by N x N off-diagonal ones (g1 on the
@@ -25,7 +28,8 @@ that supplied them:
   never forms a dense N^2 x N^2 block.  It solves both blocks in one Krylov
   run on A = diag(B_+, B_-), whose spectrum is H's (``_joint_solve``); every
   product, factor and substitution carries the block axis, so one numpy call
-  serves both blocks.  A block LDL^T of A - sigma I whose pivots all have a
+  serves both blocks; the factor and the substitutions hold each block row of
+  both blocks contiguously.  A block LDL^T of A - sigma I whose pivots all have a
   Cholesky factor exists exactly when sigma is below lambda_0(H) (Sylvester's
   law of inertia), so a successful factor certifies the shift.  Shift-invert
   block Krylov steps on that factor, each followed by a Rayleigh-Ritz step on
@@ -36,13 +40,13 @@ that supplied them:
   The ground Ritz vector is restricted to its dominant block and
   renormalised, so the state has exactly zero amplitude off its sector, and
   its residual is taken afresh on that block.  The run starts from two
-  columns of a smaller cutoff over both blocks, zero-padded: the two lowest
-  of the blocks' four lowest vectors on their leading m x m Fock grids,
-  m = min(START_N, N // 2), or the two lowest Ritz vectors of a block solve
-  at a smaller N (``start``), which the result hands on in ``ritz_vectors``
-  for the next rung of a cutoff ladder.  The start only changes where the
-  Krylov space begins; the shift is still certified by its factor and the
-  stop rule is the same.
+  columns of a smaller cutoff over both blocks, zero-padded: the
+  ``ritz_vectors`` of a ``block`` or ``dense`` result at a smaller N
+  (``start``), which a cutoff ladder hands from rung to rung; or, without
+  one, the dense path's pair on the blocks' leading m x m Fock grids,
+  m = min(START_N, N // 2), from ``eigvalsh`` and inverse iteration.  The
+  start only changes where the Krylov space begins; the shift is still
+  certified by its factor and the stop rule is the same.
 * ``"block-fallback"``: the point has a zero-frequency mode
   (``model._zero_frequency``), so the block path is not tried; or the
   block path could not certify a shift, missed its stop rule within ROUNDS x
@@ -69,7 +73,9 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -88,18 +94,18 @@ SHIFT = 1e-8
 RESIDUAL_TOL = 1e-12
 MAX_SOLVES = 4
 
-# The block path serves N >= BLOCK_MIN_N.  Dense / block ms at ten preset points,
-# medians of 15 in-process ground_state calls at one BLAS thread: at N = 14 the block
-# path wins at 7 (ladder point 5.8 / 5.3, fig3 t = 0.5 7.2 / 3.6, fig6 t = 0.05
-# 7.7 / 3.7) and loses at fig5 t = 1.0, 1.5 and 1.95 (7.6 / 7.9, 7.6 / 8.5, 7.6 / 10.5);
-# at N = 16 it loses only at fig5 t = 1.95 (13.6 / 14.8); at N = 12 it loses at 6
-# (fig5 t = 1.95 4.5 / 10.4).  So the default sweeps' rows (N = 10) stay dense and
-# their N + 4 = 14 verification takes the block path.
+# The block path serves N >= BLOCK_MIN_N.  Dense / cold-start block ms at ten preset
+# points, medians of 15 in-process ground_state calls at one BLAS thread on a 2-vCPU
+# Xeon host: at N = 14 the block path wins at 8 (ladder point 3.3 / 2.9, fig3 t = 0.5
+# 4.5 / 1.9, fig5 t = 1.0 4.4 / 4.1, fig6 t = 0.05 4.5 / 1.9) and loses at fig5 t = 1.5
+# and 1.95 (4.6 / 5.2, 4.5 / 5.6); at N = 16 it wins at all 10 (fig5 t = 1.95 7.8 / 6.4);
+# at N = 12 it loses at 5 (fig5 t = 1.95 2.5 / 5.3).  So the default sweeps' rows
+# (N = 10) stay dense and their N + 4 = 14 verification takes the block path.
 BLOCK_MIN_N = 14
-# Without a start of its own, the run starts from the two lowest of the blocks' four
-# lowest vectors on their leading m x m Fock grids, m = min(START_N, N // 2): below
-# N = 20 the eigh of a START_N grid would cost about what the dense path does.  Either
-# start gets START_NOISE of a fixed generic vector over both blocks, so that neither
+# Without a start of its own, the run starts from H's two lowest vectors on the blocks'
+# leading m x m Fock grids, m = min(START_N, N // 2): m was tuned when that start took a
+# full eigh, which below N = 20 cost about what the dense path does on a START_N grid.
+# Either start gets START_NOISE of a fixed generic vector over both blocks, so that neither
 # block, and no symmetry class of either, is missing from the Krylov space.
 START_N = 10
 START_NOISE = 1e-6
@@ -128,8 +134,16 @@ class GroundStateResult:
     solver: str
     # Gap below DEGENERACY_TOL that the solver's precision cannot resolve (module docstring).
     imprecise: bool
-    # H's two lowest Ritz vectors over both sectors, (2 N^2, 2), when solver == "block"; else None.
-    ritz_vectors: np.ndarray | None
+    # ritz_vectors, or the function that computes them on their first read.
+    _pair: np.ndarray | Callable[[], np.ndarray] | None = field(repr=False, compare=False)
+
+    @cached_property
+    def ritz_vectors(self) -> np.ndarray | None:
+        """H's two lowest vectors over both sectors, (2 N^2, 2): a ``block`` result's Ritz
+        vectors, or a ``dense`` result's ground vector and the vector of H's next level
+        (``_lowest_pair``) unless the point is degenerate or has a zero-frequency mode;
+        None for any other result."""
+        return self._pair() if callable(self._pair) else self._pair
 
 
 def eig_hermitian(m: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
@@ -159,16 +173,37 @@ def _norm(v: np.ndarray) -> float:
 def _lowest_vector(block: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
     """Unit eigenvector x of a checked ``block`` for w[0] (see SHIFT), and ||block x - w[0] x||."""
     scale = max(1.0, abs(w[0]))
-    if w[1] - w[0] >= SHIFT * scale:
-        shifted = block - (w[0] - SHIFT * (w[1] - w[0])) * np.eye(len(block))
-        x = np.ones(len(block))
-        for _ in range(MAX_SOLVES):
-            x = np.linalg.solve(shifted, x)
-            x /= _norm(x)
-            if (residual := _norm(block @ x - w[0] * x)) < RESIDUAL_TOL * scale:
-                return x, residual
+    # A shift that rounds onto w[0] can make the solve exactly singular: eigh then.
+    with suppress(np.linalg.LinAlgError):
+        if w[1] - w[0] >= SHIFT * scale:
+            shifted = block - (w[0] - SHIFT * (w[1] - w[0])) * np.eye(len(block))
+            x = np.ones(len(block))
+            for _ in range(MAX_SOLVES):
+                x = np.linalg.solve(shifted, x)
+                x /= _norm(x)
+                if (residual := _norm(block @ x - w[0] * x)) < RESIDUAL_TOL * scale:
+                    return x, residual
     x = np.linalg.eigh(block)[1][:, 0]
     return x, _norm(block @ x - w[0] * x)
+
+
+def _lowest_pair(blocks: np.ndarray, spectra: np.ndarray,
+                 ground: np.ndarray | None = None) -> np.ndarray:
+    """H's two lowest vectors over both sectors, (2 d, 2), from its dense sector blocks
+    ``blocks`` (2, d, d) and their ascending eigenvalues ``spectra``.
+
+    Levels in two sectors each take their block's lowest vector (``_lowest_vector``),
+    where ``ground``, the lowest level's vector if it is known already, is reused; two
+    levels in one sector take that block's two lowest vectors from its eigh.
+    """
+    (k0, k1), _ = _two_lowest(spectra[:, :2])
+    pair = np.zeros((2, blocks.shape[1], 2))
+    if k0 == k1:
+        pair[k0] = np.linalg.eigh(blocks[k0])[1][:, :2]
+    else:
+        pair[k1, :, 1] = _lowest_vector(blocks[k1], spectra[k1])[0]
+        pair[k0, :, 0] = _lowest_vector(blocks[k0], spectra[k0])[0] if ground is None else ground
+    return pair.reshape(-1, 2)
 
 
 def _block_cholesky(diag: np.ndarray, upper: np.ndarray, sigma: float):
@@ -179,18 +214,20 @@ def _block_cholesky(diag: np.ndarray, upper: np.ndarray, sigma: float):
     both share.  The pivots are S_0 = B_00 - sigma I and S_(i+1) = B_(i+1,i+1) - sigma I
     - L_(i+1,i) B_(i,i+1), with the multipliers L_(i+1,i) = B_(i,i+1)^T S_i^-1; a
     Cholesky factor of each pivot certifies it positive definite.  Returns, with the
-    block axis first, the S_i^-1 and the L_(i+1,i).
+    block row axis first and the block axis second, the S_i^-1 and the L_(i+1,i), so
+    that each block row is one contiguous stack over both blocks.
     """
     # Row i holds B_ii - sigma I, then the pivot S_i, then, once S_i is inverted, L_(i+1,i).
-    work = diag - sigma * np.eye(diag.shape[-1])
-    inv_pivot = np.empty_like(diag)
-    for i in range(diag.shape[1]):
-        np.linalg.cholesky(work[:, i])  # the certificate: raises unless S_i is positive definite
-        inv_pivot[:, i] = np.linalg.inv(work[:, i])
+    work = np.ascontiguousarray(diag.swapaxes(0, 1))
+    work -= sigma * np.eye(diag.shape[-1])
+    inv_pivot = np.empty_like(work)
+    for i in range(len(work)):
+        np.linalg.cholesky(work[i])  # the certificate: raises unless S_i is positive definite
+        inv_pivot[i] = np.linalg.inv(work[i])
         if i < len(upper):
-            work[:, i] = upper[i].T @ inv_pivot[:, i]
-            work[:, i + 1] -= work[:, i] @ upper[i]
-    return inv_pivot, work[:, :-1]
+            work[i] = upper[i].T @ inv_pivot[i]
+            work[i + 1] -= work[i] @ upper[i]
+    return inv_pivot, work[:-1]
 
 
 def _block_product(diag: np.ndarray, upper: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -207,18 +244,19 @@ def _shift_invert(factor, x: np.ndarray) -> np.ndarray:
     """(diag(B_+, B_-) - sigma I)^-1 x for the columns of x, from ``_block_cholesky``'s factor.
 
     Forward: z_i = x_i - L_(i,i-1) z_(i-1); then w = S^-1 z, one batched call over both
-    blocks' pivots; back: u_i = w_i - L_(i+1,i)^T u_(i+1).
+    blocks' pivots; back: u_i = w_i - L_(i+1,i)^T u_(i+1).  Each step works on block
+    row i of both blocks at once, held contiguously.
     """
     inv_pivot, lower = factor
-    b, n = inv_pivot.shape[:2]
-    y = x.reshape(b, n, n, -1).copy()
+    n, b = inv_pivot.shape[:2]
+    y = np.ascontiguousarray(x.reshape(b, n, n, -1).swapaxes(0, 1))
     for i in range(1, n):
-        y[:, i] -= lower[:, i - 1] @ y[:, i - 1]
+        y[i] -= lower[i - 1] @ y[i - 1]
     y = inv_pivot @ y
     lower_t = lower.swapaxes(2, 3)
     for i in range(n - 2, -1, -1):
-        y[:, i] -= lower_t[:, i] @ y[:, i + 1]
-    return y.reshape(x.shape)
+        y[i] -= lower_t[i] @ y[i + 1]
+    return y.swapaxes(0, 1).reshape(x.shape)
 
 
 def _extend(basis: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -267,17 +305,18 @@ def _joint_solve(diag: np.ndarray, upper: np.ndarray, start: np.ndarray | None =
     residual on B_k.  It refuses a gap it cannot resolve inside one block, and a
     degenerate pair, whose vector is the solver's pick among equals: the dense path's
     pick stays the one reported.  ``start`` holds two columns over both sectors of an
-    m x m Fock grid of a cutoff m <= N; by default the two lowest of the four lowest
-    vectors of the blocks' leading m x m grids, m = min(START_N, N // 2).
+    m x m Fock grid of a cutoff m <= N; by default H's two lowest vectors on the blocks'
+    leading m x m grids, m = min(START_N, N // 2), as the dense path finds them
+    (``_lowest_pair``).
     """
     b, n = diag.shape[:2]
     if start is None:
         m = min(START_N, n // 2)
-        w, v = np.linalg.eigh(_assemble(diag[:, :m, :m, :m], upper[:m - 1, :m, :m]))
-        sector, level = _two_lowest(w[:, :2])
-        start = np.zeros((b, m * m, 2))
-        start[sector, :, (0, 1)] = v[sector, :, level]
-        start = start.reshape(b * m * m, 2)
+        grids = _assemble(diag[:, :m, :m, :m], upper[:m - 1, :m, :m])
+        try:
+            start = _lowest_pair(grids, np.linalg.eigvalsh(grids))
+        except np.linalg.LinAlgError:  # eigvalsh of a non-finite grid
+            return None
     start = np.asarray(start)
     m = math.isqrt(len(start) // b)
     if b * m * m != len(start) or m > n or start.shape[1:] != (2,):
@@ -352,12 +391,15 @@ def ground_state(p: SystemParams, basis: str = "transformed",
     if solved is None:
         spectra = np.array([eig_hermitian(block, vectors=False)[0] for block in h.entries])
         sector, level = _two_lowest(spectra[:, :2])
-        w, ritz, k = spectra[sector, level], None, int(sector[0])
+        w, k = spectra[sector, level], int(sector[0])
         ground, residual = _lowest_vector(h.entries[k], spectra[k])
         # The eigenvalues are good to about eps ||H||_2, the largest |eigenvalue|.
         unresolved = np.finfo(float).eps * np.max(np.abs(spectra[:, [0, -1]])) >= DEGENERACY_TOL
+        clean = solver == "dense" and w[1] - w[0] >= DEGENERACY_TOL and not zero_frequency
+        # only read by a caller that hands the pair on: a sweep's row never pays for it
+        pair = (lambda: _lowest_pair(h.entries, spectra, ground)) if clean else None
     else:
-        (w, ritz, k, ground, residual), unresolved = solved, False  # _joint_solve resolved the gap
+        (w, pair, k, ground, residual), unresolved = solved, False  # _joint_solve resolved the gap
     gap = float(w[1] - w[0])
     # The largest-magnitude amplitude is made positive, so the output is deterministic.
     sign = -1.0 if ground[np.argmax(np.abs(ground))] < 0 else 1.0
@@ -372,5 +414,5 @@ def ground_state(p: SystemParams, basis: str = "transformed",
         residual=residual,
         solver=solver,
         imprecise=bool(degenerate and unresolved),
-        ritz_vectors=ritz,
+        _pair=pair,
     )

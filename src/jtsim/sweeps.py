@@ -269,10 +269,11 @@ def convergence_study(
 ) -> list[SweepRow]:
     """``p`` evaluated at each Fock cutoff, each row built as ``run_point`` builds it.
 
-    cutoffs must be ascending, each >= 2.  A rung the block path solved hands
-    its Ritz vectors to the next rung as the block solver's start; any other
-    rung hands on nothing.  Use successive_differences() on the result to see
-    how fast the numbers settle.
+    cutoffs must be ascending, each >= 2.  Each rung hands its
+    ``ritz_vectors`` to the next rung as the block solver's start: a ``block``
+    rung its Ritz vectors, a clean ``dense`` rung H's two lowest vectors; a
+    fallback, degenerate or zero-frequency rung hands on nothing.  Use
+    successive_differences() on the result to see how fast the numbers settle.
     """
     rungs = [replace(p, N=n) for n in cutoffs]  # SystemParams refuses a bad cutoff
     if any(b.N <= a.N for a, b in zip(rungs, rungs[1:])):
@@ -373,11 +374,12 @@ def compare_bases(p: SystemParams) -> BasisDivergence:
     rotation_norm_loss records how much) and its four cuts are compared with
     the transformed-basis report.
 
-    The lab basis is solved first.  When the block path solved it, its two
-    Ritz vectors, each sector half rotated the same way, are where the
-    transformed block solve starts: the rotation keeps n1 + n2, so it maps each
-    parity sector to itself.  The start only moves where the Krylov space begins;
-    both energies are still solved and certified separately.
+    The lab basis is solved first.  Its ``ritz_vectors``, H's two lowest vectors
+    when the block or the dense path solved it cleanly, each sector half rotated
+    the same way, are where a transformed block solve starts: the rotation keeps
+    n1 + n2, so it maps each parity sector to itself.  The start only moves where
+    the Krylov space begins; both energies are still solved and certified
+    separately, and a dense transformed solve ignores it.
 
     The rotation is applied shell by shell (``ShellRotation.apply``): the
     state's two qubit components and the Ritz vectors' four sector halves go

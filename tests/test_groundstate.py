@@ -329,6 +329,12 @@ def dense_ground_state(p, basis="transformed"):
         return ground_state(p, basis)
 
 
+def in_sector_order(state):
+    """The state's amplitudes in the order of ``ritz_vectors``: the Pi = +1 block, then Pi = -1."""
+    n = state.factor_dims[1]
+    return np.concatenate([state.amplitudes[_parity_sector(n, sign)] for sign in PARITY_SIGNS])
+
+
 def assert_same_result(a, b):
     assert (a.energy, a.gap, a.degenerate_flag, a.residual) == (
         b.energy, b.gap, b.degenerate_flag, b.residual
@@ -427,6 +433,22 @@ class TestBlockPath:
         assert abs(gs.energy - w[0][0]) < 1e-12 * scale
         assert abs(gs.gap - (w[0][1] - w[0][0])) < 1e-12 * scale
         assert abs(gs.state.amplitudes @ dense.state.amplitudes) >= 1 - 1e-12
+
+    def test_singular_shifted_solve_takes_eigh(self, monkeypatch):
+        # k = 0 with the Pi = -1 block lifted by 10: H's two lowest levels are 0.5 and
+        # 0.5 + 3e-9 on the diagonal of the Pi = +1 block.  At SHIFT = 1e-10 the shift rounds
+        # onto 0.5, so the shifted solve is exactly singular and the vector comes from eigh,
+        # as it does at the default SHIFT, where the gap is below SHIFT.
+        p = SystemParams(1 + 3e-9, 1.5, 0.0, 0.0, N=10)
+        h = build_transformed_hamiltonian(p)
+        lifted = replace(h, diagonal=h.diagonal + np.array([0.0, 10.0])[:, None, None])
+        monkeypatch.setattr(jtsim.groundstate, "build_transformed_hamiltonian", lambda _: lifted)
+        default = ground_state(p)
+        monkeypatch.setattr(jtsim.groundstate, "SHIFT", 1e-10)
+        gs = ground_state(p)
+        assert gs.solver == "dense"
+        assert_same_result(gs, default)
+        assert gs.ritz_vectors.shape == (2 * p.N * p.N, 2)
 
     def test_converged_hard_point_matches_dense_path(self, monkeypatch):
         p = fig5_params(1.95, 30)
@@ -656,7 +678,7 @@ class TestBlockPath:
         assert abs(warm.gap - cold.gap) < 1e-12 * scale
         assert abs(warm.state.amplitudes @ cold.state.amplitudes) >= 1 - 1e-12
 
-    def test_only_a_block_rung_hands_on_a_start(self, monkeypatch):
+    def test_a_clean_rung_hands_on_its_two_lowest_vectors(self, monkeypatch):
         starts, results = [], []
 
         def recording(p, basis="transformed", start=None):
@@ -668,13 +690,59 @@ class TestBlockPath:
         convergence_study(fig5_params(1.95, 10), (10, 20, 24))
         convergence_study(replace(fig1_params(2.0), N=20), (20, 24))  # zero frequency
         assert [gs.solver for gs in results] == ["dense", "block", "block"] + ["block-fallback"] * 2
-        for gs in results:
-            assert (gs.ritz_vectors is None) == (gs.solver != "block")
-        n = results[1].state.factor_dims[1]
-        assert results[1].ritz_vectors.shape == (2 * n * n, 2)
+        for gs in results[:3]:
+            n = gs.state.factor_dims[1]
+            assert gs.ritz_vectors.shape == (2 * n * n, 2)
+            assert abs(gs.ritz_vectors[:, 0] @ in_sector_order(gs.state)) >= 1 - 1e-12
+        assert [gs.ritz_vectors for gs in results[3:]] == [None, None]
+        # a clean dense result at a zero-frequency point hands on nothing either
+        zero = ground_state(replace(fig1_params(2.0), J=0.05))
+        assert (zero.solver, zero.degenerate_flag, zero.ritz_vectors) == ("dense", False, None)
         # the first rung of each ladder starts cold; each later rung gets the rung below's vectors
         assert starts[0] is starts[3] is None
         assert [starts[i] is results[i - 1].ritz_vectors for i in (1, 2, 4)] == [True] * 3
+
+    def test_dense_pair_in_one_block_is_its_two_lowest_vectors(self, monkeypatch):
+        # Lifting the Pi = -1 block by 10 puts both of H's lowest levels in the Pi = +1 block,
+        # as in test_two_lowest_levels_in_one_block.
+        p = SystemParams(1.25, 0.75, K_ULTRA, K_ULTRA, N=10)
+        h = build_transformed_hamiltonian(p)
+        lifted = replace(h, diagonal=h.diagonal + np.array([0.0, 10.0])[:, None, None])
+        monkeypatch.setattr(jtsim.groundstate, "build_transformed_hamiltonian", lambda _: lifted)
+        gs = ground_state(p)
+        assert gs.solver == "dense" and not gs.degenerate_flag
+        halves = gs.ritz_vectors.reshape(2, p.N * p.N, 2)
+        assert np.all(halves[1] == 0.0)
+        second = np.linalg.eigh(lifted.entries[0])[1][:, 1]
+        assert abs(halves[0, :, 1] @ second) >= 1 - 1e-12
+        assert abs(gs.ritz_vectors[:, 0] @ in_sector_order(gs.state)) >= 1 - 1e-12
+
+    def test_rung_after_a_dense_one_pays_no_start_eigh(self, monkeypatch):
+        # The ladder point: its N = 20 rung starts from the N = 10 rung's dense pair, with
+        # the Krylov steps and factorizations of a cold start and no dense eigh.
+        p = SystemParams(1.0, 1.0, K_ULTRA, K_ULTRA)
+        counts, eigh_rows = dict.fromkeys(("_extend", "_block_cholesky"), 0), []
+        for name in counts:
+            def counting(*args, name=name, inner=getattr(jtsim.groundstate, name)):
+                counts[name] += 1
+                return inner(*args)
+            monkeypatch.setattr(jtsim.groundstate, name, counting)
+        assert ground_state(replace(p, N=20)).solver == "block"
+        cold = dict(counts)
+        counts.update(dict.fromkeys(counts, 0))
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            eigh_rows.append(a.shape[-2])
+            return eigh(a, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", recording)
+            rows = convergence_study(p, (10, 20))
+        assert [row.solver for row in rows] == ["dense", "block"]
+        assert counts == cold
+        # Rayleigh-Ritz on the Krylov basis only: two columns to start, at most two per step
+        assert max(eigh_rows) <= 2 + 2 * cold["_extend"]
 
     def test_start_from_a_larger_cutoff_is_refused(self):
         start = ground_state(fig5_params(1.95, 24)).ritz_vectors

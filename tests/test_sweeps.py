@@ -416,15 +416,25 @@ class TestCompareBases:
         assert abs(warm.energy - cold.energy) < 1e-12 * scale
         assert abs(warm.gap - cold.gap) < 1e-12 * scale
 
-    @pytest.mark.parametrize("p, solver", [
-        (SystemParams(1.025, 0.975, 0.7071068, 0.7071068, N=12), "dense"),
-        (SystemParams(2.0, 0.0, 0.7071068, 0.7071068, N=20), "block-fallback"),  # delta = 2
-    ])
-    def test_no_start_without_a_block_lab_solve(self, monkeypatch, p, solver):
+    def test_dense_lab_solve_hands_on_its_pair(self, monkeypatch):
+        n = 12
+        p = SystemParams(1.025, 0.975, 0.7071068, 0.7071068, N=n)
+        calls = record_ground_states(monkeypatch)
+        compare_bases(p)
+        (lab_basis, _, lab), (basis, start, tr) = calls
+        assert (lab_basis, lab.solver, basis, tr.solver) == ("lab", "dense", "transformed", "dense")
+        assert start.shape == lab.ritz_vectors.shape == (2 * n * n, 2)
+        # the dense transformed solve ignores the start
+        cold = ground_state(p, "transformed")
+        assert (tr.energy, tr.gap, tr.residual) == (cold.energy, cold.gap, cold.residual)
+        assert np.array_equal(tr.state.amplitudes, cold.state.amplitudes)
+
+    def test_no_start_from_a_fallback_lab_solve(self, monkeypatch):
+        p = SystemParams(2.0, 0.0, 0.7071068, 0.7071068, N=20)  # delta = 2
         calls = record_ground_states(monkeypatch)
         compare_bases(p)
         assert [(basis, start, gs.solver) for basis, start, gs in calls] == [
-            ("lab", None, solver), ("transformed", None, solver)]
+            ("lab", None, "block-fallback"), ("transformed", None, "block-fallback")]
 
     def test_identity_rotation_no_divergence(self):
         p = SystemParams(omega_1=0.9, omega_2=0.4, k_1=0.3, k_2=0.0, J=0.0, N=8)
