@@ -60,6 +60,8 @@ TABLE = {
                           "--N", "6"], 0),
     # k1 = k2 = 0: compare_bases solves the lab basis only, and both energies are its energy
     "xcheck-k0": (["xcheck", "--k1", "0", "--k2", "0", "--N", "4"], 0),
+    # below BLOCK_MIN_N with k != 0: both solves are dense, and the lab solve hands nothing on
+    "xcheck-n12": (["xcheck", "--delta", "0.05", "--k1", "0.5", "--k2", "0.5", "--N", "12"], 0),
     # a block-path point where a dense (2, N^2, N^2) parity stack would take 157 MB
     "point-n56": (["point", "--N", "56", "--delta", "0.5", *ULTRA], 0),
     # at N = 56 an N^2 x N^2 rotation matrix would take 79 MB; its shell blocks take 2.8 MB

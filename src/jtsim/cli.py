@@ -128,10 +128,10 @@ def cmd_point(args) -> int:
     if args.format == "csv":
         _emit(csv_text([row], p.N), args.output)
     elif args.format == "json":
-        # The row's own fields; a point has no t, and raises where a sweep row keeps an error.
+        # The row's outputs; a point has no t, and raises where a sweep row keeps an error.
         payload = {"params": asdict(p), **asdict(row.report),
                    **{f.name: getattr(row, f.name) for f in fields(row)
-                      if f.name not in ("t", "params", "report", "error")},
+                      if f.name not in ("t", "params", "report", "error", "solved")},
                    "reason": row.reason}
         # RFC 8259 has no nan or inf: an undefined ratio is written as null.
         payload = {key: None if isinstance(value, float) and not math.isfinite(value) else value

@@ -39,14 +39,14 @@ that supplied them:
   with the inverse pivots plus one small product per block row and sweep.
   The ground Ritz vector is restricted to its dominant block and
   renormalised, so the state has exactly zero amplitude off its sector, and
-  its residual is taken afresh on that block.  The run starts from two
-  columns of a smaller cutoff over both blocks, zero-padded: the
-  ``ritz_vectors`` of a ``block`` or ``dense`` result at a smaller N
-  (``start``), which a cutoff ladder hands from rung to rung; or, without
-  one, the dense path's pair on the blocks' leading m x m Fock grids,
-  m = min(START_N, N // 2), from ``eigvalsh`` and inverse iteration.  The
-  start only changes where the Krylov space begins; the shift is still
-  certified by its factor and the stop rule is the same.
+  its residual is taken afresh on that block.  The run starts from the
+  ``ritz_vectors`` of a ``block`` or ``dense`` result at a smaller cutoff m,
+  zero-padded (``start``): a cutoff ladder hands them from rung to rung, and
+  without one the point solves its own rung below, m = min(START_N, N // 2),
+  which takes the dense path; H's leading m x m grid is H at cutoff m.  A rung
+  below that hands on nothing (a degenerate one) sends the point to the
+  fallback.  The start only changes where the Krylov space begins; the shift
+  is still certified by its factor and the stop rule is the same.
 * ``"block-fallback"``: the point has a zero-frequency mode
   (``model._zero_frequency``), so the block path is not tried; or the
   block path could not certify a shift, missed its stop rule within ROUNDS x
@@ -73,13 +73,13 @@ from __future__ import annotations
 import math
 import warnings
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
-from .model import PARITY_SIGNS, StateVector, SystemParams, _assemble, _parity_sector
+from .model import PARITY_SIGNS, StateVector, SystemParams, _parity_sector
 from .model import _zero_frequency, build_lab_hamiltonian, build_transformed_hamiltonian
 # parity_operator is unused here but stays importable as
 # jtsim.groundstate.parity_operator, where the perfbench layer tracer looks it up.
@@ -102,10 +102,9 @@ MAX_SOLVES = 4
 # at N = 12 it loses at 5 (fig5 t = 1.95 2.5 / 5.3).  So the default sweeps' rows
 # (N = 10) stay dense and their N + 4 = 14 verification takes the block path.
 BLOCK_MIN_N = 14
-# Without a start of its own, the run starts from H's two lowest vectors on the blocks'
-# leading m x m Fock grids, m = min(START_N, N // 2): m was tuned when that start took a
-# full eigh, which below N = 20 cost about what the dense path does on a START_N grid.
-# Either start gets START_NOISE of a fixed generic vector over both blocks, so that neither
+# Without a start, the run starts from its rung below, m = min(START_N, N // 2), solved
+# dense; m was tuned when that start took a full eigh and was not re-tuned since.  The
+# start gets START_NOISE of a fixed generic vector over both blocks, so that neither
 # block, and no symmetry class of either, is missing from the Krylov space.
 START_N = 10
 START_NOISE = 1e-6
@@ -142,8 +141,14 @@ class GroundStateResult:
         """H's two lowest vectors over both sectors, (2 N^2, 2): a ``block`` result's Ritz
         vectors, or a ``dense`` result's ground vector and the vector of H's next level
         (``_lowest_pair``) unless the point is degenerate or has a zero-frequency mode;
-        None for any other result."""
+        None for any other result.  A dense result computes them on their first read from
+        H's bands, its two spectra and its ground vector, and keeps no dense block."""
         return self._pair() if callable(self._pair) else self._pair
+
+    def start_for(self, N: int) -> np.ndarray | None:
+        """The ``start`` this result hands a solve at cutoff N: ``ritz_vectors`` if that solve
+        takes the block path, the one path that reads a start; else None, computing nothing."""
+        return self.ritz_vectors if N >= BLOCK_MIN_N else None
 
 
 def eig_hermitian(m: np.ndarray, vectors: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
@@ -187,22 +192,18 @@ def _lowest_vector(block: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]
     return x, _norm(block @ x - w[0] * x)
 
 
-def _lowest_pair(blocks: np.ndarray, spectra: np.ndarray,
-                 ground: np.ndarray | None = None) -> np.ndarray:
+def _lowest_pair(blocks: np.ndarray, spectra: np.ndarray, ground: np.ndarray) -> np.ndarray:
     """H's two lowest vectors over both sectors, (2 d, 2), from its dense sector blocks
-    ``blocks`` (2, d, d) and their ascending eigenvalues ``spectra``.
-
-    Levels in two sectors each take their block's lowest vector (``_lowest_vector``),
-    where ``ground``, the lowest level's vector if it is known already, is reused; two
-    levels in one sector take that block's two lowest vectors from its eigh.
-    """
+    ``blocks`` (2, d, d), their ascending eigenvalues ``spectra`` and its ground vector:
+    with the other block's lowest vector (``_lowest_vector``) if the next level lies there,
+    else the ground block's two lowest vectors from its eigh."""
     (k0, k1), _ = _two_lowest(spectra[:, :2])
     pair = np.zeros((2, blocks.shape[1], 2))
     if k0 == k1:
         pair[k0] = np.linalg.eigh(blocks[k0])[1][:, :2]
     else:
         pair[k1, :, 1] = _lowest_vector(blocks[k1], spectra[k1])[0]
-        pair[k0, :, 0] = _lowest_vector(blocks[k0], spectra[k0])[0] if ground is None else ground
+        pair[k0, :, 0] = ground
     return pair.reshape(-1, 2)
 
 
@@ -297,7 +298,7 @@ def _two_lowest(lowest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.unravel_index(np.argsort(lowest, axis=None, kind="stable")[:2], lowest.shape)
 
 
-def _joint_solve(diag: np.ndarray, upper: np.ndarray, start: np.ndarray | None = None):
+def _joint_solve(diag: np.ndarray, upper: np.ndarray, start: np.ndarray):
     """H's two lowest levels by one Krylov run on A = diag(B_+, B_-); or None to fall back.
 
     Returns (theta_0, theta_1), the two lowest Ritz vectors of A (2N^2, 2), the sector k
@@ -305,18 +306,9 @@ def _joint_solve(diag: np.ndarray, upper: np.ndarray, start: np.ndarray | None =
     residual on B_k.  It refuses a gap it cannot resolve inside one block, and a
     degenerate pair, whose vector is the solver's pick among equals: the dense path's
     pick stays the one reported.  ``start`` holds two columns over both sectors of an
-    m x m Fock grid of a cutoff m <= N; by default H's two lowest vectors on the blocks'
-    leading m x m grids, m = min(START_N, N // 2), as the dense path finds them
-    (``_lowest_pair``).
+    m x m Fock grid of a cutoff m <= N: the ``ritz_vectors`` of a smaller cutoff's result.
     """
     b, n = diag.shape[:2]
-    if start is None:
-        m = min(START_N, n // 2)
-        grids = _assemble(diag[:, :m, :m, :m], upper[:m - 1, :m, :m])
-        try:
-            start = _lowest_pair(grids, np.linalg.eigvalsh(grids))
-        except np.linalg.LinAlgError:  # eigvalsh of a non-finite grid
-            return None
     start = np.asarray(start)
     m = math.isqrt(len(start) // b)
     if b * m * m != len(start) or m > n or start.shape[1:] != (2,):
@@ -386,7 +378,10 @@ def ground_state(p: SystemParams, basis: str = "transformed",
         if not zero_frequency:
             traps = np.errstate(over="raise", invalid="raise", divide="raise")
             with suppress(FloatingPointError), traps:
-                solved = _joint_solve(*h.tridiagonal, start)
+                if start is None:  # the rung below; a degenerate one hands on nothing
+                    start = ground_state(replace(p, N=min(START_N, p.N // 2)), basis).ritz_vectors
+                if start is not None:
+                    solved = _joint_solve(*h.tridiagonal, start)
         solver = "block" if solved else "block-fallback"
     if solved is None:
         spectra = np.array([eig_hermitian(block, vectors=False)[0] for block in h.entries])
@@ -396,8 +391,9 @@ def ground_state(p: SystemParams, basis: str = "transformed",
         # The eigenvalues are good to about eps ||H||_2, the largest |eigenvalue|.
         unresolved = np.finfo(float).eps * np.max(np.abs(spectra[:, [0, -1]])) >= DEGENERACY_TOL
         clean = solver == "dense" and w[1] - w[0] >= DEGENERACY_TOL and not zero_frequency
-        # only read by a caller that hands the pair on: a sweep's row never pays for it
-        pair = (lambda: _lowest_pair(h.entries, spectra, ground)) if clean else None
+        # computed on first read from H's bands alone: a kept result holds no dense block
+        bands = replace(h)
+        pair = (lambda: _lowest_pair(replace(bands).entries, spectra, ground)) if clean else None
     else:
         (w, pair, k, ground, residual), unresolved = solved, False  # _joint_solve resolved the gap
     gap = float(w[1] - w[0])

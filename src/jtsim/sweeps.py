@@ -1,9 +1,9 @@
 """Parameter sweeps, the Fock-cutoff convergence ladder and their verification.
 
-``run_point`` is the one way a parameter point is evaluated: sweep rows
-and the higher-cutoff verification subsample call it, and
-``convergence_study`` builds each rung's row with the same ``_point_row``
-after handing the rung the block solver's start from the rung below.  All
+``run_point`` is the one way a parameter point is evaluated: sweep rows, the
+higher-cutoff verification subsample and each rung of ``convergence_study``
+call it, a recompute or a rung with the block solver's start from the same
+point's row at the smaller cutoff (``GroundStateResult.start_for``).  All
 return ``SweepRow``, whose ``reason`` is the one statement of why a row is
 flagged.  Sweeps go to CSV plus a run manifest.
 
@@ -138,6 +138,8 @@ class SweepRow:
     residual: float = math.nan
     solver: str | None = None
     imprecise: bool = False
+    # The ground state behind the row; the row's outputs read its other fields only.
+    solved: GroundStateResult | None = field(default=None, repr=False, compare=False)
 
     @property
     def reason(self) -> str | None:
@@ -176,22 +178,22 @@ def grid_points(spec: SweepSpec) -> list[float]:
     return [round(spec.t_min + i * spec.step, 12) for i in range(_grid_size(spec))]
 
 
-def run_point(p: SystemParams, basis: str = "transformed", t: float = math.nan) -> SweepRow:
-    """One fully evaluated parameter point (ground state, negativities, validity)."""
-    return _point_row(p, ground_state(p, basis), t)
-
-
-def _point_row(p: SystemParams, gs: GroundStateResult, t: float = math.nan) -> SweepRow:
-    """The row of ``p`` from its ground state ``gs``: negativities and validity added."""
+def run_point(p: SystemParams, basis: str = "transformed", t: float = math.nan,
+              start: np.ndarray | None = None) -> SweepRow:
+    """One fully evaluated parameter point (ground state from ``start``, negativities, validity)."""
+    gs = ground_state(p, basis, start)
     rep = report_from_state(gs.state)
     validity = asdict(privileged_validity(p))
     return SweepRow(t, p, rep, gs.energy, gs.gap, degenerate=gs.degenerate_flag,
-                    residual=gs.residual, solver=gs.solver, imprecise=gs.imprecise, **validity)
+                    residual=gs.residual, solver=gs.solver, imprecise=gs.imprecise,
+                    solved=gs, **validity)
 
 
-def _evaluate_grid_point(spec: SweepSpec, t: float) -> SweepRow:
+def _evaluate_grid_point(spec: SweepSpec, t: float, below: SweepRow | None = None) -> SweepRow:
+    """The row at t, started from ``below``, the point's row at a smaller cutoff, if given."""
     try:
-        return run_point(spec.params_at(t), spec.basis, t=t)
+        p = spec.params_at(t)
+        return run_point(p, spec.basis, t=t, start=below.solved.start_for(p.N) if below else None)
     except Exception as exc:  # noqa: BLE001 - flagged row, sweep must finish
         return SweepRow(t, error=f"{type(exc).__name__}: {exc}")
 
@@ -204,6 +206,7 @@ def _max_negativity_change(a: EntanglementReport, b: EntanglementReport) -> floa
 def _verify_subsample(spec: SweepSpec, rows: list[SweepRow]) -> tuple[dict, list[SweepRow]]:
     """Recompute a few clean rows at N + 4: the manifest block and the recomputed rows.
 
+    Each recompute starts from its row's ``ritz_vectors`` where it takes the block path.
     A recompute that is ``flagged`` (raised, ``degenerate`` or ``imprecise``) is listed in
     ``failed`` with its reason and fails the check, as a flagged rung fails ``converge``;
     the drift is taken over the clean recomputes, and is None when none of them exists.
@@ -214,7 +217,7 @@ def _verify_subsample(spec: SweepSpec, rows: list[SweepRow]) -> tuple[dict, list
     )
     checked = [clean[i] for i in picks]
     bumped = replace(spec, base=replace(spec.base, N=spec.base.N + VERIFY_CUTOFF_BUMP))
-    recomputed = [_evaluate_grid_point(bumped, row.t) for row in checked]
+    recomputed = [_evaluate_grid_point(bumped, row.t, row) for row in checked]
     failed = [{"t": hi.t, "reason": hi.reason} for hi in recomputed if hi.flagged]
     worst = max((_max_negativity_change(lo.report, hi.report)
                  for lo, hi in zip(checked, recomputed) if not hi.flagged), default=None)
@@ -267,22 +270,21 @@ def run_sweep(spec: SweepSpec, verify_subsample: bool = True) -> SweepResult:
 def convergence_study(
     p: SystemParams, cutoffs, basis: str = "transformed"
 ) -> list[SweepRow]:
-    """``p`` evaluated at each Fock cutoff, each row built as ``run_point`` builds it.
+    """``p`` evaluated by ``run_point`` at each Fock cutoff.
 
-    cutoffs must be ascending, each >= 2.  Each rung hands its
-    ``ritz_vectors`` to the next rung as the block solver's start: a ``block``
-    rung its Ritz vectors, a clean ``dense`` rung H's two lowest vectors; a
-    fallback, degenerate or zero-frequency rung hands on nothing.  Use
-    successive_differences() on the result to see how fast the numbers settle.
+    cutoffs must be ascending, each >= 2.  Each rung hands a rung on the block
+    path its ``ritz_vectors`` as the start: a ``block`` rung its Ritz vectors,
+    a clean ``dense`` rung H's two lowest vectors; a fallback, degenerate or
+    zero-frequency rung hands on nothing.  Use successive_differences() on the
+    result to see how fast the numbers settle.
     """
     rungs = [replace(p, N=n) for n in cutoffs]  # SystemParams refuses a bad cutoff
     if any(b.N <= a.N for a, b in zip(rungs, rungs[1:])):
         raise ValueError("cutoffs must be strictly ascending")
-    rows, start = [], None
+    rows = []
     for rung in rungs:
-        gs = ground_state(rung, basis, start)
-        rows.append(_point_row(rung, gs))
-        start = gs.ritz_vectors
+        start = rows[-1].solved.start_for(rung.N) if rows else None
+        rows.append(run_point(rung, basis, start=start))
     return rows
 
 
@@ -379,7 +381,7 @@ def compare_bases(p: SystemParams) -> BasisDivergence:
     the same way, are where a transformed block solve starts: the rotation keeps
     n1 + n2, so it maps each parity sector to itself.  The start only moves where
     the Krylov space begins; both energies are still solved and certified
-    separately, and a dense transformed solve ignores it.
+    separately, and a dense transformed solve is handed nothing.
 
     The rotation is applied shell by shell (``ShellRotation.apply``): the
     state's two qubit components and the Ritz vectors' four sector halves go
@@ -389,7 +391,7 @@ def compare_bases(p: SystemParams) -> BasisDivergence:
     gs_lab = ground_state(p, "lab")
     if p.k_1 == 0.0 and p.k_2 == 0.0:
         return BasisDivergence(gs_lab.energy, gs_lab.energy, 0.0, 0.0, 0.0)
-    ritz = gs_lab.ritz_vectors
+    ritz = gs_lab.start_for(p.N)
     # each Ritz vector's two sector halves, one row each
     halves = np.empty((0, p.N * p.N)) if ritz is None else ritz.T.reshape(4, -1)
     rotated = mode_rotation_unitary(p).apply(

@@ -413,11 +413,14 @@ class TestBlockPath:
         SystemParams(1 + 3e-9, 1.5, 0.0, 0.0, N=20),
     ], ids=["fig2", "split-3e-9"])
     def test_two_lowest_levels_in_one_block(self, p, monkeypatch):
-        # Lifting the Pi = -1 block by 10 puts both of H's lowest levels in the Pi = +1 block.
-        h = build_transformed_hamiltonian(p)
-        lifted = replace(h, diagonal=h.diagonal + np.array([0.0, 10.0])[:, None, None])
-        monkeypatch.setattr(jtsim.groundstate, "build_transformed_hamiltonian", lambda _: lifted)
-        w = [np.linalg.eigvalsh(block)[:2] for block in lifted.entries]
+        # Lifting the Pi = -1 block by 10 puts both of H's lowest levels in the Pi = +1 block,
+        # at every cutoff asked for, the cold start's rung below included.
+        def lift(q):
+            h = build_transformed_hamiltonian(q)
+            return replace(h, diagonal=h.diagonal + np.array([0.0, 10.0])[:, None, None])
+
+        monkeypatch.setattr(jtsim.groundstate, "build_transformed_hamiltonian", lift)
+        w = [np.linalg.eigvalsh(block)[:2] for block in lift(p).entries]
         assert w[0][1] < w[1][0]
         dense = dense_ground_state(p)
         gs = ground_state(p)
@@ -484,17 +487,33 @@ class TestBlockPath:
 
     @pytest.mark.parametrize("n, m", [(14, 7), (19, 9), (20, 10), (30, 10)])
     def test_cold_start_solves_at_most_half_the_cutoff(self, n, m, monkeypatch):
-        # The default start's eigh runs on the blocks' leading min(START_N, N // 2) grids.
-        assemble, shapes = jtsim.groundstate._assemble, []
+        # A cold start is the dense solve of the rung below, min(START_N, N // 2): its two
+        # (m^2, m^2) blocks are the only matrices any dense eigensolver sees.
+        solved, dense = [], []
 
-        def recording(diag, upper):
-            blocks = assemble(diag, upper)
-            shapes.append(blocks.shape)
-            return blocks
+        def recording(q, basis="transformed", start=None):
+            solved.append(q.N)
+            return ground_state(q, basis, start)
 
-        monkeypatch.setattr(jtsim.groundstate, "_assemble", recording)
+        def eigvalsh(a, *args, **kwargs):
+            dense.append(a.shape)
+            return numpy_eigvalsh(a, *args, **kwargs)
+
+        numpy_eigvalsh, eigh = np.linalg.eigvalsh, np.linalg.eigh
+        krylov = []
+
+        def small_eigh(a, *args, **kwargs):
+            krylov.append(a.shape[-1])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(jtsim.groundstate, "ground_state", recording)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        monkeypatch.setattr(np.linalg, "eigh", small_eigh)
         assert ground_state(fig5_params(1.95, n)).solver == "block"
-        assert shapes == [(2, m * m, m * m)]
+        assert solved == [m]
+        assert dense == [(m * m, m * m)] * 2
+        # eigh sees only the Rayleigh-Ritz matrices on the Krylov basis, none of a grid's size
+        assert max(krylov) < m * m
 
     def test_below_threshold_runs_eig_hermitian(self, monkeypatch):
         calls = []
@@ -509,8 +528,10 @@ class TestBlockPath:
         d = (BLOCK_MIN_N - 1) ** 2
         assert calls == [((d, d), False), ((d, d), False)]
         calls.clear()
+        # the block path's only dense eigensolves are those of its rung below, N // 2
         assert ground_state(replace(p, N=BLOCK_MIN_N)).solver == "block"
-        assert calls == []
+        m = BLOCK_MIN_N // 2
+        assert calls == [((m * m, m * m), False)] * 2
 
     @pytest.mark.parametrize(
         "patch",
@@ -659,7 +680,9 @@ class TestBlockPath:
         diag, _ = corrupt.tridiagonal
         assert np.array_equal(diag, diag.swapaxes(-1, -2), equal_nan=True)
         assert np.array_equal(corrupt.entries, corrupt.entries.swapaxes(-1, -2), equal_nan=True)
-        monkeypatch.setattr(jtsim.groundstate, "build_transformed_hamiltonian", lambda _: corrupt)
+        # only at N: a cold block start's rung below stays finite, so the block path meets it
+        monkeypatch.setattr(jtsim.groundstate, "build_transformed_hamiltonian",
+                            lambda q: corrupt if q.N == n else build_transformed_hamiltonian(q))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite Hermitian operator"):
@@ -743,6 +766,24 @@ class TestBlockPath:
         assert counts == cold
         # Rayleigh-Ritz on the Krylov basis only: two columns to start, at most two per step
         assert max(eigh_rows) <= 2 + 2 * cold["_extend"]
+
+    def test_cold_start_from_a_degenerate_rung_below_falls_back(self, monkeypatch):
+        # Below BLOCK_MIN_N both sectors get the Pi = +1 block, so the rung below is
+        # degenerate across them and hands on nothing: the point goes to the dense path.
+        def twinned(q):
+            h = build_transformed_hamiltonian(q)
+            return h if q.N >= BLOCK_MIN_N else replace(h, diagonal=h.diagonal[[0, 0]])
+
+        monkeypatch.setattr(jtsim.groundstate, "build_transformed_hamiltonian", twinned)
+        p = fig5_params(1.5, 20)
+        below = ground_state(replace(p, N=10))
+        assert below.degenerate_flag and below.ritz_vectors is None
+        dense = dense_ground_state(p)
+        monkeypatch.setattr(jtsim.groundstate, "_joint_solve", _never_called)
+        gs = ground_state(p)
+        assert gs.solver == "block-fallback" and not gs.degenerate_flag
+        assert gs.ritz_vectors is None
+        assert_same_result(gs, dense)
 
     def test_start_from_a_larger_cutoff_is_refused(self):
         start = ground_state(fig5_params(1.95, 24)).ritz_vectors

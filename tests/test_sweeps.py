@@ -277,11 +277,41 @@ class TestRunSweep:
         rows = {row.t: row for row in result.rows}
         clean = [t for t in ver["points"] if t != 2.0]
         assert len(clean) == 9
-        drifts = [max(abs(a - b) for a, b in zip(
-            astuple(rows[t].report), astuple(run_point(replace(rows[t].params, N=16)).report)))
-            for t in clean]
+        # each recompute starts from its row's pair, as the verification's does
+        recomputed = {t: run_point(replace(rows[t].params, N=16),
+                                   start=rows[t].solved.ritz_vectors) for t in clean}
+        drifts = [max(abs(a - b) for a, b in zip(astuple(rows[t].report),
+                                                 astuple(recomputed[t].report))) for t in clean]
         assert ver["max_abs_negativity_diff"] == max(drifts)
         assert ver["within_tol"] is False
+
+    def test_each_verification_recompute_starts_from_its_row(self, monkeypatch):
+        calls = record_ground_states(monkeypatch)
+        result = run_sweep(figure_sweep("fig3", t_min=0.0, t_max=0.5))
+        rows = {row.t: row for row in result.rows}
+        points = result.manifest["verification"]["points"]
+        recomputes = [(start, gs) for _, start, gs in calls if gs.state.factor_dims[1] == 14]
+        assert len(recomputes) == len(points) == 10
+        assert all(start is None for _, start, gs in calls[:len(result.rows)])
+        for t, (start, gs) in zip(points, recomputes):
+            assert gs.solver == "block"
+            assert start is rows[t].solved.ritz_vectors
+            assert start.shape == (2 * 10 * 10, 2)
+
+    def test_sweep_result_keeps_no_dense_block(self):
+        # Each row keeps its ground state, whose dense pair is computed on read from H's
+        # bands: a (2, N^2, N^2) stack kept per row would hold 160 kB, 13 MB over fig1.
+        # What is kept is O(N^2) floats a row, under 20 kB.
+        tracemalloc.start()
+        try:
+            result = run_sweep(figure_sweep("fig1"))
+            kept = tracemalloc.take_snapshot().traces
+        finally:
+            tracemalloc.stop()
+        assert len(result.rows) == 81 and result.rows[0].solved is not None
+        dense_block = 2 * 100 * 100 * 8
+        assert max(trace.size for trace in kept) < dense_block
+        assert sum(trace.size for trace in kept) < 81 * 20_000
 
 
 class TestSolverPaths:
@@ -416,15 +446,16 @@ class TestCompareBases:
         assert abs(warm.energy - cold.energy) < 1e-12 * scale
         assert abs(warm.gap - cold.gap) < 1e-12 * scale
 
-    def test_dense_lab_solve_hands_on_its_pair(self, monkeypatch):
+    def test_dense_transformed_solve_is_handed_nothing(self, monkeypatch):
         n = 12
         p = SystemParams(1.025, 0.975, 0.7071068, 0.7071068, N=n)
         calls = record_ground_states(monkeypatch)
         compare_bases(p)
         (lab_basis, _, lab), (basis, start, tr) = calls
         assert (lab_basis, lab.solver, basis, tr.solver) == ("lab", "dense", "transformed", "dense")
-        assert start.shape == lab.ritz_vectors.shape == (2 * n * n, 2)
-        # the dense transformed solve ignores the start
+        # the lab pair, which a dense solve would ignore, is neither computed nor rotated
+        assert start is None and "ritz_vectors" not in vars(lab)
+        assert lab.ritz_vectors.shape == (2 * n * n, 2)
         cold = ground_state(p, "transformed")
         assert (tr.energy, tr.gap, tr.residual) == (cold.energy, cold.gap, cold.residual)
         assert np.array_equal(tr.state.amplitudes, cold.state.amplitudes)
