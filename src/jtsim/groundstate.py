@@ -103,8 +103,12 @@ MAX_SOLVES = 4
 # (N = 10) stay dense and their N + 4 = 14 verification takes the block path.
 BLOCK_MIN_N = 14
 # Without a start, the run starts from its rung below, m = min(START_N, N // 2), solved
-# dense; m was tuned when that start took a full eigh and was not re-tuned since.  The
-# start gets START_NOISE of a fixed generic vector over both blocks, so that neither
+# dense.  Cold-solve ms against START_N = 10 at six preset points (ladder, fig2 and fig3
+# t = 0.5, fig5 t = 1.0 and 1.5, fig6 t = 0.05) and N = 24, 30 and 40, medians of 11
+# alternating in-process calls on the host above: an uncapped m = N // 2 was slower at 17
+# of 18 and sent fig5 t = 1.5, N = 30 to the fallback (157 / 17.4); START_N = 12 was
+# slower at 17; START_N = 8 won 9 and lost 8, fig5 t = 1.0 at N = 40 by 21.1 / 13.2.
+# The start gets START_NOISE of a fixed generic vector over both blocks, so that neither
 # block, and no symmetry class of either, is missing from the Krylov space.
 START_N = 10
 START_NOISE = 1e-6
@@ -141,8 +145,8 @@ class GroundStateResult:
         """H's two lowest vectors over both sectors, (2 N^2, 2): a ``block`` result's Ritz
         vectors, or a ``dense`` result's ground vector and the vector of H's next level
         (``_lowest_pair``) unless the point is degenerate or has a zero-frequency mode;
-        None for any other result.  A dense result computes them on their first read from
-        H's bands, its two spectra and its ground vector, and keeps no dense block."""
+        None for any other result.  A dense result keeps H's bands, each sector's two lowest
+        levels and its ground vector, and computes them from those on their first read."""
         return self._pair() if callable(self._pair) else self._pair
 
     def start_for(self, N: int) -> np.ndarray | None:
@@ -192,17 +196,17 @@ def _lowest_vector(block: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]
     return x, _norm(block @ x - w[0] * x)
 
 
-def _lowest_pair(blocks: np.ndarray, spectra: np.ndarray, ground: np.ndarray) -> np.ndarray:
+def _lowest_pair(blocks: np.ndarray, lowest: np.ndarray, ground: np.ndarray) -> np.ndarray:
     """H's two lowest vectors over both sectors, (2 d, 2), from its dense sector blocks
-    ``blocks`` (2, d, d), their ascending eigenvalues ``spectra`` and its ground vector:
-    with the other block's lowest vector (``_lowest_vector``) if the next level lies there,
-    else the ground block's two lowest vectors from its eigh."""
-    (k0, k1), _ = _two_lowest(spectra[:, :2])
+    ``blocks`` (2, d, d), their two lowest eigenvalues ``lowest`` (2, 2) and its ground
+    vector: with the other block's lowest vector (``_lowest_vector``) if the next level
+    lies there, else the ground block's two lowest vectors from its eigh."""
+    (k0, k1), _ = _two_lowest(lowest)
     pair = np.zeros((2, blocks.shape[1], 2))
     if k0 == k1:
         pair[k0] = np.linalg.eigh(blocks[k0])[1][:, :2]
     else:
-        pair[k1, :, 1] = _lowest_vector(blocks[k1], spectra[k1])[0]
+        pair[k1, :, 1] = _lowest_vector(blocks[k1], lowest[k1])[0]
         pair[k0, :, 0] = ground
     return pair.reshape(-1, 2)
 
@@ -384,16 +388,16 @@ def ground_state(p: SystemParams, basis: str = "transformed",
                     solved = _joint_solve(*h.tridiagonal, start)
         solver = "block" if solved else "block-fallback"
     if solved is None:
-        spectra = np.array([eig_hermitian(block, vectors=False)[0] for block in h.entries])
-        sector, level = _two_lowest(spectra[:, :2])
-        w, k = spectra[sector, level], int(sector[0])
-        ground, residual = _lowest_vector(h.entries[k], spectra[k])
+        blocks = h.entries
+        spectra = np.array([eig_hermitian(block, vectors=False)[0] for block in blocks])
+        lowest = spectra[:, :2].copy()  # a copy: the pair keeps four levels, not the spectra
+        sector, level = _two_lowest(lowest)
+        w, k = lowest[sector, level], int(sector[0])
+        ground, residual = _lowest_vector(blocks[k], lowest[k])
         # The eigenvalues are good to about eps ||H||_2, the largest |eigenvalue|.
         unresolved = np.finfo(float).eps * np.max(np.abs(spectra[:, [0, -1]])) >= DEGENERACY_TOL
         clean = solver == "dense" and w[1] - w[0] >= DEGENERACY_TOL and not zero_frequency
-        # computed on first read from H's bands alone: a kept result holds no dense block
-        bands = replace(h)
-        pair = (lambda: _lowest_pair(replace(bands).entries, spectra, ground)) if clean else None
+        pair = (lambda: _lowest_pair(h.entries, lowest, ground)) if clean else None
     else:
         (w, pair, k, ground, residual), unresolved = solved, False  # _joint_solve resolved the gap
     gap = float(w[1] - w[0])

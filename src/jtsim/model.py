@@ -31,7 +31,7 @@ Inside a block sx only relabels the qubit level, so the block of sign
 + g2 I (x) x + hop (a^T (x) a + a (x) a^T).  The builders store only
 those bands, O(N^2) floats with no kron products, and refuse an entry that
 overflows; the dense blocks and the block-tridiagonal form are views built
-from the bands on first use.
+from the bands on each read, so nothing that keeps the bands keeps a view.
 
 ``_rotated_coefficients`` is the rotation's one home: it derives k_p,
 omega_p, omega_p_tilde, c = Delta*k1*k2/k_p^2 and g_p by exact operator
@@ -54,7 +54,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -87,12 +86,12 @@ class ParityBlocks:
     g2_band: np.ndarray
     hop_band: np.ndarray
 
-    @cached_property
+    @property
     def tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
-        """(diag (2, N, N, N), upper (N - 1, N, N)): each block in (n1, n2) order is
-        block-tridiagonal, diag[i, n1] its block (n1, n1) and upper[n1] its block
-        (n1, n1 + 1), which both sectors share; g2 is diag's off-diagonal, g1 upper's
-        diagonal, the hopping upper's subdiagonal."""
+        """(diag (2, N, N, N), upper (N - 1, N, N)), built on each read: each block in
+        (n1, n2) order is block-tridiagonal, diag[i, n1] its block (n1, n1) and upper[n1]
+        its block (n1, n1 + 1), which both sectors share; g2 is diag's off-diagonal, g1
+        upper's diagonal, the hopping upper's subdiagonal."""
         n = self.diagonal.shape[1]
         rows = np.arange(n)
         diag, upper = np.zeros((2, n, n, n)), np.zeros((n - 1, n, n))
@@ -102,26 +101,18 @@ class ParityBlocks:
         upper[:, rows[1:], rows[:-1]] = self.hop_band
         return diag, upper
 
-    @cached_property
+    @property
     def entries(self) -> np.ndarray:
-        """Dense (2, N^2, N^2) stack; entries[i] is the sector i block."""
-        return _assemble(*self.tridiagonal)
-
-
-def _assemble(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Dense matrix of the block-tridiagonal operator with diagonal blocks ``diag``
-    (..., n, m, m) and upper blocks ``upper`` (n - 1, m, m); diag's leading axes are kept."""
-    n, m = diag.shape[-3:-1]
-    lead = diag.shape[:-3]
-    grid = np.zeros((*lead, n, m, n, m))
-
-    def blocks(g):  # writeable view of the blocks (i, i) of g, shape (..., n, m, m)
-        return np.einsum("...iaib->...iab", g)
-
-    blocks(grid)[...] = diag
-    blocks(grid[..., :-1, :, 1:, :])[...] = upper
-    blocks(grid[..., 1:, :, :-1, :])[...] = upper.swapaxes(-1, -2)
-    return grid.reshape(*lead, n * m, n * m)
+        """Dense (2, N^2, N^2) stack, built on each read; entries[i] is the sector i block."""
+        n = self.diagonal.shape[1]
+        index = np.arange(n * n).reshape(n, n)  # block index of (n1, n2)
+        dense = np.zeros((2, n * n, n * n))
+        dense[:, index, index] = self.diagonal
+        for band, row, col in ((self.g1_band, index[:-1], index[1:]),
+                               (self.g2_band, index[:, :-1], index[:, 1:]),
+                               (self.hop_band, index[:-1, 1:], index[1:, :-1])):
+            dense[:, row, col] = dense[:, col, row] = band
+        return dense
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from jtsim.groundstate import eig_hermitian, ground_state
 from jtsim.groundstate import _block_cholesky, _shift_invert, _two_lowest
 from jtsim.model import (
     PARITY_SIGNS,
+    ParityBlocks,
     SystemParams,
     _parity_sector,
     build_lab_hamiltonian,
@@ -701,6 +702,16 @@ class TestBlockPath:
         assert abs(warm.gap - cold.gap) < 1e-12 * scale
         assert abs(warm.state.amplitudes @ cold.state.amplitudes) >= 1 - 1e-12
 
+    def test_start_whose_krylov_space_stops_growing_matches_cold_solve(self):
+        # fig5 t = 1.5: started from the N = 15 block rung's Ritz vectors, the N = 30 run's
+        # Krylov space stops growing at its first step of round 2 with lambda_1 unmet, so the
+        # rung falls back; a cold solve takes the block path.  Either path gives these numbers.
+        warm = convergence_study(fig5_params(1.5, 15), (15, 30))[1]
+        cold = run_point(fig5_params(1.5, 30))
+        assert abs(warm.energy - cold.energy) < 1e-12
+        assert abs(warm.gap - cold.gap) < 1e-12
+        assert np.max(np.abs(np.subtract(astuple(warm.report), astuple(cold.report)))) < 1e-12
+
     def test_a_clean_rung_hands_on_its_two_lowest_vectors(self, monkeypatch):
         starts, results = [], []
 
@@ -836,13 +847,10 @@ class TestBlockPath:
     def test_block_path_forms_no_dense_stack(self, monkeypatch):
         # fig2 t = 0.5 at N = 40: one dense N^2 x N^2 block would take 20.48 MB.
         p = SystemParams(omega_1=1.25, omega_2=0.75, k_1=K_ULTRA, k_2=K_ULTRA, N=40)
-        built = []
-
-        def keeping(q):
-            built.append(build_transformed_hamiltonian(q))
-            return built[-1]
-
-        monkeypatch.setattr(jtsim.groundstate, "build_transformed_hamiltonian", keeping)
+        reads = []  # the cutoff of each H whose dense stack is formed
+        formed = ParityBlocks.entries.fget
+        spy = property(lambda h: reads.append(h.diagonal.shape[1]) or formed(h))
+        monkeypatch.setattr(ParityBlocks, "entries", spy)
         tracemalloc.start()
         try:
             gs = ground_state(p)
@@ -850,8 +858,24 @@ class TestBlockPath:
         finally:
             tracemalloc.stop()
         assert gs.solver == "block"
-        assert "entries" not in vars(built[0])  # the dense view was never built
+        assert p.N not in reads  # only the cold start's rung below is solved dense
         assert peak < (p.N * p.N) ** 2 * 8
+
+    def test_dense_result_keeps_no_view(self, monkeypatch):
+        # A row keeps its result, and a dense result keeps H for its pair: H holds its
+        # bands alone however often its views and that pair are read.
+        built = []
+
+        def keeping(q):
+            built.append(build_transformed_hamiltonian(q))
+            return built[-1]
+
+        monkeypatch.setattr(jtsim.groundstate, "build_transformed_hamiltonian", keeping)
+        gs = ground_state(fig1_params(0.5))
+        (h,) = built
+        assert h.tridiagonal[0].shape == (2, 10, 10, 10) and h.entries.shape == (2, 100, 100)
+        assert gs.solver == "dense" and gs.ritz_vectors is not None
+        assert set(vars(h)) == {"diagonal", "g1_band", "g2_band", "hop_band"}
 
 
 def _refuse_factor(diag, upper, sigma):

@@ -299,9 +299,10 @@ class TestRunSweep:
             assert start.shape == (2 * 10 * 10, 2)
 
     def test_sweep_result_keeps_no_dense_block(self):
-        # Each row keeps its ground state, whose dense pair is computed on read from H's
-        # bands: a (2, N^2, N^2) stack kept per row would hold 160 kB, 13 MB over fig1.
-        # What is kept is O(N^2) floats a row, under 20 kB.
+        # Each row keeps its ground state, which keeps H's bands, four levels and its ground
+        # vector for its dense pair; H's views are built on each read and never kept.  A
+        # (2, N^2, N^2) stack kept per row would hold 160 kB, 13 MB over fig1.  What is kept
+        # is O(N^2) floats a row, under 20 kB.
         tracemalloc.start()
         try:
             result = run_sweep(figure_sweep("fig1"))
