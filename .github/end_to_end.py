@@ -1,11 +1,12 @@
 """The end-to-end jtsim commands, each run once, as Markdown for the job summary.  `run TREE
 OUT` runs TABLE on TREE's src, in OUT, and exits 1 on an unexpected exit code or when a jtsim
 line of this checkout's README command-line block is not a row; `diff TREE OUT SAVED` then
-names each output that differs from SAVED's, but for what holds a run's time.  TREE's lines
-print with `-` and SAVED's with `+`: CI runs the parent as TREE against the change's `run`
-output as SAVED, so a change's own lines are the `+` ones.  A row's stderr goes to <name>.err
-with TREE's path written as TREE and without source line numbers, so the two trees' warnings
-compare even when a change moves the line that warns."""
+names each output that differs from SAVED's, but for what holds a run's time, with the count
+of its removed and added lines and the first four of them.  TREE's lines print with `-` and
+SAVED's with `+`: CI runs the parent as TREE against the change's `run` output as SAVED, so a
+change's own lines are the `+` ones.  A row's stderr goes to <name>.err with TREE's path
+written as TREE and without source line numbers, so the two trees' warnings compare even when
+a change moves the line that warns."""
 import difflib, json, os, re, shlex, subprocess, sys, time
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
@@ -134,8 +135,10 @@ def diff(tree, out, saved):
     diffs = []
     for name in names:
         old, new = (read(os.path.join(d, name)) for d in (out, saved))
-        if changes := [*difflib.unified_diff(old, new, n=0, lineterm="")][3:7]:  # past the headers
-            diffs.append(f"- `{name}`: " + " ".join(f"`{line}`" for line in changes))
+        if lines := [*difflib.unified_diff(old, new, n=0, lineterm="")][2:]:  # past the headers
+            removed, added = (sum(line[0] == sign for line in lines) for sign in "-+")
+            diffs.append(f"- `{name}` (-{removed} +{added} lines): "
+                         + " ".join(f"`{line}`" for line in lines[1:5]))
     print(f"Outputs of {tree} (-) against {saved} (+) ({len(names)} files): "
           + (f"{len(diffs)} differ" if diffs else "identical"), *diffs, sep="\n")
 

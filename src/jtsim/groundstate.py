@@ -16,11 +16,11 @@ blocks the Pi = +1 sector wins.  ``GroundStateResult.solver`` names the path
 that supplied them:
 
 * ``"dense"`` (N < BLOCK_MIN_N): ``eigvalsh`` of each dense block
-  (``ParityBlocks.entries``), then the lower block's vector by inverse
-  iteration (``_lowest_vector``).  Unless the point is degenerate or has a
+  (``ParityBlocks.entries``), then the ground block's vector by inverse
+  iteration (``_level_vector``).  Unless the point is degenerate or has a
   zero-frequency mode, the result hands on H's two lowest vectors in
   ``ritz_vectors``, computed on their first read (``_lowest_pair``): the
-  ground vector and the vector of H's next level.
+  ground vector and, by the same iteration, the vector of H's next level.
 * ``"block"`` (N >= BLOCK_MIN_N): in (n1, n2) order a block is
   block-tridiagonal (``ParityBlocks.tridiagonal``), N diagonal N x N blocks
   (tridiagonal through g2) joined by N x N off-diagonal ones (g1 on the
@@ -87,9 +87,9 @@ from .model import parity_operator  # noqa: F401
 
 DEGENERACY_TOL = 1e-10
 
-# Inverse iteration shifts lambda_0 down by SHIFT * (lambda_1 - lambda_0) and stops at
-# ||H x - lambda_0 x|| < RESIDUAL_TOL * max(1, |lambda_0|).  A gap below SHIFT * max(1,
-# |lambda_0|), or MAX_SOLVES solves without that, takes the vector from a full eigh.
+# Inverse iteration for a block's level lambda_i, i = 0 or 1, shifts it down by SHIFT *
+# (lambda_1 - lambda_0) and stops at ||H x - lambda_i x|| < RESIDUAL_TOL * max(1, |lambda_i|).
+# A gap below SHIFT * max(1, |lambda_i|), or MAX_SOLVES solves without that, takes a full eigh.
 SHIFT = 1e-8
 RESIDUAL_TOL = 1e-12
 MAX_SOLVES = 4
@@ -143,10 +143,10 @@ class GroundStateResult:
     @cached_property
     def ritz_vectors(self) -> np.ndarray | None:
         """H's two lowest vectors over both sectors, (2 N^2, 2): a ``block`` result's Ritz
-        vectors, or a ``dense`` result's ground vector and the vector of H's next level
-        (``_lowest_pair``) unless the point is degenerate or has a zero-frequency mode;
-        None for any other result.  A dense result keeps H's bands, each sector's two lowest
-        levels and its ground vector, and computes them from those on their first read."""
+        vectors, or a ``dense`` result's ground vector and the vector of H's next level, each
+        by inverse iteration on its block (``_lowest_pair``), unless the point is degenerate or
+        has a zero-frequency mode; None for any other result.  A dense result keeps H's bands,
+        each sector's two lowest levels and its ground vector, and computes them on first read."""
         return self._pair() if callable(self._pair) else self._pair
 
     def start_for(self, N: int) -> np.ndarray | None:
@@ -179,35 +179,32 @@ def _norm(v: np.ndarray) -> float:
     return float(top * np.linalg.norm(v / top)) if top > 0 else float(top)
 
 
-def _lowest_vector(block: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unit eigenvector x of a checked ``block`` for w[0] (see SHIFT), and ||block x - w[0] x||."""
-    scale = max(1.0, abs(w[0]))
-    # A shift that rounds onto w[0] can make the solve exactly singular: eigh then.
+def _level_vector(block: np.ndarray, w: np.ndarray, i: int) -> tuple[np.ndarray, float]:
+    """Unit eigenvector x of a checked ``block`` for w[i] (see SHIFT), and ||block x - w[i] x||."""
+    scale = max(1.0, abs(w[i]))
+    # A shift that rounds onto w[i] can make the solve exactly singular: eigh then.
     with suppress(np.linalg.LinAlgError):
         if w[1] - w[0] >= SHIFT * scale:
-            shifted = block - (w[0] - SHIFT * (w[1] - w[0])) * np.eye(len(block))
+            shifted = block - (w[i] - SHIFT * (w[1] - w[0])) * np.eye(len(block))
             x = np.ones(len(block))
             for _ in range(MAX_SOLVES):
                 x = np.linalg.solve(shifted, x)
                 x /= _norm(x)
-                if (residual := _norm(block @ x - w[0] * x)) < RESIDUAL_TOL * scale:
+                if (residual := _norm(block @ x - w[i] * x)) < RESIDUAL_TOL * scale:
                     return x, residual
-    x = np.linalg.eigh(block)[1][:, 0]
-    return x, _norm(block @ x - w[0] * x)
+    x = np.linalg.eigh(block)[1][:, i]
+    return x, _norm(block @ x - w[i] * x)
 
 
-def _lowest_pair(blocks: np.ndarray, lowest: np.ndarray, ground: np.ndarray) -> np.ndarray:
+def _lowest_pair(blocks: np.ndarray, lowest: np.ndarray, sector: np.ndarray,
+                 level: np.ndarray, ground: np.ndarray) -> np.ndarray:
     """H's two lowest vectors over both sectors, (2 d, 2), from its dense sector blocks
-    ``blocks`` (2, d, d), their two lowest eigenvalues ``lowest`` (2, 2) and its ground
-    vector: with the other block's lowest vector (``_lowest_vector``) if the next level
-    lies there, else the ground block's two lowest vectors from its eigh."""
-    (k0, k1), _ = _two_lowest(lowest)
+    ``blocks`` (2, d, d), their two lowest eigenvalues ``lowest`` (2, 2), the (sector,
+    level) of H's two lowest levels (``_two_lowest``) and its ground vector: the ground
+    vector, then the vector of H's next level (``_level_vector``), in whichever sector."""
     pair = np.zeros((2, blocks.shape[1], 2))
-    if k0 == k1:
-        pair[k0] = np.linalg.eigh(blocks[k0])[1][:, :2]
-    else:
-        pair[k1, :, 1] = _lowest_vector(blocks[k1], lowest[k1])[0]
-        pair[k0, :, 0] = ground
+    pair[sector[0], :, 0] = ground
+    pair[sector[1], :, 1] = _level_vector(blocks[sector[1]], lowest[sector[1]], level[1])[0]
     return pair.reshape(-1, 2)
 
 
@@ -393,11 +390,11 @@ def ground_state(p: SystemParams, basis: str = "transformed",
         lowest = spectra[:, :2].copy()  # a copy: the pair keeps four levels, not the spectra
         sector, level = _two_lowest(lowest)
         w, k = lowest[sector, level], int(sector[0])
-        ground, residual = _lowest_vector(blocks[k], lowest[k])
+        ground, residual = _level_vector(blocks[k], lowest[k], 0)
         # The eigenvalues are good to about eps ||H||_2, the largest |eigenvalue|.
         unresolved = np.finfo(float).eps * np.max(np.abs(spectra[:, [0, -1]])) >= DEGENERACY_TOL
         clean = solver == "dense" and w[1] - w[0] >= DEGENERACY_TOL and not zero_frequency
-        pair = (lambda: _lowest_pair(h.entries, lowest, ground)) if clean else None
+        pair = (lambda: _lowest_pair(h.entries, lowest, sector, level, ground)) if clean else None
     else:
         (w, pair, k, ground, residual), unresolved = solved, False  # _joint_solve resolved the gap
     gap = float(w[1] - w[0])

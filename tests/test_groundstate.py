@@ -736,20 +736,69 @@ class TestBlockPath:
         assert starts[0] is starts[3] is None
         assert [starts[i] is results[i - 1].ritz_vectors for i in (1, 2, 4)] == [True] * 3
 
-    def test_dense_pair_in_one_block_is_its_two_lowest_vectors(self, monkeypatch):
+    @pytest.mark.parametrize("p", [
+        SystemParams(1.25, 0.75, K_ULTRA, K_ULTRA, N=10),  # fig2 t = 0.5
+        SystemParams(1 + 3e-9, 1.5, 0.0, 0.0, N=10),  # Pi = +1 holds 0.5 and 0.5 + 3e-9
+    ], ids=["fig2", "split-3e-9"])
+    def test_dense_pair_in_one_block_is_its_two_lowest_vectors(self, p, monkeypatch):
         # Lifting the Pi = -1 block by 10 puts both of H's lowest levels in the Pi = +1 block,
-        # as in test_two_lowest_levels_in_one_block.
-        p = SystemParams(1.25, 0.75, K_ULTRA, K_ULTRA, N=10)
+        # as in test_two_lowest_levels_in_one_block.  H's next vector comes from the inverse
+        # iteration that finds its ground vector, and from eigh only where that iteration
+        # takes eigh for the ground vector too: at a gap below SHIFT.
         h = build_transformed_hamiltonian(p)
         lifted = replace(h, diagonal=h.diagonal + np.array([0.0, 10.0])[:, None, None])
         monkeypatch.setattr(jtsim.groundstate, "build_transformed_hamiltonian", lambda _: lifted)
+        block = lifted.entries[0]
+        w = np.linalg.eigvalsh(block)[:2]
         gs = ground_state(p)
         assert gs.solver == "dense" and not gs.degenerate_flag
-        halves = gs.ritz_vectors.reshape(2, p.N * p.N, 2)
+        eigh, calls = np.linalg.eigh, []
+
+        def counting(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", counting)
+            halves = gs.ritz_vectors.reshape(2, p.N * p.N, 2)
         assert np.all(halves[1] == 0.0)
-        second = np.linalg.eigh(lifted.entries[0])[1][:, 1]
-        assert abs(halves[0, :, 1] @ second) >= 1 - 1e-12
+        vectors = eigh(block)[1]
+        assert abs(halves[0, :, 1] @ vectors[:, 1]) >= 1 - 1e-12
         assert abs(gs.ritz_vectors[:, 0] @ in_sector_order(gs.state)) >= 1 - 1e-12
+        if w[1] - w[0] < jtsim.groundstate.SHIFT * max(1.0, abs(w[0])):
+            assert np.array_equal(halves[0], vectors[:, :2])
+        else:
+            assert calls == []
+            residual = np.linalg.norm(block @ halves[0, :, 1] - w[1] * halves[0, :, 1])
+            assert residual < RESIDUAL_TOL * max(1.0, abs(w[1]))
+
+    @pytest.mark.parametrize("basis", BASES)
+    @pytest.mark.parametrize("n", [6, 10, 13])
+    @pytest.mark.parametrize("p", [
+        SystemParams(1.0, 1.0, K_ULTRA, K_ULTRA),  # the ladder point
+        SystemParams(1.25, 0.75, K_ULTRA, K_ULTRA),  # fig2 t = 0.5
+        fig5_params(1.95, 10),
+        SystemParams(0.2, 0.1, K_ULTRA, K_ULTRA, J=0.05),  # fig6 t = 0.05
+    ], ids=["ladder", "fig2", "fig5", "fig6"])
+    def test_dense_pair_across_the_sectors_is_their_lowest_vectors(self, p, n, basis):
+        # The pairs that the ladders and the verification hand on: H's next level lies in
+        # the sector that does not hold its ground level.
+        p = replace(p, N=n)
+        h = build_lab_hamiltonian(p) if basis == "lab" else build_transformed_hamiltonian(p)
+        blocks = h.entries
+        lowest = np.array([np.linalg.eigvalsh(block)[:2] for block in blocks])
+        (k0, k1), _ = _two_lowest(lowest)
+        assert k0 != k1
+        gs = ground_state(p, basis)
+        assert gs.solver == "dense"
+        halves = gs.ritz_vectors.reshape(2, n * n, 2)
+        assert np.all(halves[k1, :, 0] == 0.0) and np.all(halves[k0, :, 1] == 0.0)
+        state = in_sector_order(gs.state)
+        assert np.array_equal(np.sign(gs.ritz_vectors[:, 0] @ state) * gs.ritz_vectors[:, 0], state)
+        second = halves[k1, :, 1]
+        assert abs(second @ np.linalg.eigh(blocks[k1])[1][:, 0]) >= 1 - 1e-12
+        residual = np.linalg.norm(blocks[k1] @ second - lowest[k1, 0] * second)
+        assert residual < RESIDUAL_TOL * max(1.0, abs(lowest[k1, 0]))
 
     def test_rung_after_a_dense_one_pays_no_start_eigh(self, monkeypatch):
         # The ladder point: its N = 20 rung starts from the N = 10 rung's dense pair, with
