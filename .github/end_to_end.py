@@ -38,6 +38,11 @@ TABLE = {
     "converge-fig5": (["converge", *FIG5_HARD, "--cutoffs", "20,30,40"], 0),  # most block rounds
     # the default sweep's cutoff and its N + 4 verification: E_N(S|B1) moves 0.26 -> 0.79
     "converge-fig5-n10": (["converge", *FIG5_HARD, "--cutoffs", "10,14"], 4),
+    # fig5 t = 1.5: the N = 30 rung's Krylov space grows by a column with 1.4e-9 of its norm
+    # outside it, which the rung keeps (it once fell back there; the table is the same);
+    # max |d E_N| = 1.588e-2 is at least VERIFY_TOL
+    "converge-stall": (["converge", "--delta", "1.5", "--k1", "1.5", "--k2", "1.5", "--cutoffs",
+                        "15,30"], 4),
     # an ordinary point whose dense N = 10 rung hands its two lowest vectors to the N = 14
     # block rung, which hands its Ritz vectors to N = 20
     "converge-hand-off": (["converge", "--delta", "0.5", *ULTRA, "--cutoffs", "10,14,20"], 0),

@@ -106,8 +106,8 @@ BLOCK_MIN_N = 14
 # dense.  Cold-solve ms against START_N = 10 at six preset points (ladder, fig2 and fig3
 # t = 0.5, fig5 t = 1.0 and 1.5, fig6 t = 0.05) and N = 24, 30 and 40, medians of 11
 # alternating in-process calls on the host above: an uncapped m = N // 2 was slower at 17
-# of 18 and sent fig5 t = 1.5, N = 30 to the fallback (157 / 17.4); START_N = 12 was
-# slower at 17; START_N = 8 won 9 and lost 8, fig5 t = 1.0 at N = 40 by 21.1 / 13.2.
+# of 18 (fig5 t = 1.5, N = 30: 16.5 / 14.2); START_N = 12 was slower at 17; START_N = 8
+# won 9 and lost 8, fig5 t = 1.0 at N = 40 by 21.1 / 13.2.
 # The start gets START_NOISE of a fixed generic vector over both blocks, so that neither
 # block, and no symmetry class of either, is missing from the Krylov space.
 START_N = 10
@@ -264,11 +264,17 @@ def _shift_invert(factor, x: np.ndarray) -> np.ndarray:
 def _extend(basis: np.ndarray, new: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning the part of ``new`` outside span(basis).
 
-    Two projections; a column with under 1e-8 of its norm outside the span
-    is dropped, since a third would be needed to keep the basis orthonormal.
+    Two projections.  A column with under 1e-8 of its norm outside the span after
+    the first has its unit remainder projected once more, and is kept only if more
+    than 1e-8 of that remainder lies outside the span.  A nan column fails both
+    tests and is dropped.
     """
     q, r = np.linalg.qr(new - basis @ (basis.T @ new))
-    q = q[:, np.abs(np.diag(r)) > 1e-8 * np.linalg.norm(new, axis=0)]
+    keep = np.abs(np.diag(r)) > 1e-8 * np.linalg.norm(new, axis=0)
+    if not keep.all():  # weak columns are rare: a step without one pays nothing here
+        weak = q[:, ~keep]
+        keep[~keep] = np.linalg.norm(weak - basis @ (basis.T @ weak), axis=0) > 1e-8
+    q = q[:, keep]
     return np.linalg.qr(q - basis @ (basis.T @ q))[0]
 
 

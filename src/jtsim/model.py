@@ -30,8 +30,10 @@ Inside a block sx only relabels the qubit level, so the block of sign
 +-1 is diag(w1 n1 + w2 n2 +- 1/2 (-1)^(n1+n2)) + g1 x (x) I
 + g2 I (x) x + hop (a^T (x) a + a (x) a^T).  The builders store only
 those bands, O(N^2) floats with no kron products, and refuse an entry that
-overflows; the dense blocks and the block-tridiagonal form are views built
-from the bands on each read, so nothing that keeps the bands keeps a view.
+overflows.  Two views are built from the bands on each read: the
+block-tridiagonal form, the one place the bands are positioned, and the
+dense blocks, which are that form laid out densely; nothing that keeps the
+bands keeps a view.
 
 ``_rotated_coefficients`` is the rotation's one home: it derives k_p,
 omega_p, omega_p_tilde, c = Delta*k1*k2/k_p^2 and g_p by exact operator
@@ -68,16 +70,22 @@ class ParityBlocks:
     """Operator that conserves Pi = sz (-1)^(n1+n2), as the bands of its two sector blocks.
 
     Sector i holds Pi = PARITY_SIGNS[i], indexed like ``_parity_sector``:
-    block index n1*N + n2.  Only the bands are stored, over the mode grid:
+    block index n1*N + n2.  In that order each sector block is block-tridiagonal,
+    its N x N block (n1, n1') joining mode-1 levels n1 and n1'.  Only the bands are
+    stored, over the mode grid, each at one place in that form:
 
-    * ``diagonal`` (2, N, N): sector i's diagonal entry at (n1, n2);
-    * ``g1_band`` (N - 1, N): the entry coupling (n1, n2) to (n1 + 1, n2);
-    * ``g2_band`` (N, N - 1): the entry coupling (n1, n2) to (n1, n2 + 1);
+    * ``diagonal`` (2, N, N): sector i's diagonal entry at (n1, n2), the diagonal
+      of block (n1, n1);
+    * ``g2_band`` (N, N - 1): the entry coupling (n1, n2) to (n1, n2 + 1), the
+      off-diagonal of block (n1, n1);
+    * ``g1_band`` (N - 1, N): the entry coupling (n1, n2) to (n1 + 1, n2), the
+      diagonal of block (n1, n1 + 1);
     * ``hop_band`` (N - 1, N - 1): at [n1, n2 - 1], the entry coupling (n1, n2)
-      to (n1 + 1, n2 - 1).
+      to (n1 + 1, n2 - 1), the subdiagonal of block (n1, n1 + 1).
 
-    The three bands are the same in both sectors and each is stored once, so
-    both views are symmetric by construction.  The builders' bands are finite
+    ``tridiagonal`` places the bands there, and ``entries`` is ``tridiagonal`` laid out
+    densely.  The three coupling bands are the same in both sectors and each is stored
+    once, so both views are symmetric by construction.  The builders' bands are finite
     (they refuse an overflowing entry).
     """
 
@@ -88,10 +96,9 @@ class ParityBlocks:
 
     @property
     def tridiagonal(self) -> tuple[np.ndarray, np.ndarray]:
-        """(diag (2, N, N, N), upper (N - 1, N, N)), built on each read: each block in
-        (n1, n2) order is block-tridiagonal, diag[i, n1] its block (n1, n1) and upper[n1]
-        its block (n1, n1 + 1), which both sectors share; g2 is diag's off-diagonal, g1
-        upper's diagonal, the hopping upper's subdiagonal."""
+        """(diag (2, N, N, N), upper (N - 1, N, N)), built on each read: diag[i, n1] is
+        sector i's block (n1, n1) and upper[n1] the block (n1, n1 + 1), which both sectors
+        share; the class docstring says which band sits where."""
         n = self.diagonal.shape[1]
         rows = np.arange(n)
         diag, upper = np.zeros((2, n, n, n)), np.zeros((n - 1, n, n))
@@ -103,16 +110,16 @@ class ParityBlocks:
 
     @property
     def entries(self) -> np.ndarray:
-        """Dense (2, N^2, N^2) stack, built on each read; entries[i] is the sector i block."""
-        n = self.diagonal.shape[1]
-        index = np.arange(n * n).reshape(n, n)  # block index of (n1, n2)
-        dense = np.zeros((2, n * n, n * n))
-        dense[:, index, index] = self.diagonal
-        for band, row, col in ((self.g1_band, index[:-1], index[1:]),
-                               (self.g2_band, index[:, :-1], index[:, 1:]),
-                               (self.hop_band, index[:-1, 1:], index[1:, :-1])):
-            dense[:, row, col] = dense[:, col, row] = band
-        return dense
+        """Dense (2, N^2, N^2) stack, built on each read: ``tridiagonal`` laid out densely,
+        entries[i] the sector i block."""
+        diag, upper = self.tridiagonal
+        n = diag.shape[1]
+        rows = np.arange(n)
+        blocks = np.zeros((2, n, n, n, n)).swapaxes(2, 3)  # [i, n1, n1', n2, n2']
+        blocks[:, rows, rows] = diag
+        blocks[:, rows[:-1], rows[1:]] = upper
+        blocks[:, rows[1:], rows[:-1]] = upper.swapaxes(1, 2)
+        return blocks.swapaxes(2, 3).reshape(2, n * n, n * n)  # a view: no copy
 
 
 @dataclass(frozen=True)

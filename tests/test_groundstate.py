@@ -12,7 +12,7 @@ import jtsim.groundstate
 import jtsim.sweeps
 from jtsim.groundstate import BASES, BLOCK_MIN_N, DEGENERACY_TOL, RESIDUAL_TOL
 from jtsim.groundstate import eig_hermitian, ground_state
-from jtsim.groundstate import _block_cholesky, _shift_invert, _two_lowest
+from jtsim.groundstate import _block_cholesky, _extend, _shift_invert, _two_lowest
 from jtsim.model import (
     PARITY_SIGNS,
     ParityBlocks,
@@ -704,13 +704,29 @@ class TestBlockPath:
 
     def test_start_whose_krylov_space_stops_growing_matches_cold_solve(self):
         # fig5 t = 1.5: started from the N = 15 block rung's Ritz vectors, the N = 30 run's
-        # Krylov space stops growing at its first step of round 2 with lambda_1 unmet, so the
-        # rung falls back; a cold solve takes the block path.  Either path gives these numbers.
+        # first step of round 2 adds a column with only 1.4e-9 of its norm outside the
+        # Krylov space.  _extend keeps it, so the rung takes the block path, as a cold
+        # solve does, instead of falling back.  Either path gives these numbers.
         warm = convergence_study(fig5_params(1.5, 15), (15, 30))[1]
         cold = run_point(fig5_params(1.5, 30))
+        assert warm.solver == cold.solver == "block"
         assert abs(warm.energy - cold.energy) < 1e-12
         assert abs(warm.gap - cold.gap) < 1e-12
         assert np.max(np.abs(np.subtract(astuple(warm.report), astuple(cold.report)))) < 1e-12
+
+    def test_extend_keeps_a_small_remainder_and_drops_rounding(self):
+        rng = np.random.default_rng(7)
+        q = np.linalg.qr(rng.standard_normal((60, 9)))[0]
+        basis, outside = q[:, :8], q[:, 8]
+        # 1e-9 of the column lies outside the span, in a direction orthogonal to the basis
+        new = basis @ rng.standard_normal(8) + 1e-9 * outside
+        kept = _extend(basis, new[:, None])
+        assert kept.shape == (60, 1)
+        assert abs(kept[:, 0] @ outside) >= 1 - 1e-6
+        assert np.max(np.abs(basis.T @ kept)) < 1e-14
+        # a basis of the whole space: any column lies in its span to rounding
+        full = np.linalg.qr(rng.standard_normal((12, 12)))[0]
+        assert _extend(full, rng.standard_normal((12, 2))).shape == (12, 0)
 
     def test_a_clean_rung_hands_on_its_two_lowest_vectors(self, monkeypatch):
         starts, results = [], []
