@@ -1,13 +1,15 @@
-"""Code-only line counts of src/jtsim, per file, with their net change from a git revision.
+"""Code-only and all line counts of src/jtsim, per file, each with its net change from a git
+revision.
 
 A code line is one that is not blank, not comment-only and not inside a module, class or
 function docstring; a line that any other token touches counts, so each line of a
-multi-line expression or of a string that is not a docstring counts.  Prints a Markdown
-table.  Run from the repository root:
+multi-line expression or of a string that is not a docstring counts.  All lines are what
+``wc -l`` counts, so the total's change is the net of ``git diff --numstat REV``.  Prints a
+Markdown table.  Run from the repository root:
 
     python3 .github/code_lines.py [REV]
 
-REV defaults to HEAD^1; where it is not in the history the change column reads n/a.
+REV defaults to HEAD^1; where it is not in the history the change columns read n/a.
 """
 
 from __future__ import annotations
@@ -41,28 +43,36 @@ def _git(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run(["git", *args], capture_output=True, text=True)
 
 
-def counts_at(rev: str) -> dict[str, int] | None:
-    """{path: code lines} of the sources at ``rev``, or None if ``rev`` is not a commit."""
+def counts(text: str) -> tuple[int, int]:
+    """(code lines, all lines) of a source text."""
+    return code_lines(text), len(text.splitlines())
+
+
+def counts_at(rev: str) -> dict[str, tuple[int, int]] | None:
+    """{path: counts} of the sources at ``rev``, or None if ``rev`` is not a commit."""
     if _git("rev-parse", "-q", "--verify", f"{rev}^{{commit}}").returncode:
         return None
     paths = _git("ls-tree", "--name-only", rev, f"{SOURCE}/").stdout.split()
-    return {path: code_lines(_git("show", f"{rev}:{path}").stdout)
+    return {path: counts(_git("show", f"{rev}:{path}").stdout)
             for path in paths if path.endswith(".py")}
 
 
 def main(rev: str = "HEAD^1") -> None:
-    texts = {str(path): path.read_text() for path in sorted(Path(SOURCE).glob("*.py"))}
-    now = {path: code_lines(text) for path, text in texts.items()}
+    now = {str(path): counts(path.read_text()) for path in sorted(Path(SOURCE).glob("*.py"))}
     before = counts_at(rev)
     old = before or {}
-    rows = [(path, now.get(path, 0), old.get(path, 0), len(texts.get(path, "").splitlines()))
+    rows = [(path, *now.get(path, (0, 0)), *old.get(path, (0, 0)))
             for path in sorted(now.keys() | old.keys())]
     rows.append(("total", *(sum(column) for column in list(zip(*rows))[1:])))
-    print(f"| {SOURCE} file | code lines | change from {rev} | all lines |")
-    print("|---|---:|---:|---:|")
-    for path, code, code_before, total in rows:
-        print(f"| {path} | {code} | {'n/a' if before is None else f'{code - code_before:+d}'} "
-              f"| {total} |")
+
+    def change(a: int, b: int) -> str:
+        return "n/a" if before is None else f"{a - b:+d}"
+
+    print(f"| {SOURCE} file | code lines | change from {rev} | all lines | change from {rev} |")
+    print("|---|---:|---:|---:|---:|")
+    for path, code, total, code_before, total_before in rows:
+        print(f"| {path} | {code} | {change(code, code_before)} | {total} "
+              f"| {change(total, total_before)} |")
 
 
 if __name__ == "__main__":

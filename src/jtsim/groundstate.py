@@ -17,9 +17,8 @@ that supplied them:
 
 * ``"dense"`` (N < BLOCK_MIN_N): ``eigvalsh`` of each dense block
   (``ParityBlocks.entries``), then the ground block's vector by inverse
-  iteration (``_level_vector``).  Unless the point is degenerate or has a
-  zero-frequency mode, the result hands on H's two lowest vectors in
-  ``ritz_vectors``, computed on their first read (``_lowest_pair``): the
+  iteration (``_level_vector``).  The result hands on H's two lowest vectors
+  in ``ritz_vectors``, computed on their first read (``_lowest_pair``): the
   ground vector and, by the same iteration, the vector of H's next level.
 * ``"block"`` (N >= BLOCK_MIN_N): in (n1, n2) order a block is
   block-tridiagonal (``ParityBlocks.tridiagonal``), N diagonal N x N blocks
@@ -40,13 +39,14 @@ that supplied them:
   The ground Ritz vector is restricted to its dominant block and
   renormalised, so the state has exactly zero amplitude off its sector, and
   its residual is taken afresh on that block.  The run starts from the
-  ``ritz_vectors`` of a ``block`` or ``dense`` result at a smaller cutoff m,
-  zero-padded (``start``): a cutoff ladder hands them from rung to rung, and
-  without one the point solves its own rung below, m = min(START_N, N // 2),
-  which takes the dense path; H's leading m x m grid is H at cutoff m.  A rung
-  below that hands on nothing (a degenerate one) sends the point to the
-  fallback.  The start only changes where the Krylov space begins; the shift
-  is still certified by its factor and the stop rule is the same.
+  ``ritz_vectors`` of a result at a smaller cutoff m, zero-padded (``start``):
+  a ``block`` result hands on its Ritz vectors, a ``dense`` one its pair and a
+  ``block-fallback`` one nothing.  A cutoff ladder hands them from rung to
+  rung, and without one the point solves its own rung below, m = min(START_N,
+  N // 2), which takes the dense path; H's leading m x m grid is H at cutoff
+  m.  The start only changes where the Krylov space begins; the shift is still
+  certified by its factor, the stop rule is the same, and the run judges the
+  point's own gap, whether or not the rung below is degenerate.
 * ``"block-fallback"``: the point has a zero-frequency mode
   (``model._zero_frequency``), so the block path is not tried; or the
   block path could not certify a shift, missed its stop rule within ROUNDS x
@@ -144,9 +144,9 @@ class GroundStateResult:
     def ritz_vectors(self) -> np.ndarray | None:
         """H's two lowest vectors over both sectors, (2 N^2, 2): a ``block`` result's Ritz
         vectors, or a ``dense`` result's ground vector and the vector of H's next level, each
-        by inverse iteration on its block (``_lowest_pair``), unless the point is degenerate or
-        has a zero-frequency mode; None for any other result.  A dense result keeps H's bands,
-        each sector's two lowest levels and its ground vector, and computes them on first read."""
+        by inverse iteration on its block (``_lowest_pair``); None after ``block-fallback``.
+        A dense result keeps H's bands, each sector's two lowest levels and its ground vector,
+        and computes them on first read."""
         return self._pair() if callable(self._pair) else self._pair
 
     def start_for(self, N: int) -> np.ndarray | None:
@@ -385,10 +385,9 @@ def ground_state(p: SystemParams, basis: str = "transformed",
         if not zero_frequency:
             traps = np.errstate(over="raise", invalid="raise", divide="raise")
             with suppress(FloatingPointError), traps:
-                if start is None:  # the rung below; a degenerate one hands on nothing
+                if start is None:  # the rung below
                     start = ground_state(replace(p, N=min(START_N, p.N // 2)), basis).ritz_vectors
-                if start is not None:
-                    solved = _joint_solve(*h.tridiagonal, start)
+                solved = _joint_solve(*h.tridiagonal, start)
         solver = "block" if solved else "block-fallback"
     if solved is None:
         blocks = h.entries
@@ -399,8 +398,8 @@ def ground_state(p: SystemParams, basis: str = "transformed",
         ground, residual = _level_vector(blocks[k], lowest[k], 0)
         # The eigenvalues are good to about eps ||H||_2, the largest |eigenvalue|.
         unresolved = np.finfo(float).eps * np.max(np.abs(spectra[:, [0, -1]])) >= DEGENERACY_TOL
-        clean = solver == "dense" and w[1] - w[0] >= DEGENERACY_TOL and not zero_frequency
-        pair = (lambda: _lowest_pair(h.entries, lowest, sector, level, ground)) if clean else None
+        pair = ((lambda: _lowest_pair(h.entries, lowest, sector, level, ground))
+                if solver == "dense" else None)
     else:
         (w, pair, k, ground, residual), unresolved = solved, False  # _joint_solve resolved the gap
     gap = float(w[1] - w[0])

@@ -728,7 +728,7 @@ class TestBlockPath:
         full = np.linalg.qr(rng.standard_normal((12, 12)))[0]
         assert _extend(full, rng.standard_normal((12, 2))).shape == (12, 0)
 
-    def test_a_clean_rung_hands_on_its_two_lowest_vectors(self, monkeypatch):
+    def test_a_dense_rung_hands_on_its_two_lowest_vectors(self, monkeypatch):
         starts, results = [], []
 
         def recording(p, basis="transformed", start=None):
@@ -738,19 +738,23 @@ class TestBlockPath:
 
         monkeypatch.setattr(jtsim.sweeps, "ground_state", recording)
         convergence_study(fig5_params(1.95, 10), (10, 20, 24))
-        convergence_study(replace(fig1_params(2.0), N=20), (20, 24))  # zero frequency
-        assert [gs.solver for gs in results] == ["dense", "block", "block"] + ["block-fallback"] * 2
-        for gs in results[:3]:
+        # zero-frequency points: the dense rung hands on its pair all the same, and a rung
+        # at N >= BLOCK_MIN_N falls back without reading it
+        zero = replace(fig1_params(2.0), J=0.05)
+        convergence_study(zero, (10, 14))
+        convergence_study(replace(fig1_params(2.0), N=20), (20, 24))
+        assert [gs.solver for gs in results] == (
+            ["dense", "block", "block", "dense"] + ["block-fallback"] * 3)
+        for gs in results[:4]:
             n = gs.state.factor_dims[1]
             assert gs.ritz_vectors.shape == (2 * n * n, 2)
             assert abs(gs.ritz_vectors[:, 0] @ in_sector_order(gs.state)) >= 1 - 1e-12
-        assert [gs.ritz_vectors for gs in results[3:]] == [None, None]
-        # a clean dense result at a zero-frequency point hands on nothing either
-        zero = ground_state(replace(fig1_params(2.0), J=0.05))
-        assert (zero.solver, zero.degenerate_flag, zero.ritz_vectors) == ("dense", False, None)
+        assert not results[3].degenerate_flag
+        assert_same_result(results[4], ground_state(replace(zero, N=14)))
+        assert [gs.ritz_vectors for gs in results[4:]] == [None] * 3
         # the first rung of each ladder starts cold; each later rung gets the rung below's vectors
-        assert starts[0] is starts[3] is None
-        assert [starts[i] is results[i - 1].ritz_vectors for i in (1, 2, 4)] == [True] * 3
+        assert starts[0] is starts[3] is starts[5] is None
+        assert [starts[i] is results[i - 1].ritz_vectors for i in (1, 2, 4, 6)] == [True] * 4
 
     @pytest.mark.parametrize("p", [
         SystemParams(1.25, 0.75, K_ULTRA, K_ULTRA, N=10),  # fig2 t = 0.5
@@ -843,9 +847,10 @@ class TestBlockPath:
         # Rayleigh-Ritz on the Krylov basis only: two columns to start, at most two per step
         assert max(eigh_rows) <= 2 + 2 * cold["_extend"]
 
-    def test_cold_start_from_a_degenerate_rung_below_falls_back(self, monkeypatch):
+    def test_clean_point_above_a_degenerate_rung_below_takes_the_block_path(self, monkeypatch):
         # Below BLOCK_MIN_N both sectors get the Pi = +1 block, so the rung below is
-        # degenerate across them and hands on nothing: the point goes to the dense path.
+        # degenerate across them.  It hands on its pair all the same, and the point's own
+        # block solve, which resolves the point's gap, judges the point.
         def twinned(q):
             h = build_transformed_hamiltonian(q)
             return h if q.N >= BLOCK_MIN_N else replace(h, diagonal=h.diagonal[[0, 0]])
@@ -853,13 +858,13 @@ class TestBlockPath:
         monkeypatch.setattr(jtsim.groundstate, "build_transformed_hamiltonian", twinned)
         p = fig5_params(1.5, 20)
         below = ground_state(replace(p, N=10))
-        assert below.degenerate_flag and below.ritz_vectors is None
+        assert below.degenerate_flag and below.ritz_vectors.shape == (200, 2)
         dense = dense_ground_state(p)
-        monkeypatch.setattr(jtsim.groundstate, "_joint_solve", _never_called)
         gs = ground_state(p)
-        assert gs.solver == "block-fallback" and not gs.degenerate_flag
-        assert gs.ritz_vectors is None
-        assert_same_result(gs, dense)
+        assert gs.solver == "block" and not gs.degenerate_flag
+        assert abs(gs.energy - dense.energy) < 1e-12
+        assert abs(gs.gap - dense.gap) < 1e-12
+        assert abs(gs.state.amplitudes @ dense.state.amplitudes) >= 1 - 1e-12
 
     def test_start_from_a_larger_cutoff_is_refused(self):
         start = ground_state(fig5_params(1.95, 24)).ritz_vectors
