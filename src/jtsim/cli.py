@@ -41,9 +41,6 @@ from .sweeps import (
     write_manifest,
 )
 
-OUTPUT_DIR_ENV = "JTSIM_OUTDIR"
-
-
 # Model flags: dest -> (default, help).  Each parses to None when not given,
 # so a preset sweep, which fixes the model itself, can refuse any given one.
 MODEL_FLAGS = {
@@ -89,7 +86,7 @@ def _refuse_given(args, dests, reason: str) -> None:
         raise ValueError(f"{reason}: {', '.join(given)}")
 
 
-def _params_from_args(args) -> SystemParams:
+def _params_from_args(args, N: int) -> SystemParams:
     flag = {dest: default if getattr(args, dest) is None else getattr(args, dest)
             for dest, (default, _) in MODEL_FLAGS.items()}
     values = {name: flag[name.replace("_", "")]
@@ -98,11 +95,7 @@ def _params_from_args(args) -> SystemParams:
         if flag[var] is not None:
             _refuse_given(args, _set_by(var), f"--{var} sets these parameters itself")
             values.update(_control_values(var, flag[var]))
-    return SystemParams(**values, N=args.N)
-
-
-def _default_out(filename: str) -> str:
-    return os.path.join(os.environ.get(OUTPUT_DIR_ENV, "."), filename)
+    return SystemParams(**values, N=N)
 
 
 @contextmanager
@@ -114,19 +107,21 @@ def _writing(path: str):
         raise ValueError(f"cannot write {path}: {exc}") from None
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with _writing(path):
-            _atomic_write(path, text)
+def _check_output(path: str) -> None:
+    """Refuse, before any solve, an -o path that names a directory or no file; make its parent."""
+    if os.path.isdir(path) or os.path.basename(path) in ("", ".", ".."):
+        raise ValueError(f"cannot write {path or repr(path)}: Is a directory")
+    with _writing(path):
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
 
 
 def cmd_point(args) -> int:
-    p = _params_from_args(args)
+    p = _params_from_args(args, args.N)
+    if args.output is not None:
+        _check_output(args.output)
     row = run_point(p, basis=args.basis)
     if args.format == "csv":
-        _emit(csv_text([row], p.N), args.output)
+        text = csv_text([row], p.N)
     elif args.format == "json":
         # The row's outputs; a point has no t, and raises where a sweep row keeps an error.
         payload = {"params": asdict(p), **asdict(row.report),
@@ -136,7 +131,7 @@ def cmd_point(args) -> int:
         # RFC 8259 has no nan or inf: an undefined ratio is written as null.
         payload = {key: None if isinstance(value, float) and not math.isfinite(value) else value
                    for key, value in payload.items()}
-        _emit(json.dumps(payload, indent=2, allow_nan=False) + "\n", args.output)
+        text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
     else:
         valid_label = {True: "yes", False: "no", None: "n/a"}[row.valid]
         lines = [
@@ -153,7 +148,12 @@ def cmd_point(args) -> int:
         ]
         if row.caveat:
             lines.append(f"caveat: {row.caveat}")
-        _emit("\n".join(lines) + "\n", args.output)
+        text = "\n".join(lines) + "\n"
+    if args.output is None:
+        sys.stdout.write(text)
+    else:
+        with _writing(args.output):
+            _atomic_write(args.output, text)
     return 0
 
 
@@ -170,11 +170,10 @@ def cmd_sweep(args) -> int:
         overwritten = (args.var, *_set_by(args.var))
         _refuse_given(args, [dest for dest in MODEL_FLAGS if dest in overwritten],
                       f"--var {args.var} sets these parameters itself")
-        spec = SweepSpec("custom", args.var, _params_from_args(args),
+        spec = SweepSpec("custom", args.var, _params_from_args(args, args.N),
                          args.tmin, args.tmax, args.step, args.basis)
-    out = args.output or _default_out(f"{spec.name}.csv")
-    with _writing(out):  # an unwritable path is refused before the sweep runs
-        os.makedirs(os.path.dirname(os.path.abspath(out)), exist_ok=True)
+    out = f"./{spec.name}.csv" if args.output is None else args.output
+    _check_output(out)
     result = run_sweep(spec, verify_subsample=not args.no_verify)
     with _writing(out):
         write_csv(result, out)
@@ -205,8 +204,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    args.N = args.cutoffs[0]  # converge has no --N; convergence_study sets each cutoff
-    p = _params_from_args(args)
+    p = _params_from_args(args, args.cutoffs[0])  # convergence_study sets each cutoff
     rows = convergence_study(p, args.cutoffs, basis=args.basis)
     diffs = successive_differences(rows)
     print("N      energy          E_N(S|B1B2)  E_N(S|B1)    E_N(S|B2)    E_N(B1|B2)")
@@ -240,7 +238,7 @@ def cmd_converge(args) -> int:
 
 
 def cmd_xcheck(args) -> int:
-    p = _params_from_args(args)
+    p = _params_from_args(args, args.N)
     div = compare_bases(p)
     print(f"ground energy (lab)         = {div.energy_lab:.12g}")
     print(f"ground energy (transformed) = {div.energy_transformed:.12g}")
@@ -284,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--no-verify", action="store_true",
                          help="skip the higher-cutoff verification subsample")
     p_sweep.add_argument("-o", "--output", default=None,
-                         help=f"CSV path (default: ${OUTPUT_DIR_ENV}/<name>.csv)")
+                         help="CSV path (default: ./<name>.csv)")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_conv = sub.add_parser("converge", help="Fock-cutoff convergence study")

@@ -394,14 +394,16 @@ def test_sweep_custom_requires_grid(capsys):
     assert "custom sweep needs" in capsys.readouterr().err
 
 
-def test_sweep_default_output_dir(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("JTSIM_OUTDIR", str(tmp_path))
+def test_sweep_without_output_writes_to_the_working_directory(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     code = main(
         ["sweep", "fig1", "--tmin", "0", "--tmax", "0.05", "--step", "0.05",
          "--N", "6", "--no-verify"]
     )
     assert code == 0
-    assert (tmp_path / "fig1.csv").exists()
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "fig1.csv", "fig1.csv.manifest.json"]
+    assert capsys.readouterr().out.startswith("fig1: 2 rows -> ./fig1.csv (0 flagged, ")
 
 
 def test_converge_decoupled(capsys):
@@ -453,6 +455,14 @@ def test_imprecise_rows_are_named(capsys, tmp_path):
             "false", "true", "true"]
 
 
+def test_converge_refuses_a_small_first_cutoff(capsys):
+    # the first cutoff is the one the command's parameters are checked at
+    assert main(["converge", "--cutoffs", "1,4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: cutoff must be >= 2\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [
@@ -471,7 +481,7 @@ def test_imprecise_rows_are_named(capsys, tmp_path):
 )
 def test_unparsable_flag_values_read_as_usage_errors(argv, text, tmp_path, monkeypatch, capsys):
     # the error names the rule the value broke, not the private type function
-    monkeypatch.setenv("JTSIM_OUTDIR", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -545,7 +555,7 @@ def test_control_flags_refuse_the_flags_they_set(
     command, flags, refused, tmp_path, monkeypatch, capsys
 ):
     # --delta sets omega_1 and omega_2, --kappa sets k_1 and k_2: a given value would be lost
-    monkeypatch.setenv("JTSIM_OUTDIR", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
     assert main([*command, *flags]) == 2
     assert capsys.readouterr().err.splitlines() == [refused]
     assert list(tmp_path.iterdir()) == []
@@ -578,6 +588,29 @@ def test_sweep_refuses_unwritable_output_before_solving(tmp_path, monkeypatch, c
     assert len(err) == 1 and err[0].startswith(f"error: cannot write {out}: ")
 
 
+@pytest.mark.parametrize("command, solver", [
+    (["point", "--N", "4"], "run_point"),
+    (["sweep", "fig5", "--N", "4", "--no-verify"], "run_sweep"),
+], ids=["point", "sweep"])
+@pytest.mark.parametrize("kind", ["directory", "trailing-separator", "empty"])
+def test_output_naming_no_file_is_refused_before_solving(
+    command, solver, kind, tmp_path, monkeypatch, capsys
+):
+    # each names a directory or no file, so it is refused before any solve or mkdir
+    def no_solve(*args, **kwargs):
+        raise AssertionError(f"{solver} called")
+
+    monkeypatch.setattr(jtsim.cli, solver, no_solve)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "existing").mkdir()
+    out = {"directory": "existing", "trailing-separator": f"new{os.sep}", "empty": ""}[kind]
+    assert main([*command, "-o", out]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: cannot write {out or repr(out)}: Is a directory"]
+    assert [path.name for path in tmp_path.iterdir()] == ["existing"]
+    assert list((tmp_path / "existing").iterdir()) == []
+
+
 def test_preset_sweep_names_every_refused_flag(tmp_path, capsys):
     code = main(["sweep", "fig6", "--k1", "0.5", "--J", "0.3", "-o", str(tmp_path / "f.csv")])
     assert code == 2
@@ -595,7 +628,7 @@ def test_converge_has_no_cutoff_flag(capsys):
 
 def test_sweep_has_no_jobs_flag(tmp_path, monkeypatch, capsys):
     # a sweep runs its grid in one process
-    monkeypatch.setenv("JTSIM_OUTDIR", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "fig1", "--jobs", "2"])
     assert exc.value.code == 2
@@ -627,7 +660,7 @@ def test_cached_parser_calls_patched_solvers(argv, name, tmp_path, monkeypatch, 
         raise ValueError(f"patched {name}")
 
     parser = build_parser()
-    monkeypatch.setenv("JTSIM_OUTDIR", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(jtsim.cli, name, patched)
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: patched {name}\n"
@@ -680,7 +713,7 @@ def test_point_writes_output_file(tmp_path):
 
 
 def test_output_that_is_a_directory_leaves_no_temp_file(tmp_path, capsys):
-    # the atomic write's temp file sits next to the target and is removed when the rename fails
+    # refused before the solve, so no temp file is made next to the target
     out = tmp_path / "existing"
     out.mkdir()
     assert main(["point", "--N", "4", "--format", "csv", "-o", str(out)]) == 2

@@ -4,6 +4,7 @@ from dataclasses import asdict, astuple, fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import jtsim.groundstate
 import jtsim.sweeps
@@ -24,6 +25,7 @@ from jtsim.sweeps import (
     write_csv,
     write_manifest,
 )
+from oracles import property_settings
 
 
 def small_fig1(**kw):
@@ -64,7 +66,7 @@ class TestPresets:
         ts = grid_points(spec)
         for t in (ts[0], ts[len(ts) // 2], ts[-1]):
             args = build_parser().parse_args(["point", var, repr(t), *fixed])
-            assert _params_from_args(args) == spec.params_at(t), t
+            assert _params_from_args(args, args.N) == spec.params_at(t), t
 
 
 class TestGrid:
@@ -199,15 +201,73 @@ class TestRunPoint:
             assert abs(v - getattr(hi.report, f)) < 5e-3
 
 
-class TestRunSweep:
-    def test_symmetric_fig1_rows(self):
-        # Delta -> -Delta relabels the modes: reports at +-1.9 must agree
-        spec = PRESETS["fig1"]
-        plus = run_point(spec.params_at(1.9))
-        minus = run_point(spec.params_at(-1.9))
-        for f, v in asdict(plus.report).items():
-            assert abs(v - getattr(minus.report, f)) < 1e-8
+def mode_swapped(p: SystemParams) -> SystemParams:
+    return replace(p, omega_1=p.omega_2, omega_2=p.omega_1, k_1=p.k_2, k_2=p.k_1)
 
+
+# Points with a ground state (J^2 < omega_1 omega_2, no zero-frequency mode) on the dense path.
+swap_points = st.builds(
+    SystemParams,
+    omega_1=st.floats(0.2, 2.0),
+    omega_2=st.floats(0.2, 2.0),
+    k_1=st.one_of(st.just(0.0), st.floats(0.01, 1.2)),
+    k_2=st.one_of(st.just(0.0), st.floats(0.01, 1.2)),
+    J=st.floats(-0.5, 0.5),
+    N=st.sampled_from([6, 8, 10, 12]),
+).filter(lambda p: p.J**2 < p.omega_1 * p.omega_2)
+
+
+class TestModeSwap:
+    """Swapping (omega_1, k_1) and (omega_2, k_2) relabels the lab modes.
+
+    The privileged mode (k_1 a_1 + k_2 a_2)/k_p is unchanged and the other mode changes
+    sign, a local unitary on B2: the transformed report is unchanged, and in the lab
+    basis S|B1 and S|B2 swap while S|B1B2 and B1|B2 are unchanged.
+    """
+
+    @staticmethod
+    def swap_rows(p: SystemParams) -> list[SweepRow]:
+        """The rows of ``p`` and of its swap, in the transformed basis and then the lab."""
+        return [run_point(q, basis=basis)
+                for basis in ("transformed", "lab") for q in (p, mode_swapped(p))]
+
+    @staticmethod
+    def assert_swap_symmetric(rows: list[SweepRow]) -> None:
+        t, t_swap, lab, lab_swap = (row.report for row in rows)
+        assert max(abs(a - b) for a, b in zip(astuple(t), astuple(t_swap))) < 1e-12
+        assert max(abs(a - b) for a, b in zip(
+            astuple(lab),
+            (lab_swap.en_s_b1b2, lab_swap.en_s_b2, lab_swap.en_s_b1, lab_swap.en_b1_b2),
+        )) < 1e-12
+
+    @settings(property_settings, max_examples=40)
+    @given(swap_points)
+    def test_swap_leaves_clean_reports_invariant(self, p):
+        rows = self.swap_rows(p)
+        assume(not any(row.flagged for row in rows))
+        self.assert_swap_symmetric(rows)
+
+    def test_swap_on_the_block_path(self):
+        rows = self.swap_rows(
+            SystemParams(omega_1=1.2, omega_2=0.8, k_1=0.9, k_2=0.4, J=0.1, N=20))
+        assert [(row.solver, row.flagged) for row in rows] == [("block", False)] * 4
+        self.assert_swap_symmetric(rows)
+
+    def test_fig1_and_fig2_rows_at_plus_and_minus_t_agree(self):
+        # fig1 and fig2 set k_1 = k_2, J = 0 and omega_{1,2} = 1 +- t/2, so t -> -t is the swap;
+        # t = +-2 has a zero-frequency mode
+        for name in ("fig1", "fig2"):
+            rows = run_sweep(figure_sweep(name, N=10), verify_subsample=False).rows
+            by_t = {round(row.t, 9): row for row in rows}
+            pairs = [(by_t[t], by_t[-t]) for t in by_t if 0 < t < 2]
+            assert len(pairs) == 39
+            for row, mirror in pairs:
+                assert not (row.flagged or mirror.flagged), row.t
+                assert max(abs(a - b) for a, b in zip(
+                    astuple(row.report), astuple(mirror.report))) < 1e-12, (name, row.t)
+
+
+class TestRunSweep:
     def test_zero_detuning_row_decouples_b2(self):
         spec = figure_sweep("fig1", t_min=-0.05, t_max=0.05, step=0.05)
         result = run_sweep(spec, verify_subsample=False)
@@ -386,6 +446,16 @@ class TestDeterminism:
         failed = dict(zip(reversed_columns, lines[1].split(",")))
         assert (failed.pop("t"), failed.pop("N"), failed.pop("degenerate")) == ("0.5", "6", "true")
         assert set(failed.values()) == {"nan"}
+
+    def test_failed_rename_leaves_no_temp_file(self, tmp_path):
+        # the atomic write's temp file sits next to the target and is removed when the
+        # rename fails, here onto a directory
+        result = run_sweep(small_fig1(t_min=0.0, t_max=0.05, step=0.05), verify_subsample=False)
+        (tmp_path / "existing").mkdir()
+        with pytest.raises(IsADirectoryError):
+            write_csv(result, str(tmp_path / "existing"))
+        assert [path.name for path in tmp_path.iterdir()] == ["existing"]
+        assert list((tmp_path / "existing").iterdir()) == []
 
     def test_csv_format_contract(self, tmp_path):
         spec = small_fig1(t_min=0.0, t_max=0.1, step=0.05)
