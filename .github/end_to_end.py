@@ -2,12 +2,13 @@
 OUT` runs TABLE on TREE's src, in OUT, and exits 1 on an unexpected exit code or when a jtsim
 line of this checkout's README command-line block is not a row; `diff TREE OUT SAVED` then
 names each output that differs from SAVED's, but for what holds a run's time, with the count
-of its removed and added lines and the first four of them.  TREE's lines print with `-` and
+of its removed and added lines and the first four of them; for a CSV also the number of cells
+that moved and the largest |difference| of the numeric ones.  TREE's lines print with `-` and
 SAVED's with `+`: CI runs the parent as TREE against the change's `run` output as SAVED, so a
 change's own lines are the `+` ones.  A row's stderr goes to <name>.err with TREE's path
 written as TREE and without source line numbers, so the two trees' warnings compare even when
 a change moves the line that warns."""
-import difflib, json, os, re, shlex, subprocess, sys, time
+import difflib, itertools, json, os, re, shlex, subprocess, sys, time
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
 WEAK = ["--k1", "0.0707107", "--k2", "0.0707107"]
@@ -38,9 +39,10 @@ TABLE = {
     "converge-fig5": (["converge", *FIG5_HARD, "--cutoffs", "20,30,40"], 0),  # most block rounds
     # the default sweep's cutoff and its N + 4 verification: E_N(S|B1) moves 0.26 -> 0.79
     "converge-fig5-n10": (["converge", *FIG5_HARD, "--cutoffs", "10,14"], 4),
-    # fig5 t = 1.5: the N = 30 rung's Krylov space grows by a column with 1.4e-9 of its norm
-    # outside it, which the rung keeps (it once fell back there; the table is the same);
-    # max |d E_N| = 1.588e-2 is at least VERIFY_TOL
+    # fig5 t = 1.5: the N = 30 rung once fell back when a Krylov step added a column with
+    # 1.4e-9 of its norm outside the space; with one Krylov space per sector the ladder's
+    # 18 steps add no such weak column (the table is the same); max |d E_N| = 1.588e-2 is
+    # at least VERIFY_TOL
     "converge-stall": (["converge", "--delta", "1.5", "--k1", "1.5", "--k2", "1.5", "--cutoffs",
                         "15,30"], 4),
     # an ordinary point whose dense N = 10 rung hands its two lowest vectors to the N = 14
@@ -137,6 +139,25 @@ def report(out, results):
     return any(code != TABLE[name][1] for name, (code, *_) in results.items())
 
 
+def number(cell):
+    """A CSV cell's value, or None where it is not a number."""
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def moved_cells(old, new):
+    """How many cells of two CSVs' lines differ, and the largest |difference| of the numbers."""
+    pairs = [(a, b) for x, y in itertools.zip_longest(old, new, fillvalue="")
+             for a, b in itertools.zip_longest(x.split(","), y.split(","), fillvalue="") if a != b]
+    values = [(number(a), number(b)) for a, b in pairs]
+    deltas = [abs(b - a) for a, b in values if a is not None and b is not None]
+    text = len(pairs) - len(deltas)
+    return (f"{len(pairs)} cells moved, max |d| {max(deltas, default=0.0):.3g}"
+            + (f", {text} not numeric" if text else ""))
+
+
 def diff(tree, out, saved):
     names = sorted((set(os.listdir(out)) | set(os.listdir(saved))) - {f"{n}.out" for n in SWEEPS})
     diffs = []
@@ -144,7 +165,8 @@ def diff(tree, out, saved):
         old, new = (read(os.path.join(d, name)) for d in (out, saved))
         if lines := [*difflib.unified_diff(old, new, n=0, lineterm="")][2:]:  # past the headers
             removed, added = (sum(line[0] == sign for line in lines) for sign in "-+")
-            diffs.append(f"- `{name}` (-{removed} +{added} lines): "
+            cells = f", {moved_cells(old, new)}" if name.endswith(".csv") else ""
+            diffs.append(f"- `{name}` (-{removed} +{added} lines{cells}): "
                          + " ".join(f"`{line}`" for line in lines[1:5]))
     print(f"Outputs of {tree} (-) against {saved} (+) ({len(names)} files): "
           + (f"{len(diffs)} differ" if diffs else "identical"), *diffs, sep="\n")

@@ -26,27 +26,30 @@ that supplied them:
   diagonal, the hopping on the subdiagonal) that both blocks share; the path
   never forms a dense N^2 x N^2 block.  It solves both blocks in one Krylov
   run on A = diag(B_+, B_-), whose spectrum is H's (``_joint_solve``); every
-  product, factor and substitution carries the block axis, so one numpy call
-  serves both blocks; the factor and the substitutions hold each block row of
-  both blocks contiguously.  A block LDL^T of A - sigma I whose pivots all have a
-  Cholesky factor exists exactly when sigma is below lambda_0(H) (Sylvester's
-  law of inertia), so a successful factor certifies the shift.  Shift-invert
-  block Krylov steps on that factor, each followed by a Rayleigh-Ritz step on
-  A, give H's two lowest Ritz pairs without a dense solve or eigvalsh; sigma
-  is refined and re-certified between rounds.  The factor keeps the inverse
-  pivots and the multipliers, so each shift-invert is one batched product
-  with the inverse pivots plus one small product per block row and sweep.
-  The ground Ritz vector is restricted to its dominant block and
-  renormalised, so the state has exactly zero amplitude off its sector, and
-  its residual is taken afresh on that block.  The run starts from the
-  ``ritz_vectors`` of a result at a smaller cutoff m, zero-padded (``start``):
-  a ``block`` result hands on its Ritz vectors, a ``dense`` one its pair and a
-  ``block-fallback`` one nothing.  A cutoff ladder hands them from rung to
-  rung, and without one the point solves its own rung below, m = min(START_N,
-  N // 2), which takes the dense path; H's leading m x m grid is H at cutoff
-  m.  The start only changes where the Krylov space begins; the shift is still
-  certified by its factor, the stop rule is the same, and the run judges the
-  point's own gap, whether or not the rung below is degenerate.
+  product, factor, substitution, orthonormalisation and Rayleigh-Ritz step
+  carries the block axis, so one numpy call serves both blocks; the factor and
+  the substitutions hold each block row of both blocks contiguously.  A block
+  LDL^T of A - sigma I whose pivots all have a Cholesky factor exists exactly
+  when sigma is below lambda_0(H) (Sylvester's law of inertia), so a
+  successful factor certifies the shift.  Shift-invert block Krylov steps on
+  that factor, each followed by a Rayleigh-Ritz step on each block, give H's
+  two lowest Ritz pairs without a dense solve or eigvalsh; sigma is refined
+  and re-certified between rounds.  The factor keeps the inverse pivots and
+  the multipliers, so each shift-invert is one batched product with the
+  inverse pivots plus one small product per block row and sweep.  The run
+  keeps one Krylov basis per block, so every Ritz vector, the ground vector
+  included, has exactly zero amplitude off its sector, and H's two lowest
+  levels are picked from the blocks' Ritz values by the dense path's rule.
+  The ground vector's residual is taken afresh on its block.  The run starts
+  from the ``ritz_vectors`` of a result at a smaller cutoff m, zero-padded
+  (``start``): a ``block`` result hands on H's two lowest Ritz vectors, a
+  ``dense`` one its pair and a ``block-fallback`` one nothing.  A cutoff
+  ladder hands them from rung to rung, and without one the point solves its
+  own rung below, m = min(START_N, N // 2), which takes the dense path; H's
+  leading m x m grid is H at cutoff m.  The start only changes where the
+  Krylov space begins; the shift is still certified by its factor, the stop
+  rule is the same, and the run judges the point's own gap, whether or not
+  the rung below is degenerate.
 * ``"block-fallback"``: the point has a zero-frequency mode
   (``model._zero_frequency``), so the block path is not tried; or the
   block path could not certify a shift, missed its stop rule within ROUNDS x
@@ -142,9 +145,10 @@ class GroundStateResult:
 
     @cached_property
     def ritz_vectors(self) -> np.ndarray | None:
-        """H's two lowest vectors over both sectors, (2 N^2, 2): a ``block`` result's Ritz
-        vectors, or a ``dense`` result's ground vector and the vector of H's next level, each
-        by inverse iteration on its block (``_lowest_pair``); None after ``block-fallback``.
+        """H's two lowest vectors over both sectors, (2 N^2, 2), each exactly zero outside
+        its sector: the ground vector, then the vector of H's next level.  A ``block``
+        result's are Ritz vectors, a ``dense`` result's come by inverse iteration on their
+        blocks (``_lowest_pair``); None after ``block-fallback``.
         A dense result keeps H's bands, each sector's two lowest levels and its ground vector,
         and computes them on first read."""
         return self._pair() if callable(self._pair) else self._pair
@@ -262,20 +266,20 @@ def _shift_invert(factor, x: np.ndarray) -> np.ndarray:
 
 
 def _extend(basis: np.ndarray, new: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the part of ``new`` outside span(basis).
+    """Orthonormal columns spanning, in each block b, the part of new[b] outside span(basis[b]),
+    for a (2, d, c) ``basis`` and (2, d, j) ``new``.
 
-    Two projections.  A column with under 1e-8 of its norm outside the span after
-    the first has its unit remainder projected once more, and is kept only if more
-    than 1e-8 of that remainder lies outside the span.  A nan column fails both
-    tests and is dropped.
+    Two projections.  A column with under 1e-8 of its norm outside the span after the
+    first has its unit remainder projected once more, and is kept only if more than 1e-8
+    of that remainder lies outside the span.  A column kept in one block is kept in both,
+    so each block gains the same number of columns.  A nan column fails both tests.
     """
-    q, r = np.linalg.qr(new - basis @ (basis.T @ new))
-    keep = np.abs(np.diag(r)) > 1e-8 * np.linalg.norm(new, axis=0)
+    q, r = np.linalg.qr(new - basis @ (basis.swapaxes(1, 2) @ new))
+    keep = np.abs(np.diagonal(r, axis1=1, axis2=2)) > 1e-8 * np.linalg.norm(new, axis=1)
     if not keep.all():  # weak columns are rare: a step without one pays nothing here
-        weak = q[:, ~keep]
-        keep[~keep] = np.linalg.norm(weak - basis @ (basis.T @ weak), axis=0) > 1e-8
-    q = q[:, keep]
-    return np.linalg.qr(q - basis @ (basis.T @ q))[0]
+        keep |= np.linalg.norm(q - basis @ (basis.swapaxes(1, 2) @ q), axis=1) > 1e-8
+    q = q[:, :, keep.any(axis=0)]
+    return np.linalg.qr(q - basis @ (basis.swapaxes(1, 2) @ q))[0]
 
 
 def _certified_factor(diag, upper, theta: np.ndarray, res: np.ndarray):
@@ -290,30 +294,37 @@ def _certified_factor(diag, upper, theta: np.ndarray, res: np.ndarray):
     return None
 
 
-def _ritz(basis: np.ndarray, image: np.ndarray):
-    """Rayleigh-Ritz on A over span(basis), image = A basis: Ritz values, the lowest
-    two Ritz vectors, their residual vectors and residual norms."""
-    theta, coef = np.linalg.eigh(basis.T @ image)
-    ritz = basis @ coef[:, :2]
-    res_vecs = image @ coef[:, :2] - ritz * theta[:2]
-    return theta, ritz, res_vecs, [_norm(r) for r in res_vecs.T]
-
-
 def _two_lowest(lowest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(sector, level) of H's two lowest levels, from each sector's two lowest values
     ``lowest`` (2, 2); the sort is stable, so on a tie the Pi = +1 sector comes first."""
     return np.unravel_index(np.argsort(lowest, axis=None, kind="stable")[:2], lowest.shape)
 
 
+def _ritz(basis: np.ndarray, image: np.ndarray):
+    """Rayleigh-Ritz on each block b of A over span(basis[b]), for a (2, d, c) ``basis`` and
+    image = A basis.  Returns H's three lowest Ritz values over both blocks, the residual
+    norms of H's two lowest Ritz pairs and their (sector, level) (``_two_lowest``), and
+    each block's two lowest Ritz vectors and residual vectors, (2, d, 2) each."""
+    theta, coef = np.linalg.eigh(basis.swapaxes(1, 2) @ image)
+    ritz = basis @ coef[:, :, :2]
+    res_vecs = image @ coef[:, :, :2] - ritz * theta[:, None, :2]
+    res = np.array([[_norm(r) for r in block.T] for block in res_vecs])
+    sector, level = _two_lowest(theta[:, :2])
+    return np.sort(theta, axis=None)[:3], res[sector, level], (sector, level), ritz, res_vecs
+
+
 def _joint_solve(diag: np.ndarray, upper: np.ndarray, start: np.ndarray):
     """H's two lowest levels by one Krylov run on A = diag(B_+, B_-); or None to fall back.
 
-    Returns (theta_0, theta_1), the two lowest Ritz vectors of A (2N^2, 2), the sector k
-    of the ground vector, that vector restricted to B_k and renormalised, and its fresh
-    residual on B_k.  It refuses a gap it cannot resolve inside one block, and a
-    degenerate pair, whose vector is the solver's pick among equals: the dense path's
-    pick stays the one reported.  ``start`` holds two columns over both sectors of an
-    m x m Fock grid of a cutoff m <= N: the ``ritz_vectors`` of a smaller cutoff's result.
+    The run keeps one Krylov basis per block, (2, N^2, c), so every Ritz vector lies in
+    one sector, and picks H's two lowest levels from the blocks' Ritz values by the dense
+    path's rule (``_two_lowest``).  Returns (theta_0, theta_1), H's two lowest Ritz vectors
+    (2N^2, 2), each exactly zero outside its sector, the sector k of the ground, its Ritz
+    vector on B_k and that vector's fresh residual on B_k.  It refuses a gap it cannot
+    resolve inside one block, and a degenerate pair, whose vector is the solver's pick
+    among equals: the dense path's pick stays the one reported.  ``start`` holds two
+    columns over both sectors of an m x m Fock grid of a cutoff m <= N: the
+    ``ritz_vectors`` of a smaller cutoff's result.
     """
     b, n = diag.shape[:2]
     start = np.asarray(start)
@@ -323,41 +334,42 @@ def _joint_solve(diag: np.ndarray, upper: np.ndarray, start: np.ndarray):
                          f"m <= {n}; got {start.shape}")
     padded = np.zeros((b, n, n, 2))
     padded[:, :m, :m] = start.reshape(b, m, m, 2)
-    generic = np.cos(np.outer(np.arange(b * n * n), (1.0, 2.0)))
-    basis = np.linalg.qr(padded.reshape(b * n * n, 2) + START_NOISE * generic)[0]
+    generic = np.cos(np.outer(np.arange(b * n * n), (1.0, 2.0))).reshape(b, n * n, 2)
+    basis = np.linalg.qr(padded.reshape(b, n * n, 2) + START_NOISE * generic)[0]
     image = _block_product(diag, upper, basis)
-    theta, ritz, res_vecs, res = _ritz(basis, image)
+    w, r, (sector, level), ritz, res_vecs = _ritz(basis, image)
     unmet = [True, True]
     for step in range(ROUNDS * STEPS):
         if step % STEPS == 0:
-            factor = _certified_factor(diag, upper, theta, res)
+            factor = _certified_factor(diag, upper, w, r)
             if factor is None:
                 return None
         # Converged columns are locked: their residuals are rounding noise.
-        new = _extend(basis, _shift_invert(factor, res_vecs[:, unmet]))
+        new = _extend(basis, _shift_invert(factor, res_vecs[:, :, unmet]))
         if not new.size:
             return None  # the Krylov space stopped growing
-        basis = np.hstack([basis, new])
-        image = np.hstack([image, _block_product(diag, upper, new)])
-        theta, ritz, res_vecs, res = _ritz(basis, image)
-        tol, gap_tol = (t * max(1.0, abs(theta[0])) for t in (RESIDUAL_TOL, GAP_TOL))
-        # lambda_1's eigenvalue error is at most r_1^2 / (lambda_2 - lambda_1).
-        unmet = [res[0] >= tol,
-                 res[1] >= gap_tol and res[1] * res[1] >= gap_tol * (theta[2] - theta[1])]
-        if not any(unmet):
-            halves = ritz.reshape(b, n * n, 2)
-            # each Ritz vector's dominant sector; on a tie Pi = +1
-            sectors = np.argmax(np.linalg.norm(halves, axis=1), axis=0)
-            same = sectors[0] == sectors[1]
-            if theta[1] - theta[0] < (SHIFT * max(1.0, abs(theta[0])) if same else DEGENERACY_TOL):
+        basis = np.concatenate([basis, new], axis=2)
+        image = np.concatenate([image, _block_product(diag, upper, new)], axis=2)
+        w, r, (sector, level), ritz, res_vecs = _ritz(basis, image)
+        tol, gap_tol = (t * max(1.0, abs(w[0])) for t in (RESIDUAL_TOL, GAP_TOL))
+        # lambda_1's eigenvalue error is at most r_1^2 / (lambda_2 - lambda_1); w[2] is H's
+        # third-lowest Ritz value over both blocks.
+        met = [r[0] < tol, r[1] < gap_tol or r[1] * r[1] < gap_tol * (w[2] - w[1])]
+        if all(met):
+            k = int(sector[0])
+            if w[1] - w[0] < (SHIFT * max(1.0, abs(w[0])) if sector[1] == k else DEGENERACY_TOL):
                 return None
-            k = int(sectors[0])
-            ground = halves[k, :, 0] / _norm(halves[k, :, 0])
+            ground = ritz[k, :, 0]
             # The Ritz residual is accumulated over the steps; this one is taken afresh.
-            fresh = _norm(_block_product(diag[k:k + 1], upper, ground) - theta[0] * ground)
+            fresh = _norm(_block_product(diag[k:k + 1], upper, ground) - w[0] * ground)
             if fresh < tol:
-                return theta[:2], ritz, k, ground, fresh
-            unmet[0] = True
+                pair = np.zeros_like(ritz)
+                pair[sector, :, [0, 1]] = ritz[sector, :, level]
+                return w[:2], pair.reshape(-1, 2), k, ground, fresh
+            met[0] = False
+        # Expand both blocks' level-0 residuals for H's ground, and for its next level where
+        # that is the other sector's ground; their level-1 residuals where it is not.
+        unmet = [not met[0] or not met[1] and level[1] == 0, not met[1] and level[1] == 1]
     return None
 
 

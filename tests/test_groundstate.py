@@ -6,7 +6,7 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import jtsim.groundstate
 import jtsim.sweeps
@@ -336,6 +336,17 @@ def in_sector_order(state):
     return np.concatenate([state.amplitudes[_parity_sector(n, sign)] for sign in PARITY_SIGNS])
 
 
+def pair_sectors(gs):
+    """The sector of each ``ritz_vectors`` column, asserting that the column is exactly 0 in
+    the other sector and that column 0 is the state, up to sign, bit for bit."""
+    halves = gs.ritz_vectors.reshape(2, -1, 2)
+    zero = np.all(halves == 0.0, axis=1)  # [sector, column]
+    assert list(zero.sum(axis=0)) == [1, 1]
+    state = in_sector_order(gs.state)
+    assert np.array_equal(np.sign(gs.ritz_vectors[:, 0] @ state) * gs.ritz_vectors[:, 0], state)
+    return np.argmin(zero, axis=0)
+
+
 def assert_same_result(a, b):
     assert (a.energy, a.gap, a.degenerate_flag, a.residual) == (
         b.energy, b.gap, b.degenerate_flag, b.residual
@@ -406,6 +417,20 @@ class TestBlockPath:
         assert abs(gs.gap - (lowest[1] - lowest[0])) < 1e-12 * scale
         assert gs.residual < RESIDUAL_TOL * scale
         assert abs(gs.state.amplitudes @ dense.state.amplitudes) >= 1 - 1e-12
+
+    @settings(property_settings, max_examples=24)
+    @given(model_points, st.sampled_from([14, 16, 20]), st.sampled_from(BASES))
+    def test_random_point_matches_eigvalsh_with_a_sector_pure_pair(self, p, n, basis):
+        assume(p.J ** 2 < p.omega_1 * p.omega_2)  # H has a ground state
+        p = replace(p, N=n)
+        h = build_lab_hamiltonian(p) if basis == "lab" else build_transformed_hamiltonian(p)
+        gs = ground_state(p, basis)
+        if gs.solver == "block":
+            lowest = np.sort(np.concatenate([np.linalg.eigvalsh(b)[:2] for b in h.entries]))
+            scale = max(1.0, abs(lowest[0]))
+            assert abs(gs.energy - lowest[0]) < 1e-12 * scale
+            assert abs(gs.gap - (lowest[1] - lowest[0])) < 1e-12 * scale
+            pair_sectors(gs)
 
     @pytest.mark.parametrize("p", [
         # fig2 t = 0.5: the lifted Pi = -1 block held the ground level
@@ -597,9 +622,8 @@ class TestBlockPath:
         # the rule, not a stall: below a smaller tolerance the block path keeps the pair
         monkeypatch.setattr(jtsim.groundstate, "DEGENERACY_TOL", 1e-13)
         kept = ground_state(p)
-        halves = kept.ritz_vectors.reshape(2, p.N * p.N, 2)
         assert kept.solver == "block" and kept.gap < DEGENERACY_TOL
-        assert list(np.argmax(np.linalg.norm(halves, axis=1), axis=0)) in ([0, 1], [1, 0])
+        assert sorted(pair_sectors(kept)) == [0, 1]
 
     @pytest.mark.parametrize("p", [SystemParams(1.25, 0.75, K_ULTRA, K_ULTRA, N=20),
                                    fig5_params(1.95, 20)], ids=["fig2", "fig5"])
@@ -703,10 +727,11 @@ class TestBlockPath:
         assert abs(warm.state.amplitudes @ cold.state.amplitudes) >= 1 - 1e-12
 
     def test_start_whose_krylov_space_stops_growing_matches_cold_solve(self):
-        # fig5 t = 1.5: started from the N = 15 block rung's Ritz vectors, the N = 30 run's
-        # first step of round 2 adds a column with only 1.4e-9 of its norm outside the
-        # Krylov space.  _extend keeps it, so the rung takes the block path, as a cold
-        # solve does, instead of falling back.  Either path gives these numbers.
+        # fig5 t = 1.5: started from the N = 15 block rung's Ritz vectors, the N = 30 rung
+        # once fell back when a step added a column with 1.4e-9 of its norm outside the
+        # Krylov space of both sectors.  With one Krylov space per sector no step of this
+        # ladder adds a weak column; the rung takes the block path, as a cold solve does,
+        # and either path gives these numbers.
         warm = convergence_study(fig5_params(1.5, 15), (15, 30))[1]
         cold = run_point(fig5_params(1.5, 30))
         assert warm.solver == cold.solver == "block"
@@ -716,17 +741,23 @@ class TestBlockPath:
 
     def test_extend_keeps_a_small_remainder_and_drops_rounding(self):
         rng = np.random.default_rng(7)
-        q = np.linalg.qr(rng.standard_normal((60, 9)))[0]
-        basis, outside = q[:, :8], q[:, 8]
-        # 1e-9 of the column lies outside the span, in a direction orthogonal to the basis
-        new = basis @ rng.standard_normal(8) + 1e-9 * outside
-        kept = _extend(basis, new[:, None])
-        assert kept.shape == (60, 1)
-        assert abs(kept[:, 0] @ outside) >= 1 - 1e-6
-        assert np.max(np.abs(basis.T @ kept)) < 1e-14
+        q = np.linalg.qr(rng.standard_normal((2, 60, 10)))[0]
+        basis, outside = q[:, :, :8], q[:, :, 8:]  # outside: two directions orthogonal to each
+        new = basis @ rng.standard_normal((2, 8, 2))
+        # column 0: 1e-9 of it lies outside the span, in both blocks
+        new[:, :, 0] += 1e-9 * outside[:, :, 0]
+        # column 1: in the span to rounding in block 0, and not in block 1
+        new[1, :, 1] += outside[1, :, 1]
+        kept = _extend(basis, new)
+        # a column kept in one block is kept in both, orthonormal to each block's basis
+        assert kept.shape == (2, 60, 2)
+        assert np.max(np.abs(kept.swapaxes(1, 2) @ kept - np.eye(2))) < 1e-14
+        assert np.max(np.abs(basis.swapaxes(1, 2) @ kept)) < 1e-14
+        assert np.linalg.norm(kept[0].T @ outside[0, :, 0]) >= 1 - 1e-6
+        assert np.all(np.linalg.norm(kept[1].T @ outside[1], axis=0) >= 1 - 1e-6)
         # a basis of the whole space: any column lies in its span to rounding
-        full = np.linalg.qr(rng.standard_normal((12, 12)))[0]
-        assert _extend(full, rng.standard_normal((12, 2))).shape == (12, 0)
+        full = np.linalg.qr(rng.standard_normal((2, 12, 12)))[0]
+        assert _extend(full, rng.standard_normal((2, 12, 2))).shape == (2, 12, 0)
 
     def test_a_dense_rung_hands_on_its_two_lowest_vectors(self, monkeypatch):
         starts, results = [], []
@@ -793,16 +824,17 @@ class TestBlockPath:
             assert residual < RESIDUAL_TOL * max(1.0, abs(w[1]))
 
     @pytest.mark.parametrize("basis", BASES)
-    @pytest.mark.parametrize("n", [6, 10, 13])
+    @pytest.mark.parametrize("n", [6, 10, 13, 14, 20, 24])
     @pytest.mark.parametrize("p", [
         SystemParams(1.0, 1.0, K_ULTRA, K_ULTRA),  # the ladder point
         SystemParams(1.25, 0.75, K_ULTRA, K_ULTRA),  # fig2 t = 0.5
         fig5_params(1.95, 10),
         SystemParams(0.2, 0.1, K_ULTRA, K_ULTRA, J=0.05),  # fig6 t = 0.05
     ], ids=["ladder", "fig2", "fig5", "fig6"])
-    def test_dense_pair_across_the_sectors_is_their_lowest_vectors(self, p, n, basis):
+    def test_pair_across_the_sectors_is_their_lowest_vectors(self, p, n, basis):
         # The pairs that the ladders and the verification hand on: H's next level lies in
-        # the sector that does not hold its ground level.
+        # the sector that does not hold its ground level.  Either path's pair is exactly 0
+        # outside its sectors; the block path keeps one Krylov space per sector.
         p = replace(p, N=n)
         h = build_lab_hamiltonian(p) if basis == "lab" else build_transformed_hamiltonian(p)
         blocks = h.entries
@@ -810,15 +842,13 @@ class TestBlockPath:
         (k0, k1), _ = _two_lowest(lowest)
         assert k0 != k1
         gs = ground_state(p, basis)
-        assert gs.solver == "dense"
-        halves = gs.ritz_vectors.reshape(2, n * n, 2)
-        assert np.all(halves[k1, :, 0] == 0.0) and np.all(halves[k0, :, 1] == 0.0)
-        state = in_sector_order(gs.state)
-        assert np.array_equal(np.sign(gs.ritz_vectors[:, 0] @ state) * gs.ritz_vectors[:, 0], state)
-        second = halves[k1, :, 1]
+        assert gs.solver == ("dense" if n < BLOCK_MIN_N else "block")
+        assert list(pair_sectors(gs)) == [k0, k1]
+        second = gs.ritz_vectors.reshape(2, n * n, 2)[k1, :, 1]
         assert abs(second @ np.linalg.eigh(blocks[k1])[1][:, 0]) >= 1 - 1e-12
-        residual = np.linalg.norm(blocks[k1] @ second - lowest[k1, 0] * second)
-        assert residual < RESIDUAL_TOL * max(1.0, abs(lowest[k1, 0]))
+        if gs.solver == "dense":  # the inverse iteration's own stop test
+            residual = np.linalg.norm(blocks[k1] @ second - lowest[k1, 0] * second)
+            assert residual < RESIDUAL_TOL * max(1.0, abs(lowest[k1, 0]))
 
     def test_rung_after_a_dense_one_pays_no_start_eigh(self, monkeypatch):
         # The ladder point: its N = 20 rung starts from the N = 10 rung's dense pair, with
