@@ -40,9 +40,10 @@ TABLE = {
     # the default sweep's cutoff and its N + 4 verification: E_N(S|B1) moves 0.26 -> 0.79
     "converge-fig5-n10": (["converge", *FIG5_HARD, "--cutoffs", "10,14"], 4),
     # fig5 t = 1.5: the N = 30 rung once fell back when a Krylov step added a column with
-    # 1.4e-9 of its norm outside the space; with one Krylov space per sector the ladder's
-    # 18 steps add no such weak column (the table is the same); max |d E_N| = 1.588e-2 is
-    # at least VERIFY_TOL
+    # 1.4e-9 of its norm outside the space; _extend's one keep rule, more than 1e-12 of a
+    # column's norm outside the span, keeps such a column, and with one Krylov space per
+    # sector the ladder's 18 steps add none (the table is the same); max |d E_N| = 1.588e-2
+    # is at least VERIFY_TOL
     "converge-stall": (["converge", "--delta", "1.5", "--k1", "1.5", "--k2", "1.5", "--cutoffs",
                         "15,30"], 4),
     # an ordinary point whose dense N = 10 rung hands its two lowest vectors to the N = 14

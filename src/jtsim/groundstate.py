@@ -53,13 +53,13 @@ that supplied them:
 * ``"block-fallback"``: the point has a zero-frequency mode
   (``model._zero_frequency``), so the block path is not tried; or the
   block path could not certify a shift, missed its stop rule within ROUNDS x
-  STEPS steps, overflowed, found H's two lowest levels in one block with a
-  gap it cannot resolve, or found the point degenerate.  The dense path then
-  solves the point, so the result is the dense one bit for bit, and a
-  degenerate point keeps the dense path's pick of vector.  ``ground_state``
-  judges a zero-frequency point once, before the build, and warns at its caller
-  with a ``RuntimeWarning`` that names the point; the builders build any finite
-  point silently.
+  STEPS steps, found its Krylov space stopped growing, overflowed, found H's
+  two lowest levels in one block with a gap it cannot resolve, or found the
+  point degenerate.  The dense path then solves the point, so the result is
+  the dense one bit for bit, and a degenerate point keeps the dense path's
+  pick of vector.  ``ground_state`` judges a zero-frequency point once, before
+  the build, and warns at its caller with a ``RuntimeWarning`` that names the
+  point; the builders build any finite point silently.
 
 A gap below DEGENERACY_TOL flags the point degenerate, unless the solver
 cannot resolve a gap that small: eigenvalues are good to about eps ||H||, and
@@ -269,15 +269,17 @@ def _extend(basis: np.ndarray, new: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning, in each block b, the part of new[b] outside span(basis[b]),
     for a (2, d, c) ``basis`` and (2, d, j) ``new``.
 
-    Two projections.  A column with under 1e-8 of its norm outside the span after the
-    first has its unit remainder projected once more, and is kept only if more than 1e-8
-    of that remainder lies outside the span.  A column kept in one block is kept in both,
-    so each block gains the same number of columns.  A nan column fails both tests.
+    Two projections.  A column is kept when more than 1e-12 of its norm lies outside the
+    span after the first (|R_jj| of its QR).  That is about 250 times the rounding floor of
+    one projection (a column in the span reads at most 3.9e-15 of its norm, for d up to 3200
+    and c up to 130) and about 7000 times below the weakest expansion column measured (7.2e-9
+    of its norm in one block, over 9306 block columns of 400 random cold solves at N = 14 to
+    24 in both bases and of cutoff ladders 10, 20, 30 at every 4th preset grid point).  A
+    column kept in one block is kept in both, so each block gains the same number of
+    columns.  A nan column fails the test.
     """
     q, r = np.linalg.qr(new - basis @ (basis.swapaxes(1, 2) @ new))
-    keep = np.abs(np.diagonal(r, axis1=1, axis2=2)) > 1e-8 * np.linalg.norm(new, axis=1)
-    if not keep.all():  # weak columns are rare: a step without one pays nothing here
-        keep |= np.linalg.norm(q - basis @ (basis.swapaxes(1, 2) @ q), axis=1) > 1e-8
+    keep = np.abs(np.diagonal(r, axis1=1, axis2=2)) > 1e-12 * np.linalg.norm(new, axis=1)
     q = q[:, :, keep.any(axis=0)]
     return np.linalg.qr(q - basis @ (basis.swapaxes(1, 2) @ q))[0]
 

@@ -21,7 +21,7 @@ from jtsim.model import (
     build_lab_hamiltonian,
     build_transformed_hamiltonian,
 )
-from jtsim.sweeps import convergence_study, run_point, successive_differences
+from jtsim.sweeps import compare_bases, convergence_study, run_point, successive_differences
 from oracles import (
     SX,
     full_matrix,
@@ -758,6 +758,30 @@ class TestBlockPath:
         # a basis of the whole space: any column lies in its span to rounding
         full = np.linalg.qr(rng.standard_normal((2, 12, 12)))[0]
         assert _extend(full, rng.standard_normal((2, 12, 2))).shape == (2, 12, 0)
+
+    def test_extend_drops_columns_in_the_span_of_a_proper_subspace(self):
+        # The remainder of an in-span column is rounding noise, most of which lies outside
+        # a small span: it is dropped by its size, not kept by its direction.
+        rng = np.random.default_rng(11)
+        basis = np.linalg.qr(rng.standard_normal((2, 60, 8)))[0]
+        assert _extend(basis, basis @ rng.standard_normal((2, 8, 3))).shape == (2, 60, 0)
+
+    def test_krylov_steps_of_the_ladder_and_xcheck_points(self, monkeypatch):
+        # Krylov steps counted as _extend calls at the perfbench ladder and xcheck points;
+        # a change that adds steps shows here, not only in the benchmark.
+        steps = [0]
+
+        def counting(*args, inner=_extend):
+            steps[0] += 1
+            return inner(*args)
+
+        monkeypatch.setattr(jtsim.groundstate, "_extend", counting)
+        k = 0.7071068
+        convergence_study(SystemParams(1.0, 1.0, k, k), (10, 20, 30))
+        assert steps[0] <= 6
+        steps[0] = 0
+        compare_bases(SystemParams(1.025, 0.975, k, k, N=24))
+        assert steps[0] <= 4
 
     def test_a_dense_rung_hands_on_its_two_lowest_vectors(self, monkeypatch):
         starts, results = [], []
