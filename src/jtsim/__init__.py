@@ -19,7 +19,6 @@ from .model import (
     ShellRotation,
     StateVector,
     SystemParams,
-    ValidityReport,
     build_lab_hamiltonian,
     build_transformed_hamiltonian,
     mode_rotation_unitary,
@@ -45,7 +44,6 @@ __all__ = [
     "__version__",
     "StateVector",
     "SystemParams",
-    "ValidityReport",
     "privileged_validity",
     "build_lab_hamiltonian",
     "build_transformed_hamiltonian",

@@ -141,7 +141,14 @@ class StateVector:
 
 
 def _check_cutoff(cutoff: int) -> int:
-    if int(cutoff) != cutoff or cutoff < 2:
+    """``cutoff`` as an int: an integer >= 2, an integral float or numpy integer included."""
+    try:
+        whole = int(cutoff) == cutoff
+    except (TypeError, ValueError, OverflowError):  # None, nan, inf
+        whole = False
+    if not whole:
+        raise ValueError(f"cutoff must be >= 2 and an integer, got {cutoff!r}")
+    if cutoff < 2:
         raise ValueError("cutoff must be >= 2")
     return int(cutoff)
 
@@ -261,26 +268,6 @@ class SystemParams:
         return self.omega_1 - self.omega_2
 
 
-@dataclass(frozen=True)
-class ValidityReport:
-    """Dimensionless ratios probing the single-privileged-mode approximation.
-
-    r1 = |k_p*c| / g_p   qubit-disadvantaged vs qubit-privileged coupling
-    r2 = |c + J*(k2^2-k1^2)/k_p^2| / g_p   mode hopping vs qubit-privileged
-    r3 = |J| / g_2       hopping vs the weaker bare coupling (diagnostic only)
-
-    valid requires r1 and r2 both at or below VALIDITY_THRESHOLD; r3 is
-    reported but not gated (the approximation tolerates J comparable to g_2).
-    Where the rotation is undefined (k_1 = k_2 = 0) or its coefficients
-    overflow, every ratio is nan and valid is None.
-    """
-
-    r1: float
-    r2: float
-    r3: float
-    valid: bool | None
-
-
 def _privileged_norm(p: SystemParams) -> tuple[float, float]:
     """(k_p^2, k_p) with k_p^2 = k_1^2 + k_2^2; ValueError at k_1 = k_2 = 0."""
     kp2 = p.k_1**2 + p.k_2**2
@@ -365,16 +352,27 @@ def _ratio(x: float, g: float) -> float:
     return 0.0 if x == 0.0 else math.inf
 
 
-def privileged_validity(p: SystemParams) -> ValidityReport:
-    """Dimensionless diagnostics for the single-privileged-mode picture."""
+def privileged_validity(p: SystemParams) -> dict[str, float | bool | None]:
+    """Dimensionless ratios probing the single-privileged-mode approximation, as the
+    ``SweepRow`` fields r1, r2, r3 and valid.
+
+    r1 = |k_p*c| / g_p   qubit-disadvantaged vs qubit-privileged coupling
+    r2 = |c + J*(k2^2-k1^2)/k_p^2| / g_p   mode hopping vs qubit-privileged
+    r3 = |J| / g_2       hopping vs the weaker bare coupling (diagnostic only)
+
+    valid requires r1 and r2 both at or below VALIDITY_THRESHOLD; r3 is
+    reported but not gated (the approximation tolerates J comparable to g_2).
+    Where the rotation is undefined (k_1 = k_2 = 0) or its coefficients
+    overflow, every ratio is nan and valid is None.
+    """
     try:
         rot = _rotated_coefficients(p)
     except ValueError:  # k_1 = k_2 = 0 or overflow: no rotated picture to judge
-        return ValidityReport(r1=math.nan, r2=math.nan, r3=math.nan, valid=None)
+        return {"r1": math.nan, "r2": math.nan, "r3": math.nan, "valid": None}
     r1 = _ratio(rot["g2"], rot["g1"])
     r2 = _ratio(rot["hop"], rot["g1"])
     valid = r1 <= VALIDITY_THRESHOLD and r2 <= VALIDITY_THRESHOLD
-    return ValidityReport(r1=r1, r2=r2, r3=_ratio(p.J, p.g_2), valid=valid)
+    return {"r1": r1, "r2": r2, "r3": _ratio(p.J, p.g_2), "valid": valid}
 
 
 @dataclass(frozen=True)
@@ -394,6 +392,8 @@ class ShellRotation:
         column m1*N + m2 of W is |m1, m2> over the lab states: one gather, one product per
         shell and one scatter.  Weight of a shell n >= N that leaves the grid is dropped."""
         n = self.blocks.shape[1]
+        if np.shape(vectors)[-1:] != (n * n,):
+            raise ValueError(f"vectors of shape {np.shape(vectors)} are not on the {n} x {n} grid")
         shell, n1 = np.arange(2 * n - 1)[:, None], np.arange(n)
         n2 = shell - n1
         # flat lab index of each (shell, n1); off-grid slots read an appended zero

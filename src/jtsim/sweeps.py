@@ -183,10 +183,9 @@ def run_point(p: SystemParams, basis: str = "transformed", t: float = math.nan,
     """One fully evaluated parameter point (ground state from ``start``, negativities, validity)."""
     gs = ground_state(p, basis, start)
     rep = report_from_state(gs.state)
-    validity = asdict(privileged_validity(p))
     return SweepRow(t, p, rep, gs.energy, gs.gap, degenerate=gs.degenerate_flag,
                     residual=gs.residual, solver=gs.solver, imprecise=gs.imprecise,
-                    solved=gs, **validity)
+                    solved=gs, **privileged_validity(p))
 
 
 def _evaluate_grid_point(spec: SweepSpec, t: float, below: SweepRow | None = None) -> SweepRow:

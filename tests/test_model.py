@@ -2,7 +2,7 @@ import math
 import re
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -26,7 +26,7 @@ from jtsim.model import (
     parity_operator,
     privileged_validity,
 )
-from jtsim.sweeps import PRESETS, grid_points
+from jtsim.sweeps import PRESETS, SweepRow, grid_points
 from oracles import (
     SX,
     SZ,
@@ -65,6 +65,16 @@ class TestSystemParams:
     def test_cutoff_validation(self):
         with pytest.raises(ValueError, match="cutoff must be >= 2"):
             SystemParams(omega_1=1, omega_2=1, k_1=0, k_2=0, N=1)
+
+    @pytest.mark.parametrize("cutoff", [math.inf, math.nan, None, 10.5, "10"])
+    def test_a_cutoff_that_is_not_an_integer_is_refused_by_name(self, cutoff):
+        with pytest.raises(ValueError, match=f"^cutoff must be >= 2.*{re.escape(repr(cutoff))}$"):
+            SystemParams(omega_1=1, omega_2=1, k_1=0, k_2=0, N=cutoff)
+
+    @pytest.mark.parametrize("cutoff", [np.int64(12), 12.0])
+    def test_an_integral_cutoff_is_stored_as_int(self, cutoff):
+        n = SystemParams(omega_1=1, omega_2=1, k_1=0, k_2=0, N=cutoff).N
+        assert type(n) is int and n == 12
 
     def test_negative_coupling_rejected(self):
         with pytest.raises(ValueError, match="k_1"):
@@ -420,49 +430,56 @@ class TestValidity:
         r1 = readme_ratio(k_p * c, g_p)
         r2 = readme_ratio(c + p.J * (p.k_2**2 - p.k_1**2) / k_p**2, g_p)
         v = privileged_validity(p)
-        assert (v.r1, v.r2, v.r3) == (r1, r2, readme_ratio(p.J, p.g_2))
-        assert v.valid is (r1 <= VALIDITY_THRESHOLD and r2 <= VALIDITY_THRESHOLD)
+        assert (v["r1"], v["r2"], v["r3"]) == (r1, r2, readme_ratio(p.J, p.g_2))
+        assert v["valid"] is (r1 <= VALIDITY_THRESHOLD and r2 <= VALIDITY_THRESHOLD)
 
-    @pytest.mark.parametrize(
-        "p",
-        [
-            SystemParams(omega_1=1, omega_2=1, k_1=0, k_2=0, J=0.1),
-            # finite g_1 = 1e300, but omega_p = omega_1 k_1^2 / k_p^2 overflows
-            SystemParams(omega_1=1e200, omega_2=1, k_1=1e100, k_2=0),
-        ],
-    )
+    UNDEFINED = [
+        SystemParams(omega_1=1, omega_2=1, k_1=0, k_2=0, J=0.1),
+        # finite g_1 = 1e300, but omega_p = omega_1 k_1^2 / k_p^2 overflows
+        SystemParams(omega_1=1e200, omega_2=1, k_1=1e100, k_2=0),
+    ]
+
+    @pytest.mark.parametrize("p", UNDEFINED)
     def test_undefined_rotation_gives_nan_ratios(self, p):
         v = privileged_validity(p)
-        assert math.isnan(v.r1) and math.isnan(v.r2) and math.isnan(v.r3)
-        assert v.valid is None
+        assert math.isnan(v["r1"]) and math.isnan(v["r2"]) and math.isnan(v["r3"])
+        assert v["valid"] is None
+
+    @pytest.mark.parametrize(
+        "p", [SystemParams(omega_1=1.2, omega_2=0.6, k_1=0.5, k_2=0.25, J=0.01), *UNDEFINED])
+    def test_keys_are_the_row_fields_it_fills(self, p):
+        # run_point passes the dict to SweepRow as keywords
+        keys = privileged_validity(p).keys()
+        assert keys == {"r1", "r2", "r3", "valid"}
+        assert keys <= {f.name for f in fields(SweepRow)}
 
     def test_zero_detuning_is_trivially_valid(self):
         p = SystemParams(omega_1=1, omega_2=1, k_1=0.3, k_2=0.3, J=0.0)
         v = privileged_validity(p)
-        assert v.r1 == 0.0 and v.r2 == 0.0 and v.valid
+        assert v["r1"] == 0.0 and v["r2"] == 0.0 and v["valid"]
 
     def test_strong_coupling_window_boundary(self):
         # symmetric couplings k_p = 0.1: the window closes at |Delta| = 0.1
         k = K_STRONG
         inside = SystemParams(omega_1=1.045, omega_2=0.955, k_1=k, k_2=k)
         outside = SystemParams(omega_1=1.055, omega_2=0.945, k_1=k, k_2=k)
-        assert privileged_validity(inside).valid
-        assert not privileged_validity(outside).valid
+        assert privileged_validity(inside)["valid"]
+        assert not privileged_validity(outside)["valid"]
 
     def test_ultrastrong_window_boundary(self):
         k = 1 / math.sqrt(2)
         inside = SystemParams(omega_1=1.475, omega_2=0.525, k_1=k, k_2=k)
         outside = SystemParams(omega_1=1.525, omega_2=0.475, k_1=k, k_2=k)
-        assert privileged_validity(inside).valid
-        assert not privileged_validity(outside).valid
+        assert privileged_validity(inside)["valid"]
+        assert not privileged_validity(outside)["valid"]
 
     def test_hopping_sweep_stays_valid(self):
         k = 1 / math.sqrt(2)
         for j in np.linspace(0, 0.1, 21):
             p = SystemParams(omega_1=0.2, omega_2=0.1, k_1=k, k_2=k, J=float(j))
             v = privileged_validity(p)
-            assert v.valid
-            assert v.r1 <= VALIDITY_THRESHOLD and v.r2 <= VALIDITY_THRESHOLD
+            assert v["valid"]
+            assert v["r1"] <= VALIDITY_THRESHOLD and v["r2"] <= VALIDITY_THRESHOLD
 
 
 def dense_rotation(p: SystemParams) -> np.ndarray:
@@ -526,6 +543,13 @@ class TestShellRotation:
         on_grid = (shell - n1 >= 0) & (shell - n1 < n)  # lab (n1, shell - n1) on the N grid
         kept = on_grid[:, :, None] & on_grid[:, None, :]
         np.testing.assert_array_equal(small, np.where(kept, large[:2 * n - 1, :n, :n], 0.0))
+
+    @pytest.mark.parametrize("length", [17, 12])
+    def test_apply_refuses_a_vector_off_the_grid(self, length):
+        # N^2 + 1 is the length the gather's padded zero slot would accept without the check
+        rotation = mode_rotation_unitary(SystemParams(1.0, 0.5, 0.3, 0.4, N=4))
+        with pytest.raises(ValueError, match=rf"shape \({length},\) are not on the 4 x 4 grid"):
+            rotation.apply(np.ones(length))
 
 
 
