@@ -2,12 +2,13 @@
 OUT` runs TABLE on TREE's src, in OUT, and exits 1 on an unexpected exit code or when a jtsim
 line of this checkout's README command-line block is not a row; `diff TREE OUT SAVED` then
 names each output that differs from SAVED's, but for what holds a run's time, with the count
-of its removed and added lines and the first four of them; for a CSV also the number of cells
-that moved and the largest |difference| of the numeric ones.  TREE's lines print with `-` and
-SAVED's with `+`: CI runs the parent as TREE against the change's `run` output as SAVED, so a
-change's own lines are the `+` ones.  A row's stderr goes to <name>.err with TREE's path
-written as TREE and without source line numbers, so the two trees' warnings compare even when
-a change moves the line that warns."""
+of its removed and added lines, the first four of them, how many of its numbers moved and the
+largest |difference|, and how many other pieces moved.  A CSV's pieces are its cells, and a
+text output's (`point --format json`, the `converge` and `xcheck` tables, the manifests) its
+words and numbers.  TREE's lines print with `-` and SAVED's with `+`: CI runs the parent as
+TREE against the change's `run` output as SAVED, so a change's own lines are the `+` ones.  A
+row's stderr goes to <name>.err with TREE's path written as TREE and without source line
+numbers, so the two trees' warnings compare even when a change moves the line that warns."""
 import difflib, itertools, json, os, re, shlex, subprocess, sys, time
 
 README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "README.md")
@@ -148,15 +149,18 @@ def number(cell):
         return None
 
 
-def moved_cells(old, new):
-    """How many cells of two CSVs' lines differ, and the largest |difference| of the numbers."""
+def moved(old, new, csv):
+    """How many numbers of two outputs' lines moved and the largest |difference|, and how many
+    other pieces moved: a CSV line's pieces are its cells, any other line's the runs between
+    spaces, commas, colons, brackets, braces, quotes and equals signs."""
+    split = (lambda line: line.split(",")) if csv else re.compile(r"[^\s,:\[\]{}\"=]+").findall
     pairs = [(a, b) for x, y in itertools.zip_longest(old, new, fillvalue="")
-             for a, b in itertools.zip_longest(x.split(","), y.split(","), fillvalue="") if a != b]
+             for a, b in itertools.zip_longest(split(x), split(y), fillvalue="") if a != b]
     values = [(number(a), number(b)) for a, b in pairs]
     deltas = [abs(b - a) for a, b in values if a is not None and b is not None]
     text = len(pairs) - len(deltas)
-    return (f"{len(pairs)} cells moved, max |d| {max(deltas, default=0.0):.3g}"
-            + (f", {text} not numeric" if text else ""))
+    return (f"{len(deltas)} numbers moved, max |d| {max(deltas, default=0.0):.3g}"
+            + (f", {text} other pieces moved" if text else ""))
 
 
 def diff(tree, out, saved):
@@ -166,8 +170,8 @@ def diff(tree, out, saved):
         old, new = (read(os.path.join(d, name)) for d in (out, saved))
         if lines := [*difflib.unified_diff(old, new, n=0, lineterm="")][2:]:  # past the headers
             removed, added = (sum(line[0] == sign for line in lines) for sign in "-+")
-            cells = f", {moved_cells(old, new)}" if name.endswith(".csv") else ""
-            diffs.append(f"- `{name}` (-{removed} +{added} lines{cells}): "
+            diffs.append(f"- `{name}` (-{removed} +{added} lines, "
+                         f"{moved(old, new, name.endswith('.csv'))}): "
                          + " ".join(f"`{line}`" for line in lines[1:5]))
     print(f"Outputs of {tree} (-) against {saved} (+) ({len(names)} files): "
           + (f"{len(diffs)} differ" if diffs else "identical"), *diffs, sep="\n")

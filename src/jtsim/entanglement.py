@@ -36,7 +36,7 @@ import numpy as np
 # ground_state is unused here but stays importable as
 # jtsim.entanglement.ground_state, where the perfbench layer tracer looks it up.
 from .groundstate import ground_state  # noqa: F401
-from .model import StateVector
+from .model import StateVector, _check_factor_dims
 
 NEG_CLAMP = 1e-9
 # A mode's support: the leading singular directions of its unfolding, cut where the
@@ -56,7 +56,7 @@ class DensityMatrix:
     def __post_init__(self):
         m = np.asarray(self.entries)
         object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "factor_dims", tuple(int(d) for d in self.factor_dims))
+        object.__setattr__(self, "factor_dims", _check_factor_dims(self.factor_dims))
         dim = math.prod(self.factor_dims)
         if m.shape != (dim, dim):
             raise ValueError(

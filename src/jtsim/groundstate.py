@@ -17,9 +17,9 @@ that supplied them:
 
 * ``"dense"`` (N < BLOCK_MIN_N): ``eigvalsh`` of each dense block
   (``ParityBlocks.entries``), then the ground block's vector by inverse
-  iteration (``_level_vector``).  The result hands on H's two lowest vectors
-  in ``ritz_vectors``, computed on their first read (``_lowest_pair``): the
-  ground vector and, by the same iteration, the vector of H's next level.
+  iteration (``_level_vector``).  The result hands on each sector's ground
+  vector in ``ritz_vectors``, computed on its first read (``_lowest_pair``):
+  the ground vector and, by the same iteration, the other sector's.
 * ``"block"`` (N >= BLOCK_MIN_N): in (n1, n2) order a block is
   block-tridiagonal (``ParityBlocks.tridiagonal``), N diagonal N x N blocks
   (tridiagonal through g2) joined by N x N off-diagonal ones (g1 on the
@@ -32,34 +32,38 @@ that supplied them:
   LDL^T of A - sigma I whose pivots all have a Cholesky factor exists exactly
   when sigma is below lambda_0(H) (Sylvester's law of inertia), so a
   successful factor certifies the shift.  Shift-invert block Krylov steps on
-  that factor, each followed by a Rayleigh-Ritz step on each block, give H's
-  two lowest Ritz pairs without a dense solve or eigvalsh; sigma is refined
+  that factor, each followed by a Rayleigh-Ritz step on each block, give each
+  block's lowest Ritz pair without a dense solve or eigvalsh; sigma is refined
   and re-certified between rounds.  The factor keeps the inverse pivots and
   the multipliers, so each shift-invert is one batched product with the
   inverse pivots plus one small product per block row and sweep.  The run
-  keeps one Krylov basis per block, so every Ritz vector, the ground vector
-  included, has exactly zero amplitude off its sector, and H's two lowest
-  levels are picked from the blocks' Ritz values by the dense path's rule.
-  The ground vector's residual is taken afresh on its block.  The run starts
-  from the ``ritz_vectors`` of a result at a smaller cutoff m, zero-padded
-  (``start``): a ``block`` result hands on H's two lowest Ritz vectors, a
-  ``dense`` one its pair and a ``block-fallback`` one nothing.  A cutoff
-  ladder hands them from rung to rung, and without one the point solves its
-  own rung below, m = min(START_N, N // 2), which takes the dense path; H's
-  leading m x m grid is H at cutoff m.  The start only changes where the
-  Krylov space begins; the shift is still certified by its factor, the stop
-  rule is the same, and the run judges the point's own gap, whether or not
-  the rung below is degenerate.
+  keeps one Krylov basis per block and expands both blocks' ground residuals,
+  so it converges the two sector grounds, each exactly zero off its sector.
+  They are H's two lowest levels, the lower block's the ground (Pi = +1 on a
+  tie, the dense path's rule), unless the ground's block holds a second Ritz
+  value below the other block's ground: the run refuses that point.  The
+  ground vector's residual is taken afresh on its block.  The run starts
+  from the ``ritz_vectors`` of a result at a smaller cutoff m, each sector's
+  row placed on the leading m x m grid of its block (``start``): a ``block``
+  result hands on its sector grounds, a ``dense`` one its pair and a
+  ``block-fallback`` one nothing.  A cutoff ladder hands them from rung to
+  rung, and without one the point solves its own rung below, m =
+  min(START_N, N // 2), which takes the dense path; H's leading m x m grid is
+  H at cutoff m.  The start only changes where the Krylov space begins; the
+  shift is still certified by its factor, the stop rule is the same, and the
+  run judges the point's own gap, whether or not the rung below is
+  degenerate.
 * ``"block-fallback"``: the point has a zero-frequency mode
   (``model._zero_frequency``), so the block path is not tried; or the
   block path could not certify a shift, missed its stop rule within ROUNDS x
   STEPS steps, found its Krylov space stopped growing, overflowed, found H's
-  two lowest levels in one block with a gap it cannot resolve, or found the
-  point degenerate.  The dense path then solves the point, so the result is
-  the dense one bit for bit, and a degenerate point keeps the dense path's
-  pick of vector.  ``ground_state`` judges a zero-frequency point once, before
-  the build, and warns at its caller with a ``RuntimeWarning`` that names the
-  point; the builders build any finite point silently.
+  two lowest levels in one block (a second Ritz value of the ground's block
+  below the other block's ground), or found the point degenerate.  The dense
+  path then solves the point, so the result is the dense one bit for bit,
+  and a degenerate point keeps the dense path's pick of vector.
+  ``ground_state`` judges a zero-frequency point once, before the build, and
+  warns at its caller with a ``RuntimeWarning`` that names the point; the
+  builders build any finite point silently.
 
 A gap below DEGENERACY_TOL flags the point degenerate, unless the solver
 cannot resolve a gap that small: eigenvalues are good to about eps ||H||, and
@@ -90,9 +94,9 @@ from .model import parity_operator  # noqa: F401
 
 DEGENERACY_TOL = 1e-10
 
-# Inverse iteration for a block's level lambda_i, i = 0 or 1, shifts it down by SHIFT *
-# (lambda_1 - lambda_0) and stops at ||H x - lambda_i x|| < RESIDUAL_TOL * max(1, |lambda_i|).
-# A gap below SHIFT * max(1, |lambda_i|), or MAX_SOLVES solves without that, takes a full eigh.
+# Inverse iteration for a block's lowest level lambda_0 shifts it down by SHIFT *
+# (lambda_1 - lambda_0) and stops at ||H x - lambda_0 x|| < RESIDUAL_TOL * max(1, |lambda_0|).
+# A gap below SHIFT * max(1, |lambda_0|), or MAX_SOLVES solves without that, takes a full eigh.
 SHIFT = 1e-8
 RESIDUAL_TOL = 1e-12
 MAX_SOLVES = 4
@@ -117,7 +121,7 @@ START_N = 10
 START_NOISE = 1e-6
 # It stops when lambda_0's residual is below RESIDUAL_TOL * max(1, |lambda_0|) and
 # lambda_1's error bound r_1^2 / (theta_2 - theta_1), or its residual, is below
-# GAP_TOL * max(1, |lambda_0|); lambda_1 only feeds the gap.
+# GAP_TOL * max(1, |lambda_0|); lambda_1, the other sector's ground, only feeds the gap.
 GAP_TOL = 1e-13
 # Each round sets sigma = theta_0 - 2 r_0 - SHIFT (theta_1 - theta_0), certifies it
 # with a fresh factor (up to CERTIFY_TRIES shifts, each 4x further below) and
@@ -145,8 +149,9 @@ class GroundStateResult:
 
     @cached_property
     def ritz_vectors(self) -> np.ndarray | None:
-        """H's two lowest vectors over both sectors, (2 N^2, 2), each exactly zero outside
-        its sector: the ground vector, then the vector of H's next level.  A ``block``
+        """Each sector's ground vector as one (2, N^2) array, row s for sector
+        PARITY_SIGNS[s]: row k the ground vector (up to sign), row 1 - k the other sector's
+        ground, H's next level unless the block path refused the point.  A ``block``
         result's are Ritz vectors, a ``dense`` result's come by inverse iteration on their
         blocks (``_lowest_pair``); None after ``block-fallback``.
         A dense result keeps H's bands, each sector's two lowest levels and its ground vector,
@@ -183,33 +188,31 @@ def _norm(v: np.ndarray) -> float:
     return float(top * np.linalg.norm(v / top)) if top > 0 else float(top)
 
 
-def _level_vector(block: np.ndarray, w: np.ndarray, i: int) -> tuple[np.ndarray, float]:
-    """Unit eigenvector x of a checked ``block`` for w[i] (see SHIFT), and ||block x - w[i] x||."""
-    scale = max(1.0, abs(w[i]))
-    # A shift that rounds onto w[i] can make the solve exactly singular: eigh then.
+def _level_vector(block: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, float]:
+    """Unit eigenvector x of a checked ``block`` for its lowest level w[0] (see SHIFT), and
+    ||block x - w[0] x||, from the block's two lowest eigenvalues ``w``."""
+    scale = max(1.0, abs(w[0]))
+    # A shift that rounds onto w[0] can make the solve exactly singular: eigh then.
     with suppress(np.linalg.LinAlgError):
         if w[1] - w[0] >= SHIFT * scale:
-            shifted = block - (w[i] - SHIFT * (w[1] - w[0])) * np.eye(len(block))
+            shifted = block - (w[0] - SHIFT * (w[1] - w[0])) * np.eye(len(block))
             x = np.ones(len(block))
             for _ in range(MAX_SOLVES):
                 x = np.linalg.solve(shifted, x)
                 x /= _norm(x)
-                if (residual := _norm(block @ x - w[i] * x)) < RESIDUAL_TOL * scale:
+                if (residual := _norm(block @ x - w[0] * x)) < RESIDUAL_TOL * scale:
                     return x, residual
-    x = np.linalg.eigh(block)[1][:, i]
-    return x, _norm(block @ x - w[i] * x)
+    x = np.linalg.eigh(block)[1][:, 0]
+    return x, _norm(block @ x - w[0] * x)
 
 
-def _lowest_pair(blocks: np.ndarray, lowest: np.ndarray, sector: np.ndarray,
-                 level: np.ndarray, ground: np.ndarray) -> np.ndarray:
-    """H's two lowest vectors over both sectors, (2 d, 2), from its dense sector blocks
-    ``blocks`` (2, d, d), their two lowest eigenvalues ``lowest`` (2, 2), the (sector,
-    level) of H's two lowest levels (``_two_lowest``) and its ground vector: the ground
-    vector, then the vector of H's next level (``_level_vector``), in whichever sector."""
-    pair = np.zeros((2, blocks.shape[1], 2))
-    pair[sector[0], :, 0] = ground
-    pair[sector[1], :, 1] = _level_vector(blocks[sector[1]], lowest[sector[1]], level[1])[0]
-    return pair.reshape(-1, 2)
+def _lowest_pair(blocks: np.ndarray, lowest: np.ndarray, k: int, ground: np.ndarray) -> np.ndarray:
+    """Each sector's ground vector, (2, d), from H's dense sector blocks ``blocks`` (2, d, d),
+    their two lowest eigenvalues ``lowest`` (2, 2), the ground's sector k and its vector: row
+    k is ``ground``, row 1 - k the other sector's ground vector (``_level_vector``)."""
+    pair = np.empty((2, len(ground)))
+    pair[k], pair[1 - k] = ground, _level_vector(blocks[1 - k], lowest[1 - k])[0]
+    return pair
 
 
 def _block_cholesky(diag: np.ndarray, upper: np.ndarray, sigma: float):
@@ -284,10 +287,10 @@ def _extend(basis: np.ndarray, new: np.ndarray) -> np.ndarray:
     return np.linalg.qr(q - basis @ (basis.swapaxes(1, 2) @ q))[0]
 
 
-def _certified_factor(diag, upper, theta: np.ndarray, res: np.ndarray):
-    """``_block_cholesky``'s factor at the round's shift (see ROUNDS), lowered until it
-    exists; or None."""
-    distance = 2 * res[0] + SHIFT * (theta[1] - theta[0])
+def _certified_factor(diag, upper, theta: np.ndarray, res: float):
+    """``_block_cholesky``'s factor at the round's shift (see ROUNDS) for H's two lowest
+    Ritz values ``theta`` and the ground's residual ``res``, lowered until it exists; or None."""
+    distance = 2 * res + SHIFT * (theta[1] - theta[0])
     for _ in range(CERTIFY_TRIES):
         try:
             return _block_cholesky(diag, upper, theta[0] - distance)
@@ -304,74 +307,64 @@ def _two_lowest(lowest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _ritz(basis: np.ndarray, image: np.ndarray):
     """Rayleigh-Ritz on each block b of A over span(basis[b]), for a (2, d, c) ``basis`` and
-    image = A basis.  Returns H's three lowest Ritz values over both blocks, the residual
-    norms of H's two lowest Ritz pairs and their (sector, level) (``_two_lowest``), and
-    each block's two lowest Ritz vectors and residual vectors, (2, d, 2) each."""
+    image = A basis.  Returns the sector k of H's ground, the lower block (Pi = +1 on a tie,
+    as ``_two_lowest`` picks), each block's Ritz values (2, c), and each block's lowest Ritz
+    pair: its residual norm (2,), its Ritz vector (2, d) and its residual vector (2, d, 1)."""
     theta, coef = np.linalg.eigh(basis.swapaxes(1, 2) @ image)
-    ritz = basis @ coef[:, :, :2]
-    res_vecs = image @ coef[:, :, :2] - ritz * theta[:, None, :2]
-    res = np.array([[_norm(r) for r in block.T] for block in res_vecs])
-    sector, level = _two_lowest(theta[:, :2])
-    return np.sort(theta, axis=None)[:3], res[sector, level], (sector, level), ritz, res_vecs
+    ground = basis @ coef[:, :, :1]
+    res_vecs = image @ coef[:, :, :1] - ground * theta[:, None, :1]
+    res = np.array([_norm(r) for r in res_vecs])
+    return int(theta[1, 0] < theta[0, 0]), theta, res, ground[:, :, 0], res_vecs
 
 
 def _joint_solve(diag: np.ndarray, upper: np.ndarray, start: np.ndarray):
-    """H's two lowest levels by one Krylov run on A = diag(B_+, B_-); or None to fall back.
+    """Each sector's ground by one Krylov run on A = diag(B_+, B_-); or None to fall back.
 
-    The run keeps one Krylov basis per block, (2, N^2, c), so every Ritz vector lies in
-    one sector, and picks H's two lowest levels from the blocks' Ritz values by the dense
-    path's rule (``_two_lowest``).  Returns (theta_0, theta_1), H's two lowest Ritz vectors
-    (2N^2, 2), each exactly zero outside its sector, the sector k of the ground, its Ritz
-    vector on B_k and that vector's fresh residual on B_k.  It refuses a gap it cannot
-    resolve inside one block, and a degenerate pair, whose vector is the solver's pick
-    among equals: the dense path's pick stays the one reported.  ``start`` holds two
-    columns over both sectors of an m x m Fock grid of a cutoff m <= N: the
-    ``ritz_vectors`` of a smaller cutoff's result.
+    The run keeps one Krylov basis per block, (2, N^2, c), and expands both blocks' ground
+    residuals at every step, so it converges the two sector grounds, each exactly zero
+    outside its sector.  They are H's two lowest levels unless the ground's block k holds a
+    second Ritz value below the other block's ground: the run refuses that point, and a
+    degenerate pair, whose vector is the solver's pick among equals, so the dense path's
+    pick stays the one reported.  Returns (theta_0, theta_1), the sector grounds as one
+    (2, N^2) array, row s for sector PARITY_SIGNS[s], k, the ground's Ritz vector on B_k and
+    that vector's fresh residual on B_k.  ``start`` holds one row per sector over an m x m
+    Fock grid of a cutoff m <= N: the ``ritz_vectors`` of a smaller cutoff's result.
     """
     b, n = diag.shape[:2]
     start = np.asarray(start)
-    m = math.isqrt(len(start) // b)
-    if b * m * m != len(start) or m > n or start.shape[1:] != (2,):
-        raise ValueError(f"a start needs two columns over both sectors of an m x m grid, "
-                         f"m <= {n}; got {start.shape}")
+    m = math.isqrt(start.size // b)
+    if start.shape != (b, m * m) or m > n:
+        raise ValueError(f"a start needs one row per sector over an m x m grid, m <= {n}; "
+                         f"got {start.shape}")
     padded = np.zeros((b, n, n, 2))
-    padded[:, :m, :m] = start.reshape(b, m, m, 2)
+    padded[:, :m, :m, 0] = start.reshape(b, m, m)  # each (n1, n2) to its place on the N grid
     generic = np.cos(np.outer(np.arange(b * n * n), (1.0, 2.0))).reshape(b, n * n, 2)
     basis = np.linalg.qr(padded.reshape(b, n * n, 2) + START_NOISE * generic)[0]
     image = _block_product(diag, upper, basis)
-    w, r, (sector, level), ritz, res_vecs = _ritz(basis, image)
-    unmet = [True, True]
+    k, theta, r, ritz, res_vecs = _ritz(basis, image)
     for step in range(ROUNDS * STEPS):
         if step % STEPS == 0:
-            factor = _certified_factor(diag, upper, w, r)
+            factor = _certified_factor(diag, upper, theta[[k, 1 - k], 0], r[k])
             if factor is None:
                 return None
-        # Converged columns are locked: their residuals are rounding noise.
-        new = _extend(basis, _shift_invert(factor, res_vecs[:, :, unmet]))
+        new = _extend(basis, _shift_invert(factor, res_vecs))
         if not new.size:
             return None  # the Krylov space stopped growing
         basis = np.concatenate([basis, new], axis=2)
         image = np.concatenate([image, _block_product(diag, upper, new)], axis=2)
-        w, r, (sector, level), ritz, res_vecs = _ritz(basis, image)
+        k, theta, r, ritz, res_vecs = _ritz(basis, image)
+        w = theta[[k, 1 - k], 0]
         tol, gap_tol = (t * max(1.0, abs(w[0])) for t in (RESIDUAL_TOL, GAP_TOL))
-        # lambda_1's eigenvalue error is at most r_1^2 / (lambda_2 - lambda_1); w[2] is H's
-        # third-lowest Ritz value over both blocks.
-        met = [r[0] < tol, r[1] < gap_tol or r[1] * r[1] < gap_tol * (w[2] - w[1])]
-        if all(met):
-            k = int(sector[0])
-            if w[1] - w[0] < (SHIFT * max(1.0, abs(w[0])) if sector[1] == k else DEGENERACY_TOL):
+        # lambda_1's eigenvalue error is at most r_1^2 / (lambda_2 - lambda_1), with lambda_2
+        # H's third-lowest Ritz value over both blocks.
+        third = min(theta[:, 1])
+        if r[k] < tol and (r[1 - k] < gap_tol or r[1 - k] ** 2 < gap_tol * (third - w[1])):
+            if theta[k, 1] < w[1] or w[1] - w[0] < DEGENERACY_TOL:
                 return None
-            ground = ritz[k, :, 0]
             # The Ritz residual is accumulated over the steps; this one is taken afresh.
-            fresh = _norm(_block_product(diag[k:k + 1], upper, ground) - w[0] * ground)
+            fresh = _norm(_block_product(diag[k:k + 1], upper, ritz[k]) - w[0] * ritz[k])
             if fresh < tol:
-                pair = np.zeros_like(ritz)
-                pair[sector, :, [0, 1]] = ritz[sector, :, level]
-                return w[:2], pair.reshape(-1, 2), k, ground, fresh
-            met[0] = False
-        # Expand both blocks' level-0 residuals for H's ground, and for its next level where
-        # that is the other sector's ground; their level-1 residuals where it is not.
-        unmet = [not met[0] or not met[1] and level[1] == 0, not met[1] and level[1] == 1]
+                return w, ritz, k, ritz[k], fresh
     return None
 
 
@@ -382,8 +375,8 @@ def ground_state(p: SystemParams, basis: str = "transformed",
     ``gap`` is the distance to the next level of either sector, so a degeneracy across
     the sectors is flagged like one inside a sector.  ``residual`` is ||H psi - E psi||
     of the returned state, the value the stop test that accepted psi measured, and
-    ``solver`` the path that found it (module docstring).  ``start``, one (2 m^2, 2)
-    array over both sectors of a cutoff m <= N (the ``ritz_vectors`` of an earlier
+    ``solver`` the path that found it (module docstring).  ``start``, one (2, m^2)
+    array of each sector's vector at a cutoff m <= N (the ``ritz_vectors`` of an earlier
     result), is where the block path starts; other paths ignore it.
     """
     if basis not in BASES:
@@ -409,11 +402,10 @@ def ground_state(p: SystemParams, basis: str = "transformed",
         lowest = spectra[:, :2].copy()  # a copy: the pair keeps four levels, not the spectra
         sector, level = _two_lowest(lowest)
         w, k = lowest[sector, level], int(sector[0])
-        ground, residual = _level_vector(blocks[k], lowest[k], 0)
+        ground, residual = _level_vector(blocks[k], lowest[k])
         # The eigenvalues are good to about eps ||H||_2, the largest |eigenvalue|.
         unresolved = np.finfo(float).eps * np.max(np.abs(spectra[:, [0, -1]])) >= DEGENERACY_TOL
-        pair = ((lambda: _lowest_pair(h.entries, lowest, sector, level, ground))
-                if solver == "dense" else None)
+        pair = (lambda: _lowest_pair(h.entries, lowest, k, ground)) if solver == "dense" else None
     else:
         (w, pair, k, ground, residual), unresolved = solved, False  # _joint_solve resolved the gap
     gap = float(w[1] - w[0])

@@ -132,7 +132,7 @@ class StateVector:
     def __post_init__(self):
         amps = np.asarray(self.amplitudes)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "factor_dims", tuple(int(d) for d in self.factor_dims))
+        object.__setattr__(self, "factor_dims", _check_factor_dims(self.factor_dims))
         if amps.shape != (math.prod(self.factor_dims),):
             raise ValueError(
                 f"amplitude vector of length {amps.shape} does not match "
@@ -140,13 +140,25 @@ class StateVector:
             )
 
 
-def _check_cutoff(cutoff: int) -> int:
-    """``cutoff`` as an int: an integer >= 2, an integral float or numpy integer included."""
+def _is_integer(x) -> bool:
+    """Whether x is an integer, an integral float or numpy integer included."""
     try:
-        whole = int(cutoff) == cutoff
+        return int(x) == x
     except (TypeError, ValueError, OverflowError):  # None, nan, inf
-        whole = False
-    if not whole:
+        return False
+
+
+def _check_factor_dims(factor_dims) -> tuple[int, ...]:
+    """``factor_dims`` as ints: each entry a positive integer (see ``_is_integer``)."""
+    for d in factor_dims:
+        if not (_is_integer(d) and d >= 1):
+            raise ValueError(f"factor_dims entry must be a positive integer, got {d!r}")
+    return tuple(int(d) for d in factor_dims)
+
+
+def _check_cutoff(cutoff: int) -> int:
+    """``cutoff`` as an int: an integer >= 2 (see ``_is_integer``)."""
+    if not _is_integer(cutoff):
         raise ValueError(f"cutoff must be >= 2 and an integer, got {cutoff!r}")
     if cutoff < 2:
         raise ValueError("cutoff must be >= 2")

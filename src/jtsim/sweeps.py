@@ -205,7 +205,8 @@ def _max_negativity_change(a: EntanglementReport, b: EntanglementReport) -> floa
 def _verify_subsample(spec: SweepSpec, rows: list[SweepRow]) -> tuple[dict, list[SweepRow]]:
     """Recompute a few clean rows at N + 4: the manifest block and the recomputed rows.
 
-    Each recompute starts from its row's ``ritz_vectors`` where it takes the block path.
+    Each recompute starts from its row's ``ritz_vectors``, each sector's ground vector as
+    one (2, N^2) array, where it takes the block path.
     A recompute that is ``flagged`` (raised, ``degenerate`` or ``imprecise``) is listed in
     ``failed`` with its reason and fails the check, as a flagged rung fails ``converge``;
     the drift is taken over the clean recomputes, and is None when none of them exists.
@@ -272,8 +273,9 @@ def convergence_study(
     """``p`` evaluated by ``run_point`` at each Fock cutoff.
 
     cutoffs must be ascending, each >= 2.  Each rung hands a rung on the block
-    path its ``ritz_vectors`` as the start: a ``block`` rung its Ritz vectors,
-    a ``dense`` rung H's two lowest vectors, a ``block-fallback`` rung nothing.
+    path its ``ritz_vectors``, each sector's ground vector as one (2, N^2) array, as
+    the start: a ``block`` rung its Ritz vectors, a ``dense`` rung its vectors by
+    inverse iteration, a ``block-fallback`` rung nothing.
     Use successive_differences() on the result to see how fast the numbers
     settle.
     """
@@ -375,31 +377,28 @@ def compare_bases(p: SystemParams) -> BasisDivergence:
     rotation_norm_loss records how much) and its four cuts are compared with
     the transformed-basis report.
 
-    The lab basis is solved first.  Its ``ritz_vectors``, H's two lowest vectors
-    unless the solve fell back, each sector half rotated the same way, are where a
-    transformed block solve starts: the rotation keeps n1 + n2, so it maps each
-    parity sector to itself.  The start only moves where the Krylov space begins;
-    both energies are still solved and certified separately, and a dense
-    transformed solve is handed nothing.
+    The lab basis is solved first.  Its ``ritz_vectors``, each parity sector's ground
+    vector as one row unless the solve fell back, each row rotated the same way, are where a
+    transformed block solve starts: the rotation keeps n1 + n2, so it maps each parity
+    sector to itself.  The start only moves where the Krylov space begins; both energies
+    are still solved and certified separately, and a dense transformed solve is handed
+    nothing.
 
-    The rotation is applied shell by shell (``ShellRotation.apply``): the
-    state's two qubit components and the Ritz vectors' four sector halves go
-    through one gather, one product per total-quanta shell and one scatter, and
-    no N^2 x N^2 matrix is formed.
+    The rotation is applied shell by shell (``ShellRotation.apply``): the state's two qubit
+    components and the two sector rows go through one gather, one product per total-quanta
+    shell and one scatter, and no N^2 x N^2 matrix is formed.
     """
     gs_lab = ground_state(p, "lab")
     if p.k_1 == 0.0 and p.k_2 == 0.0:
         return BasisDivergence(gs_lab.energy, gs_lab.energy, 0.0, 0.0, 0.0)
     ritz = gs_lab.start_for(p.N)
-    # each Ritz vector's two sector halves, one row each
-    halves = np.empty((0, p.N * p.N)) if ritz is None else ritz.T.reshape(4, -1)
     # One apply call for the state and the start, on a rotation no name holds.  With two
     # calls the outputs are the same, but the shell blocks (79 x 40 x 40 floats, 1.0 MB at
     # N = 40) stay alive through the transformed solve, and the tracemalloc peak rises from
     # 4.70 to 5.63 MB, past the 5 MB bound of test_rotation_forms_no_dense_matrix.
-    rotated = mode_rotation_unitary(p).apply(
-        np.concatenate([gs_lab.state.amplitudes.reshape(2, -1), halves]))
-    start = None if ritz is None else rotated[2:].reshape(2, -1).T
+    lab = gs_lab.state.amplitudes.reshape(2, -1)
+    rotated = mode_rotation_unitary(p).apply(lab if ritz is None else np.concatenate([lab, ritz]))
+    start = None if ritz is None else rotated[2:]
     gs_tr = ground_state(p, "transformed", start)
 
     psi_b = rotated[:2].ravel()

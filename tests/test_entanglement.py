@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -92,6 +93,16 @@ class TestDensityMatrix:
     def test_rejects_shape_that_does_not_match_factor_dims(self):
         with pytest.raises(ValueError, match="does not match factor_dims"):
             DensityMatrix(np.eye(4) / 4, (2, 3))
+
+    @pytest.mark.parametrize("dim", [2.7, math.nan, math.inf, None, 0, -2])
+    def test_rejects_a_factor_dim_that_is_not_a_positive_integer(self, dim):
+        with pytest.raises(ValueError, match=f"^factor_dims entry must be a positive integer, "
+                                             f"got {re.escape(repr(dim))}$"):
+            DensityMatrix(np.eye(8) / 8, (2, dim, 2))
+
+    def test_stores_integral_factor_dims_as_int(self):
+        dims = DensityMatrix(np.eye(8) / 8, (2.0, np.int64(2), 2)).factor_dims
+        assert dims == (2, 2, 2) and all(type(d) is int for d in dims)
 
 
 class TestDensityFromState:

@@ -21,7 +21,8 @@ from jtsim.model import (
     build_lab_hamiltonian,
     build_transformed_hamiltonian,
 )
-from jtsim.sweeps import compare_bases, convergence_study, run_point, successive_differences
+from jtsim.sweeps import PRESETS, compare_bases, convergence_study, grid_points, run_point
+from jtsim.sweeps import successive_differences
 from oracles import (
     SX,
     full_matrix,
@@ -330,21 +331,18 @@ def dense_ground_state(p, basis="transformed"):
         return ground_state(p, basis)
 
 
-def in_sector_order(state):
-    """The state's amplitudes in the order of ``ritz_vectors``: the Pi = +1 block, then Pi = -1."""
-    n = state.factor_dims[1]
-    return np.concatenate([state.amplitudes[_parity_sector(n, sign)] for sign in PARITY_SIGNS])
-
-
-def pair_sectors(gs):
-    """The sector of each ``ritz_vectors`` column, asserting that the column is exactly 0 in
-    the other sector and that column 0 is the state, up to sign, bit for bit."""
-    halves = gs.ritz_vectors.reshape(2, -1, 2)
-    zero = np.all(halves == 0.0, axis=1)  # [sector, column]
-    assert list(zero.sum(axis=0)) == [1, 1]
-    state = in_sector_order(gs.state)
-    assert np.array_equal(np.sign(gs.ritz_vectors[:, 0] @ state) * gs.ritz_vectors[:, 0], state)
-    return np.argmin(zero, axis=0)
+def ground_sector(gs):
+    """The sector k of the state, asserting that ``ritz_vectors`` is (2, N^2), that the state
+    is exactly 0 outside sector k and that row k is the state there, up to sign, bit for bit."""
+    n = gs.state.factor_dims[1]
+    assert gs.ritz_vectors.shape == (2, n * n)
+    halves = [gs.state.amplitudes[_parity_sector(n, sign)] for sign in PARITY_SIGNS]
+    zero = [not np.any(half) for half in halves]
+    assert sorted(zero) == [False, True]
+    k = zero.index(False)
+    row = gs.ritz_vectors[k]
+    assert np.array_equal(np.sign(row @ halves[k]) * row, halves[k])
+    return k
 
 
 def assert_same_result(a, b):
@@ -430,7 +428,7 @@ class TestBlockPath:
             scale = max(1.0, abs(lowest[0]))
             assert abs(gs.energy - lowest[0]) < 1e-12 * scale
             assert abs(gs.gap - (lowest[1] - lowest[0])) < 1e-12 * scale
-            pair_sectors(gs)
+            ground_sector(gs)
 
     @pytest.mark.parametrize("p", [
         # fig2 t = 0.5: the lifted Pi = -1 block held the ground level
@@ -440,7 +438,9 @@ class TestBlockPath:
     ], ids=["fig2", "split-3e-9"])
     def test_two_lowest_levels_in_one_block(self, p, monkeypatch):
         # Lifting the Pi = -1 block by 10 puts both of H's lowest levels in the Pi = +1 block,
-        # at every cutoff asked for, the cold start's rung below included.
+        # at every cutoff asked for, the cold start's rung below included.  The block path
+        # converges each sector's ground, and finds a second Pi = +1 Ritz value below the
+        # Pi = -1 ground: it refuses the point, and the dense path reports it.
         def lift(q):
             h = build_transformed_hamiltonian(q)
             return replace(h, diagonal=h.diagonal + np.array([0.0, 10.0])[:, None, None])
@@ -448,20 +448,24 @@ class TestBlockPath:
         monkeypatch.setattr(jtsim.groundstate, "build_transformed_hamiltonian", lift)
         w = [np.linalg.eigvalsh(block)[:2] for block in lift(p).entries]
         assert w[0][1] < w[1][0]
-        dense = dense_ground_state(p)
-        gs = ground_state(p)
-        scale = max(1.0, abs(w[0][0]))
-        if w[0][1] - w[0][0] < jtsim.groundstate.SHIFT * scale:
-            # a gap inside one block that the block path cannot resolve goes to eigh
-            assert gs.solver == "block-fallback"
-            assert_same_result(gs, dense)
-            # the rule, not a stall: with a smaller SHIFT the block path keeps the point
-            monkeypatch.setattr(jtsim.groundstate, "SHIFT", 1e-10)
+        ritz, thetas = jtsim.groundstate._ritz, []
+
+        def recording(*args):
+            out = ritz(*args)
+            thetas.append(out[1])
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(jtsim.groundstate, "_ritz", recording)
             gs = ground_state(p)
-        assert gs.solver == "block"
+        assert gs.solver == "block-fallback" and gs.ritz_vectors is None
+        assert_same_result(gs, dense_ground_state(p))
+        scale = max(1.0, abs(w[0][0]))
         assert abs(gs.energy - w[0][0]) < 1e-12 * scale
         assert abs(gs.gap - (w[0][1] - w[0][0])) < 1e-12 * scale
-        assert abs(gs.state.amplitudes @ dense.state.amplitudes) >= 1 - 1e-12
+        # the rule, not a stall: the run ends within its step cap, on that ordering
+        steps = jtsim.groundstate.ROUNDS * jtsim.groundstate.STEPS
+        assert len(thetas) <= steps and thetas[-1][0, 1] < thetas[-1][1, 0]
 
     def test_singular_shifted_solve_takes_eigh(self, monkeypatch):
         # k = 0 with the Pi = -1 block lifted by 10: H's two lowest levels are 0.5 and
@@ -477,7 +481,7 @@ class TestBlockPath:
         gs = ground_state(p)
         assert gs.solver == "dense"
         assert_same_result(gs, default)
-        assert gs.ritz_vectors.shape == (2 * p.N * p.N, 2)
+        assert ground_sector(gs) == 0
 
     def test_converged_hard_point_matches_dense_path(self, monkeypatch):
         p = fig5_params(1.95, 30)
@@ -623,7 +627,9 @@ class TestBlockPath:
         monkeypatch.setattr(jtsim.groundstate, "DEGENERACY_TOL", 1e-13)
         kept = ground_state(p)
         assert kept.solver == "block" and kept.gap < DEGENERACY_TOL
-        assert sorted(pair_sectors(kept)) == [0, 1]
+        ground_sector(kept)
+        for row, block in zip(kept.ritz_vectors, build_transformed_hamiltonian(p).entries):
+            assert abs(row @ np.linalg.eigh(block)[1][:, 0]) >= 1 - 1e-12
 
     @pytest.mark.parametrize("p", [SystemParams(1.25, 0.75, K_ULTRA, K_ULTRA, N=20),
                                    fig5_params(1.95, 20)], ids=["fig2", "fig5"])
@@ -801,9 +807,7 @@ class TestBlockPath:
         assert [gs.solver for gs in results] == (
             ["dense", "block", "block", "dense"] + ["block-fallback"] * 3)
         for gs in results[:4]:
-            n = gs.state.factor_dims[1]
-            assert gs.ritz_vectors.shape == (2 * n * n, 2)
-            assert abs(gs.ritz_vectors[:, 0] @ in_sector_order(gs.state)) >= 1 - 1e-12
+            ground_sector(gs)
         assert not results[3].degenerate_flag
         assert_same_result(results[4], ground_state(replace(zero, N=14)))
         assert [gs.ritz_vectors for gs in results[4:]] == [None] * 3
@@ -817,14 +821,14 @@ class TestBlockPath:
     ], ids=["fig2", "split-3e-9"])
     def test_dense_pair_in_one_block_is_its_two_lowest_vectors(self, p, monkeypatch):
         # Lifting the Pi = -1 block by 10 puts both of H's lowest levels in the Pi = +1 block,
-        # as in test_two_lowest_levels_in_one_block.  H's next vector comes from the inverse
-        # iteration that finds its ground vector, and from eigh only where that iteration
-        # takes eigh for the ground vector too: at a gap below SHIFT.
+        # as in test_two_lowest_levels_in_one_block.  The pair is still each sector's ground:
+        # the other sector's comes from the inverse iteration that finds the ground vector,
+        # which resolves that block's own gap without an eigh.
         h = build_transformed_hamiltonian(p)
         lifted = replace(h, diagonal=h.diagonal + np.array([0.0, 10.0])[:, None, None])
         monkeypatch.setattr(jtsim.groundstate, "build_transformed_hamiltonian", lambda _: lifted)
-        block = lifted.entries[0]
-        w = np.linalg.eigvalsh(block)[:2]
+        other = lifted.entries[1]
+        w = np.linalg.eigvalsh(other)[:2]
         gs = ground_state(p)
         assert gs.solver == "dense" and not gs.degenerate_flag
         eigh, calls = np.linalg.eigh, []
@@ -835,17 +839,10 @@ class TestBlockPath:
 
         with monkeypatch.context() as m:
             m.setattr(np.linalg, "eigh", counting)
-            halves = gs.ritz_vectors.reshape(2, p.N * p.N, 2)
-        assert np.all(halves[1] == 0.0)
-        vectors = eigh(block)[1]
-        assert abs(halves[0, :, 1] @ vectors[:, 1]) >= 1 - 1e-12
-        assert abs(gs.ritz_vectors[:, 0] @ in_sector_order(gs.state)) >= 1 - 1e-12
-        if w[1] - w[0] < jtsim.groundstate.SHIFT * max(1.0, abs(w[0])):
-            assert np.array_equal(halves[0], vectors[:, :2])
-        else:
-            assert calls == []
-            residual = np.linalg.norm(block @ halves[0, :, 1] - w[1] * halves[0, :, 1])
-            assert residual < RESIDUAL_TOL * max(1.0, abs(w[1]))
+            row = gs.ritz_vectors[1]
+        assert calls == [] and ground_sector(gs) == 0
+        assert abs(row @ eigh(other)[1][:, 0]) >= 1 - 1e-12
+        assert np.linalg.norm(other @ row - w[0] * row) < RESIDUAL_TOL * max(1.0, abs(w[0]))
 
     @pytest.mark.parametrize("basis", BASES)
     @pytest.mark.parametrize("n", [6, 10, 13, 14, 20, 24])
@@ -857,8 +854,8 @@ class TestBlockPath:
     ], ids=["ladder", "fig2", "fig5", "fig6"])
     def test_pair_across_the_sectors_is_their_lowest_vectors(self, p, n, basis):
         # The pairs that the ladders and the verification hand on: H's next level lies in
-        # the sector that does not hold its ground level.  Either path's pair is exactly 0
-        # outside its sectors; the block path keeps one Krylov space per sector.
+        # the sector that does not hold its ground level, and row s of either path's pair is
+        # the lowest vector of sector s.
         p = replace(p, N=n)
         h = build_lab_hamiltonian(p) if basis == "lab" else build_transformed_hamiltonian(p)
         blocks = h.entries
@@ -867,12 +864,26 @@ class TestBlockPath:
         assert k0 != k1
         gs = ground_state(p, basis)
         assert gs.solver == ("dense" if n < BLOCK_MIN_N else "block")
-        assert list(pair_sectors(gs)) == [k0, k1]
-        second = gs.ritz_vectors.reshape(2, n * n, 2)[k1, :, 1]
-        assert abs(second @ np.linalg.eigh(blocks[k1])[1][:, 0]) >= 1 - 1e-12
+        assert ground_sector(gs) == k0
+        for row, block in zip(gs.ritz_vectors, blocks):
+            assert abs(row @ np.linalg.eigh(block)[1][:, 0]) >= 1 - 1e-12
         if gs.solver == "dense":  # the inverse iteration's own stop test
+            second = gs.ritz_vectors[k1]
             residual = np.linalg.norm(blocks[k1] @ second - lowest[k1, 0] * second)
             assert residual < RESIDUAL_TOL * max(1.0, abs(lowest[k1, 0]))
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_presets_take_the_block_path_at_n20(self, name):
+        # Every 8th grid point, both endpoints included, each N = 20 rung started from its
+        # N = 10 row: the block path answers every point but the zero-frequency rows, so
+        # the refusal of two lowest levels in one block never fires at a preset point.
+        spec = PRESETS[name]
+        points = grid_points(spec)[::8]
+        assert (points[0], points[-1]) == (spec.t_min, spec.t_max)
+        for t in points:
+            below, row = convergence_study(spec.params_at(t), (10, 20), spec.basis)
+            zero = (name in ("fig1", "fig2") and abs(t) == 2.0) or (name == "fig5" and t == 2.0)
+            assert (below.solver, row.solver) == ("dense", "block-fallback" if zero else "block")
 
     def test_rung_after_a_dense_one_pays_no_start_eigh(self, monkeypatch):
         # The ladder point: its N = 20 rung starts from the N = 10 rung's dense pair, with
@@ -912,7 +923,7 @@ class TestBlockPath:
         monkeypatch.setattr(jtsim.groundstate, "build_transformed_hamiltonian", twinned)
         p = fig5_params(1.5, 20)
         below = ground_state(replace(p, N=10))
-        assert below.degenerate_flag and below.ritz_vectors.shape == (200, 2)
+        assert below.degenerate_flag and below.ritz_vectors.shape == (2, 100)
         dense = dense_ground_state(p)
         gs = ground_state(p)
         assert gs.solver == "block" and not gs.degenerate_flag

@@ -558,6 +558,18 @@ def test_state_vector_refuses_length_that_does_not_match_factor_dims():
         StateVector(np.zeros(17), (2, 3, 3))
 
 
+@pytest.mark.parametrize("dim", [2.7, math.nan, math.inf, None, 0, -2])
+def test_state_vector_refuses_a_factor_dim_that_is_not_a_positive_integer(dim):
+    pattern = f"^factor_dims entry must be a positive integer, got {re.escape(repr(dim))}$"
+    with pytest.raises(ValueError, match=pattern):
+        StateVector(np.zeros(8), (2, dim, 2))
+
+
+def test_state_vector_stores_integral_factor_dims_as_int():
+    dims = StateVector(np.zeros(8), (2.0, np.int64(2), 2)).factor_dims
+    assert dims == (2, 2, 2) and all(type(d) is int for d in dims)
+
+
 
 def test_annihilation_n2_matrix():
     a = annihilation(2)

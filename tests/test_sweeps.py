@@ -356,7 +356,7 @@ class TestRunSweep:
         for t, (start, gs) in zip(points, recomputes):
             assert gs.solver == "block"
             assert start is rows[t].solved.ritz_vectors
-            assert start.shape == (2 * 10 * 10, 2)
+            assert start.shape == (2, 10 * 10)
 
     def test_sweep_result_keeps_no_dense_block(self):
         # Each row keeps its ground state, which keeps H's bands, four levels and its ground
@@ -505,11 +505,10 @@ class TestCompareBases:
         compare_bases(p)
         (lab_basis, _, lab), (basis, start, warm) = calls
         assert (lab_basis, lab.solver, basis) == ("lab", "block", "transformed")
-        assert start.shape == lab.ritz_vectors.shape == (2 * n * n, 2)
-        # each sector half of each lab Ritz vector, rotated on its own
+        assert start.shape == lab.ritz_vectors.shape == (2, n * n)
+        # each sector's lab ground vector, rotated on its own
         rotation = mode_rotation_unitary(p)
-        halves = lab.ritz_vectors.reshape(2, n * n, 2)
-        rotated = np.concatenate([rotation.apply(half.T).T for half in halves])
+        rotated = np.array([rotation.apply(row) for row in lab.ritz_vectors])
         assert np.max(np.abs(start - rotated)) < 1e-14
         cold = ground_state(p, "transformed")
         scale = max(1.0, abs(cold.energy))
@@ -526,7 +525,7 @@ class TestCompareBases:
         assert (lab_basis, lab.solver, basis, tr.solver) == ("lab", "dense", "transformed", "dense")
         # the lab pair, which a dense solve would ignore, is neither computed nor rotated
         assert start is None and "ritz_vectors" not in vars(lab)
-        assert lab.ritz_vectors.shape == (2 * n * n, 2)
+        assert lab.ritz_vectors.shape == (2, n * n)
         cold = ground_state(p, "transformed")
         assert (tr.energy, tr.gap, tr.residual) == (cold.energy, cold.gap, cold.residual)
         assert np.array_equal(tr.state.amplitudes, cold.state.amplitudes)
